@@ -22,8 +22,8 @@
 // --latency=<model> restricts the sweep to that model; --latency-mean=
 // sets the matched mean (default 1.0) and --latency-shape= overrides
 // the per-family default shape. A final section cross-validates the
-// sharded engine's constant-latency epoch fold against the messaging
-// driver on the same (fire-and-forget) workload.
+// sharded engine's delivery queues against the messaging driver under
+// constant latency and the fire-and-forget discipline.
 
 #include <string>
 #include <utility>
@@ -205,27 +205,21 @@ int run_exp(ExperimentContext& ctx) {
                     : "[ordering not met at this scale]");
   }
 
-  // Cross-validation: the sharded engine folds ConstantLatency into
-  // its epoch schedule (epoch = 2x mean with snapshot neighbor reads,
-  // so the read age averages one mean delay — see run_sharded_latency).
-  // The fold runs updates at the full tick rate from stale reads — the
-  // fire-and-forget discipline — so it is compared against the
-  // messaging driver under the same discipline, not against the
-  // blocking rows above.
+  // Cross-validation of the two exact latency samplers under the
+  // fire-and-forget discipline (every tick queries): the sharded
+  // engine's delivery queues against the messaging driver, both under
+  // ConstantLatency at the matched mean.
   {
     const ConstantLatency latency(mean);
-    const auto fold_times = run_repetitions(
+    const auto queued_times = run_repetitions(
         ctx.reps, ctx.seeds_for(1000),
         [&](std::uint64_t, Xoshiro256& rng) {
           TwoChoicesAsync<CsrTopology> proto(
               csr, bench::place_on(ctx, any,
                                    counts_two_colors(n_eff, (n_eff * 3) / 4),
                                    rng));
-          ctx.note_effective_engine(
-              engine_kind_name(EngineKind::kSharded));
-          ctx.note_effective_latency(latency.name());
-          return run_sharded_latency(proto, latency, rng(), ctx.shards,
-                                     1e5)
+          return bench::run_queued(plan, proto, latency,
+                                   QueryDiscipline::kFireAndForget, rng, 1e5)
               .time;
         },
         ctx.threads);
@@ -239,36 +233,36 @@ int run_exp(ExperimentContext& ctx) {
                               rng),
               QueryDiscipline::kFireAndForget);
           // Raw messaging driver, attributed by hand: this section
-          // cross-validates the fold *against* the messaging driver by
-          // design, so a --engine=sharded request (which did drive the
-          // main sweep) must not trip the dispatch's "ignoring
-          // --engine=" warning here.
+          // cross-validates the sharded queues *against* the messaging
+          // driver by design, so a --engine=sharded request (which did
+          // drive the main sweep) must not trip the dispatch's
+          // "ignoring --engine=" warning here.
           ctx.note_effective_engine(
               engine_kind_name(EngineKind::kSuperposition));
           ctx.note_effective_latency(latency.name());
           return run_continuous_messaging(proto, latency, rng, 1e5).time;
         },
         ctx.threads);
-    ctx.record("const_fold_sharded",
+    ctx.record("const_ff_sharded",
                {{"protocol", "two_choices"},
                 {"latency", "const"},
                 {"n", n_eff},
                 {"mean_delay", mean},
                 {"shards", ctx.shards}},
-               fold_times);
-    ctx.record("const_fold_messaging",
+               queued_times);
+    ctx.record("const_ff_messaging",
                {{"protocol", "two_choices"},
                 {"latency", "const"},
                 {"n", n_eff},
                 {"mean_delay", mean}},
                msg_times);
-    const Summary fold = summarize(fold_times);
+    const Summary queued = summarize(queued_times);
     const Summary msg = summarize(msg_times);
     if (!ctx.csv) {
       std::printf("const-latency fire-and-forget cross-check: sharded "
-                  "epoch fold %.1f +- %.1f (%u shard(s)) vs messaging "
+                  "delivery queues %.1f +- %.1f (%u shard(s)) vs messaging "
                   "driver %.1f +- %.1f\n",
-                  fold.mean, fold.ci95_halfwidth, ctx.shards, msg.mean,
+                  queued.mean, queued.ci95_halfwidth, ctx.shards, msg.mean,
                   msg.ci95_halfwidth);
     }
   }
@@ -289,9 +283,9 @@ const ExperimentRegistrar kRegistrar{
     "blocking discipline on the sharded engine's per-shard delivery "
     "queues (--shards=T workers). Records `time_vs_model` (consensus "
     "time and success rate per protocol x model) plus "
-    "`const_fold_sharded` / `const_fold_messaging` (the sharded "
-    "engine's constant-latency epoch fold vs the messaging driver on "
-    "the same fire-and-forget workload). Overrides: --n=, --latency= "
+    "`const_ff_sharded` / `const_ff_messaging` (the sharded engine's "
+    "delivery queues vs the messaging driver under constant latency and "
+    "the fire-and-forget discipline). Overrides: --n=, --latency= "
     "(restrict to one model), --latency-mean= (matched mean, default "
     "1.0), --latency-shape= (per-family default: pareto 2.5, aging "
     "4.0), --engine=, --shards=, --graph= and the --graph-* knobs, "

@@ -309,8 +309,7 @@ int run_exp(ExperimentContext& ctx) {
       const auto result =
           run_sharded(proto, rng(), me_shards, me_horizon, NullObserver{},
                       /*sample_every=*/me_horizon, /*epoch_length=*/0.25,
-                      /*snapshot_reads=*/false, /*perturb=*/nullptr,
-                      ctx.tuning);
+                      /*perturb=*/nullptr, ctx.tuning);
       const auto stop = std::chrono::steady_clock::now();
       g_sink = result.ticks;
       return std::chrono::duration<double, std::nano>(stop - start).count() /

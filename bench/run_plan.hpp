@@ -5,9 +5,7 @@
 /// resolved {engine, graph, placement, latency} tuple of one
 /// experiment invocation, and bench::run(plan, ...) is the single
 /// entry point that routes any protocol to the driver that can
-/// actually execute that composition — replacing the historical
-/// run_async / run_messaging / run_sharded_latency branching that was
-/// spread across bench_common.hpp and engine_select.hpp.
+/// actually execute that composition.
 ///
 /// Dispatch rules (each records truthful *_effective attribution):
 ///   - zero latency: the requested engine drives the protocol

@@ -24,12 +24,8 @@
 ///   - a *delayed-shardable* protocol (query/apply_query split) runs
 ///     any sampleable model on the sharded engine's per-shard delivery
 ///     queues (run_sharded_queued in sharded_engine.hpp) — the general
-///     parallel latency path, dispatched by the bench layer's RunPlan;
-///   - run_sharded_latency below additionally keeps the *constant*
-///     epoch fold: a cheaper, queue-free approximation of constant
-///     latency validated against the messaging driver.
+///     parallel latency path, dispatched by the bench layer's RunPlan.
 
-#include <algorithm>
 #include <cstdint>
 #include <string>
 
@@ -129,58 +125,11 @@ AsyncRunResult run_async_engine(EngineKind kind, P& proto, Xoshiro256& rng,
       if constexpr (ShardableProtocol<P>) {
         return run_sharded(proto, seed_for_shards, shards, max_time,
                            std::forward<Obs>(obs), sample_every,
-                           /*epoch_length=*/0.25, /*snapshot_reads=*/false,
-                           perturb, tuning);
+                           /*epoch_length=*/0.25, perturb, tuning);
       }
       break;
   }
   throw ContractViolation("unreachable engine kind");
-}
-
-/// Runs a shardable protocol on the sharded engine under a *foldable*
-/// latency model (LatencySpec::foldable_into_sharded): ZeroLatency is
-/// the plain sharded run; ConstantLatency(c) sets the epoch length to
-/// 2c and switches all neighbor reads to the epoch-start snapshot, so
-/// every edge read observes state whose age is uniform on [0, 2c) —
-/// mean c, matching the constant information age c of the true
-/// fire-and-forget process (which reads at the tick and applies at
-/// tick + c). Two deliberate approximations remain: the age is
-/// epoch-quantized rather than constant, and updates land at tick
-/// time instead of tick + c, so folded consensus times run about one
-/// latency earlier. Validated against the messaging driver in
-/// tests/test_latency.cpp within those bounds. Requesting a
-/// non-foldable model here is a contract violation; callers route
-/// those to run_continuous_messaging instead.
-template <ShardableProtocol P, typename Obs = NullObserver>
-AsyncRunResult run_sharded_latency(P& proto, const LatencyModel& latency,
-                                   std::uint64_t seed, unsigned shards,
-                                   double max_time, Obs&& obs = Obs{},
-                                   double sample_every = 1.0,
-                                   double epoch_length = 0.25,
-                                   const EngineTuning& tuning = {}) {
-  switch (latency.kind()) {
-    case LatencyKind::kZero:
-      return run_sharded(proto, seed, shards, max_time,
-                         std::forward<Obs>(obs), sample_every, epoch_length,
-                         /*snapshot_reads=*/false, /*perturb=*/nullptr,
-                         tuning);
-    case LatencyKind::kConstant:
-      // Sample boundaries truncate epochs (run_sharded caps dt at the
-      // next boundary), which would silently shrink the fold's read
-      // age below its 2c target; coarsen the observer cadence to the
-      // epoch length when it is finer.
-      return run_sharded(proto, seed, shards, max_time,
-                         std::forward<Obs>(obs),
-                         std::max(sample_every, 2.0 * latency.mean()),
-                         /*epoch_length=*/2.0 * latency.mean(),
-                         /*snapshot_reads=*/true);
-    default:
-      break;
-  }
-  throw ContractViolation(
-      std::string("latency model '") + latency.name() +
-      "' cannot be folded into the sharded engine's epoch schedule; "
-      "run it on the messaging driver instead");
 }
 
 }  // namespace plurality

@@ -275,13 +275,6 @@ struct LatencySpec {
   std::unique_ptr<LatencyModel> make() const {
     return make_latency_model(kind, mean, shape);
   }
-
-  /// True when the sharded engine can fold this model into its epoch
-  /// schedule instead of falling back to the messaging driver (see
-  /// run_sharded_latency in engine_select.hpp).
-  bool foldable_into_sharded() const noexcept {
-    return kind == LatencyKind::kZero || kind == LatencyKind::kConstant;
-  }
 };
 
 }  // namespace plurality

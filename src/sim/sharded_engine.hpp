@@ -1,97 +1,45 @@
 #pragma once
 
 /// \file sharded_engine.hpp
-/// A parallel tick engine for big-n asynchronous runs: the node set is
-/// partitioned into T contiguous shards, each driven by its own
-/// xoshiro256 stream (SplitMix64-derived from the engine seed, so a run
-/// is deterministic for a fixed seed and shard count regardless of
-/// thread scheduling).
+/// A parallel tick engine for big-n asynchronous runs. The node set is
+/// split into T contiguous shards, each with its own xoshiro256 stream
+/// derived from the engine seed, so a run is deterministic for a fixed
+/// (seed, shards) whatever the thread scheduling. Time advances in
+/// epochs of length `epoch_length` (capped by the next sample
+/// boundary); by superposition a shard of n_s nodes ticks
+/// Poisson(n_s * dt) times per epoch, each at a uniform node of the
+/// shard.
 ///
-/// Time advances in *epochs* of length `epoch_length` (capped by the
-/// next sample boundary). By superposition, the number of ticks a shard
-/// of n_s nodes performs in an epoch of length dt is Poisson(n_s * dt),
-/// and each tick hits a uniform node of the shard. Within an epoch
-/// every shard:
-///   - writes only its own nodes' colors (disjoint regions, no locks),
-///   - reads its own nodes *live* and foreign nodes from the epoch-start
-///     snapshot (at most one epoch stale),
-///   - accumulates a per-color support delta and a changed-node log.
-/// At the epoch barrier the deltas are merged into the shared
-/// OpinionTable (O(changes + colors), see
-/// OpinionTable::merge_shard_deltas), the snapshot absorbs the changes,
-/// and done() is polled; the observer fires at `sample_every`
-/// boundaries as in the other engines. The workers are a persistent
-/// pool parked at the epoch barrier (detail::ShardWorkerPool) — epochs
-/// are far too short to amortize a thread spawn. The pool draws its
-/// threads from the process-wide --jobs= budget (src/jobs/budget.hpp):
-/// it asks for shards - 1 workers and multiplexes the shards over
-/// whatever lanes the budget grants plus the calling thread, so the
-/// shard count (and with it the trajectory) never depends on how many
-/// threads were actually available.
-///
-/// Memory layout (opinion/packed.hpp): the engine's live and snapshot
-/// color arrays are *packed* at the table's resolved u8/u16/u32 width
-/// in 64-byte-aligned slabs, and the epoch body is instantiated once
-/// per width with typed pointers — a k <= 256 run streams 1 byte per
-/// node per array instead of 4. Per-shard support deltas live in one
-/// cache-line-padded slab (ShardDeltaSlab) so workers never false-share
-/// counter lines. Width never touches an RNG stream: trajectories are
-/// bit-identical across widths for a fixed (seed, shards).
-///
-/// EngineTuning composes three orthogonal performance/exactness knobs:
-///   - sampling (--sampling=scalar|batch): batch mode draws each
-///     epoch's node indices through rng/batch.hpp's lane-parallel
-///     Xoshiro256Block (a per-shard stream separate from the shard's
-///     scalar stream, derived from the same SeedSequence) instead of
-///     one scalar draw per tick. Statistically equivalent, not
-///     bit-identical — the default stays scalar so baselines survive;
-///   - numa (--numa=off|firsttouch|bind): first-touch initialization
-///     of live/snapshot/delta arrays on the owning worker lane, and
-///     optional explicit lane pinning (sim/numa.hpp). Trajectory-
-///     neutral; off-Linux, bind degrades to firsttouch;
-///   - exact_reads (--exact-reads): replaces the epoch-stale foreign
-///     reads with a distribution-*exact* two-phase schedule — see
-///     run_sharded_exact below — trading parallel tick application for
-///     parallel randomness generation.
-///
-/// Topology: protocols sample neighbors themselves (propose/query take
-/// the shard's RNG), so the engine runs on *any* GraphTopology — the
-/// clique, and every factory family, ideally through the flat
-/// graph/csr.hpp view, which shares one immutable structure across all
-/// shard workers.
-///
-/// The foreign-read staleness is the one deliberate deviation from the
-/// exact process; shrinking `epoch_length` shrinks it (at the cost of
-/// more barriers), `exact_reads` removes it entirely, and the engine
-/// equivalence tests pin the consensus-time agreement statistically.
-///
-/// Edge latencies (sim/latency.hpp) integrate in two ways:
-///   - run_sharded can *fold* a constant latency c into its epoch
-///     schedule by setting `epoch_length` = 2c and enabling
-///     `snapshot_reads` — every neighbor read then comes from the
-///     epoch-start snapshot, i.e. from state whose age is uniform on
-///     [0, 2c) with mean c (the fire-and-forget approximation; see
-///     run_sharded_latency in engine_select.hpp for the precise claim);
-///   - run_sharded_queued runs *any* sampleable model (const, exp,
-///     pareto, aging) exactly, via per-shard delivery queues: a query's
-///     answer carries the colors read at query time and is applied at
-///     query + delay, under the blocking or fire-and-forget discipline.
-///     The querier and the recipient of the answer are the same node,
-///     so deliveries never cross shards and the epoch merge stays
-///     deterministic.
+/// Every driver runs one epoch skeleton (detail::run_epochs). It owns
+/// the shard ranges and streams, the first-touch init epoch, error
+/// capture, the perturbation drain, the `done() && exhausted()` stop
+/// rule, the observer cadence and the horizon finalization, and calls a
+/// per-shard body supplied as a template policy:
+///   - stale (run_sharded): a shard writes only its own nodes, reads
+///     them live and foreign nodes from the epoch-start snapshot (at
+///     most one epoch stale), and logs support deltas and changed nodes
+///     that the barrier merges into the OpinionTable;
+///   - queued (run_sharded_queued): the same packed state plus
+///     per-shard delivery queues that sample any latency model exactly;
+///   - exact (EngineTuning::exact_reads): parallel tick generation and
+///     a serial live replay, the reference the stale body is tested
+///     against.
+/// Shards run on a persistent pool (sim/shard_pool.hpp) that
+/// multiplexes them over the lanes the --jobs= budget grants, so the
+/// trajectory never depends on the thread count. Live and snapshot
+/// colors are packed at the table's u8/u16/u32 width (opinion/packed.hpp)
+/// and each body is instantiated per width; width never touches an RNG
+/// stream. Protocols sample neighbors themselves, so any GraphTopology
+/// works, ideally the shared graph/csr.hpp view.
 
 #include <algorithm>
-#include <condition_variable>
 #include <cstdint>
 #include <exception>
-#include <functional>
-#include <mutex>
 #include <span>
 #include <thread>
 #include <utility>
 #include <vector>
 
-#include "jobs/budget.hpp"
 #include "opinion/packed.hpp"
 #include "rng/batch.hpp"
 #include "rng/distributions.hpp"
@@ -103,15 +51,21 @@
 #include "sim/observers.hpp"
 #include "sim/perturb.hpp"
 #include "sim/result.hpp"
+#include "sim/shard_pool.hpp"
 #include "support/assert.hpp"
 #include "trace/trace.hpp"
 
 namespace plurality {
 
-/// The sharded engine's performance/exactness knobs (see file header).
-/// The default tuple is the historical engine: scalar draws, main-
-/// thread allocation, epoch-stale foreign reads — bit-identical to
-/// every checked-in baseline.
+/// The sharded engine's performance/exactness knobs; the default tuple
+/// is bit-identical to every checked-in baseline.
+///   - sampling (--sampling=batch): node indices come from
+///     rng/batch.hpp's lane-parallel Xoshiro256Block on a separate
+///     per-shard stream — statistically equivalent, not bit-identical;
+///   - numa (--numa=firsttouch|bind): the packed arrays are first
+///     touched by their owner lanes in an init epoch, and bind pins the
+///     worker lanes (sim/numa.hpp); trajectory-neutral;
+///   - exact_reads (--exact-reads): the exact body.
 struct EngineTuning {
   SamplingMode sampling = SamplingMode::kScalar;
   NumaMode numa = NumaMode::kOff;
@@ -176,156 +130,6 @@ concept DelayedShardableProtocol =
 
 namespace detail {
 
-/// The persistent worker pool behind both sharded drivers, parked at a
-/// generation-counter barrier between epochs (epochs are short —
-/// default 0.25 time units — so spawning threads per epoch would
-/// dominate the per-tick cost). `work(shard_index)` is invoked once
-/// per shard per run_epoch() call; it must not throw (the engines
-/// capture errors into their per-shard state and rethrow after the
-/// barrier).
-///
-/// Worker-budget handshake: at construction the pool acquires up to
-/// `shards - 1` threads from the process-wide jobs::ThreadBudget and
-/// multiplexes the shards over `granted + 1` lanes — the calling
-/// thread always runs lane 0, worker thread k runs lane k, and lane L
-/// executes shards L, L + lanes, L + 2*lanes, ... sequentially. The
-/// shard count (which keys the trajectory: per-shard RNG streams,
-/// ranges, merge order) is therefore decoupled from the thread count:
-/// under an exhausted budget (--jobs=1, or every token held by the
-/// executor) the pool degrades to running all shards on the caller,
-/// bit-identically. With one shard — or zero granted lanes — the work
-/// runs inline and no worker is spawned.
-///
-/// Under NumaMode::kBind each *worker* thread pins itself to one CPU
-/// spread evenly over the box before first parking (numa::pin_lane);
-/// the calling thread is never pinned — constraining the caller would
-/// outlive the run. Pinning is trajectory-neutral.
-class ShardWorkerPool {
- public:
-  ShardWorkerPool(std::uint64_t shards,
-                  std::function<void(std::uint64_t)> work,
-                  NumaMode numa = NumaMode::kOff)
-      : work_(std::move(work)), shards_(shards), numa_(numa) {
-    if (shards <= 1) return;
-    granted_ = jobs::ThreadBudget::global().acquire(
-        static_cast<unsigned>(shards - 1));
-    lanes_ = granted_ + 1;
-    if (granted_ == 0) return;  // caller multiplexes every shard
-    workers_.reserve(granted_);
-    for (unsigned lane = 1; lane <= granted_; ++lane) {
-      workers_.emplace_back([this, lane] { worker_loop(lane); });
-    }
-  }
-
-  ShardWorkerPool(const ShardWorkerPool&) = delete;
-  ShardWorkerPool& operator=(const ShardWorkerPool&) = delete;
-
-  ~ShardWorkerPool() {
-    if (!workers_.empty()) {
-      {
-        const std::lock_guard lock(mutex_);
-        stopping_ = true;
-      }
-      work_cv_.notify_all();
-      for (auto& worker : workers_) worker.join();
-    }
-    jobs::ThreadBudget::global().release(granted_);
-  }
-
-  /// The number of lanes the shards are multiplexed over (granted
-  /// workers + the calling thread); 1 when everything runs inline.
-  unsigned lanes() const noexcept { return lanes_; }
-
-  /// Runs the work on every shard and blocks until all are done. Any
-  /// state the work reads (epoch length, buffers) must be written by
-  /// the caller before this call; the barrier's mutex orders those
-  /// writes before the workers' reads. The caller contributes lane 0
-  /// while the workers run theirs.
-  void run_epoch() {
-    if (shards_ <= 1) {
-      work_(0);
-      return;
-    }
-    if (workers_.empty()) {
-      for (std::uint64_t s = 0; s < shards_; ++s) work_(s);
-      return;
-    }
-    {
-      const std::lock_guard lock(mutex_);
-      pending_ = workers_.size();
-      ++generation_;
-    }
-    work_cv_.notify_all();
-    run_lane(0);
-    // The caller's barrier wait is the headline contention signal:
-    // time lane 0 sits here is load imbalance across the lanes.
-    const bool traced = trace::enabled();
-    const std::int64_t wait_t0 = traced ? trace::now_ns() : 0;
-    {
-      std::unique_lock lock(mutex_);
-      done_cv_.wait(lock, [&] { return pending_ == 0; });
-    }
-    if (traced) {
-      trace::local_sink().barrier_wait(wait_t0,
-                                       trace::now_ns() - wait_t0);
-    }
-  }
-
- private:
-  void run_lane(unsigned lane) {
-    for (std::uint64_t s = lane; s < shards_; s += lanes_) work_(s);
-  }
-
-  void worker_loop(unsigned lane) {
-    if (numa_ == NumaMode::kBind) numa::pin_lane(lane, lanes_);
-    std::uint64_t seen = 0;
-    for (;;) {
-      {
-        // Workers park here between epochs; the teardown wake
-        // (stopping_) is shutdown, not contention, and is not recorded.
-        const bool traced = trace::enabled();
-        const std::int64_t wait_t0 = traced ? trace::now_ns() : 0;
-        std::unique_lock lock(mutex_);
-        work_cv_.wait(lock,
-                      [&] { return stopping_ || generation_ != seen; });
-        if (stopping_) return;
-        seen = generation_;
-        lock.unlock();
-        if (traced) {
-          trace::local_sink().barrier_wait(wait_t0,
-                                           trace::now_ns() - wait_t0);
-        }
-      }
-      run_lane(lane);  // work_ never throws; errors land in engine state
-      {
-        const std::lock_guard lock(mutex_);
-        if (--pending_ == 0) done_cv_.notify_one();
-      }
-    }
-  }
-
-  std::function<void(std::uint64_t)> work_;
-  std::uint64_t shards_ = 0;
-  NumaMode numa_ = NumaMode::kOff;
-  unsigned granted_ = 0;  // budget tokens held for the pool's lifetime
-  unsigned lanes_ = 1;
-  std::mutex mutex_;
-  std::condition_variable work_cv_;
-  std::condition_variable done_cv_;
-  std::uint64_t generation_ = 0;
-  std::uint64_t pending_ = 0;
-  bool stopping_ = false;
-  std::vector<std::thread> workers_;
-};
-
-/// Contiguous as-equal-as-possible shard ranges over n nodes.
-inline std::pair<NodeId, NodeId> shard_range(std::uint64_t n,
-                                             std::uint64_t shard,
-                                             std::uint64_t shards) noexcept {
-  return {static_cast<NodeId>(n * shard / shards),
-          static_cast<NodeId>(n * (shard + 1) / shards)};
-}
-
 /// The resolved shard count: 0 picks the hardware concurrency, and the
 /// count never exceeds the node count.
 inline std::uint64_t resolve_shards(unsigned num_shards,
@@ -341,372 +145,476 @@ inline std::uint64_t resolve_shards(unsigned num_shards,
 /// instead of one word per tick.
 inline constexpr std::size_t kNodeBatch = 4096;
 
-/// The live/snapshot pair of one sharded run, built according to the
-/// NUMA mode: `off` packs both on the calling thread; the first-touch
-/// modes return *uninitialized* slabs the caller must fill through an
-/// init epoch on the worker pool (each lane packing its own shards'
-/// ranges) before the first tick epoch.
-struct EngineBuffers {
-  PackedColors live;
-  PackedColors snapshot;
+/// Per-shard state every body shares: the node range, the shard's RNG
+/// stream, the epoch's recolor log and tick count (read by the packed
+/// merge), and a slot for an error captured on a worker lane.
+struct alignas(64) ShardCore {
+  NodeId lo = 0;
+  NodeId hi = 0;
+  Xoshiro256 rng{0};
+  std::vector<NodeId> changed;
+  std::uint64_t ticks = 0;
+  std::exception_ptr error;
 };
 
-inline EngineBuffers make_buffers(const PackedColors& source,
-                                  NumaMode numa) {
-  EngineBuffers out;
-  if (numa == NumaMode::kOff) {
-    out.live = source.clone();
-    out.snapshot = source.clone();
-  } else {
-    out.live = PackedColors::uninitialized(source.size(), source.width());
-    out.snapshot =
-        PackedColors::uninitialized(source.size(), source.width());
+/// Contiguous as-equal-as-possible ranges of `shards` shards over n
+/// nodes; shard s draws from stream s of SeedSequence(seed).
+template <typename Shard>
+std::vector<Shard> make_shards(std::uint64_t n, std::uint64_t shards,
+                               std::uint64_t seed) {
+  const SeedSequence streams(seed);
+  std::vector<Shard> out(shards);
+  for (std::uint64_t s = 0; s < shards; ++s) {
+    out[s].lo = static_cast<NodeId>(n * s / shards);
+    out[s].hi = static_cast<NodeId>(n * (s + 1) / shards);
+    out[s].rng = streams.make_rng(s);
   }
   return out;
 }
 
-/// The width-typed body of run_sharded (dispatched once per run on the
-/// table's resolved width; see run_sharded below for the contract).
-template <typename T, typename P, typename Obs>
-AsyncRunResult run_sharded_impl(P& proto, std::uint64_t seed,
-                                std::uint64_t shards, double max_time,
-                                Obs&& obs, double sample_every,
-                                double epoch_length, bool snapshot_reads,
-                                Perturber* perturb,
-                                const EngineTuning& tuning) {
-  const std::uint64_t n = proto.num_nodes();
-  const ColorId num_colors = proto.table().num_colors();
-  const bool batch = tuning.sampling == SamplingMode::kBatch;
-  const bool first_touch = tuning.numa != NumaMode::kOff;
+/// The packed engine state the stale and queued bodies share: live and
+/// snapshot color arrays at the table's width `T`, per-shard support
+/// deltas, and the epoch merge that folds both into the table. Under
+/// NumaMode::kOff both arrays are packed on the calling thread; the
+/// first-touch modes leave them (and the delta rows) uninitialized for
+/// the init epoch, in which each lane packs its own shards' ranges.
+template <typename T, typename Shard>
+class PackedBody {
+ public:
+  std::vector<Shard> shards;
 
-  EngineBuffers buffers = make_buffers(proto.table().packed_colors(),
-                                       tuning.numa);
-  // Deltas stay zero-initialized by the owner lane under first-touch.
-  ShardDeltaSlab deltas(shards, num_colors, /*deferred_init=*/first_touch);
+  PackedBody(OpinionTable& table, std::uint64_t seed,
+             std::uint64_t num_shards, NumaMode numa)
+      : shards(make_shards<Shard>(table.num_nodes(), num_shards, seed)),
+        table_(table),
+        first_touch_(numa != NumaMode::kOff),
+        live_(fresh_copy()),
+        snapshot_(fresh_copy()),
+        deltas_(num_shards, table.num_colors(),
+                /*deferred_init=*/first_touch_) {}
 
-  struct alignas(64) Shard {
-    NodeId lo = 0;
-    NodeId hi = 0;
-    Xoshiro256 rng{0};
-    std::vector<NodeId> changed;
-    std::vector<NodeId> node_buf;  // batch mode: bounded draw buffer
-    std::uint64_t ticks = 0;
-    std::exception_ptr error;
-  };
-  const SeedSequence streams(seed);
-  std::vector<Shard> pool(shards);
-  std::vector<Xoshiro256Block> blocks;  // batch mode: per-shard streams
-  if (batch) blocks.reserve(shards);
-  for (std::uint64_t s = 0; s < shards; ++s) {
-    std::tie(pool[s].lo, pool[s].hi) = detail::shard_range(n, s, shards);
-    pool[s].rng = streams.make_rng(s);
-    if (batch) {
-      // A stream index disjoint from every shard's scalar stream: the
-      // node-draw block and the protocol draws never share words.
-      blocks.emplace_back(streams.stream(shards + s));
-      pool[s].node_buf.resize(kNodeBatch);
-    }
+  bool first_touch() const noexcept { return first_touch_; }
+
+  /// First touch: the owning lane performs the first write to its
+  /// ranges of live, snapshot and the delta row, so their pages land
+  /// on the lane's NUMA node.
+  void init_shard(std::uint64_t s) {
+    const Shard& shard = shards[s];
+    live_.copy_range_from(table_.packed_colors(), shard.lo, shard.hi);
+    snapshot_.copy_range_from(live_, shard.lo, shard.hi);
+    deltas_.clear(s);
   }
 
-  bool initializing = first_touch;
-  double epoch_dt = 0.0;  // written before each barrier, read by workers
-  const auto init_shard = [&](std::uint64_t s) {
-    // First touch: the owning lane performs the first write to its
-    // ranges of live, snapshot and the delta row, so their pages land
-    // on the lane's NUMA node.
-    try {
-      const Shard& shard = pool[s];
-      buffers.live.copy_range_from(proto.table().packed_colors(), shard.lo,
-                                   shard.hi);
-      buffers.snapshot.copy_range_from(buffers.live, shard.lo, shard.hi);
-      deltas.clear(s);
-    } catch (...) {
-      pool[s].error = std::current_exception();
-    }
-  };
-  const auto run_epoch_in = [&](std::uint64_t s) {
-    Shard& shard = pool[s];
-    try {
-      const bool traced = trace::enabled();
-      const std::int64_t span_t0 = traced ? trace::now_ns() : 0;
-      const double dt = epoch_dt;
-      const std::uint64_t n_s = shard.hi - shard.lo;
-      const std::uint64_t ticks =
-          poisson(shard.rng, static_cast<double>(n_s) * dt);
-      T* colors = buffers.live.template data<T>();
-      const T* snap = buffers.snapshot.template data<T>();
-      const PackedShardView<T> shard_view(colors, snap, shard.lo, shard.hi);
-      const std::span<std::int64_t> delta = deltas.shard(s);
-      std::uint64_t done = 0;
-      while (done < ticks) {
-        // Scalar mode runs one full-epoch chunk with per-tick draws;
-        // batch mode refills the node buffer through the lane-parallel
-        // block stream and consumes it in the same tick loop.
-        const std::uint64_t chunk =
-            batch ? std::min<std::uint64_t>(kNodeBatch, ticks - done)
-                  : ticks - done;
-        if (batch) {
-          blocks[s].fill_uniform_below(
-              n_s, std::span<NodeId>(shard.node_buf.data(),
-                                     static_cast<std::size_t>(chunk)));
-        }
-        for (std::uint64_t t = 0; t < chunk; ++t) {
-          const auto u = static_cast<NodeId>(
-              shard.lo + (batch ? shard.node_buf[t]
-                                : static_cast<NodeId>(
-                                      uniform_below(shard.rng, n_s))));
-          // Crashed nodes' clocks are dead: the tick is swallowed (the
-          // bitmap is stable within an epoch — drains happen between
-          // epochs on the main thread).
-          if (perturb != nullptr && !perturb->allows_tick(u)) continue;
-          // In snapshot_reads mode only the ticking node itself is read
-          // live; every neighbor read hits the epoch-start snapshot.
-          const PackedShardView<T> view =
-              snapshot_reads ? PackedShardView<T>(colors, snap, u, u + 1)
-                             : shard_view;
-          const ColorId next = proto.propose(u, view, shard.rng);
-          const ColorId old = colors[u];
-          if (next != old) {
-            colors[u] = static_cast<T>(next);
-            --delta[old];
-            ++delta[next];
-            shard.changed.push_back(u);
-          }
-        }
-        done += chunk;
-      }
-      shard.ticks += ticks;
-      if (traced) {
-        trace::local_sink().shard_span(
-            span_t0, trace::now_ns() - span_t0, ticks);
-      }
-    } catch (...) {
-      shard.error = std::current_exception();
-    }
-  };
-
-  detail::ShardWorkerPool workers(
-      shards,
-      [&](std::uint64_t s) {
-        if (initializing) {
-          init_shard(s);
-        } else {
-          run_epoch_in(s);
-        }
-      },
-      tuning.numa);
-  const auto rethrow_shard_errors = [&] {
-    for (auto& shard : pool) {
-      if (shard.error) std::rethrow_exception(shard.error);
-    }
-  };
-  if (first_touch) {
-    workers.run_epoch();  // the init epoch: pack ranges on owner lanes
-    initializing = false;
-    rethrow_shard_errors();
-  }
-
-  AsyncRunResult result;
-  const auto run_epoch = [&](double dt) {
-    epoch_dt = dt;
-    workers.run_epoch();
-    rethrow_shard_errors();
-    OpinionTable& table = proto.mutable_table();
-    T* live = buffers.live.template data<T>();
-    T* snap = buffers.snapshot.template data<T>();
-    for (std::uint64_t s = 0; s < shards; ++s) {
-      Shard& shard = pool[s];
-      table.merge_shard_deltas(shard.changed, buffers.live,
-                               deltas.shard(s));
+  /// The epoch merge (main thread, workers parked): deltas and recolor
+  /// logs into the table, changed nodes into the snapshot.
+  template <typename Drain>
+  void finish_epoch(AsyncRunResult& result, const Drain& /*drain*/) {
+    const T* live = live_.template data<T>();
+    T* snap = snapshot_.template data<T>();
+    for (std::uint64_t s = 0; s < shards.size(); ++s) {
+      Shard& shard = shards[s];
+      table_.merge_shard_deltas(shard.changed, live_, deltas_.shard(s));
       for (const NodeId u : shard.changed) snap[u] = live[u];
       shard.changed.clear();
-      deltas.clear(s);
+      deltas_.clear(s);
       result.ticks += shard.ticks;
       shard.ticks = 0;
     }
-  };
-
-  // Perturbation drains run here on the main thread, workers parked:
-  // writes go to table + live + snapshot together so the next epoch's
-  // live and snapshot reads agree.
-  const auto apply_perturbations = [&](double t) {
-    if (perturb == nullptr || perturb->next_time() > t) return;
-    perturb->drain_until(t, proto.table(), [&](NodeId u, ColorId c) {
-      proto.mutable_table().set_color(u, c);
-      buffers.live.set(u, c);
-      buffers.snapshot.set(u, c);
-    });
-  };
-  const auto running = [&] {
-    return !(proto.done() &&
-             (perturb == nullptr || perturb->exhausted()));
-  };
-
-  double now = 0.0;
-  obs(now, proto);
-  while (now < max_time && running()) {
-    const double sample_end = std::min(now + sample_every, max_time);
-    while (now < sample_end && running()) {
-      const double dt = std::min(epoch_length, sample_end - now);
-      if (!(dt > 0.0)) break;  // floating-point residue at the boundary
-      run_epoch(dt);
-      now += dt;
-      apply_perturbations(now);
-    }
-    if (now < max_time && running()) obs(now, proto);
   }
-  result.time = proto.done() ? now : max_time;
-  obs(result.time, proto);
-  result.consensus = proto.table().has_consensus();
-  if (result.consensus) result.winner = proto.table().consensus_color();
-  return result;
-}
 
-/// The distribution-exact sharded schedule (EngineTuning::exact_reads):
-/// every epoch splits into two phases.
-///
-///   Phase 1 (parallel, worker pool): each shard draws its Poisson
-///   tick *count* for the epoch, then one (time, node) pair per tick —
-///   time uniform on [t0, t0 + dt) (arrivals of a Poisson process
-///   conditioned on their count are iid uniform), node uniform in the
-///   shard — and sorts its pairs by time.
-///
-///   Phase 2 (serial, main thread): the per-shard streams are k-way
-///   merged in nondecreasing time (ties broken by shard index;
-///   probability zero) and each tick's propose() runs against the
-///   *fully live* table — no snapshot, no staleness — drawing protocol
-///   randomness from the owning shard's stream in replay order.
-///
-/// The realized process is exactly the sequential superposition
-/// process: Poisson counts + iid-uniform times + uniform nodes is the
-/// Poisson(n) superposition restricted to the epoch, and live replay
-/// applies every update in event order. What remains parallel is the
-/// randomness generation and sorting; tick application is serial, so
-/// this mode is the *ground truth* the epoch-stale default is measured
-/// against (KS gates in tests/test_sharded_engine.cpp), not a fast
-/// path. Perturbations drain in exact event order, as on the
-/// single-stream engines. Deterministic for a fixed (seed, shards,
-/// epoch_length). Batch sampling does not compose with this mode (the
-/// registry rejects the flag pair).
-template <typename P, typename Obs>
-AsyncRunResult run_sharded_exact(P& proto, std::uint64_t seed,
-                                 std::uint64_t shards, double max_time,
-                                 Obs&& obs, double sample_every,
-                                 double epoch_length, Perturber* perturb,
-                                 const EngineTuning& tuning) {
-  const std::uint64_t n = proto.num_nodes();
+  /// A perturbation write (the table is written by the skeleton): live
+  /// and snapshot together, so the next epoch's reads agree.
+  void write(NodeId u, ColorId c) {
+    live_.set(u, c);
+    snapshot_.set(u, c);
+  }
 
+ protected:
+  /// What shard s's epoch works on: the live colors, its read view and
+  /// its support-delta row.
+  struct Refs {
+    T* colors;
+    PackedShardView<T> view;
+    std::span<std::int64_t> delta;
+  };
+  Refs refs(std::uint64_t s) {
+    T* live = live_.template data<T>();
+    return {live,
+            PackedShardView<T>(live, snapshot_.template data<T>(),
+                               shards[s].lo, shards[s].hi),
+            deltas_.shard(s)};
+  }
+
+  /// Applies a tick's outcome to node u of `shard`: the live write, the
+  /// support delta and the recolor log.
+  static void apply(T* colors, std::span<std::int64_t> delta, Shard& shard,
+                    NodeId u, ColorId next) {
+    const ColorId old = colors[u];
+    if (next != old) {
+      colors[u] = static_cast<T>(next);
+      --delta[old];
+      ++delta[next];
+      shard.changed.push_back(u);
+    }
+  }
+
+ private:
+  PackedColors fresh_copy() const {
+    const PackedColors& source = table_.packed_colors();
+    return first_touch_
+               ? PackedColors::uninitialized(source.size(), source.width())
+               : source.clone();
+  }
+
+  OpinionTable& table_;
+  bool first_touch_;
+  PackedColors live_;
+  PackedColors snapshot_;
+  ShardDeltaSlab deltas_;
+};
+
+struct StaleShard : ShardCore {
+  std::vector<NodeId> node_buf;  // batch mode: bounded draw buffer
+};
+
+/// The stale body (run_sharded): each shard draws its Poisson tick
+/// count for the epoch and runs the tick loop on its own range, reading
+/// foreign nodes from the epoch-start snapshot.
+template <typename T, typename P>
+class StaleBody : public PackedBody<T, StaleShard> {
+  using Base = PackedBody<T, StaleShard>;
+
+ public:
+  using Base::shards;
+
+  StaleBody(P& proto, std::uint64_t seed, std::uint64_t num_shards,
+            Perturber* perturb, const EngineTuning& tuning)
+      : Base(proto.mutable_table(), seed, num_shards, tuning.numa),
+        proto_(proto),
+        perturb_(perturb),
+        batch_(tuning.sampling == SamplingMode::kBatch) {
+    if (!batch_) return;
+    const SeedSequence streams(seed);
+    blocks_.reserve(num_shards);
+    for (std::uint64_t s = 0; s < num_shards; ++s) {
+      // A stream index disjoint from every shard's scalar stream: the
+      // node-draw block and the protocol draws never share words.
+      blocks_.emplace_back(streams.stream(num_shards + s));
+      shards[s].node_buf.resize(kNodeBatch);
+    }
+  }
+
+  std::uint64_t run_shard(std::uint64_t s, double /*t0*/, double dt) {
+    StaleShard& shard = shards[s];
+    // Locals, so the tick loop's byte-wide stores cannot force reloads.
+    const bool batch = batch_;
+    const Perturber* const perturb = perturb_;
+    const std::uint64_t n_s = shard.hi - shard.lo;
+    const std::uint64_t ticks =
+        poisson(shard.rng, static_cast<double>(n_s) * dt);
+    const auto [colors, view, delta] = this->refs(s);
+    std::uint64_t done = 0;
+    while (done < ticks) {
+      // Scalar mode runs one full-epoch chunk with per-tick draws;
+      // batch mode refills the node buffer through the lane-parallel
+      // block stream and consumes it in the same tick loop.
+      const std::uint64_t chunk =
+          batch ? std::min<std::uint64_t>(kNodeBatch, ticks - done)
+                : ticks - done;
+      if (batch) {
+        blocks_[s].fill_uniform_below(
+            n_s, std::span<NodeId>(shard.node_buf.data(),
+                                   static_cast<std::size_t>(chunk)));
+      }
+      for (std::uint64_t t = 0; t < chunk; ++t) {
+        const auto u = static_cast<NodeId>(
+            shard.lo + (batch ? shard.node_buf[t]
+                              : static_cast<NodeId>(
+                                    uniform_below(shard.rng, n_s))));
+        // Crashed nodes' clocks are dead: the tick is swallowed (the
+        // bitmap is stable within an epoch — drains happen between
+        // epochs on the main thread).
+        if (perturb != nullptr && !perturb->allows_tick(u)) continue;
+        Base::apply(colors, delta, shard, u,
+                    proto_.propose(u, view, shard.rng));
+      }
+      done += chunk;
+    }
+    shard.ticks += ticks;
+    return ticks;
+  }
+
+ private:
+  P& proto_;
+  Perturber* perturb_;
+  bool batch_;
+  std::vector<Xoshiro256Block> blocks_;  // batch mode: per-shard streams
+};
+
+template <typename Query>
+struct QueuedShard : ShardCore {
+  struct Delivery {
+    NodeId to;
+    Query query;
+  };
+  EventQueue<Delivery> deliveries;    // persists across epochs
+  std::vector<std::uint8_t> pending;  // blocking: query in flight
+};
+
+/// The queued body (run_sharded_queued): each shard interleaves its
+/// superposition tick stream with its delivery queue in event-time
+/// order; a tick issues a query, the answer is applied at delivery.
+template <typename T, typename P>
+class QueuedBody : public PackedBody<T, QueuedShard<typename P::Query>> {
+  using Shard = QueuedShard<typename P::Query>;
+  using Base = PackedBody<T, Shard>;
+
+ public:
+  using Base::shards;
+
+  QueuedBody(P& proto, const LatencyModel& latency,
+             QueryDiscipline discipline, std::uint64_t seed,
+             std::uint64_t num_shards, Perturber* perturb, NumaMode numa)
+      : Base(proto.mutable_table(), seed, num_shards, numa),
+        proto_(proto),
+        latency_(latency),
+        perturb_(perturb),
+        blocking_(discipline == QueryDiscipline::kBlocking) {
+    if (this->first_touch()) return;  // flags are first-touched in init
+    for (Shard& shard : shards) clear_pending(shard);
+  }
+
+  void init_shard(std::uint64_t s) {
+    Base::init_shard(s);
+    clear_pending(shards[s]);
+  }
+
+  std::uint64_t run_shard(std::uint64_t s, double t0, double dt) {
+    Shard& shard = shards[s];
+    // Locals, so the tick loop's byte-wide stores cannot force reloads.
+    const bool blocking = blocking_;
+    const Perturber* const perturb = perturb_;
+    const LatencyModel& latency = latency_;
+    std::uint64_t drained = 0;
+    const std::uint64_t n_s = shard.hi - shard.lo;
+    const double inv_rate = 1.0 / static_cast<double>(n_s);
+    const double t_end = t0 + dt;
+    const auto [colors, view, delta] = this->refs(s);
+    // Fresh first-gap draw each epoch: exact by memorylessness of the
+    // shard's Poisson(n_s) tick process.
+    double next_tick = t0 + exponential_unit(shard.rng) * inv_rate;
+    for (;;) {
+      const bool deliver = !shard.deliveries.empty() &&
+                           shard.deliveries.next_time() <= next_tick;
+      const double event_time =
+          deliver ? shard.deliveries.next_time() : next_tick;
+      if (event_time >= t_end) break;  // remainder handled next epoch
+      if (deliver) {
+        auto event = shard.deliveries.pop();
+        ++drained;
+        const NodeId u = event.payload.to;
+        if (blocking) shard.pending[u - shard.lo] = 0;
+        // Answers to crashed nodes are dropped (flag still cleared
+        // above so the blocking bookkeeping cannot wedge).
+        if (perturb != nullptr && !perturb->allows_tick(u)) continue;
+        Base::apply(colors, delta, shard, u,
+                    proto_.apply_query(u, event.payload.query, view));
+      } else {
+        const auto u =
+            static_cast<NodeId>(shard.lo + uniform_below(shard.rng, n_s));
+        const bool alive = perturb == nullptr || perturb->allows_tick(u);
+        if (alive && (!blocking || !shard.pending[u - shard.lo])) {
+          auto query = proto_.query(u, view, shard.rng);
+          const double delay = latency.sample(shard.rng);
+          shard.deliveries.push(next_tick + delay, {u, std::move(query)});
+          if (blocking) shard.pending[u - shard.lo] = 1;
+        }
+        ++shard.ticks;
+        next_tick += exponential_unit(shard.rng) * inv_rate;
+      }
+    }
+    if (trace::enabled()) {
+      trace::Sink& sink = trace::local_sink();
+      const std::int64_t now = trace::now_ns();
+      if (drained > 0) sink.queue_drain(now, 0, drained);
+      // Depth at the epoch boundary is a trajectory property (the
+      // queue content is keyed on seed/shards/epoch_length), so the
+      // derived quantiles are deterministic and bench-gateable.
+      sink.queue_depth(now, shard.deliveries.size());
+    }
+    return shard.ticks;  // zeroed by every merge
+  }
+
+ private:
+  void clear_pending(Shard& shard) {
+    if (blocking_) shard.pending.assign(shard.hi - shard.lo, 0);
+  }
+
+  P& proto_;
+  const LatencyModel& latency_;
+  Perturber* perturb_;
+  bool blocking_;
+};
+
+/// The exact body (EngineTuning::exact_reads). Phase 1 (parallel,
+/// run_shard): each shard draws its Poisson tick count, then one (time,
+/// node) pair per tick — times iid uniform on [t0, t0 + dt), as for
+/// Poisson arrivals conditioned on their count — and sorts them by
+/// time. Phase 2 (serial, finish_epoch): the shards' streams are k-way
+/// merged by time (ties by shard index) and each propose() runs against
+/// the fully live table with the owning shard's RNG. That is exactly
+/// the sequential superposition process, so this body is the ground
+/// truth the stale body is tested against (tests/test_exact_reads.cpp),
+/// not a fast path; perturbations drain in exact event order.
+template <typename P>
+class ExactBody {
   struct Event {
     double time;
     NodeId node;
   };
-  struct alignas(64) Shard {
-    NodeId lo = 0;
-    NodeId hi = 0;
-    Xoshiro256 rng{0};
+  struct Shard : ShardCore {
     std::vector<Event> events;
-    std::exception_ptr error;
   };
-  const SeedSequence streams(seed);
-  std::vector<Shard> pool(shards);
-  for (std::uint64_t s = 0; s < shards; ++s) {
-    std::tie(pool[s].lo, pool[s].hi) = detail::shard_range(n, s, shards);
-    pool[s].rng = streams.make_rng(s);
+
+ public:
+  std::vector<Shard> shards;
+
+  ExactBody(P& proto, std::uint64_t seed, std::uint64_t num_shards,
+            Perturber* perturb)
+      : shards(make_shards<Shard>(proto.num_nodes(), num_shards, seed)),
+        proto_(proto),
+        perturb_(perturb),
+        head_(num_shards, 0) {}
+
+  bool first_touch() const noexcept { return false; }
+  void init_shard(std::uint64_t) {}
+  void write(NodeId, ColorId) {}  // the live table is the only state
+
+  std::uint64_t run_shard(std::uint64_t s, double t0, double dt) {
+    Shard& shard = shards[s];
+    const std::uint64_t n_s = shard.hi - shard.lo;
+    const std::uint64_t ticks =
+        poisson(shard.rng, static_cast<double>(n_s) * dt);
+    shard.events.resize(ticks);
+    for (auto& event : shard.events) {
+      event.time = t0 + uniform_unit(shard.rng) * dt;
+      event.node =
+          static_cast<NodeId>(shard.lo + uniform_below(shard.rng, n_s));
+    }
+    // stable_sort: equal times (probability zero, but determinism must
+    // not hinge on it) keep their generation order.
+    std::stable_sort(
+        shard.events.begin(), shard.events.end(),
+        [](const Event& a, const Event& b) { return a.time < b.time; });
+    return ticks;
   }
 
-  double epoch_t0 = 0.0;  // written before each barrier, read by workers
-  double epoch_dt = 0.0;
-  const auto generate_in = [&](Shard& shard) {
-    try {
-      const bool traced = trace::enabled();
-      const std::int64_t span_t0 = traced ? trace::now_ns() : 0;
-      const double t0 = epoch_t0;
-      const double dt = epoch_dt;
-      const std::uint64_t n_s = shard.hi - shard.lo;
-      const std::uint64_t ticks =
-          poisson(shard.rng, static_cast<double>(n_s) * dt);
-      shard.events.resize(ticks);
-      for (auto& event : shard.events) {
-        event.time = t0 + uniform_unit(shard.rng) * dt;
-        event.node = static_cast<NodeId>(
-            shard.lo + uniform_below(shard.rng, n_s));
+  /// Serial replay in event-time order against the live table; `drain`
+  /// applies perturbation events due at or before each tick.
+  template <typename Drain>
+  void finish_epoch(AsyncRunResult& result, const Drain& drain) {
+    std::fill(head_.begin(), head_.end(), std::size_t{0});
+    const LiveTableView view{&proto_.table()};
+    for (;;) {
+      std::uint64_t next_shard = shards.size();
+      double next_time = 0.0;
+      for (std::uint64_t s = 0; s < shards.size(); ++s) {
+        if (head_[s] == shards[s].events.size()) continue;
+        const double t = shards[s].events[head_[s]].time;
+        if (next_shard == shards.size() || t < next_time) {
+          next_shard = s;
+          next_time = t;
+        }
       }
-      // stable_sort: equal times (probability zero, but determinism
-      // must not hinge on it) keep their generation order.
-      std::stable_sort(
-          shard.events.begin(), shard.events.end(),
-          [](const Event& a, const Event& b) { return a.time < b.time; });
-      if (traced) {
-        trace::local_sink().shard_span(
-            span_t0, trace::now_ns() - span_t0, ticks);
+      if (next_shard == shards.size()) break;
+      const Event event = shards[next_shard].events[head_[next_shard]++];
+      ++result.ticks;
+      drain(event.time);
+      if (perturb_ != nullptr && !perturb_->allows_tick(event.node)) continue;
+      const ColorId next =
+          proto_.propose(event.node, view, shards[next_shard].rng);
+      if (next != proto_.table().color(event.node)) {
+        proto_.mutable_table().set_color(event.node, next);
       }
-    } catch (...) {
-      shard.error = std::current_exception();
     }
-  };
+    for (auto& shard : shards) shard.events.clear();
+  }
 
-  detail::ShardWorkerPool workers(
-      shards, [&](std::uint64_t s) { generate_in(pool[s]); }, tuning.numa);
-
+ private:
   /// propose() reads through the live table: no staleness by design.
   struct LiveTableView {
     const OpinionTable* table;
     ColorId color(NodeId v) const { return table->color(v); }
   };
 
-  AsyncRunResult result;
-  std::vector<std::size_t> head(shards, 0);
-  const auto run_epoch = [&](double t0, double dt) {
-    epoch_t0 = t0;
-    epoch_dt = dt;
+  P& proto_;
+  Perturber* perturb_;
+  std::vector<std::size_t> head_;
+};
+
+/// The one epoch skeleton behind every sharded driver: per epoch it
+/// runs the body's shard work on the pool, rethrows the first captured
+/// shard error, lets the body finish the epoch on the main thread
+/// (merge or replay) and drains perturbations; around that it applies
+/// the shared stop rule, observer cadence and horizon finalization. A
+/// Body has `shards` (ShardCore-derived), `first_touch()` and
+/// `init_shard(s)` for the init epoch, `run_shard(s, t0, dt)` returning
+/// the ticks drawn, `finish_epoch(result, drain)`, and `write(u, c)`
+/// mirroring a perturbation write into its own state.
+template <typename Body, typename P, typename Obs>
+AsyncRunResult run_epochs(P& proto, Body& body, double max_time, Obs&& obs,
+                          double sample_every, double epoch_length,
+                          Perturber* perturb, NumaMode numa) {
+  bool initializing = body.first_touch();
+  double epoch_t0 = 0.0;  // written before each barrier, read by workers
+  double epoch_dt = 0.0;
+  ShardWorkerPool workers(
+      body.shards.size(),
+      [&](std::uint64_t s) {
+        // The pool's work must not throw: errors land in the shard and
+        // are rethrown on the main thread after the barrier.
+        try {
+          if (initializing) {
+            body.init_shard(s);
+            return;
+          }
+          const bool traced = trace::enabled();
+          const std::int64_t span_t0 = traced ? trace::now_ns() : 0;
+          const std::uint64_t ticks = body.run_shard(s, epoch_t0, epoch_dt);
+          if (traced) {
+            trace::local_sink().shard_span(
+                span_t0, trace::now_ns() - span_t0, ticks);
+          }
+        } catch (...) {
+          body.shards[s].error = std::current_exception();
+        }
+      },
+      numa);
+  const auto run_parallel = [&] {
     workers.run_epoch();
-    for (auto& shard : pool) {
+    for (const auto& shard : body.shards) {
       if (shard.error) std::rethrow_exception(shard.error);
     }
-    // Serial replay in event-time order against the live table.
-    std::fill(head.begin(), head.end(), std::size_t{0});
-    const LiveTableView view{&proto.table()};
-    for (;;) {
-      std::uint64_t next_shard = shards;
-      double next_time = 0.0;
-      for (std::uint64_t s = 0; s < shards; ++s) {
-        if (head[s] == pool[s].events.size()) continue;
-        const double t = pool[s].events[head[s]].time;
-        if (next_shard == shards || t < next_time) {
-          next_shard = s;
-          next_time = t;
-        }
-      }
-      if (next_shard == shards) break;
-      const Event event = pool[next_shard].events[head[next_shard]++];
-      ++result.ticks;
-      if (perturb != nullptr && perturb->next_time() <= event.time) {
-        perturb->drain_until(event.time, proto.table(),
-                             [&](NodeId u, ColorId c) {
-                               proto.mutable_table().set_color(u, c);
-                             });
-      }
-      if (perturb != nullptr && !perturb->allows_tick(event.node)) continue;
-      const ColorId next =
-          proto.propose(event.node, view, pool[next_shard].rng);
-      if (next != proto.table().color(event.node)) {
-        proto.mutable_table().set_color(event.node, next);
-      }
-    }
-    for (auto& shard : pool) shard.events.clear();
   };
+  if (initializing) {
+    run_parallel();  // the init epoch: pack ranges on owner lanes
+    initializing = false;
+  }
 
-  const auto apply_perturbations = [&](double t) {
+  // Perturbation drains run on the main thread, workers parked: writes
+  // go to the table and the body's own state together.
+  const auto drain = [&](double t) {
     if (perturb == nullptr || perturb->next_time() > t) return;
     perturb->drain_until(t, proto.table(), [&](NodeId u, ColorId c) {
       proto.mutable_table().set_color(u, c);
+      body.write(u, c);
     });
   };
   const auto running = [&] {
-    return !(proto.done() &&
-             (perturb == nullptr || perturb->exhausted()));
+    return !(proto.done() && (perturb == nullptr || perturb->exhausted()));
   };
 
+  AsyncRunResult result;
   double now = 0.0;
   obs(now, proto);
   while (now < max_time && running()) {
@@ -714,9 +622,12 @@ AsyncRunResult run_sharded_exact(P& proto, std::uint64_t seed,
     while (now < sample_end && running()) {
       const double dt = std::min(epoch_length, sample_end - now);
       if (!(dt > 0.0)) break;  // floating-point residue at the boundary
-      run_epoch(now, dt);
+      epoch_t0 = now;
+      epoch_dt = dt;
+      run_parallel();
+      body.finish_epoch(result, drain);
       now += dt;
-      apply_perturbations(now);
+      drain(now);
     }
     if (now < max_time && running()) obs(now, proto);
   }
@@ -727,317 +638,81 @@ AsyncRunResult run_sharded_exact(P& proto, std::uint64_t seed,
   return result;
 }
 
+/// The public drivers' shared front: checks the arguments, resolves the
+/// shard count, and is the one width dispatch — `run(T{}, shards)` is
+/// called with a value of the table's packed element type T.
+template <typename P, typename F>
+AsyncRunResult dispatch(const P& proto, unsigned num_shards, double max_time,
+                        double sample_every, double epoch_length, F&& run) {
+  PC_EXPECTS(max_time > 0.0);
+  PC_EXPECTS(sample_every > 0.0);
+  PC_EXPECTS(epoch_length > 0.0);
+  PC_EXPECTS(proto.num_nodes() >= 1);
+  const std::uint64_t shards = resolve_shards(num_shards, proto.num_nodes());
+  switch (proto.table().width()) {
+    case ColorWidth::kU8: return run(std::uint8_t{}, shards);
+    case ColorWidth::kU16: return run(std::uint16_t{}, shards);
+    case ColorWidth::kU32: return run(std::uint32_t{}, shards);
+  }
+  throw ContractViolation("unreachable color width");
+}
+
 }  // namespace detail
 
-/// Runs `proto` under Poisson(1) clocks until done() or `max_time`,
-/// spread across `num_shards` threads (0 picks the hardware
-/// concurrency). Deterministic for a fixed (seed, num_shards,
-/// epoch_length, snapshot_reads, tuning) tuple. done() is polled at
-/// epoch boundaries only, so a run can overshoot consensus by up to one
-/// epoch of ticks; when cut off by the horizon, result.time reports
-/// `max_time`.
+/// Runs `proto` under Poisson(1) clocks until done() or `max_time`
+/// over `num_shards` shards (0 = hardware concurrency), on the stale
+/// body or, under `tuning.exact_reads`, the exact one. Deterministic
+/// for a fixed (seed, num_shards, epoch_length, tuning). done() is
+/// polled at epoch boundaries, so a run can overshoot consensus by up
+/// to one epoch; a horizon cutoff reports `max_time`.
 ///
-/// `snapshot_reads` = false (default): same-shard neighbor reads are
-/// live, foreign reads are at most one epoch stale. `snapshot_reads` =
-/// true: *all* neighbor reads come from the epoch-start snapshot and
-/// only the node's own color is live — the constant-latency fold
-/// described in the file header (pair it with `epoch_length` set to
-/// the latency). `tuning.exact_reads` removes the staleness entirely
-/// via the two-phase exact schedule (detail::run_sharded_exact); it
-/// cannot be combined with snapshot_reads.
-///
-/// Perturbations (sim/perturb.hpp) drain on the *main thread at epoch
-/// boundaries* with the workers parked: each event applies at the
-/// first boundary at or after its time (epoch-quantized, never
-/// reordered), writing table + live + snapshot together so the next
-/// epoch's reads see it coherently. (In exact_reads mode they drain in
-/// exact event order instead, like the single-stream engines.) Crash
-/// suppression is a read-only bitmap lookup in the worker tick loop,
-/// stable within an epoch. The run continues past transient consensus
-/// until the driver is exhausted. Determinism for a fixed (seed,
-/// num_shards) is preserved: the driver owns its RNG stream and drains
-/// only between epochs.
+/// Perturbations (sim/perturb.hpp) drain on the main thread at the
+/// first epoch boundary at or after their time (exact event order under
+/// exact_reads), writing table + live + snapshot together; crash
+/// suppression is a read-only bitmap lookup in the tick loop. The run
+/// continues past transient consensus until the driver is exhausted.
 template <ShardableProtocol P, typename Obs = NullObserver>
 AsyncRunResult run_sharded(P& proto, std::uint64_t seed, unsigned num_shards,
                            double max_time, Obs&& obs = Obs{},
                            double sample_every = 1.0,
                            double epoch_length = 0.25,
-                           bool snapshot_reads = false,
                            Perturber* perturb = nullptr,
                            const EngineTuning& tuning = {}) {
-  PC_EXPECTS(max_time > 0.0);
-  PC_EXPECTS(sample_every > 0.0);
-  PC_EXPECTS(epoch_length > 0.0);
-  PC_EXPECTS(!(tuning.exact_reads && snapshot_reads));
-  const std::uint64_t n = proto.num_nodes();
-  PC_EXPECTS(n >= 1);
-  const std::uint64_t shards = detail::resolve_shards(num_shards, n);
-  if (tuning.exact_reads) {
-    return detail::run_sharded_exact(proto, seed, shards, max_time,
-                                     std::forward<Obs>(obs), sample_every,
-                                     epoch_length, perturb, tuning);
-  }
-  // One width dispatch per run: the epoch body runs on typed pointers.
-  switch (proto.table().width()) {
-    case ColorWidth::kU8:
-      return detail::run_sharded_impl<std::uint8_t>(
-          proto, seed, shards, max_time, std::forward<Obs>(obs),
-          sample_every, epoch_length, snapshot_reads, perturb, tuning);
-    case ColorWidth::kU16:
-      return detail::run_sharded_impl<std::uint16_t>(
-          proto, seed, shards, max_time, std::forward<Obs>(obs),
-          sample_every, epoch_length, snapshot_reads, perturb, tuning);
-    case ColorWidth::kU32:
-      return detail::run_sharded_impl<std::uint32_t>(
-          proto, seed, shards, max_time, std::forward<Obs>(obs),
-          sample_every, epoch_length, snapshot_reads, perturb, tuning);
-  }
-  throw ContractViolation("unreachable color width");
+  const auto run = [&](auto& body) {
+    return detail::run_epochs(proto, body, max_time, obs, sample_every,
+                              epoch_length, perturb, tuning.numa);
+  };
+  return detail::dispatch(
+      proto, num_shards, max_time, sample_every, epoch_length,
+      [&](auto tag, std::uint64_t shards) {
+        if (tuning.exact_reads) {
+          detail::ExactBody<P> body(proto, seed, shards, perturb);
+          return run(body);
+        }
+        detail::StaleBody<decltype(tag), P> body(proto, seed, shards,
+                                                 perturb, tuning);
+        return run(body);
+      });
 }
 
-namespace detail {
-
-/// The width-typed body of run_sharded_queued (see below).
-template <typename T, typename P, typename Obs>
-AsyncRunResult run_sharded_queued_impl(P& proto, const LatencyModel& latency,
-                                       QueryDiscipline discipline,
-                                       std::uint64_t seed,
-                                       std::uint64_t shards, double max_time,
-                                       Obs&& obs, double sample_every,
-                                       double epoch_length,
-                                       Perturber* perturb,
-                                       const EngineTuning& tuning) {
-  const std::uint64_t n = proto.num_nodes();
-  const ColorId num_colors = proto.table().num_colors();
-  const bool blocking = discipline == QueryDiscipline::kBlocking;
-  const bool first_touch = tuning.numa != NumaMode::kOff;
-
-  EngineBuffers buffers = make_buffers(proto.table().packed_colors(),
-                                       tuning.numa);
-  ShardDeltaSlab deltas(shards, num_colors, /*deferred_init=*/first_touch);
-
-  struct Delivery {
-    NodeId to;
-    typename P::Query query;
-  };
-  struct alignas(64) Shard {
-    NodeId lo = 0;
-    NodeId hi = 0;
-    Xoshiro256 rng{0};
-    EventQueue<Delivery> deliveries;       // persists across epochs
-    std::vector<std::uint8_t> pending;     // blocking: query in flight
-    std::vector<NodeId> changed;
-    std::uint64_t ticks = 0;
-    std::exception_ptr error;
-  };
-  const SeedSequence streams(seed);
-  std::vector<Shard> pool(shards);
-  for (std::uint64_t s = 0; s < shards; ++s) {
-    std::tie(pool[s].lo, pool[s].hi) = detail::shard_range(n, s, shards);
-    pool[s].rng = streams.make_rng(s);
-    if (blocking && !first_touch) {
-      pool[s].pending.assign(pool[s].hi - pool[s].lo, 0);
-    }
-  }
-
-  bool initializing = first_touch;
-  double epoch_t0 = 0.0;  // written before each barrier, read by workers
-  double epoch_dt = 0.0;
-  const auto init_shard = [&](std::uint64_t s) {
-    try {
-      Shard& shard = pool[s];
-      buffers.live.copy_range_from(proto.table().packed_colors(), shard.lo,
-                                   shard.hi);
-      buffers.snapshot.copy_range_from(buffers.live, shard.lo, shard.hi);
-      deltas.clear(s);
-      if (blocking) shard.pending.assign(shard.hi - shard.lo, 0);
-    } catch (...) {
-      pool[s].error = std::current_exception();
-    }
-  };
-  const auto run_epoch_in = [&](std::uint64_t s) {
-    Shard& shard = pool[s];
-    try {
-      const bool traced = trace::enabled();
-      const std::int64_t span_t0 = traced ? trace::now_ns() : 0;
-      const std::uint64_t ticks_before = shard.ticks;
-      std::uint64_t drained = 0;
-      const std::uint64_t n_s = shard.hi - shard.lo;
-      const double inv_rate = 1.0 / static_cast<double>(n_s);
-      const double t_end = epoch_t0 + epoch_dt;
-      T* colors = buffers.live.template data<T>();
-      const T* snap = buffers.snapshot.template data<T>();
-      const PackedShardView<T> view(colors, snap, shard.lo, shard.hi);
-      const std::span<std::int64_t> delta = deltas.shard(s);
-      // Fresh first-gap draw each epoch: exact by memorylessness of the
-      // shard's Poisson(n_s) tick process.
-      double next_tick = epoch_t0 + exponential_unit(shard.rng) * inv_rate;
-      for (;;) {
-        const bool deliver = !shard.deliveries.empty() &&
-                             shard.deliveries.next_time() <= next_tick;
-        const double event_time =
-            deliver ? shard.deliveries.next_time() : next_tick;
-        if (event_time >= t_end) break;  // remainder handled next epoch
-        if (deliver) {
-          auto event = shard.deliveries.pop();
-          ++drained;
-          const NodeId u = event.payload.to;
-          if (blocking) shard.pending[u - shard.lo] = 0;
-          // Answers to crashed nodes are dropped (flag still cleared
-          // above so the blocking bookkeeping cannot wedge).
-          if (perturb != nullptr && !perturb->allows_tick(u)) continue;
-          const ColorId next =
-              proto.apply_query(u, event.payload.query, view);
-          const ColorId old = colors[u];
-          if (next != old) {
-            colors[u] = static_cast<T>(next);
-            --delta[old];
-            ++delta[next];
-            shard.changed.push_back(u);
-          }
-        } else {
-          const auto u = static_cast<NodeId>(
-              shard.lo + uniform_below(shard.rng, n_s));
-          const bool alive =
-              perturb == nullptr || perturb->allows_tick(u);
-          if (alive && (!blocking || !shard.pending[u - shard.lo])) {
-            auto query = proto.query(u, view, shard.rng);
-            const double delay = latency.sample(shard.rng);
-            shard.deliveries.push(next_tick + delay,
-                                  Delivery{u, std::move(query)});
-            if (blocking) shard.pending[u - shard.lo] = 1;
-          }
-          ++shard.ticks;
-          next_tick += exponential_unit(shard.rng) * inv_rate;
-        }
-      }
-      if (traced) {
-        trace::Sink& sink = trace::local_sink();
-        const std::int64_t span_end = trace::now_ns();
-        sink.shard_span(span_t0, span_end - span_t0,
-                        shard.ticks - ticks_before);
-        if (drained > 0) sink.queue_drain(span_end, 0, drained);
-        // Depth at the epoch boundary is a trajectory property (the
-        // queue content is keyed on seed/shards/epoch_length), so the
-        // derived quantiles are deterministic and bench-gateable.
-        sink.queue_depth(span_end, shard.deliveries.size());
-      }
-    } catch (...) {
-      shard.error = std::current_exception();
-    }
-  };
-
-  detail::ShardWorkerPool workers(
-      shards,
-      [&](std::uint64_t s) {
-        if (initializing) {
-          init_shard(s);
-        } else {
-          run_epoch_in(s);
-        }
-      },
-      tuning.numa);
-  const auto rethrow_shard_errors = [&] {
-    for (auto& shard : pool) {
-      if (shard.error) std::rethrow_exception(shard.error);
-    }
-  };
-  if (first_touch) {
-    workers.run_epoch();
-    initializing = false;
-    rethrow_shard_errors();
-  }
-
-  AsyncRunResult result;
-  const auto run_epoch = [&](double t0, double dt) {
-    epoch_t0 = t0;
-    epoch_dt = dt;
-    workers.run_epoch();
-    rethrow_shard_errors();
-    OpinionTable& table = proto.mutable_table();
-    T* live = buffers.live.template data<T>();
-    T* snap = buffers.snapshot.template data<T>();
-    for (std::uint64_t s = 0; s < shards; ++s) {
-      Shard& shard = pool[s];
-      table.merge_shard_deltas(shard.changed, buffers.live,
-                               deltas.shard(s));
-      for (const NodeId u : shard.changed) snap[u] = live[u];
-      shard.changed.clear();
-      deltas.clear(s);
-      result.ticks += shard.ticks;
-      shard.ticks = 0;
-    }
-  };
-
-  const auto apply_perturbations = [&](double t) {
-    if (perturb == nullptr || perturb->next_time() > t) return;
-    perturb->drain_until(t, proto.table(), [&](NodeId u, ColorId c) {
-      proto.mutable_table().set_color(u, c);
-      buffers.live.set(u, c);
-      buffers.snapshot.set(u, c);
-    });
-  };
-  const auto running = [&] {
-    return !(proto.done() &&
-             (perturb == nullptr || perturb->exhausted()));
-  };
-
-  double now = 0.0;
-  obs(now, proto);
-  while (now < max_time && running()) {
-    const double sample_end = std::min(now + sample_every, max_time);
-    while (now < sample_end && running()) {
-      const double dt = std::min(epoch_length, sample_end - now);
-      if (!(dt > 0.0)) break;  // floating-point residue at the boundary
-      run_epoch(now, dt);
-      now += dt;
-      apply_perturbations(now);
-    }
-    if (now < max_time && running()) obs(now, proto);
-  }
-  result.time = proto.done() ? now : max_time;
-  obs(result.time, proto);
-  result.consensus = proto.table().has_consensus();
-  if (result.consensus) result.winner = proto.table().consensus_color();
-  return result;
-}
-
-}  // namespace detail
-
-/// Runs `proto` under Poisson(1) clocks *and* a response-latency model,
-/// spread across `num_shards` threads: every (non-suppressed) tick
-/// issues a query whose sampled colors are read at query time; the
-/// answer travels for latency.sample() time units on the shard's own
-/// delivery queue (the querier receives its own answer, so deliveries
-/// never cross shards) and the update rule is applied at delivery.
-/// Under QueryDiscipline::kBlocking a node with an answer in flight
-/// skips its ticks until the answer lands — the Bankhamer et al.
-/// request/response regime; kFireAndForget queries on every tick.
+/// Runs `proto` under Poisson(1) clocks *and* a response-latency model
+/// on the queued body: every (non-suppressed) tick issues a query whose
+/// sampled colors are read at query time; the answer travels for
+/// latency.sample() on the shard's own delivery queue and the rule is
+/// applied at delivery. Under QueryDiscipline::kBlocking a node with an
+/// answer in flight skips its ticks (the Bankhamer et al.
+/// request/response regime); kFireAndForget queries on every tick.
+/// Every sampleable model runs exactly — delays cross epoch boundaries
+/// on the persistent queues, and each shard interleaves its tick stream
+/// (Exp(1)/n_s gaps, exact by memorylessness) with its queue head in
+/// event-time order — so the only deviation is the stale foreign read.
+/// A horizon cutoff drops queries in flight and reports `max_time`.
 ///
-/// This is the general latency path of the sharded engine: it handles
-/// every sampleable model (const, exp, pareto, aging) exactly — delays
-/// cross epoch (and sample) boundaries on the persistent per-shard
-/// queues — leaving only the usual sharded-engine deviation, the
-/// epoch-start snapshot for *foreign* neighbor reads. Within an epoch
-/// each shard interleaves its superposition tick stream (sequential
-/// Exp(1)/n_s gaps, exact by memorylessness across epoch boundaries)
-/// with its queue head in nondecreasing event time, so a fixed
-/// (seed, num_shards, epoch_length) tuple is deterministic regardless
-/// of thread scheduling. done() is polled at epoch boundaries; when
-/// the horizon cuts the run, queries still in flight are dropped and
-/// result.time reports `max_time`.
-///
-/// Of the tuning knobs only `numa` applies here: the sequential
-/// tick/queue interleave cannot consume block-refilled draws
-/// (--sampling=batch is silently scalar on this path), and
-/// `exact_reads` names a zero-latency schedule, so requesting it with
-/// a latency model is a contract violation.
-///
-/// Perturbations drain at epoch boundaries exactly as in run_sharded.
-/// A crashed node additionally stops issuing queries, and answers
-/// delivered to it are dropped (its in-flight flag still clears, so a
-/// node crashed mid-flight does not wedge the blocking discipline's
-/// bookkeeping).
+/// Only `tuning.numa` applies: the interleave consumes no batched draws
+/// (the registry rejects --sampling=batch with a latency model), and
+/// exact_reads is a contract violation here. Perturbations drain as in
+/// run_sharded; a crashed node stops querying and its answers are
+/// dropped (the in-flight flag still clears).
 template <DelayedShardableProtocol P, typename Obs = NullObserver>
 AsyncRunResult run_sharded_queued(P& proto, const LatencyModel& latency,
                                   QueryDiscipline discipline,
@@ -1047,35 +722,19 @@ AsyncRunResult run_sharded_queued(P& proto, const LatencyModel& latency,
                                   double epoch_length = 0.25,
                                   Perturber* perturb = nullptr,
                                   const EngineTuning& tuning = {}) {
-  PC_EXPECTS(max_time > 0.0);
-  PC_EXPECTS(sample_every > 0.0);
-  PC_EXPECTS(epoch_length > 0.0);
   if (tuning.exact_reads) {
     throw ContractViolation(
         "--exact-reads names the zero-latency sharded schedule; it "
         "cannot be combined with a latency model's delivery queues");
   }
-  const std::uint64_t n = proto.num_nodes();
-  PC_EXPECTS(n >= 1);
-  const std::uint64_t shards = detail::resolve_shards(num_shards, n);
-  switch (proto.table().width()) {
-    case ColorWidth::kU8:
-      return detail::run_sharded_queued_impl<std::uint8_t>(
-          proto, latency, discipline, seed, shards, max_time,
-          std::forward<Obs>(obs), sample_every, epoch_length, perturb,
-          tuning);
-    case ColorWidth::kU16:
-      return detail::run_sharded_queued_impl<std::uint16_t>(
-          proto, latency, discipline, seed, shards, max_time,
-          std::forward<Obs>(obs), sample_every, epoch_length, perturb,
-          tuning);
-    case ColorWidth::kU32:
-      return detail::run_sharded_queued_impl<std::uint32_t>(
-          proto, latency, discipline, seed, shards, max_time,
-          std::forward<Obs>(obs), sample_every, epoch_length, perturb,
-          tuning);
-  }
-  throw ContractViolation("unreachable color width");
+  return detail::dispatch(
+      proto, num_shards, max_time, sample_every, epoch_length,
+      [&](auto tag, std::uint64_t shards) {
+        detail::QueuedBody<decltype(tag), P> body(
+            proto, latency, discipline, seed, shards, perturb, tuning.numa);
+        return detail::run_epochs(proto, body, max_time, obs, sample_every,
+                                  epoch_length, perturb, tuning.numa);
+      });
 }
 
 }  // namespace plurality

@@ -184,7 +184,6 @@ std::vector<double> sharded_times(const EngineTuning& tuning,
                                     /*num_shards=*/3, /*max_time=*/1e6,
                                     NullObserver{}, /*sample_every=*/1.0,
                                     /*epoch_length=*/0.25,
-                                    /*snapshot_reads=*/false,
                                     /*perturb=*/nullptr, tuning);
     EXPECT_TRUE(result.consensus);
     times.push_back(result.time);
@@ -221,7 +220,7 @@ TEST(BatchSampling, ScalarTuningDefaultsPreserveHistoricalTrajectories) {
     TwoChoicesAsync proto(g, assign_two_colors(n, (n * 3) / 4, rng));
     if (pass_tuning) {
       return run_sharded(proto, 42, 3, 1e6, NullObserver{}, 1.0, 0.25,
-                         false, nullptr, EngineTuning{});
+                         nullptr, EngineTuning{});
     }
     return run_sharded(proto, 42, 3, 1e6);
   };

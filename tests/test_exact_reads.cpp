@@ -48,8 +48,8 @@ TEST(ExactReads, DeterministicForFixedSeedAndShardCount) {
     Xoshiro256 rng(7);
     TwoChoicesAsync proto(g, assign_two_colors(n, (n * 3) / 4, rng));
     return run_sharded(proto, /*seed=*/42, /*num_shards=*/3, 1e6,
-                       NullObserver{}, 1.0, 0.25, /*snapshot_reads=*/false,
-                       /*perturb=*/nullptr, exact_tuning());
+                       NullObserver{}, 1.0, 0.25, /*perturb=*/nullptr,
+                       exact_tuning());
   };
   const auto a = run_once();
   const auto b = run_once();
@@ -66,7 +66,7 @@ TEST(ExactReads, ReachesConsensusAndKeepsTableConsistent) {
   TwoChoicesAsync proto(g, assign_two_colors(n, (n * 7) / 8, rng));
   const auto result =
       run_sharded(proto, /*seed=*/123, /*num_shards=*/4, 1e6, NullObserver{},
-                  1.0, 0.25, false, nullptr, exact_tuning());
+                  1.0, 0.25, nullptr, exact_tuning());
   EXPECT_TRUE(result.consensus);
   EXPECT_EQ(result.winner, 0u);
   std::uint64_t total = 0;
@@ -89,8 +89,8 @@ TEST(ExactReads, MatchesSuperpositionDistribution) {
       Xoshiro256 rng(100 + rep);
       VoterAsync proto(g, assign_two_colors(n, (n * 3) / 4, rng));
       const auto r = run_sharded(proto, /*seed=*/700 + rep, /*num_shards=*/8,
-                                 1e6, NullObserver{}, 1.0, 0.25, false,
-                                 nullptr, exact_tuning());
+                                 1e6, NullObserver{}, 1.0, 0.25, nullptr,
+                                 exact_tuning());
       EXPECT_TRUE(r.consensus);
       exact.push_back(r.time);
     }
@@ -118,19 +118,16 @@ TEST(ExactReads, ShardCountInvarianceOfTickBudget) {
     VoterAsync proto(g, assign_equal(n, 64, rng));
     const auto result =
         run_sharded(proto, /*seed=*/9, shards, horizon, NullObserver{}, 1.0,
-                    0.25, false, nullptr, exact_tuning());
+                    0.25, nullptr, exact_tuning());
     EXPECT_NEAR(static_cast<double>(result.ticks),
                 static_cast<double>(n) * horizon, 480.0);
   }
 }
 
-TEST(ExactReads, RejectsSnapshotReadsAndDeliveryQueues) {
+TEST(ExactReads, RejectsDeliveryQueues) {
   const CompleteGraph g(8);
   Xoshiro256 rng(2);
   TwoChoicesAsync proto(g, assign_two_colors(8, 6, rng));
-  EXPECT_THROW(run_sharded(proto, 1, 2, 1.0, NullObserver{}, 1.0, 0.25,
-                           /*snapshot_reads=*/true, nullptr, exact_tuning()),
-               ContractViolation);
   const ZeroLatency latency;
   try {
     run_sharded_queued(proto, latency, QueryDiscipline::kBlocking, 1, 2, 1.0,
@@ -152,7 +149,7 @@ TEST(NumaModes, TrajectoryNeutralAcrossAllModes) {
     tuning.numa = numa;
     ThreeMajorityAsync proto(g, assign_two_colors(n, (n * 3) / 4, rng));
     return run_sharded(proto, /*seed=*/42, /*num_shards=*/4, 1e6,
-                       NullObserver{}, 1.0, 0.25, false, nullptr, tuning);
+                       NullObserver{}, 1.0, 0.25, nullptr, tuning);
   };
   const auto off = run_once(NumaMode::kOff);
   for (const NumaMode mode : {NumaMode::kFirstTouch, NumaMode::kBind}) {

@@ -1,8 +1,7 @@
 // Tests for the edge-latency model subsystem (sim/latency.hpp): sampler
 // moments against the analytic values, hazard-rate monotonicity for the
-// positive-aging family, parse/factory contracts, fixed-seed
-// determinism through the messaging driver, and the sharded engine's
-// constant-latency epoch fold against the messaging driver.
+// positive-aging family, parse/factory contracts, and fixed-seed
+// determinism and blocking semantics through the messaging driver.
 
 #include <gtest/gtest.h>
 
@@ -15,12 +14,9 @@
 #include "core/two_choices.hpp"
 #include "graph/complete.hpp"
 #include "opinion/assignment.hpp"
-#include "rng/seed.hpp"
 #include "sim/continuous_engine.hpp"
-#include "sim/engine_select.hpp"
 #include "sim/latency.hpp"
 #include "stat_gates.hpp"
-#include "stats/quantiles.hpp"
 #include "support/assert.hpp"
 
 namespace plurality {
@@ -164,13 +160,6 @@ TEST(LatencyFactory, ParsesAndValidates) {
                ContractViolation);
   EXPECT_THROW(make_latency_model(LatencyKind::kAging, 1.0, 0.5),
                ContractViolation);
-
-  const LatencySpec zero_spec{LatencyKind::kZero, 1.0, 1.0};
-  const LatencySpec const_spec{LatencyKind::kConstant, 1.0, 1.0};
-  const LatencySpec pareto_spec{LatencyKind::kPareto, 1.0, 2.5};
-  EXPECT_TRUE(zero_spec.foldable_into_sharded());
-  EXPECT_TRUE(const_spec.foldable_into_sharded());
-  EXPECT_FALSE(pareto_spec.foldable_into_sharded());
 }
 
 TEST(LatencyDriver, FixedSeedIsDeterministicPerModel) {
@@ -211,51 +200,6 @@ TEST(LatencyDriver, ZeroLatencyDrawsNoRngAndDeliversInstantly) {
   EXPECT_EQ(result.winner, 0u);
 }
 
-TEST(LatencySharded, ConstantFoldTracksMessagingDriver) {
-  // The sharded engine folds ConstantLatency(c) into its epoch
-  // schedule (epoch = 2c, snapshot neighbor reads — mean read age c):
-  // updates happen at the full tick rate from stale reads, i.e. the
-  // fire-and-forget query discipline. Its consensus-time distribution
-  // must agree with the messaging driver running the same workload and
-  // discipline under the same constant latency, up to the fold's
-  // epoch-quantization and its tick-time (rather than tick + c)
-  // update application — one latency of slack on top of the CI bands.
-  const std::uint64_t n = 512;
-  const double c = 0.5;
-  const CompleteGraph g(n);
-  constexpr std::uint64_t kReps = 30;
-
-  const ConstantLatency latency(c);
-  std::vector<double> folded;
-  std::vector<double> messaged;
-  const SeedSequence seeds_f(21);
-  const SeedSequence seeds_m(22);
-  for (std::uint64_t rep = 0; rep < kReps; ++rep) {
-    {
-      Xoshiro256 rng = seeds_f.make_rng(rep);
-      TwoChoicesAsync<CompleteGraph> proto(
-          g, assign_two_colors(n, (n * 3) / 4, rng));
-      const auto result =
-          run_sharded_latency(proto, latency, rng(), 4, 1e5);
-      EXPECT_TRUE(result.consensus);
-      folded.push_back(result.time);
-    }
-    {
-      Xoshiro256 rng = seeds_m.make_rng(rep);
-      TwoChoicesAsyncDelayed proto(g,
-                                   assign_two_colors(n, (n * 3) / 4, rng),
-                                   QueryDiscipline::kFireAndForget);
-      const auto result = run_continuous_messaging(proto, latency, rng, 1e5);
-      EXPECT_TRUE(result.consensus);
-      messaged.push_back(result.time);
-    }
-  }
-  const Summary sf = summarize(folded);
-  const Summary sm = summarize(messaged);
-  EXPECT_NEAR(sf.mean, sm.mean,
-              sf.ci95_halfwidth + sm.ci95_halfwidth + c + 1.0);
-}
-
 TEST(LatencyDriver, BlockingSuppressesTicksWhileQueryInFlight) {
   // Under kBlocking with a latency far beyond the horizon every node
   // posts exactly one query and then stays silent: no answer ever
@@ -271,16 +215,6 @@ TEST(LatencyDriver, BlockingSuppressesTicksWhileQueryInFlight) {
   EXPECT_FALSE(result.consensus);
   EXPECT_EQ(proto.table().support(0), 40u);
   EXPECT_EQ(proto.table().support(1), 24u);
-}
-
-TEST(LatencySharded, NonFoldableModelIsRejected) {
-  const std::uint64_t n = 64;
-  const CompleteGraph g(n);
-  Xoshiro256 rng(30);
-  TwoChoicesAsync<CompleteGraph> proto(g, assign_equal(n, 2, rng));
-  const ExponentialLatency expo(0.5);
-  EXPECT_THROW(run_sharded_latency(proto, expo, rng(), 2, 1e3),
-               ContractViolation);
 }
 
 }  // namespace

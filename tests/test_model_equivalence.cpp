@@ -166,47 +166,59 @@ TEST(EngineEquivalence, ShardedOnGraphMatchesSequentialOnGraph) {
   EXPECT_LT(ks_statistic(seq, shard), kKsGate);
 }
 
-TEST(EngineEquivalence, ShardedQueuedMatchesMessagingUnderExpLatency) {
+TEST(EngineEquivalence, ShardedQueuedMatchesMessagingDriver) {
   // The PR 5 acceptance gate for the latency axis: the sharded
-  // engine's per-shard delivery queues under the blocking discipline
-  // sample the same process as the single-stream messaging driver
-  // running the delayed protocol variant, for a genuinely *random*
-  // latency model.
+  // engine's per-shard delivery queues sample the same process as the
+  // single-stream messaging driver running the delayed protocol
+  // variant — for a genuinely *random* latency model under the
+  // blocking discipline, and for a constant latency under
+  // fire-and-forget (every tick queries; the regime the retired
+  // constant-latency epoch fold used to approximate).
   const std::uint64_t n = 512;
   const CompleteGraph g(n);
-  const ExponentialLatency latency(1.0);
   constexpr std::uint64_t kReps = 40;
+  const ExponentialLatency exp_latency(1.0);
+  const ConstantLatency const_latency(0.5);
+  struct Input {
+    const LatencyModel* latency;
+    QueryDiscipline discipline;
+  };
+  for (const Input input : {Input{&exp_latency, QueryDiscipline::kBlocking},
+                            Input{&const_latency,
+                                  QueryDiscipline::kFireAndForget}}) {
+    SCOPED_TRACE(input.latency->name());
+    const SeedSequence msg_seeds(130);
+    std::vector<double> messaging_times;
+    messaging_times.reserve(kReps);
+    for (std::uint64_t rep = 0; rep < kReps; ++rep) {
+      Xoshiro256 rng = msg_seeds.make_rng(rep);
+      TwoChoicesAsyncDelayed proto(g,
+                                   assign_two_colors(n, (n * 3) / 4, rng),
+                                   input.discipline);
+      const auto result =
+          run_continuous_messaging(proto, *input.latency, rng, 1e6);
+      EXPECT_TRUE(result.consensus);
+      messaging_times.push_back(result.time);
+    }
 
-  const SeedSequence msg_seeds(130);
-  std::vector<double> messaging_times;
-  messaging_times.reserve(kReps);
-  for (std::uint64_t rep = 0; rep < kReps; ++rep) {
-    Xoshiro256 rng = msg_seeds.make_rng(rep);
-    TwoChoicesAsyncDelayed proto(g, assign_two_colors(n, (n * 3) / 4, rng),
-                                 QueryDiscipline::kBlocking);
-    const auto result = run_continuous_messaging(proto, latency, rng, 1e6);
-    EXPECT_TRUE(result.consensus);
-    messaging_times.push_back(result.time);
+    const SeedSequence queued_seeds(140);
+    std::vector<double> queued_times;
+    queued_times.reserve(kReps);
+    for (std::uint64_t rep = 0; rep < kReps; ++rep) {
+      Xoshiro256 rng = queued_seeds.make_rng(rep);
+      TwoChoicesAsync proto(g, assign_two_colors(n, (n * 3) / 4, rng));
+      const auto result =
+          run_sharded_queued(proto, *input.latency, input.discipline, rng(),
+                             /*num_shards=*/4, 1e6);
+      EXPECT_TRUE(result.consensus);
+      queued_times.push_back(result.time);
+    }
+
+    const Summary sm = summarize(messaging_times);
+    const Summary sq = summarize(queued_times);
+    EXPECT_NEAR(sm.mean, sq.mean, mean_tolerance(sm, sq));
+    EXPECT_LT(ks_statistic(messaging_times, queued_times), kKsGate);
   }
-
-  const SeedSequence queued_seeds(140);
-  std::vector<double> queued_times;
-  queued_times.reserve(kReps);
-  for (std::uint64_t rep = 0; rep < kReps; ++rep) {
-    Xoshiro256 rng = queued_seeds.make_rng(rep);
-    TwoChoicesAsync proto(g, assign_two_colors(n, (n * 3) / 4, rng));
-    const auto result =
-        run_sharded_queued(proto, latency, QueryDiscipline::kBlocking,
-                           rng(), /*num_shards=*/4, 1e6);
-    EXPECT_TRUE(result.consensus);
-    queued_times.push_back(result.time);
-  }
-
-  const Summary sm = summarize(messaging_times);
-  const Summary sq = summarize(queued_times);
-  EXPECT_NEAR(sm.mean, sq.mean,
-              mean_tolerance(sm, sq));
-  EXPECT_LT(ks_statistic(messaging_times, queued_times), kKsGate);
 }
 
 TEST(EngineEquivalence, ZeroLatencyMessagingMatchesInstantEngines) {

@@ -174,8 +174,7 @@ TEST(PerturbDeterminism, ShardedRerunIsBitIdenticalForFixedSeedAndShards) {
   const CsrTopology& csr = owned.csr;
   const auto sharded = [](auto& proto, Xoshiro256& rng, Perturber& p,
                           AgreementTrace& trace) {
-    return run_sharded(proto, rng(), 4, 120.0, trace, 0.5, 0.25, false,
-                       &p);
+    return run_sharded(proto, rng(), 4, 120.0, trace, 0.5, 0.25, &p);
   };
   auto adv = make_spec(PerturbKind::kAdversary, 2.0, 12, 1.0);
   adv.interval = 1.0;
@@ -209,7 +208,7 @@ TEST(PerturbDeterminism, EventStreamIdenticalAcrossEnginesAndShardCounts) {
     return [shards](auto& proto, Xoshiro256& rng, Perturber& p,
                     AgreementTrace& trace) {
       return run_sharded(proto, rng(), shards, 120.0, trace, 0.5, 0.25,
-                         false, &p);
+                         &p);
     };
   };
   for (const PerturbKind kind :
@@ -479,7 +478,7 @@ TEST(PerturbEquivalence, CrashRecoveryDistributionMatchesAcrossEngines) {
         [](auto& proto, Xoshiro256& rng, Perturber& p,
            AgreementTrace& trace) {
           return run_sharded(proto, rng(), 4, 300.0, trace, 0.25, 0.25,
-                             false, &p);
+                             &p);
         });
     seq_times.push_back(recovery_after_last_crash(seq));
     shard_times.push_back(recovery_after_last_crash(shard));
