@@ -9,7 +9,6 @@
 
 #include "bench_common.hpp"
 #include "graph/complete.hpp"
-#include "rng/alias_table.hpp"
 #include "rng/distributions.hpp"
 #include "rng/splitmix64.hpp"
 #include "rng/xoshiro256.hpp"
@@ -83,13 +82,6 @@ int run_exp(ExperimentContext& ctx) {
   measure("poisson_mean4", [](Xoshiro256& rng) {
     return [&rng] { return poisson(rng, 4.0); };
   });
-  measure("alias_table_4096", [](Xoshiro256& rng) {
-    std::vector<double> weights(4096);
-    for (std::size_t i = 0; i < weights.size(); ++i) {
-      weights[i] = static_cast<double>(i + 1);
-    }
-    return [&rng, table = AliasTable(weights)] { return table.sample(rng); };
-  });
   measure("complete_graph_neighbor", [](Xoshiro256& rng) {
     return [&rng, g = CompleteGraph(1u << 20)] {
       return static_cast<std::uint64_t>(
@@ -108,7 +100,8 @@ const ExperimentRegistrar kRegistrar{
     "tick pays for (ns per op)",
     "Microbenchmarks the sampling primitives on the simulation hot "
     "path: raw xoshiro256 words, Lemire uniform_below, unit "
-    "exponentials, Poisson draws, and alias-table sampling. Records "
+    "exponentials, Poisson draws, and complete-graph neighbor "
+    "sampling. Records "
     "`ns_per_op` per primitive; useful as a canary when touching "
     "rng/distributions.hpp. Overrides: --iters=.",
     /*default_reps=*/5, run_exp};

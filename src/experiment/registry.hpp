@@ -158,6 +158,15 @@ class ExperimentContext {
           "exact schedule replays ticks serially and consumes no batched "
           "node draws");
     }
+    if (tuning.sampling == SamplingMode::kBatch &&
+        latency.kind != LatencyKind::kZero) {
+      std::string what = "--sampling=batch cannot be combined with --latency=";
+      what += latency_kind_name(latency.kind);
+      what +=
+          ": the delivery-queue and messaging drivers interleave ticks with "
+          "deliveries one draw at a time and consume no batched node draws";
+      throw ContractViolation(what);
+    }
   }
 
   Args args;

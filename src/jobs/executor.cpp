@@ -337,7 +337,17 @@ void Executor::worker_loop(unsigned index) {
 namespace {
 
 std::mutex g_process_mutex;
-std::unique_ptr<Executor> g_process_executor;
+
+/// The process executor's slot. Its workers use the thread budget and
+/// the trace registry, both function-local statics; touching them first
+/// constructs them before this slot, so at exit the slot (and with it
+/// the executor, which joins its workers) is destroyed before them.
+std::unique_ptr<Executor>& process_executor() {
+  ThreadBudget::global();
+  trace::Registry::instance();
+  static std::unique_ptr<Executor> slot;
+  return slot;
+}
 
 unsigned default_process_workers() {
   const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
@@ -348,21 +358,20 @@ unsigned default_process_workers() {
 
 Executor& Executor::process() {
   const std::lock_guard<std::mutex> lock(g_process_mutex);
-  if (!g_process_executor) {
-    g_process_executor = std::make_unique<Executor>(
-        default_process_workers(), &ThreadBudget::global());
+  std::unique_ptr<Executor>& executor = process_executor();
+  if (!executor) {
+    executor = std::make_unique<Executor>(default_process_workers(),
+                                          &ThreadBudget::global());
   }
-  return *g_process_executor;
+  return *executor;
 }
 
 void Executor::set_process_workers(unsigned workers) {
   const std::lock_guard<std::mutex> lock(g_process_mutex);
-  if (g_process_executor && g_process_executor->workers() == workers) {
-    return;
-  }
-  g_process_executor.reset();  // release budget tokens before reacquiring
-  g_process_executor =
-      std::make_unique<Executor>(workers, &ThreadBudget::global());
+  std::unique_ptr<Executor>& executor = process_executor();
+  if (executor && executor->workers() == workers) return;
+  executor.reset();  // release budget tokens before reacquiring
+  executor = std::make_unique<Executor>(workers, &ThreadBudget::global());
 }
 
 void set_process_concurrency(unsigned total) {

@@ -22,8 +22,9 @@
 namespace plurality {
 
 /// Runs `proto` with node u ticking at rate `rates[u]` until done() or
-/// `max_time`. Requires rates.size() == proto.num_nodes() and every
-/// rate > 0.
+/// `max_time`; when cut off by the horizon, result.time reports
+/// `max_time`, as in the other engines. Requires rates.size() ==
+/// proto.num_nodes() and every rate > 0.
 template <AsyncProtocol P, typename Obs = NullObserver>
 AsyncRunResult run_continuous_heterogeneous(P& proto, Xoshiro256& rng,
                                             std::span<const double> rates,
@@ -57,8 +58,8 @@ AsyncRunResult run_continuous_heterogeneous(P& proto, Xoshiro256& rng,
     ticks.push(now + exponential(rng, rates[event.payload]),
                event.payload);
   }
-  result.time = now;
-  obs(now, proto);
+  result.time = proto.done() ? now : max_time;
+  obs(result.time, proto);
   result.consensus = proto.table().has_consensus();
   if (result.consensus) result.winner = proto.table().consensus_color();
   return result;

@@ -60,6 +60,8 @@ TEST(Heterogeneous, UniformRatesMatchBaseModel) {
       run_continuous_heterogeneous(proto, rng, rates, 50.0);
   EXPECT_NEAR(static_cast<double>(result.ticks), 50.0 * n,
               6.0 * std::sqrt(50.0 * n));
+  // A horizon cutoff reports the horizon, not the last event's time.
+  EXPECT_EQ(result.time, 50.0);
 }
 
 TEST(Heterogeneous, RejectsBadRates) {

@@ -166,5 +166,31 @@ TEST(OneExtraBit, ExecutePhaseRequiresPhaseBoundary) {
   EXPECT_THROW(proto.execute_phase(rng), ContractViolation);
 }
 
+TEST(BitPropagationAsUrn, ColorFractionsAmongBitSettersPreserved) {
+  // The paper's claim: Bit-Propagation grows the bit-set population
+  // without (materially) changing its color mix. Measure C1's fraction
+  // among bit-set nodes right after the two-choices round vs at the end
+  // of the phase; the mean drift over repetitions must be small.
+  const std::uint64_t n = 1 << 14;
+  const CompleteGraph g(n);
+  const SeedSequence seeds(45);
+  Welford drift;
+  for (std::uint64_t rep = 0; rep < 5; ++rep) {
+    Xoshiro256 rng = seeds.make_rng(rep);
+    OneExtraBitSync proto(g, assign_two_colors(n, (n * 3) / 5, rng));
+    proto.execute_round(rng);  // two-choices: bits seeded ~ cj^2/n
+    // Expected fraction of C1 among bit setters: c1^2/(c1^2+c2^2).
+    const double before = 0.36 / (0.36 + 0.16);
+    for (std::uint64_t r = 0; r < proto.bp_rounds_per_phase(); ++r) {
+      proto.execute_round(rng);
+    }
+    const double after =
+        static_cast<double>(proto.table().support(0)) /
+        static_cast<double>(n);
+    drift.add(after - before);
+  }
+  EXPECT_NEAR(drift.mean(), 0.0, 0.02);
+}
+
 }  // namespace
 }  // namespace plurality

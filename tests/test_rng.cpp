@@ -9,7 +9,6 @@
 #include <set>
 #include <vector>
 
-#include "rng/alias_table.hpp"
 #include "rng/distributions.hpp"
 #include "rng/seed.hpp"
 #include "rng/splitmix64.hpp"
@@ -266,49 +265,6 @@ TEST(StandardNormal, Moments) {
   }
   EXPECT_NEAR(sum / kSamples, 0.0, 0.01);
   EXPECT_NEAR(sum_sq / kSamples, 1.0, 0.02);
-}
-
-TEST(AliasTable, NormalizesWeights) {
-  const std::vector<double> w{1.0, 3.0};
-  const AliasTable table(w);
-  EXPECT_EQ(table.size(), 2u);
-  EXPECT_NEAR(table.probability_of(0), 0.25, 1e-12);
-  EXPECT_NEAR(table.probability_of(1), 0.75, 1e-12);
-}
-
-TEST(AliasTable, SamplingFrequencies) {
-  const std::vector<double> w{0.1, 0.2, 0.3, 0.4};
-  const AliasTable table(w);
-  Xoshiro256 rng(31);
-  constexpr int kSamples = 400000;
-  std::array<int, 4> counts{};
-  for (int i = 0; i < kSamples; ++i) ++counts[table.sample(rng)];
-  for (std::size_t c = 0; c < 4; ++c) {
-    EXPECT_NEAR(counts[c] / static_cast<double>(kSamples), w[c], 0.005)
-        << "outcome " << c;
-  }
-}
-
-TEST(AliasTable, SingleOutcome) {
-  const std::vector<double> w{2.0};
-  const AliasTable table(w);
-  Xoshiro256 rng(31);
-  for (int i = 0; i < 100; ++i) EXPECT_EQ(table.sample(rng), 0u);
-}
-
-TEST(AliasTable, ZeroWeightNeverSampled) {
-  const std::vector<double> w{0.0, 1.0, 0.0};
-  const AliasTable table(w);
-  Xoshiro256 rng(31);
-  for (int i = 0; i < 10000; ++i) EXPECT_EQ(table.sample(rng), 1u);
-}
-
-TEST(AliasTable, RejectsInvalidWeights) {
-  Xoshiro256 rng(1);
-  EXPECT_THROW(AliasTable(std::vector<double>{}), ContractViolation);
-  EXPECT_THROW(AliasTable(std::vector<double>{0.0, 0.0}), ContractViolation);
-  EXPECT_THROW(AliasTable(std::vector<double>{1.0, -1.0}),
-               ContractViolation);
 }
 
 }  // namespace
