@@ -137,9 +137,9 @@ JsonValue ExperimentRegistry::run_to_record(const Experiment& experiment,
                                             const Args& args) const {
   ExperimentContext ctx(args, experiment.default_reps);
   // Arm the trace registry for exactly this run: fresh sinks, the
-  // requested mode gating every hot path. Shard pools are per-run and
-  // executor workers are parked between runs, so configure/drain happen
-  // with the instrumented threads quiescent.
+  // requested mode gating every hot path. Executor workers are parked
+  // between runs, so configure/drain happen with the instrumented
+  // threads quiescent.
   trace::Registry::instance().configure(ctx.trace_spec);
 
   const auto start = std::chrono::steady_clock::now();

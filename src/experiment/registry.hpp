@@ -56,9 +56,10 @@ class ExperimentContext {
         csv(args.csv()) {
     // Resolve --jobs=0 (hardware concurrency) up front and configure
     // the process-wide thread cap: the work-stealing executor gets
-    // jobs - 1 workers (the main thread is the first thread) and every
-    // shard pool draws its threads from the same budget, so `jobs` is
-    // a hard ceiling on process concurrency. The resolved value lands
+    // jobs - 1 workers (the main thread is the first thread), and it is
+    // the only thread consumer — sweep leaves and the sharded engine's
+    // epoch shards run on the same workers — so `jobs` is a hard
+    // ceiling on process concurrency. The resolved value lands
     // in every JSON record (jobs_effective); results are bit-identical
     // across --jobs= values by the determinism contract, so the record
     // field documents the schedule, not the trajectory.

@@ -55,7 +55,7 @@ std::vector<std::vector<double>> run_repetitions_multi(
     }));
     // A chain to leaf rep - threads caps in-flight repetitions at
     // `threads` without a shared counter (threads == 0: no cap; the
-    // executor's --jobs= worker budget is then the only limit).
+    // executor's --jobs= worker count is then the only limit).
     if (threads != 0 && rep >= threads) {
       graph.depend(leaves[rep], leaves[rep - threads]);
     }

@@ -1,7 +1,6 @@
 #include "jobs/executor.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <utility>
 
 #include "trace/trace.hpp"
@@ -108,12 +107,7 @@ constexpr unsigned kMaxMigrate = 32;  // steal-half cap per scavenge
 
 }  // namespace
 
-Executor::Executor(unsigned workers, ThreadBudget* budget)
-    : budget_(budget) {
-  if (budget_ != nullptr) {
-    budget_granted_ = budget_->acquire(workers);
-    workers = budget_granted_;
-  }
+Executor::Executor(unsigned workers) {
   workers_.resize(workers);
   for (auto& worker : workers_) {
     worker.deque = std::make_unique<detail::WorkDeque>();
@@ -132,7 +126,6 @@ Executor::~Executor() {
   for (auto& worker : workers_) {
     if (worker.thread.joinable()) worker.thread.join();
   }
-  if (budget_ != nullptr) budget_->release(budget_granted_);
 }
 
 void Executor::submit(JobGraph& graph) {
@@ -157,11 +150,14 @@ void Executor::submit(JobGraph& graph) {
 void Executor::wait(JobGraph& graph) {
   PC_EXPECTS(graph.submitted_);
   for (;;) {
-    if (JobGraph::Node* node = try_get(/*self_index=*/workers()) ) {
+    if (Fork* fork = join_fork()) {
+      help(*fork);
+      continue;
+    }
+    if (JobGraph::Node* node = try_get(/*self_index=*/workers())) {
       execute(node);
       continue;
     }
-    std::unique_lock<std::mutex> lock(graph.done_mutex_);
     if (graph.remaining_.load(std::memory_order_acquire) == 0) break;
     if (workers_.empty()) {
       // Nobody else can make progress and we found nothing runnable:
@@ -170,18 +166,21 @@ void Executor::wait(JobGraph& graph) {
           "JobGraph can never finish: no runnable job but nodes remain "
           "(dependency cycle?)");
     }
-    // Completion notifies done_cv_; the timeout lets the caller resume
-    // helping when workers release new continuations. This is the
+    // Park with the workers until the graph completes (finish()
+    // notifies) or new work or a fork appears to help with. This is the
     // caller's completion barrier — time spent here is the DAG's tail
-    // imbalance, traced as a barrier wait like the shard pools' epoch
-    // barrier.
+    // imbalance, traced as a barrier wait.
     const bool traced = trace::enabled();
     const std::int64_t wait_t0 = traced ? trace::now_ns() : 0;
-    graph.done_cv_.wait_for(lock, std::chrono::milliseconds(10), [&] {
-      return graph.remaining_.load(std::memory_order_acquire) == 0;
-    });
+    {
+      std::unique_lock<std::mutex> lock(park_mutex_);
+      park_cv_.wait(lock, [&] {
+        return graph.remaining_.load(std::memory_order_acquire) == 0 ||
+               ready_.load(std::memory_order_relaxed) > 0 ||
+               open_forks_.load(std::memory_order_relaxed) > 0;
+      });
+    }
     if (traced) {
-      lock.unlock();
       trace::local_sink().barrier_wait(wait_t0,
                                        trace::now_ns() - wait_t0);
     }
@@ -189,7 +188,7 @@ void Executor::wait(JobGraph& graph) {
   if (graph.failed()) {
     std::exception_ptr error;
     {
-      const std::lock_guard<std::mutex> lock(graph.done_mutex_);
+      const std::lock_guard<std::mutex> lock(graph.error_mutex_);
       error = graph.error_;
     }
     if (error) std::rethrow_exception(error);
@@ -282,7 +281,7 @@ void Executor::execute(JobGraph::Node* node) {
       bool expected = false;
       if (graph.failed_.compare_exchange_strong(
               expected, true, std::memory_order_acq_rel)) {
-        const std::lock_guard<std::mutex> lock(graph.done_mutex_);
+        const std::lock_guard<std::mutex> lock(graph.error_mutex_);
         graph.error_ = std::current_exception();
       }
     }
@@ -299,37 +298,139 @@ void Executor::finish(JobGraph::Node* node) {
     }
   }
   if (graph.remaining_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    const std::lock_guard<std::mutex> lock(graph.done_mutex_);
-    graph.done_cv_.notify_all();
+    // The graph may be gone once its waiter sees remaining_ == 0, so
+    // the wake goes through the executor's own eventcount.
+    { const std::lock_guard<std::mutex> lock(park_mutex_); }
+    park_cv_.notify_all();
   }
+}
+
+void Executor::parallel_for(std::size_t count,
+                            const std::function<void(std::size_t)>& fn) {
+  Fork fork(fn, count);
+  const bool shared = count > 1 && !workers_.empty();
+  if (shared) {
+    {
+      const std::lock_guard<std::mutex> lock(fork_mutex_);
+      forks_.push_back(&fork);
+      open_forks_.store(forks_.size(), std::memory_order_relaxed);
+    }
+    // Eventcount pairing as in enqueue(): a worker that checked
+    // open_forks_ under park_mutex_ before the store is already waiting.
+    { const std::lock_guard<std::mutex> lock(park_mutex_); }
+    park_cv_.notify_all();
+  }
+  run_claims(fork);
+  if (shared) {
+    // The join is a barrier: the caller's wait for helpers still inside
+    // an index is load imbalance across the threads.
+    const bool traced = trace::enabled();
+    const std::int64_t wait_t0 = traced ? trace::now_ns() : 0;
+    {
+      std::unique_lock<std::mutex> lock(fork_mutex_);
+      unlist(fork);
+      fork.helpers_done.wait(lock, [&] { return fork.helpers == 0; });
+    }
+    if (traced) {
+      trace::local_sink().barrier_wait(wait_t0, trace::now_ns() - wait_t0);
+    }
+  }
+  if (fork.error) std::rethrow_exception(fork.error);
+}
+
+void Executor::run_claims(Fork& fork) {
+  for (;;) {
+    const std::size_t i = fork.next.fetch_add(1, std::memory_order_relaxed);
+    if (i >= fork.count) return;
+    try {
+      fork.fn(i);
+    } catch (...) {
+      const std::lock_guard<std::mutex> lock(fork_mutex_);
+      if (!fork.error) fork.error = std::current_exception();
+    }
+  }
+}
+
+void Executor::unlist(Fork& fork) {
+  const auto it = std::find(forks_.begin(), forks_.end(), &fork);
+  if (it == forks_.end()) return;
+  forks_.erase(it);
+  open_forks_.store(forks_.size(), std::memory_order_relaxed);
+}
+
+Executor::Fork* Executor::join_fork() {
+  if (open_forks_.load(std::memory_order_relaxed) == 0) return nullptr;
+  const std::lock_guard<std::mutex> lock(fork_mutex_);
+  if (forks_.empty()) return nullptr;
+  Fork* fork = forks_.front();
+  ++fork->helpers;
+  return fork;
+}
+
+void Executor::help(Fork& fork) {
+  run_claims(fork);
+  // Every index is claimed now: take the fork off the list so no one
+  // else registers, and release the caller once the last helper leaves.
+  // The notify runs under the lock, so the caller (and with it the
+  // Fork) cannot be gone before this helper stops touching it.
+  const std::lock_guard<std::mutex> lock(fork_mutex_);
+  unlist(fork);
+  if (--fork.helpers == 0) fork.helpers_done.notify_one();
+}
+
+std::vector<std::thread::native_handle_type> Executor::worker_handles() {
+  std::vector<std::thread::native_handle_type> handles;
+  handles.reserve(workers_.size());
+  for (auto& worker : workers_) {
+    handles.push_back(worker.thread.native_handle());
+  }
+  return handles;
 }
 
 void Executor::worker_loop(unsigned index) {
   tl_worker = WorkerSlot{this, index};
+  // Park-span trace: a park is recorded only once work is in hand. A
+  // wake that finds nothing (the fork or job went to another thread, or
+  // shutdown) writes nothing, so a worker never touches its sink after
+  // the run or graph that woke it has returned — the registry may be
+  // reset by then. Parks that end without work merge into the next one.
+  std::int64_t park_t0 = -1;
+  std::int64_t park_end = 0;
+  const auto record_park = [&] {
+    if (park_t0 >= 0) trace::local_sink().park(park_t0, park_end - park_t0);
+    park_t0 = -1;
+  };
   for (;;) {
     if (stop_.load(std::memory_order_acquire)) return;
+    // A fork's indices come first: its caller is blocked on them, while
+    // a queued leaf waits for any thread.
+    if (Fork* fork = join_fork()) {
+      record_park();
+      help(*fork);
+      continue;
+    }
     JobGraph::Node* node = nullptr;
     for (int round = 0; round < kSpinRounds && node == nullptr; ++round) {
       node = try_get(index);
     }
     if (node != nullptr) {
+      record_park();
       execute(node);
       continue;
     }
-    // Park-span trace: the stop_ wake is shutdown (and may race static
-    // destruction of the trace registry), so only wakes that lead back
-    // into work are recorded.
     const bool traced = trace::enabled();
-    const std::int64_t park_t0 = traced ? trace::now_ns() : 0;
+    const std::int64_t wait_t0 = traced ? trace::now_ns() : 0;
     {
       std::unique_lock<std::mutex> lock(park_mutex_);
       park_cv_.wait(lock, [&] {
         return stop_.load(std::memory_order_relaxed) ||
-               ready_.load(std::memory_order_relaxed) > 0;
+               ready_.load(std::memory_order_relaxed) > 0 ||
+               open_forks_.load(std::memory_order_relaxed) > 0;
       });
     }
-    if (traced && !stop_.load(std::memory_order_acquire)) {
-      trace::local_sink().park(park_t0, trace::now_ns() - park_t0);
+    if (traced) {
+      if (park_t0 < 0) park_t0 = wait_t0;
+      park_end = trace::now_ns();
     }
   }
 }
@@ -338,12 +439,11 @@ namespace {
 
 std::mutex g_process_mutex;
 
-/// The process executor's slot. Its workers use the thread budget and
-/// the trace registry, both function-local statics; touching them first
-/// constructs them before this slot, so at exit the slot (and with it
-/// the executor, which joins its workers) is destroyed before them.
+/// The process executor's slot. Its workers use the trace registry, a
+/// function-local static; touching it first constructs it before this
+/// slot, so at exit the slot (and with it the executor, which joins its
+/// workers) is destroyed before it.
 std::unique_ptr<Executor>& process_executor() {
-  ThreadBudget::global();
   trace::Registry::instance();
   static std::unique_ptr<Executor> slot;
   return slot;
@@ -360,24 +460,18 @@ Executor& Executor::process() {
   const std::lock_guard<std::mutex> lock(g_process_mutex);
   std::unique_ptr<Executor>& executor = process_executor();
   if (!executor) {
-    executor = std::make_unique<Executor>(default_process_workers(),
-                                          &ThreadBudget::global());
+    executor = std::make_unique<Executor>(default_process_workers());
   }
   return *executor;
 }
 
-void Executor::set_process_workers(unsigned workers) {
-  const std::lock_guard<std::mutex> lock(g_process_mutex);
-  std::unique_ptr<Executor>& executor = process_executor();
-  if (executor && executor->workers() == workers) return;
-  executor.reset();  // release budget tokens before reacquiring
-  executor = std::make_unique<Executor>(workers, &ThreadBudget::global());
-}
-
 void set_process_concurrency(unsigned total) {
   PC_EXPECTS(total >= 1);
-  ThreadBudget::global().configure(total);
-  Executor::set_process_workers(total - 1);
+  const std::lock_guard<std::mutex> lock(g_process_mutex);
+  std::unique_ptr<Executor>& executor = process_executor();
+  if (executor && executor->workers() == total - 1) return;
+  executor.reset();  // join the old workers before spawning new ones
+  executor = std::make_unique<Executor>(total - 1);
 }
 
 }  // namespace plurality::jobs

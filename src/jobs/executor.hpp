@@ -1,12 +1,12 @@
 #pragma once
 
 /// \file executor.hpp
-/// A process-wide work-stealing job executor, the scheduling substrate
-/// behind whole-sweep parallelism in the experiment layer (see
-/// experiment/runner.hpp): sweeps become DAGs of (sweep-point, rep)
-/// jobs on ONE pool of workers, so small jobs pack many runs per core
-/// while the per-run shard pools fan out under the same --jobs= budget
-/// (src/jobs/budget.hpp).
+/// A process-wide work-stealing job executor, the one scheduler in the
+/// process: sweeps become DAGs of (sweep-point, rep) jobs (see
+/// experiment/runner.hpp), and a sharded run fans each epoch's shards
+/// out through parallel_for on the same workers. --jobs=N builds N - 1
+/// workers (the main thread is the first thread), so the cap holds by
+/// construction.
 ///
 /// Scheduling design:
 ///   - one Chase–Lev deque per worker (lock-free owner push/pop at the
@@ -22,18 +22,30 @@
 ///   - an injection queue (mutex-guarded) for submissions from threads
 ///     that are not workers — the experiment main thread, and the
 ///     continuations it releases while helping;
-///   - park/unpark: idle workers spin over {own deque, injection
-///     queue, every victim} a few rounds and then park on a condition
-///     variable. Every enqueue bumps a ready counter UNDER the park
-///     mutex and notifies, and parked workers re-check that counter
-///     under the same mutex — the classic eventcount pairing that
-///     cannot lose a wakeup.
+///   - park/unpark: idle workers spin over {fork list, own deque,
+///     injection queue, every victim} a few rounds and then park on a
+///     condition variable. Every enqueue bumps a ready counter UNDER
+///     the park mutex and notifies, and parked workers re-check that
+///     counter under the same mutex — the classic eventcount pairing
+///     that cannot lose a wakeup. Publishing a fork and completing a
+///     graph pass through the same mutex before they notify.
 ///
 /// Waiting: Executor::wait(graph) lets the calling thread help — it
-/// drains the injection queue and steals from workers until the graph
-/// completes. With zero workers (--jobs=1) this degrades to running
-/// every job inline on the caller in release order: the serial path,
-/// which is what the scheduling-determinism tests compare against.
+/// runs fork indices, drains the injection queue and steals from
+/// workers until the graph completes, parking with the workers when
+/// nothing is runnable. With zero workers (--jobs=1) this degrades to
+/// running every job inline on the caller in release order: the serial
+/// path, which is what the scheduling-determinism tests compare
+/// against.
+///
+/// Fork-join: Executor::parallel_for(count, fn) publishes the index
+/// range on a fork list that idle workers (and wait()ing threads) check
+/// before their deques. The caller claims indices from the same counter
+/// and, once none is left, waits only for the helpers still inside an
+/// index — it never runs a sweep leaf or another fork's index, so a
+/// thread holds at most one run however deep the sweep. When no worker
+/// is idle the caller claims every index itself, in order: a saturated
+/// executor runs the loop inline.
 ///
 /// Shutdown is RAII: the destructor stops the workers after their
 /// in-flight job, joins them, and DROPS any still-queued work — a
@@ -50,12 +62,13 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
+#include <exception>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
-#include "jobs/budget.hpp"
 #include "jobs/graph.hpp"
 
 namespace plurality::jobs {
@@ -114,11 +127,8 @@ class WorkDeque {
 
 class Executor {
  public:
-  /// Spawns `workers` worker threads. With a non-null `budget` the
-  /// worker count is first clamped to what the budget grants (the
-  /// process executor passes ThreadBudget::global(); tests pass
-  /// nothing and get exactly what they ask for).
-  explicit Executor(unsigned workers, ThreadBudget* budget = nullptr);
+  /// Spawns `workers` worker threads.
+  explicit Executor(unsigned workers);
   Executor(const Executor&) = delete;
   Executor& operator=(const Executor&) = delete;
   ~Executor();
@@ -143,19 +153,41 @@ class Executor {
     wait(graph);
   }
 
-  /// The process-wide executor (created on first use with
-  /// hardware_concurrency - 1 workers, clamped by the global budget).
-  static Executor& process();
+  /// Runs fn(0) ... fn(count - 1) on the caller and any idle workers,
+  /// and returns once every call has finished; the caller runs only
+  /// these indices (no foreign work) and no queue entry outlives the
+  /// call. Every index runs even when one throws; the first exception
+  /// thrown is rethrown here. fn is called concurrently, so calls must
+  /// touch disjoint state.
+  void parallel_for(std::size_t count,
+                    const std::function<void(std::size_t)>& fn);
 
-  /// Rebuilds the process executor with `workers` threads if it differs
-  /// from the current count. Call only between runs, from one thread,
-  /// with no other thread inside submit()/wait().
-  static void set_process_workers(unsigned workers);
+  /// The native handles of the worker threads, in worker order (for
+  /// affinity pinning; the threads live as long as the executor).
+  std::vector<std::thread::native_handle_type> worker_handles();
+
+  /// The process-wide executor (created on first use with
+  /// hardware_concurrency - 1 workers).
+  static Executor& process();
 
  private:
   struct Worker {
     std::unique_ptr<detail::WorkDeque> deque;
     std::thread thread;
+  };
+
+  /// One parallel_for call, on its caller's stack. `next` is the claim
+  /// counter; `helpers` counts workers holding a pointer to it.
+  struct Fork {
+    Fork(const std::function<void(std::size_t)>& f, std::size_t n)
+        : fn(f), count(n) {}
+
+    const std::function<void(std::size_t)>& fn;
+    std::size_t count;
+    std::atomic<std::size_t> next{0};
+    unsigned helpers = 0;                  // guarded by fork_mutex_
+    std::condition_variable helpers_done;  // waits on fork_mutex_
+    std::exception_ptr error;              // guarded by fork_mutex_
   };
 
   void worker_loop(unsigned index);
@@ -165,10 +197,19 @@ class Executor {
   JobGraph::Node* try_get(unsigned self_index);
   JobGraph::Node* pop_injected();
   JobGraph::Node* steal_from_workers(unsigned self_index, bool migrate);
+  Fork* join_fork();  // registers as a helper of the oldest open fork
+  void help(Fork& fork);
+  void run_claims(Fork& fork);
+  void unlist(Fork& fork);  // fork_mutex_ held
 
   std::vector<Worker> workers_;
-  ThreadBudget* budget_ = nullptr;
-  unsigned budget_granted_ = 0;
+
+  // Fork list: open parallel_for calls with indices left to claim.
+  // open_forks_ mirrors forks_.size() for the lock-free idle check and
+  // the park predicate; both change under fork_mutex_.
+  std::mutex fork_mutex_;
+  std::vector<Fork*> forks_;
+  std::atomic<std::size_t> open_forks_{0};
 
   // Injection queue: submissions from non-worker threads.
   std::mutex inject_mutex_;
@@ -186,10 +227,10 @@ class Executor {
 };
 
 /// Configures the process-wide concurrency from a resolved --jobs=
-/// value: the global ThreadBudget cap becomes `total` and the process
-/// executor is rebuilt with `total - 1` workers (the main thread is
-/// the first thread). Idempotent for an unchanged value; call only
-/// between runs.
+/// value: the process executor is rebuilt with `total - 1` workers (the
+/// main thread is the first thread), and since it is the only thread
+/// consumer, `total` caps the process's threads. Idempotent for an
+/// unchanged value; call only between runs.
 void set_process_concurrency(unsigned total);
 
 }  // namespace plurality::jobs

@@ -28,7 +28,6 @@
 /// Jobs already running on other workers finish normally.
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <exception>
@@ -93,10 +92,9 @@ class JobGraph {
   std::atomic<bool> failed_{false};
   bool submitted_ = false;
 
-  // Completion signalling: the finisher of the last node notifies under
-  // done_mutex_; error_ is written once, by the first failing job.
-  std::mutex done_mutex_;
-  std::condition_variable done_cv_;
+  // error_ is written once, by the first failing job, under
+  // error_mutex_; completion is signalled through the executor.
+  std::mutex error_mutex_;
   std::exception_ptr error_;
 };
 

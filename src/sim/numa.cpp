@@ -1,8 +1,9 @@
 #include "sim/numa.hpp"
 
-#include <thread>
+#include <algorithm>
 
 #ifdef __linux__
+#include <pthread.h>
 #include <sched.h>
 #endif
 
@@ -16,22 +17,22 @@ bool bind_supported() noexcept {
 #endif
 }
 
-void pin_lane([[maybe_unused]] unsigned lane,
-              [[maybe_unused]] unsigned lanes) noexcept {
+void pin_workers([[maybe_unused]] const std::vector<
+                 std::thread::native_handle_type>& workers) noexcept {
 #ifdef __linux__
-  if (lanes == 0) return;
-  const unsigned ncpu = std::max(1u, std::thread::hardware_concurrency());
-  const unsigned cpu =
-      static_cast<unsigned>((static_cast<std::uint64_t>(lane) * ncpu) /
-                            lanes) %
-      ncpu;
-  cpu_set_t mask;
-  CPU_ZERO(&mask);
-  CPU_SET(static_cast<int>(cpu), &mask);
-  // Best-effort: a failure (restricted cgroup mask, exotic topology)
-  // leaves the thread on the scheduler's choice, which is the `off`
-  // behavior — never an error.
-  (void)sched_setaffinity(0, sizeof(mask), &mask);
+  const std::uint64_t lanes = workers.size() + 1;
+  const std::uint64_t ncpu =
+      std::max(1u, std::thread::hardware_concurrency());
+  for (std::size_t w = 0; w < workers.size(); ++w) {
+    const std::uint64_t cpu = ((w + 1) * ncpu / lanes) % ncpu;
+    cpu_set_t mask;
+    CPU_ZERO(&mask);
+    CPU_SET(static_cast<int>(cpu), &mask);
+    // Best-effort: a failure (restricted cgroup mask, exotic topology)
+    // leaves the thread on the scheduler's choice, which is the `off`
+    // behavior — never an error.
+    (void)pthread_setaffinity_np(workers[w], sizeof(mask), &mask);
+  }
 #endif
 }
 

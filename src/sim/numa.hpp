@@ -8,22 +8,30 @@
 ///                  initializes live/snapshot, so on a multi-socket box
 ///                  every page lands on the allocating thread's node;
 ///   - firsttouch — live/snapshot (and each shard's delta row) are
-///                  allocated *uninitialized* and first written by the
-///                  worker lane that owns the shard range, so the OS
-///                  places each page on the node that will hammer it;
-///   - bind       — firsttouch plus explicit worker pinning: lane k is
-///                  pinned to CPU floor(k * ncpu / lanes), spreading
-///                  lanes evenly across the topology so first-touch
-///                  placement stays stable for the whole run.
+///                  allocated *uninitialized* and first written in a
+///                  parallel init epoch, so each shard's pages land on
+///                  the node of whichever thread claimed that shard;
+///   - bind       — firsttouch plus explicit pinning of the process
+///                  executor's workers: worker w is pinned to CPU
+///                  floor((w + 1) * ncpu / (workers + 1)), the calling
+///                  thread counting as lane 0 and staying unpinned.
+///
+/// Shards are claimed dynamically each epoch (jobs::Executor::
+/// parallel_for), so the thread that first-touched a shard's pages is
+/// not necessarily the one that runs it later; bind keeps every worker
+/// on one CPU, which keeps its own pages local. Pins outlive the run:
+/// they last as long as the executor's workers (until --jobs= changes).
 ///
 /// All three modes are trajectory-neutral: placement and pinning never
 /// touch an RNG stream, so results stay bit-identical across modes (the
-/// same contract --jobs= has). Pinning uses sched_setaffinity and is
-/// Linux-only; off-Linux, bind degrades to firsttouch with no error —
+/// same contract --jobs= has). Pinning uses pthread_setaffinity_np and
+/// is Linux-only; off-Linux, bind degrades to firsttouch with no error —
 /// the knob is a performance hint, not a correctness switch.
 
 #include <cstdint>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "support/assert.hpp"
 
@@ -60,11 +68,13 @@ namespace numa {
 /// (Linux). `bind` silently behaves like `firsttouch` elsewhere.
 bool bind_supported() noexcept;
 
-/// Pins the calling thread to one CPU chosen by spreading `lanes`
-/// evenly over the online CPUs (lane k -> CPU floor(k * ncpu / lanes)).
-/// No-op off-Linux or when pinning fails (a restricted affinity mask is
-/// not an error — the knob is best-effort).
-void pin_lane(unsigned lane, unsigned lanes) noexcept;
+/// Pins worker w of `workers` to one CPU, spreading workers + 1 lanes
+/// evenly over the online CPUs (lane k -> CPU floor(k * ncpu / lanes),
+/// worker w is lane w + 1, lane 0 is the unpinned caller). No-op
+/// off-Linux or when pinning fails (a restricted affinity mask is not
+/// an error — the knob is best-effort).
+void pin_workers(
+    const std::vector<std::thread::native_handle_type>& workers) noexcept;
 
 }  // namespace numa
 

@@ -24,9 +24,11 @@
 ///   - exact (EngineTuning::exact_reads): parallel tick generation and
 ///     a serial live replay, the reference the stale body is tested
 ///     against.
-/// Shards run on a persistent pool (sim/shard_pool.hpp) that
-/// multiplexes them over the lanes the --jobs= budget grants, so the
-/// trajectory never depends on the thread count. Live and snapshot
+/// Each epoch's shards run through jobs::Executor::process().
+/// parallel_for: the calling thread and any idle executor workers claim
+/// shards, and a saturated executor leaves them all to the caller, in
+/// order. A shard's work depends only on (seed, shard), so the
+/// trajectory never depends on which thread ran it. Live and snapshot
 /// colors are packed at the table's u8/u16/u32 width (opinion/packed.hpp)
 /// and each body is instantiated per width; width never touches an RNG
 /// stream. Protocols sample neighbors themselves, so any GraphTopology
@@ -34,12 +36,13 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <exception>
+#include <functional>
 #include <span>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "jobs/executor.hpp"
 #include "opinion/packed.hpp"
 #include "rng/batch.hpp"
 #include "rng/distributions.hpp"
@@ -51,7 +54,6 @@
 #include "sim/observers.hpp"
 #include "sim/perturb.hpp"
 #include "sim/result.hpp"
-#include "sim/shard_pool.hpp"
 #include "support/assert.hpp"
 #include "trace/trace.hpp"
 
@@ -63,8 +65,8 @@ namespace plurality {
 ///     rng/batch.hpp's lane-parallel Xoshiro256Block on a separate
 ///     per-shard stream — statistically equivalent, not bit-identical;
 ///   - numa (--numa=firsttouch|bind): the packed arrays are first
-///     touched by their owner lanes in an init epoch, and bind pins the
-///     worker lanes (sim/numa.hpp); trajectory-neutral;
+///     touched in a parallel init epoch, and bind pins the executor's
+///     workers (sim/numa.hpp); trajectory-neutral;
 ///   - exact_reads (--exact-reads): the exact body.
 struct EngineTuning {
   SamplingMode sampling = SamplingMode::kScalar;
@@ -146,15 +148,14 @@ inline std::uint64_t resolve_shards(unsigned num_shards,
 inline constexpr std::size_t kNodeBatch = 4096;
 
 /// Per-shard state every body shares: the node range, the shard's RNG
-/// stream, the epoch's recolor log and tick count (read by the packed
-/// merge), and a slot for an error captured on a worker lane.
+/// stream, and the epoch's recolor log and tick count (read by the
+/// packed merge).
 struct alignas(64) ShardCore {
   NodeId lo = 0;
   NodeId hi = 0;
   Xoshiro256 rng{0};
   std::vector<NodeId> changed;
   std::uint64_t ticks = 0;
-  std::exception_ptr error;
 };
 
 /// Contiguous as-equal-as-possible ranges of `shards` shards over n
@@ -177,7 +178,8 @@ std::vector<Shard> make_shards(std::uint64_t n, std::uint64_t shards,
 /// deltas, and the epoch merge that folds both into the table. Under
 /// NumaMode::kOff both arrays are packed on the calling thread; the
 /// first-touch modes leave them (and the delta rows) uninitialized for
-/// the init epoch, in which each lane packs its own shards' ranges.
+/// the init epoch, in which whichever thread claims a shard packs its
+/// range.
 template <typename T, typename Shard>
 class PackedBody {
  public:
@@ -195,9 +197,9 @@ class PackedBody {
 
   bool first_touch() const noexcept { return first_touch_; }
 
-  /// First touch: the owning lane performs the first write to its
-  /// ranges of live, snapshot and the delta row, so their pages land
-  /// on the lane's NUMA node.
+  /// First touch: the thread that claims shard s in the init epoch
+  /// performs the first write to its ranges of live, snapshot and the
+  /// delta row, so their pages land on that thread's NUMA node.
   void init_shard(std::uint64_t s) {
     const Shard& shard = shards[s];
     live_.copy_range_from(table_.packed_colors(), shard.lo, shard.hi);
@@ -205,8 +207,8 @@ class PackedBody {
     deltas_.clear(s);
   }
 
-  /// The epoch merge (main thread, workers parked): deltas and recolor
-  /// logs into the table, changed nodes into the snapshot.
+  /// The epoch merge (calling thread, after the shards joined): deltas
+  /// and recolor logs into the table, changed nodes into the snapshot.
   template <typename Drain>
   void finish_epoch(AsyncRunResult& result, const Drain& /*drain*/) {
     const T* live = live_.template data<T>();
@@ -333,7 +335,7 @@ class StaleBody : public PackedBody<T, StaleShard> {
                                     uniform_below(shard.rng, n_s))));
         // Crashed nodes' clocks are dead: the tick is swallowed (the
         // bitmap is stable within an epoch — drains happen between
-        // epochs on the main thread).
+        // epochs on the calling thread).
         if (perturb != nullptr && !perturb->allows_tick(u)) continue;
         Base::apply(colors, delta, shard, u,
                     proto_.propose(u, view, shard.rng));
@@ -380,6 +382,15 @@ class QueuedBody : public PackedBody<T, QueuedShard<typename P::Query>> {
         latency_(latency),
         perturb_(perturb),
         blocking_(discipline == QueryDiscipline::kBlocking) {
+    // A blocking shard has at most n_s queries in flight. Reserving the
+    // heap here, on the constructing thread, keeps its growth off the
+    // executor threads, whose per-thread malloc arenas would otherwise
+    // keep every outgrown buffer. Fire-and-forget has no such bound.
+    if (blocking_) {
+      for (Shard& shard : shards) {
+        shard.deliveries.reserve(shard.hi - shard.lo);
+      }
+    }
     if (this->first_touch()) return;  // flags are first-touched in init
     for (Shard& shard : shards) clear_pending(shard);
   }
@@ -553,10 +564,11 @@ class ExactBody {
 };
 
 /// The one epoch skeleton behind every sharded driver: per epoch it
-/// runs the body's shard work on the pool, rethrows the first captured
-/// shard error, lets the body finish the epoch on the main thread
-/// (merge or replay) and drains perturbations; around that it applies
-/// the shared stop rule, observer cadence and horizon finalization. A
+/// runs the body's shard work on the process executor (parallel_for
+/// rethrows the first shard error), lets the body finish the epoch on
+/// the calling thread (merge or replay) and drains perturbations;
+/// around that it applies the shared stop rule, observer cadence and
+/// horizon finalization. A
 /// Body has `shards` (ShardCore-derived), `first_touch()` and
 /// `init_shard(s)` for the init epoch, `run_shard(s, t0, dt)` returning
 /// the ticks drawn, `finish_epoch(result, drain)`, and `write(u, c)`
@@ -565,44 +577,28 @@ template <typename Body, typename P, typename Obs>
 AsyncRunResult run_epochs(P& proto, Body& body, double max_time, Obs&& obs,
                           double sample_every, double epoch_length,
                           Perturber* perturb, NumaMode numa) {
-  bool initializing = body.first_touch();
-  double epoch_t0 = 0.0;  // written before each barrier, read by workers
+  jobs::Executor& executor = jobs::Executor::process();
+  const std::size_t shards = body.shards.size();
+  if (numa == NumaMode::kBind) numa::pin_workers(executor.worker_handles());
+  if (body.first_touch()) {
+    // The init epoch: each shard's ranges are packed by the thread that
+    // claims it.
+    executor.parallel_for(shards, [&](std::size_t s) { body.init_shard(s); });
+  }
+  double epoch_t0 = 0.0;  // written before each parallel_for
   double epoch_dt = 0.0;
-  ShardWorkerPool workers(
-      body.shards.size(),
-      [&](std::uint64_t s) {
-        // The pool's work must not throw: errors land in the shard and
-        // are rethrown on the main thread after the barrier.
-        try {
-          if (initializing) {
-            body.init_shard(s);
-            return;
-          }
-          const bool traced = trace::enabled();
-          const std::int64_t span_t0 = traced ? trace::now_ns() : 0;
-          const std::uint64_t ticks = body.run_shard(s, epoch_t0, epoch_dt);
-          if (traced) {
-            trace::local_sink().shard_span(
-                span_t0, trace::now_ns() - span_t0, ticks);
-          }
-        } catch (...) {
-          body.shards[s].error = std::current_exception();
-        }
-      },
-      numa);
-  const auto run_parallel = [&] {
-    workers.run_epoch();
-    for (const auto& shard : body.shards) {
-      if (shard.error) std::rethrow_exception(shard.error);
+  const std::function<void(std::size_t)> tick_shard = [&](std::size_t s) {
+    const bool traced = trace::enabled();
+    const std::int64_t span_t0 = traced ? trace::now_ns() : 0;
+    const std::uint64_t ticks = body.run_shard(s, epoch_t0, epoch_dt);
+    if (traced) {
+      trace::local_sink().shard_span(span_t0, trace::now_ns() - span_t0,
+                                     ticks);
     }
   };
-  if (initializing) {
-    run_parallel();  // the init epoch: pack ranges on owner lanes
-    initializing = false;
-  }
 
-  // Perturbation drains run on the main thread, workers parked: writes
-  // go to the table and the body's own state together.
+  // Perturbation drains run on the calling thread between epochs:
+  // writes go to the table and the body's own state together.
   const auto drain = [&](double t) {
     if (perturb == nullptr || perturb->next_time() > t) return;
     perturb->drain_until(t, proto.table(), [&](NodeId u, ColorId c) {
@@ -624,7 +620,7 @@ AsyncRunResult run_epochs(P& proto, Body& body, double max_time, Obs&& obs,
       if (!(dt > 0.0)) break;  // floating-point residue at the boundary
       epoch_t0 = now;
       epoch_dt = dt;
-      run_parallel();
+      executor.parallel_for(shards, tick_shard);
       body.finish_epoch(result, drain);
       now += dt;
       drain(now);
@@ -666,7 +662,7 @@ AsyncRunResult dispatch(const P& proto, unsigned num_shards, double max_time,
 /// polled at epoch boundaries, so a run can overshoot consensus by up
 /// to one epoch; a horizon cutoff reports `max_time`.
 ///
-/// Perturbations (sim/perturb.hpp) drain on the main thread at the
+/// Perturbations (sim/perturb.hpp) drain on the calling thread at the
 /// first epoch boundary at or after their time (exact event order under
 /// exact_reads), writing table + live + snapshot together; crash
 /// suppression is a read-only bitmap lookup in the tick loop. The run

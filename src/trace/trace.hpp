@@ -21,8 +21,8 @@
 ///
 /// Concurrency contract: each Sink has exactly one writer (the thread
 /// that registered it). The Registry may be drained or reset only while
-/// instrumented threads are quiescent (shard pools are destroyed per
-/// run; executor workers are parked between runs). Aggregate fields are
+/// instrumented threads are quiescent (executor workers are parked
+/// between runs). Aggregate fields are
 /// relaxed atomics and timeline appends publish with a release store on
 /// the count, so a drain that races with a straggling writer is still
 /// free of data races — it merely misses the straggler's last events.

@@ -3,11 +3,14 @@
 // deliberately unbalanced load, park/unpark with no lost wakeups over
 // many tiny graphs, exception propagation (first throw wins, queued
 // jobs skipped), RAII shutdown with work still queued, the zero-worker
-// inline degradation, cycle detection, the thread-budget handshake,
-// and SweepRunner's determinism / ordering contract.
+// inline degradation, cycle detection, the parallel_for fork-join
+// (every index once, errors, no foreign work on a saturated executor),
+// and SweepRunner's determinism / ordering contract, including sweeps
+// of sharded runs that never nest on one thread.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <mutex>
@@ -16,11 +19,14 @@
 #include <thread>
 #include <vector>
 
+#include "core/two_choices.hpp"
 #include "experiment/runner.hpp"
-#include "jobs/budget.hpp"
+#include "graph/complete.hpp"
 #include "jobs/executor.hpp"
 #include "jobs/graph.hpp"
+#include "opinion/assignment.hpp"
 #include "rng/seed.hpp"
+#include "sim/sharded_engine.hpp"
 #include "support/assert.hpp"
 
 namespace plurality::jobs {
@@ -236,52 +242,66 @@ TEST(Executor, ZeroWorkersDetectsCycle) {
   EXPECT_THROW(executor.run(graph), ContractViolation);
 }
 
-// ---- thread budget ---------------------------------------------------
+// ---- parallel_for ----------------------------------------------------
 
-TEST(ThreadBudget, GrantsUpToCapAndRestoresOnRelease) {
-  ThreadBudget budget;
-  budget.configure(4);  // 3 tokens beyond the calling thread
-  EXPECT_EQ(budget.limit(), 4u);
-  EXPECT_EQ(budget.acquire(2), 2u);
-  EXPECT_EQ(budget.acquire(5), 1u);  // partial grant
-  EXPECT_EQ(budget.acquire(1), 0u);  // exhausted, never blocks
-  budget.release(1);
-  EXPECT_EQ(budget.acquire(9), 1u);
-  budget.release(3);
-  EXPECT_EQ(budget.available(), 3);
+TEST(ParallelFor, RunsEveryIndexOnceForEveryWorkerCount) {
+  for (const unsigned workers : {0u, 1u, 4u}) {
+    Executor executor(workers);
+    std::vector<std::atomic<int>> hits(64);
+    executor.parallel_for(hits.size(),
+                          [&](std::size_t i) { hits[i].fetch_add(1); });
+    for (const auto& h : hits) EXPECT_EQ(h.load(), 1) << workers;
+  }
 }
 
-TEST(ThreadBudget, ConfigurePreservesOutstandingGrants) {
-  ThreadBudget budget;
-  budget.configure(8);
-  ASSERT_EQ(budget.acquire(4), 4u);
-  budget.configure(6);  // 5 workers allowed, 4 already out
-  EXPECT_EQ(budget.acquire(9), 1u);
-  budget.configure(3);  // over-committed: no new grants...
-  EXPECT_EQ(budget.acquire(1), 0u);
-  budget.release(5);  // ...until the old holders return tokens
-  EXPECT_EQ(budget.acquire(9), 2u);
-  budget.release(2);
-}
-
-TEST(ThreadBudget, ExecutorClampsToBudgetGrant) {
-  ThreadBudget budget;
-  budget.configure(3);  // 2 worker tokens
-  Executor executor(8, &budget);
-  EXPECT_EQ(executor.workers(), 2u);
-  EXPECT_EQ(budget.acquire(1), 0u);  // executor holds both tokens
-  JobGraph graph;
+TEST(ParallelFor, RunsEveryIndexThenRethrowsTheError) {
+  Executor executor(2);
   std::atomic<int> ran{0};
-  for (int i = 0; i < 16; ++i) graph.add([&] { ran.fetch_add(1); });
-  executor.run(graph);
+  EXPECT_THROW(executor.parallel_for(16,
+                                     [&](std::size_t i) {
+                                       ran.fetch_add(1);
+                                       if (i == 3) {
+                                         throw std::runtime_error("boom");
+                                       }
+                                     }),
+               std::runtime_error);
   EXPECT_EQ(ran.load(), 16);
 }
 
-TEST(ThreadBudget, UnconfiguredBudgetIsUnlimited) {
-  ThreadBudget budget;
-  EXPECT_EQ(budget.limit(), 0u);
-  EXPECT_EQ(budget.acquire(64), 64u);
-  budget.release(64);
+TEST(ParallelFor, SaturatedExecutorRunsOnlyTheCallersIndicesInline) {
+  // The only worker is held inside a job, and a second graph sits in
+  // the injection queue: the caller must run all of its own indices, in
+  // order, and none of the queued jobs.
+  Executor executor(1);
+  std::atomic<bool> started{false};
+  std::atomic<bool> release{false};
+  JobGraph blocker;
+  blocker.add([&] {
+    started.store(true);
+    while (!release.load()) std::this_thread::yield();
+  });
+  executor.submit(blocker);
+  while (!started.load()) std::this_thread::yield();
+
+  JobGraph queued;
+  std::atomic<int> foreign{0};
+  for (int i = 0; i < 4; ++i) queued.add([&] { foreign.fetch_add(1); });
+  executor.submit(queued);
+
+  std::vector<std::size_t> order;
+  std::set<std::thread::id> threads;
+  executor.parallel_for(8, [&](std::size_t i) {
+    order.push_back(i);
+    threads.insert(std::this_thread::get_id());
+  });
+  EXPECT_EQ(order, (std::vector<std::size_t>{0, 1, 2, 3, 4, 5, 6, 7}));
+  EXPECT_EQ(threads, std::set<std::thread::id>{std::this_thread::get_id()});
+  EXPECT_EQ(foreign.load(), 0);
+
+  release.store(true);
+  executor.wait(blocker);
+  executor.wait(queued);
+  EXPECT_EQ(foreign.load(), 4);
 }
 
 // ---- SweepRunner -----------------------------------------------------
@@ -340,6 +360,50 @@ TEST(SweepRunner, PropagatesBodyExceptions) {
       [&finished](const auto&) { finished = true; });
   EXPECT_THROW(sweep.run(), std::runtime_error);
   EXPECT_FALSE(finished);
+}
+
+TEST(SweepRunner, ShardedRunsNeverNestOnOneThread) {
+  // Each run's epochs fan out through parallel_for on the same
+  // executor that runs the sweep. A thread inside a run only ever helps
+  // that run's shards, so at most `total` runs are alive at once, and
+  // the records equal the serial schedule's.
+  const auto sweep_at = [](unsigned total, int& peak) {
+    set_process_concurrency(total);
+    std::atomic<int> alive{0};
+    std::atomic<int> most{0};
+    std::vector<std::vector<double>> out;
+    SweepRunner sweep;
+    sweep.add_point(
+        8, 2, SeedSequence(7),
+        [&](std::uint64_t, Xoshiro256& rng) {
+          const int now = alive.fetch_add(1) + 1;
+          int seen = most.load();
+          while (now > seen && !most.compare_exchange_weak(seen, now)) {
+          }
+          constexpr std::uint64_t kNodes = 4096;
+          const CompleteGraph g(kNodes);
+          TwoChoicesAsync proto(g, assign_two_colors(kNodes, 3000, rng));
+          const auto result =
+              run_sharded(proto, rng(), /*num_shards=*/4, 1e6);
+          alive.fetch_sub(1);
+          return std::vector<double>{result.time,
+                                     static_cast<double>(result.ticks)};
+        },
+        [&](const std::vector<std::vector<double>>& by_slot) {
+          out = by_slot;
+        });
+    sweep.run();
+    peak = most.load();
+    return out;
+  };
+  int parallel_peak = 0;
+  int serial_peak = 0;
+  const auto parallel = sweep_at(4, parallel_peak);
+  const auto serial = sweep_at(1, serial_peak);
+  set_process_concurrency(std::max(1u, std::thread::hardware_concurrency()));
+  EXPECT_LE(parallel_peak, 4);
+  EXPECT_EQ(serial_peak, 1);
+  EXPECT_EQ(parallel, serial);
 }
 
 TEST(RunRepetitions, IdenticalAcrossJobGraphAndSerialPaths) {

@@ -5,7 +5,9 @@
 // the order or number of RNG draws, to the epoch schedule, or to the
 // merge / perturbation-drain semantics changes a hash and fails the
 // named case — a refactor that claims to be trajectory-neutral must
-// pass this table unchanged.
+// pass this table unchanged. Every case runs at process concurrency 1
+// (every shard inline on the caller) and 4 (shards claimed by executor
+// workers), and both must match the one table.
 //
 // The table is pinned to the toolchain: exponential, Poisson and
 // latency draws go through libm (std::log / std::exp), whose last-bit
@@ -15,15 +17,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <string>
+#include <thread>
 #include <utility>
 
 #include "core/two_choices.hpp"
 #include "graph/complete.hpp"
+#include "jobs/executor.hpp"
 #include "opinion/assignment.hpp"
 #include "sim/latency.hpp"
 #include "sim/perturb.hpp"
@@ -169,35 +174,40 @@ constexpr Golden kGolden[] = {
 };
 
 TEST(ShardedFingerprints, EveryBodyWidthAndPerturbationCaseMatches) {
-  std::size_t checked = 0;
-  for (const Body body :
-       {Body::kStaleScalar, Body::kStaleBatch, Body::kQueuedBlocking,
-        Body::kQueuedFireAndForget, Body::kExact}) {
-    for (const ColorWidth width : {ColorWidth::kU8, ColorWidth::kU32}) {
-      for (const bool inject : {false, true}) {
-        std::string name = body_name(body);
-        name += width == ColorWidth::kU8 ? "/u8" : "/u32";
-        name += inject ? "/inject" : "/none";
-        const std::uint64_t hash = run_case(body, width, inject);
-        char line[128];
-        std::snprintf(line, sizeof line, "{\"%s\", 0x%016" PRIx64 "ULL},",
-                      name.c_str(), hash);
-        const Golden* golden = nullptr;
-        for (const Golden& g : kGolden) {
-          if (name == g.name) golden = &g;
+  for (const unsigned concurrency : {1u, 4u}) {
+    jobs::set_process_concurrency(concurrency);
+    std::size_t checked = 0;
+    for (const Body body :
+         {Body::kStaleScalar, Body::kStaleBatch, Body::kQueuedBlocking,
+          Body::kQueuedFireAndForget, Body::kExact}) {
+      for (const ColorWidth width : {ColorWidth::kU8, ColorWidth::kU32}) {
+        for (const bool inject : {false, true}) {
+          std::string name = body_name(body);
+          name += width == ColorWidth::kU8 ? "/u8" : "/u32";
+          name += inject ? "/inject" : "/none";
+          const std::uint64_t hash = run_case(body, width, inject);
+          char line[128];
+          std::snprintf(line, sizeof line, "{\"%s\", 0x%016" PRIx64 "ULL},",
+                        name.c_str(), hash);
+          const Golden* golden = nullptr;
+          for (const Golden& g : kGolden) {
+            if (name == g.name) golden = &g;
+          }
+          if (golden == nullptr) {
+            ADD_FAILURE() << "no table entry; add:\n    " << line;
+            continue;
+          }
+          EXPECT_EQ(hash, golden->hash)
+              << name << " changed at concurrency " << concurrency
+              << "; if intended, replace its line with:\n    " << line;
+          ++checked;
         }
-        if (golden == nullptr) {
-          ADD_FAILURE() << "no table entry; add:\n    " << line;
-          continue;
-        }
-        EXPECT_EQ(hash, golden->hash)
-            << name << " changed; if intended, replace its line with:\n    "
-            << line;
-        ++checked;
       }
     }
+    EXPECT_EQ(checked, std::size(kGolden));
   }
-  EXPECT_EQ(checked, std::size(kGolden));
+  jobs::set_process_concurrency(
+      std::max(1u, std::thread::hardware_concurrency()));
 }
 
 }  // namespace

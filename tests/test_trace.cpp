@@ -4,19 +4,20 @@
 // determinism of the trajectory-property aggregates, and — the part
 // that keeps the BENCH summary honest — the merged summary matching a
 // brute-force recount of the drained timeline events. The pool test at
-// the bottom is the executable form of the CI barrier assertion: with
-// an unlimited thread budget the shard pool spawns real workers and
-// barrier waits must be recorded.
+// the bottom is the executable form of the CI lanes assertion: under
+// --jobs=4 a sharded run's shard work must land on more than one
+// thread, and the epoch barrier waits must be recorded.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <thread>
 #include <vector>
 
 #include "core/two_choices.hpp"
 #include "graph/complete.hpp"
-#include "jobs/budget.hpp"
+#include "jobs/executor.hpp"
 #include "opinion/assignment.hpp"
 #include "rng/seed.hpp"
 #include "sim/latency.hpp"
@@ -251,20 +252,23 @@ TEST(TraceRun, OffModeRecordsNothing) {
 }
 
 TEST(TracePool, RealShardWorkersRecordBarrierWaits) {
-  // With an unlimited thread budget the shard pool spawns real workers,
-  // and every epoch ends in a caller barrier wait: barrier_wait_count
-  // is structurally nonzero. (Under plurality_exp's --jobs= cap the
-  // process executor holds every budget token, pools run inline, and
-  // the harness's barrier waits come from the executor's completion
-  // wait instead — this test pins the pool path deterministically.)
-  jobs::ThreadBudget::global().reset_unlimited();
+  // Under --jobs=4 each epoch's shards fan out over the process
+  // executor's workers: shard work lands on more than one thread's
+  // sink, and the caller's wait for helpers still inside a shard is a
+  // recorded barrier wait.
+  jobs::set_process_concurrency(4);
   Registry::instance().configure(trace::TraceSpec{});
-  const std::uint64_t n = 1024;
+  const std::uint64_t n = 1 << 18;
   const CompleteGraph g(n);
   Xoshiro256 rng(1234);
   auto proto = make_proto(g, n, rng);
   const auto result = run_sharded(proto, rng(), /*num_shards=*/4, 1e6);
   EXPECT_TRUE(result.consensus);
+  std::uint64_t lanes = 0;
+  Registry::instance().for_each_sink([&](const trace::Sink& sink) {
+    if (sink.work_ns() > 0) ++lanes;
+  });
+  EXPECT_GE(lanes, 2u);
   const TraceSummary summary = Registry::instance().summarize();
   EXPECT_GT(summary.barrier_wait_count, 0u);
   EXPECT_GT(summary.work_ns, 0u);
@@ -272,6 +276,8 @@ TEST(TracePool, RealShardWorkersRecordBarrierWaits) {
   const double frac = summary.barrier_wait_frac();
   EXPECT_GT(frac, 0.0);
   EXPECT_LT(frac, 1.0);
+  jobs::set_process_concurrency(
+      std::max(1u, std::thread::hardware_concurrency()));
 }
 
 }  // namespace
