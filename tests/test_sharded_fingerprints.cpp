@@ -18,15 +18,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <cinttypes>
 #include <cstdint>
-#include <cstdio>
-#include <cstring>
 #include <string>
 #include <thread>
 #include <utility>
 
 #include "core/two_choices.hpp"
+#include "fingerprint.hpp"
 #include "graph/complete.hpp"
 #include "jobs/executor.hpp"
 #include "opinion/assignment.hpp"
@@ -56,27 +54,6 @@ const char* body_name(Body body) {
   }
   return "unknown";
 }
-
-/// Order-sensitive 64-bit hash over a word stream (SplitMix64's
-/// finalizer applied to the running state xor each word).
-class Fingerprint {
- public:
-  void add(std::uint64_t word) {
-    std::uint64_t z = (state_ ^ word) + 0x9E3779B97F4A7C15ULL;
-    z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    z = (z ^ (z >> 27)) * 0x94D049BB133111EBULL;
-    state_ = z ^ (z >> 31);
-  }
-  void add(double value) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &value, sizeof bits);
-    add(bits);
-  }
-  std::uint64_t value() const noexcept { return state_; }
-
- private:
-  std::uint64_t state_ = 0xCBF29CE484222325ULL;
-};
 
 /// Hashes every observer sample: its time and the two populated
 /// supports.
@@ -143,11 +120,6 @@ std::uint64_t run_case(Body body, ColorWidth width, bool inject) {
   return fp.value();
 }
 
-struct Golden {
-  const char* name;
-  std::uint64_t hash;
-};
-
 // Recorded with GCC 12 on x86-64 Linux (glibc libm); see the file header.
 // Widths never touch an RNG draw, so each u8 line equals its u32 twin.
 constexpr Golden kGolden[] = {
@@ -186,21 +158,11 @@ TEST(ShardedFingerprints, EveryBodyWidthAndPerturbationCaseMatches) {
           name += width == ColorWidth::kU8 ? "/u8" : "/u32";
           name += inject ? "/inject" : "/none";
           const std::uint64_t hash = run_case(body, width, inject);
-          char line[128];
-          std::snprintf(line, sizeof line, "{\"%s\", 0x%016" PRIx64 "ULL},",
-                        name.c_str(), hash);
-          const Golden* golden = nullptr;
-          for (const Golden& g : kGolden) {
-            if (name == g.name) golden = &g;
+          if (check_fingerprint(kGolden, name, hash,
+                                " at concurrency " +
+                                    std::to_string(concurrency))) {
+            ++checked;
           }
-          if (golden == nullptr) {
-            ADD_FAILURE() << "no table entry; add:\n    " << line;
-            continue;
-          }
-          EXPECT_EQ(hash, golden->hash)
-              << name << " changed at concurrency " << concurrency
-              << "; if intended, replace its line with:\n    " << line;
-          ++checked;
         }
       }
     }
