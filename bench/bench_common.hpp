@@ -46,39 +46,14 @@ inline void warn_community_placement_fallback_once() {
   }
 }
 
-/// The graph spec an experiment will actually build: the experiment's
-/// default kind unless the user passed --graph=, with the full
-/// --graph* flag family from the context applied either way (so a
-/// family knob like --graph-degree= is honored without --graph=).
-inline GraphSpec resolved_graph_spec(const ExperimentContext& ctx,
-                                     GraphKind experiment_default) {
-  GraphSpec spec = ctx.graph;
-  if (!ctx.args.has_flag("graph")) spec.kind = experiment_default;
-  return spec;
-}
-
-/// Builds the topology for one sweep point from the resolved spec and
-/// attributes the built family into the record (graph_effective).
-/// Random families draw their edges from `build_rng`; the torus rounds
-/// n down to floor(sqrt n)^2, so read the realized size back via
-/// num_nodes().
+/// Builds the topology for one sweep point from the resolved spec (see
+/// build_topology in run_plan.hpp).
 inline AnyGraph make_topology(const ExperimentContext& ctx, std::uint64_t n,
                               Xoshiro256& build_rng,
                               GraphKind experiment_default =
                                   GraphKind::kComplete) {
-  const GraphSpec spec = resolved_graph_spec(ctx, experiment_default);
-  ctx.note_effective_graph(graph_kind_name(spec.kind));
-  AnyGraph graph = make_graph(spec, n, build_rng);
-  // The topology share of bytes_per_node: read the realized size back
-  // (the torus rounds n down) so the ratio matches what was built.
-  const std::uint64_t realized =
-      std::visit([](const auto& g) { return g.num_nodes(); }, graph);
-  if (realized > 0) {
-    ctx.note_topology_bytes_per_node(
-        static_cast<double>(graph_storage_bytes(graph)) /
-        static_cast<double>(realized));
-  }
-  return graph;
+  return build_topology(ctx, resolved_graph_spec(ctx, experiment_default), n,
+                        build_rng);
 }
 
 /// Builds the topology and runs `fn(g)` on the concrete graph type —

@@ -99,6 +99,17 @@ struct RunPlan {
   EngineTuning tuning;      ///< resolved --sampling/--numa/--exact-reads
 };
 
+/// The graph spec an experiment will actually build: the experiment's
+/// default kind unless the user passed --graph=, with the full
+/// --graph* flag family from the context applied either way (so a
+/// family knob like --graph-degree= is honored without --graph=).
+inline GraphSpec resolved_graph_spec(const ExperimentContext& ctx,
+                                     GraphKind experiment_default) {
+  GraphSpec spec = ctx.graph;
+  if (!ctx.args.has_flag("graph")) spec.kind = experiment_default;
+  return spec;
+}
+
 /// Resolves the plan for one experiment body: --engine= overrides
 /// `default_engine` (each experiment's historical model), --graph=
 /// overrides `default_graph`, --perturb= overrides `default_perturb`
@@ -113,8 +124,7 @@ inline RunPlan make_plan(const ExperimentContext& ctx,
   plan.ctx = &ctx;
   plan.engine = ctx.engine.empty() ? default_engine
                                    : parse_engine_kind(ctx.engine);
-  plan.graph = ctx.graph;
-  if (!ctx.args.has_flag("graph")) plan.graph.kind = default_graph;
+  plan.graph = resolved_graph_spec(ctx, default_graph);
   plan.placement = ctx.placement;
   plan.latency = ctx.latency;
   plan.perturb = ctx.perturb;
@@ -158,24 +168,29 @@ inline Perturber make_perturber(const RunPlan& plan, std::uint64_t n,
   return Perturber(plan.perturb, n, num_colors, rng(), topology, churn);
 }
 
-/// Builds the plan's topology for one sweep point and attributes the
-/// built family into the record (graph_effective). Random families
-/// draw their edges from `build_rng`; the torus rounds n down to
-/// floor(sqrt n)^2, so read the realized size back via num_nodes().
-inline AnyGraph topology(const RunPlan& plan, std::uint64_t n,
-                         Xoshiro256& build_rng) {
-  plan.ctx->note_effective_graph(graph_kind_name(plan.graph.kind));
-  AnyGraph graph = make_graph(plan.graph, n, build_rng);
-  // The topology share of bytes_per_node, at the realized size (the
-  // torus rounds n down to a square).
-  const std::uint64_t realized =
-      std::visit([](const auto& g) { return g.num_nodes(); }, graph);
+/// Builds the topology `spec` selects for one sweep point and
+/// attributes the built family into the record (graph_effective) and
+/// its share of bytes_per_node. Random families draw their edges from
+/// `build_rng`; the torus rounds n down to floor(sqrt n)^2, so read the
+/// realized size back via num_nodes().
+inline AnyGraph build_topology(const ExperimentContext& ctx,
+                               const GraphSpec& spec, std::uint64_t n,
+                               Xoshiro256& build_rng) {
+  ctx.note_effective_graph(graph_kind_name(spec.kind));
+  AnyGraph graph = make_graph(spec, n, build_rng);
+  const std::uint64_t realized = num_nodes(graph);
   if (realized > 0) {
-    plan.ctx->note_topology_bytes_per_node(
+    ctx.note_topology_bytes_per_node(
         static_cast<double>(graph_storage_bytes(graph)) /
         static_cast<double>(realized));
   }
   return graph;
+}
+
+/// The plan's topology for one sweep point (see build_topology).
+inline AnyGraph topology(const RunPlan& plan, std::uint64_t n,
+                         Xoshiro256& build_rng) {
+  return build_topology(*plan.ctx, plan.graph, n, build_rng);
 }
 
 /// Runs a delayed-shardable protocol under an explicit latency model on

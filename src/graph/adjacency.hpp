@@ -2,12 +2,14 @@
 
 /// \file adjacency.hpp
 /// Compressed sparse adjacency storage shared by the random-graph
-/// topologies (Erdős–Rényi, random regular). Rows are contiguous, so
-/// neighbor sampling is one uniform draw plus one indexed load.
+/// topologies (Erdős–Rényi, random regular, SBM). Rows are contiguous,
+/// so neighbor sampling is one uniform draw plus one indexed load.
+/// Every family builds it the same way: from one flat list of edge
+/// endpoint pairs, scattered straight into CSR with no per-node
+/// staging.
 
 #include <cstdint>
 #include <span>
-#include <utility>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -20,8 +22,11 @@ class AdjacencyList {
  public:
   AdjacencyList() = default;
 
-  /// Builds CSR storage from per-node neighbor lists.
-  explicit AdjacencyList(const std::vector<std::vector<NodeId>>& lists);
+  /// Builds CSR storage on n nodes from a flat endpoint-pair list
+  /// (a0, b0, a1, b1, ...). Pair (a, b) appends b to row a, then a to
+  /// row b, so every row lists its neighbors in pair order; a self-loop
+  /// (a, a) puts a into row a twice.
+  AdjacencyList(std::uint64_t n, std::span<const NodeId> pairs);
 
   std::uint64_t num_nodes() const noexcept { return offsets_.empty() ? 0 : offsets_.size() - 1; }
 
@@ -43,6 +48,9 @@ class AdjacencyList {
   }
 
   std::uint64_t num_edges() const noexcept { return edges_.size() / 2; }
+
+  /// Nodes with an empty row.
+  std::uint64_t count_isolated() const noexcept;
 
   /// The raw CSR arrays (n+1 row offsets, concatenated neighbor rows),
   /// for components that want one flat view over every adjacency-backed

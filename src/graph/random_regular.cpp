@@ -1,6 +1,6 @@
 #include "graph/random_regular.hpp"
 
-#include <unordered_set>
+#include <algorithm>
 #include <vector>
 
 #include "rng/distributions.hpp"
@@ -16,7 +16,8 @@ RandomRegularGraph::RandomRegularGraph(std::uint64_t n, std::uint32_t d,
   PC_EXPECTS((n * d) % 2 == 0);
 
   // One entry per stub; a uniform random perfect matching of the stubs is
-  // a Fisher-Yates shuffle paired off in order.
+  // a Fisher-Yates shuffle paired off in order, so the shuffled array is
+  // itself the endpoint-pair list.
   std::vector<NodeId> stubs;
   stubs.reserve(n * d);
   for (std::uint64_t u = 0; u < n; ++u) {
@@ -24,33 +25,42 @@ RandomRegularGraph::RandomRegularGraph(std::uint64_t n, std::uint32_t d,
       stubs.push_back(static_cast<NodeId>(u));
   }
 
+  // Scratch rows for the defect check: node u's partners so far sit at
+  // partners[u * d, u * d + filled[u]). A pair is a defect when it is a
+  // self-loop or its partner is already in the row.
+  std::vector<NodeId> partners(stubs.size());
+  std::vector<std::uint32_t> filled(n);
   constexpr int kMaxAttempts = 50;
-  std::vector<std::vector<NodeId>> lists;
   for (int attempt = 0; attempt < kMaxAttempts; ++attempt) {
     for (std::size_t i = stubs.size() - 1; i > 0; --i) {
       const std::size_t j =
           static_cast<std::size_t>(uniform_below(rng, i + 1));
       std::swap(stubs[i], stubs[j]);
     }
-    lists.assign(n, {});
-    std::unordered_set<std::uint64_t> seen;
-    seen.reserve(stubs.size());
+    // The last attempt is kept whatever it holds, so it counts every
+    // defect; earlier attempts stop at their first.
+    const bool last = attempt == kMaxAttempts - 1;
+    std::fill(filled.begin(), filled.end(), 0);
     std::uint64_t bad = 0;
     for (std::size_t i = 0; i + 1 < stubs.size(); i += 2) {
       const NodeId a = stubs[i];
       const NodeId b = stubs[i + 1];
-      const std::uint64_t key =
-          (static_cast<std::uint64_t>(std::min(a, b)) << 32) | std::max(a, b);
-      if (a == b || !seen.insert(key).second) ++bad;
-      lists[a].push_back(b);
-      lists[b].push_back(a);
+      NodeId* const row_a = partners.data() + std::size_t{a} * d;
+      NodeId* const row_b = partners.data() + std::size_t{b} * d;
+      if (a == b || std::find(row_a, row_a + filled[a], b) !=
+                        row_a + filled[a]) {
+        ++bad;
+        if (!last) break;
+      }
+      row_a[filled[a]++] = b;
+      row_b[filled[b]++] = a;
     }
-    if (bad == 0 || attempt == kMaxAttempts - 1) {
+    if (bad == 0 || last) {
       defects_ = bad;
       break;
     }
   }
-  adjacency_ = AdjacencyList(lists);
+  adjacency_ = AdjacencyList(n, stubs);
 }
 
 }  // namespace plurality

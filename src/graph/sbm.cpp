@@ -65,10 +65,10 @@ StochasticBlockModelGraph::StochasticBlockModelGraph(std::uint64_t n,
     }
   }
 
-  std::vector<std::vector<NodeId>> lists(n);
+  std::vector<NodeId> pairs;
   const auto add_edge = [&](NodeId u, NodeId v) {
-    lists[u].push_back(v);
-    lists[v].push_back(u);
+    pairs.push_back(u);
+    pairs.push_back(v);
   };
 
   // Within-block pairs: index t over the s*(s-1)/2 unordered pairs of
@@ -104,10 +104,8 @@ StochasticBlockModelGraph::StochasticBlockModelGraph(std::uint64_t n,
     }
   }
 
-  for (const auto& row : lists) {
-    if (row.empty()) ++isolated_;
-  }
-  adjacency_ = AdjacencyList(lists);
+  adjacency_ = AdjacencyList(n, pairs);
+  isolated_ = adjacency_.count_isolated();
 }
 
 }  // namespace plurality

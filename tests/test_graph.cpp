@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <set>
@@ -113,8 +114,8 @@ TEST(TorusGraph, CornerWrapsBothAxes) {
 }
 
 TEST(AdjacencyList, CsrLayout) {
-  const std::vector<std::vector<NodeId>> lists{{1, 2}, {0}, {0}};
-  const AdjacencyList adj(lists);
+  const std::vector<NodeId> pairs{0, 1, 0, 2};
+  const AdjacencyList adj(3, pairs);
   EXPECT_EQ(adj.num_nodes(), 3u);
   EXPECT_EQ(adj.degree(0), 2u);
   EXPECT_EQ(adj.degree(1), 1u);
@@ -126,8 +127,8 @@ TEST(AdjacencyList, CsrLayout) {
 }
 
 TEST(AdjacencyList, SampleFromEmptyRowViolatesContract) {
-  const std::vector<std::vector<NodeId>> lists{{1}, {0}, {}};
-  const AdjacencyList adj(lists);
+  const std::vector<NodeId> pairs{0, 1};
+  const AdjacencyList adj(3, pairs);
   Xoshiro256 rng(8);
   EXPECT_THROW(adj.sample_neighbor(2, rng), ContractViolation);
 }
@@ -178,6 +179,32 @@ TEST(RandomRegular, ExactDegrees) {
   const RandomRegularGraph g(100, 4, rng);
   for (NodeId u = 0; u < 100; ++u) EXPECT_EQ(g.degree(u), 4u);
   EXPECT_EQ(g.defects(), 0u);
+}
+
+TEST(RandomRegular, DefectsMatchARecount) {
+  // A uniform pairing at d = 8 is simple with probability about
+  // e^{-63/4}, so the kept 50th attempt carries defects; recount them
+  // from the rows: self-loop pairs (u appears twice in row u per loop)
+  // plus every repeat of an unordered pair {u, v}, u < v.
+  Xoshiro256 rng(25);
+  const std::uint64_t n = 4096;
+  const RandomRegularGraph g(n, 8, rng);
+  std::uint64_t recount = 0;
+  for (NodeId u = 0; u < n; ++u) {
+    const auto row = g.neighbors(u);
+    std::vector<NodeId> sorted(row.begin(), row.end());
+    std::sort(sorted.begin(), sorted.end());
+    for (std::size_t i = 0; i < sorted.size();) {
+      std::size_t j = i;
+      while (j < sorted.size() && sorted[j] == sorted[i]) ++j;
+      const std::uint64_t multiplicity = j - i;
+      if (sorted[i] == u) recount += multiplicity / 2;
+      if (sorted[i] > u) recount += multiplicity - 1;
+      i = j;
+    }
+  }
+  EXPECT_GT(g.defects(), 0u);
+  EXPECT_EQ(g.defects(), recount);
 }
 
 TEST(RandomRegular, OddDegreeTimesOddNodesRejected) {
