@@ -12,9 +12,10 @@
 ///   global clock by Exp(n) — O(1) per tick, no per-node timer state.
 ///
 /// - run_continuous_heap: the literal n-timer event-queue simulation
-///   (each node keeps its own next-tick time in a priority queue).
-///   O(log n) per tick plus the O(n) queue build; kept as the reference
-///   implementation the superposition engine is validated against.
+///   (each node keeps its own next-tick time in the calendar event
+///   queue). O(1) amortized per tick plus the O(n) queue build, but a
+///   queue push and pop per tick; kept as the reference implementation
+///   the superposition engine is validated against.
 ///
 /// Both are exact samplers of the same process, but they consume the
 /// RNG stream differently: a fixed seed gives *statistically identical*
@@ -244,7 +245,7 @@ AsyncRunResult run_continuous_batch(P& proto, Xoshiro256& rng,
 }
 
 /// The reference n-timer simulation: every node's next tick sits in an
-/// event queue. Same process as run_continuous, O(log n) per tick.
+/// event queue popping at rate n. Same process as run_continuous.
 /// Perturbations integrate exactly as in run_continuous: drained in
 /// event-time order against the tick queue's head.
 template <AsyncProtocol P, typename Obs = NullObserver>
@@ -257,8 +258,7 @@ AsyncRunResult run_continuous_heap(P& proto, Xoshiro256& rng, double max_time,
   const std::uint64_t n = proto.num_nodes();
   PC_EXPECTS(n >= 1);
 
-  EventQueue<NodeId> ticks;
-  ticks.reserve(n + 1);
+  EventQueue<NodeId> ticks(static_cast<double>(n));
   for (std::uint64_t u = 0; u < n; ++u) {
     ticks.push(exponential_unit(rng), static_cast<NodeId>(u));
   }
@@ -325,8 +325,7 @@ class ContinuousMessagingDriver {
       Message message;
     };
 
-    EventQueue<Delivery> deliveries;
-    deliveries.reserve(n);
+    EventQueue<Delivery> deliveries(static_cast<double>(n));
     Outbox<Message> outbox;
     AsyncRunResult result;
     double now = 0.0;

@@ -35,9 +35,13 @@ AsyncRunResult run_continuous_heterogeneous(P& proto, Xoshiro256& rng,
   PC_EXPECTS(sample_every > 0.0);
   const std::uint64_t n = proto.num_nodes();
   PC_EXPECTS(rates.size() == n);
-  for (const double r : rates) PC_EXPECTS(r > 0.0);
+  double total_rate = 0.0;
+  for (const double r : rates) {
+    PC_EXPECTS(r > 0.0);
+    total_rate += r;
+  }
 
-  EventQueue<NodeId> ticks;
+  EventQueue<NodeId> ticks(total_rate);
   for (std::uint64_t u = 0; u < n; ++u) {
     ticks.push(exponential(rng, rates[u]), static_cast<NodeId>(u));
   }
