@@ -300,6 +300,7 @@ JsonValue ExperimentRegistry::run_to_record(const Experiment& experiment,
   trace_obj["queue_drained"] = tsum.queue_drained;
   trace_obj["queue_depth_p50"] = tsum.depth_p50;
   trace_obj["queue_depth_p99"] = tsum.depth_p99;
+  trace_obj["queue_depth_max"] = tsum.depth_max;
   trace_obj["queue_depth_samples"] = tsum.depth_samples;
   trace_obj["steal_count"] = tsum.steal_count;
   trace_obj["park_count"] = tsum.park_count;

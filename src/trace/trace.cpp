@@ -100,6 +100,7 @@ TraceSummary Registry::summarize() const {
     s.ticks += sink->ticks();
     s.queue_drained += sink->queue_drained();
     s.depth_samples += sink->depth_samples();
+    s.depth_max = std::max(s.depth_max, sink->depth_max());
     s.steal_count += sink->steal_count();
     s.park_count += sink->park_count();
     s.park_ns += sink->park_ns();

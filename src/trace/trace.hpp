@@ -106,7 +106,7 @@ inline std::int64_t now_ns() noexcept {
 }
 
 /// Queue depths at or above this are clamped into the last histogram
-/// bucket; depth quantiles saturate there.
+/// bucket; depth quantiles saturate there. The depth maximum does not.
 inline constexpr std::size_t kDepthBuckets = 1024;
 
 /// Per-thread event sink. One writer (the owning thread); aggregate
@@ -142,13 +142,18 @@ class Sink {
   }
 
   /// Delivery-queue depth observed at an epoch boundary. Feeds the
-  /// exact bounded histogram the depth quantiles are computed from.
+  /// exact bounded histogram the depth quantiles are computed from, and
+  /// the unclamped maximum.
   void queue_depth(std::int64_t ts, std::uint64_t depth) {
     const std::size_t bucket =
         depth < kDepthBuckets ? static_cast<std::size_t>(depth)
                               : kDepthBuckets - 1;
     depth_hist_[bucket].fetch_add(1, std::memory_order_relaxed);
     depth_samples_.fetch_add(1, std::memory_order_relaxed);
+    // One writer, so a plain load-compare-store cannot lose a maximum.
+    if (depth > depth_max_.load(std::memory_order_relaxed)) {
+      depth_max_.store(depth, std::memory_order_relaxed);
+    }
     append(EventKind::kQueueDepth, ts, 0, depth);
   }
 
@@ -184,6 +189,9 @@ class Sink {
   }
   std::uint64_t depth_samples() const {
     return depth_samples_.load(std::memory_order_relaxed);
+  }
+  std::uint64_t depth_max() const {
+    return depth_max_.load(std::memory_order_relaxed);
   }
   std::uint64_t depth_bucket(std::size_t i) const {
     return depth_hist_[i].load(std::memory_order_relaxed);
@@ -235,6 +243,7 @@ class Sink {
   std::atomic<std::uint64_t> ticks_{0};
   std::atomic<std::uint64_t> queue_drained_{0};
   std::atomic<std::uint64_t> depth_samples_{0};
+  std::atomic<std::uint64_t> depth_max_{0};
   std::array<std::atomic<std::uint64_t>, kDepthBuckets> depth_hist_{};
   std::atomic<std::uint64_t> steal_count_{0};
   std::atomic<std::uint64_t> park_count_{0};
@@ -255,6 +264,7 @@ struct TraceSummary {
   std::uint64_t depth_samples = 0;
   std::uint64_t depth_p50 = 0;
   std::uint64_t depth_p99 = 0;
+  std::uint64_t depth_max = 0;  ///< unclamped, unlike the quantiles
   std::uint64_t steal_count = 0;
   std::uint64_t park_count = 0;
   std::uint64_t park_ns = 0;

@@ -114,6 +114,8 @@ TEST(TraceSink, DepthHistogramClampsIntoLastBucket) {
   EXPECT_EQ(sink.depth_bucket(trace::kDepthBuckets - 1), 1u);
   EXPECT_EQ(sink.depth_bucket(5), 1u);
   EXPECT_EQ(sink.depth_samples(), 2u);
+  EXPECT_EQ(sink.depth_max(), trace::kDepthBuckets + 1000)
+      << "the maximum is not clamped";
 }
 
 TEST(TraceTimeline, PerSinkEventsAreEndMonotoneAndWellNested) {
@@ -171,7 +173,26 @@ TEST(TraceRun, TrajectoryAggregatesAreSeedDeterministic) {
   EXPECT_EQ(first.depth_samples, second.depth_samples);
   EXPECT_EQ(first.depth_p50, second.depth_p50);
   EXPECT_EQ(first.depth_p99, second.depth_p99);
+  EXPECT_EQ(first.depth_max, second.depth_max);
   EXPECT_EQ(first.dropped, 0u) << "summary mode has no timeline to drop";
+}
+
+TEST(TraceRun, QueueDepthMaxIsTheSameAtEveryConcurrency) {
+  // The deepest queue seen at an epoch boundary is a trajectory
+  // property: whether shards run inline or on executor workers must
+  // not move it.
+  std::vector<std::uint64_t> maxima;
+  for (const unsigned concurrency : {1u, 4u}) {
+    jobs::set_process_concurrency(concurrency);
+    Registry::instance().configure(trace::TraceSpec{});
+    const TraceSummary summary = run_queued_once(7, 4);
+    EXPECT_GE(summary.depth_max, summary.depth_p99);
+    maxima.push_back(summary.depth_max);
+  }
+  EXPECT_GT(maxima[0], 0u);
+  EXPECT_EQ(maxima[0], maxima[1]);
+  jobs::set_process_concurrency(
+      std::max(1u, std::thread::hardware_concurrency()));
 }
 
 TEST(TraceRun, SummaryMatchesBruteForceRecountOfTimeline) {
@@ -189,6 +210,7 @@ TEST(TraceRun, SummaryMatchesBruteForceRecountOfTimeline) {
   std::uint64_t steals = 0;
   std::uint64_t events = 0;
   std::vector<std::uint64_t> depths;
+  std::uint64_t depth_max = 0;
   Registry::instance().for_each_sink([&](const trace::Sink& sink) {
     const std::size_t count = sink.timeline_size();
     events += count;
@@ -202,6 +224,7 @@ TEST(TraceRun, SummaryMatchesBruteForceRecountOfTimeline) {
           drained += e.value;
           break;
         case EventKind::kQueueDepth:
+          depth_max = std::max(depth_max, e.value);
           depths.push_back(std::min<std::uint64_t>(
               e.value, trace::kDepthBuckets - 1));
           break;
@@ -222,6 +245,7 @@ TEST(TraceRun, SummaryMatchesBruteForceRecountOfTimeline) {
   EXPECT_EQ(summary.steal_count, steals);
   EXPECT_EQ(summary.events_recorded, events);
   EXPECT_EQ(summary.depth_samples, depths.size());
+  EXPECT_EQ(summary.depth_max, depth_max);
 
   // Quantiles: the histogram computes the k-th order statistic with
   // k = max(1, round(q * samples)); recount it from the raw depths.
