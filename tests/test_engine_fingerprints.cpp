@@ -4,7 +4,16 @@
 // latency, and the heterogeneous-clock engine at two rate profiles.
 // Each case hashes a run's final colors, tick count, end time, winner
 // and observer series, and is checked against a table recorded from a
-// known-good build. A change to the order or number of RNG draws, or to
+// known-good build.
+//
+// The async_oeb rows pin the paper's protocol the same way: its working
+// time program on the superposition engine (sync gadget on and off),
+// on the heap engine, cut off by the horizon mid-program, and run out
+// to the end of a short program; the delayed variant runs on the
+// messaging driver. They add the protocol's diagnostics (jumps and
+// their mean distance, working-time spread, bits set, nodes finished)
+// to the hash, so a change to the per-node state that keeps the colors
+// but moves a program counter still fails. A change to the order or number of RNG draws, or to
 // the order in which queued events pop (ties included), changes a hash
 // and fails the named case.
 //
@@ -20,6 +29,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/async_one_extra_bit.hpp"
 #include "core/delayed.hpp"
 #include "core/two_choices.hpp"
 #include "fingerprint.hpp"
@@ -109,6 +119,75 @@ std::uint64_t heterogeneous_case(bool log_normal) {
   return finish(fp, result, proto);
 }
 
+/// Hashes a run of the async OneExtraBit protocols: the run's outcome,
+/// every node's color and whichever diagnostics `proto` exposes. A
+/// horizon-cut run ends without consensus, so none is required.
+template <typename P>
+std::uint64_t finish_oeb(Fingerprint& fp, const AsyncRunResult& result,
+                         const P& proto) {
+  fp.add(static_cast<std::uint64_t>(result.consensus));
+  fp.add(result.ticks);
+  fp.add(result.time);
+  fp.add(static_cast<std::uint64_t>(result.winner));
+  for (NodeId u = 0; u < proto.num_nodes(); ++u) {
+    fp.add(static_cast<std::uint64_t>(proto.table().color(u)));
+  }
+  fp.add(proto.nodes_finished());
+  if constexpr (requires { proto.jumps_performed(); }) {
+    fp.add(proto.jumps_performed());
+    fp.add(proto.mean_jump_distance());
+    fp.add(proto.working_time_spread());
+    fp.add(proto.bits_set());
+  }
+  return fp.value();
+}
+
+constexpr std::uint64_t kOebNodes = 2048;
+
+/// AsyncOneExtraBit on K_2048, k = 4, plurality ahead by n/8. `engine`
+/// picks the driver: superposition, heap, a horizon cut at time 75, or
+/// a short program (no extra phases, endgame 1 * ln n) from an even
+/// split, which runs every node off the end of its program.
+enum class OebEngine { kContinuous, kHeap, kHorizon, kExhausted };
+
+std::uint64_t async_oeb_case(OebEngine engine, bool gadget) {
+  const CompleteGraph g(kOebNodes);
+  Xoshiro256 rng(2027);
+  AsyncParams params;
+  params.sync_gadget_enabled = gadget;
+  double horizon = 1e5;
+  Assignment a = assign_plurality_bias(kOebNodes, 4, kOebNodes / 8, rng);
+  if (engine == OebEngine::kHorizon) horizon = 75.0;
+  if (engine == OebEngine::kExhausted) {
+    params.extra_phases = 0;
+    params.phase_mult = 0.5;
+    params.endgame_mult = 1.0;
+    a = assign_exact({kOebNodes / 2, kOebNodes / 2}, rng);
+  }
+  auto proto = AsyncOneExtraBit<CompleteGraph>::make(g, std::move(a), params);
+  Fingerprint fp;
+  const HashingObserver obs{&fp};
+  const auto result =
+      engine == OebEngine::kHeap
+          ? run_continuous_heap(proto, rng, horizon, obs, kSampleEvery)
+          : run_continuous(proto, rng, horizon, obs, kSampleEvery);
+  return finish_oeb(fp, result, proto);
+}
+
+/// AsyncOneExtraBitDelayed on K_2048 through the messaging driver under
+/// Exp(0.5) latency.
+std::uint64_t async_oeb_delayed_case() {
+  const CompleteGraph g(kOebNodes);
+  Xoshiro256 rng(2028);
+  auto proto = AsyncOneExtraBitDelayed<CompleteGraph>::make(
+      g, assign_plurality_bias(kOebNodes, 4, kOebNodes / 8, rng));
+  Fingerprint fp;
+  const auto result = run_continuous_messaging(
+      proto, ExponentialLatency(0.5), rng, 1e5, HashingObserver{&fp},
+      kSampleEvery);
+  return finish_oeb(fp, result, proto);
+}
+
 // Recorded with GCC 12 on x86-64 Linux (glibc libm); see the file header.
 constexpr Golden kGolden[] = {
     {"heap/none", 0x99cb9f4eb7766449ULL},
@@ -117,6 +196,12 @@ constexpr Golden kGolden[] = {
     {"messaging/const", 0x1580a3566a0c9013ULL},
     {"heterogeneous/two_speed", 0xa54c8e5fc3a36dbcULL},
     {"heterogeneous/log_normal", 0x6851f20f6f5dfb32ULL},
+    {"async_oeb/continuous", 0x9ba46b8f0724a73dULL},
+    {"async_oeb/continuous_no_gadget", 0xc300601de307ed1dULL},
+    {"async_oeb/heap", 0x4b43875532caabf8ULL},
+    {"async_oeb/horizon", 0x6bd0119ab8883308ULL},
+    {"async_oeb/exhausted", 0xb004a28c90c03610ULL},
+    {"async_oeb_delayed/messaging_exp", 0x94daa32255955987ULL},
 };
 
 TEST(EngineFingerprints, EverySingleStreamQueueUserMatches) {
@@ -130,6 +215,13 @@ TEST(EngineFingerprints, EverySingleStreamQueueUserMatches) {
   check("messaging/const", messaging_case(ConstantLatency(0.5)));
   check("heterogeneous/two_speed", heterogeneous_case(false));
   check("heterogeneous/log_normal", heterogeneous_case(true));
+  check("async_oeb/continuous", async_oeb_case(OebEngine::kContinuous, true));
+  check("async_oeb/continuous_no_gadget",
+        async_oeb_case(OebEngine::kContinuous, false));
+  check("async_oeb/heap", async_oeb_case(OebEngine::kHeap, true));
+  check("async_oeb/horizon", async_oeb_case(OebEngine::kHorizon, true));
+  check("async_oeb/exhausted", async_oeb_case(OebEngine::kExhausted, true));
+  check("async_oeb_delayed/messaging_exp", async_oeb_delayed_case());
   EXPECT_EQ(checked, std::size(kGolden));
 }
 
