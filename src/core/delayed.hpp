@@ -29,8 +29,8 @@
 #include <utility>
 #include <vector>
 
+#include "core/async_state.hpp"
 #include "core/schedule.hpp"
-#include "core/sync_gadget.hpp"
 #include "core/three_majority.hpp"
 #include "graph/graph.hpp"
 #include "opinion/assignment.hpp"
@@ -146,10 +146,11 @@ class ThreeMajorityAsyncDelayed {
 };
 
 /// The full asynchronous OneExtraBit protocol under delayed responses.
-/// Identical working-time program to AsyncOneExtraBit; the sample steps
-/// post delayed answers instead of reading peers synchronously.
+/// Identical working-time program and node state to AsyncOneExtraBit;
+/// the sample steps post delayed answers instead of reading peers
+/// synchronously.
 template <GraphTopology G>
-class AsyncOneExtraBitDelayed {
+class AsyncOneExtraBitDelayed : private detail::AsyncOebState {
  public:
   enum class Kind : std::uint8_t { kTwoChoices, kBitProp, kSync, kEndgame };
 
@@ -164,59 +165,50 @@ class AsyncOneExtraBitDelayed {
 
   AsyncOneExtraBitDelayed(const G& graph, Assignment assignment,
                           AsyncSchedule schedule)
-      : graph_(&graph),
-        schedule_(schedule),
-        table_(std::move(assignment.colors), assignment.num_colors),
-        gadget_(table_.num_nodes(),
-                static_cast<std::uint32_t>(
-                    std::max<std::uint64_t>(schedule.sync_ticks(), 1))) {
-    PC_EXPECTS(graph.num_nodes() == table_.num_nodes());
-    const std::uint64_t n = table_.num_nodes();
-    working_time_.assign(n, 0);
-    real_ticks_.assign(n, 0);
-    intermediate_.assign(n, 0);
-    has_intermediate_.assign(n, 0);
-    bit_phase_.assign(n, 0);
-    finished_.assign(n, 0);
-    last_jump_phase_.assign(n, kNoJump);
-  }
+      : AsyncOebState(graph.num_nodes(), std::move(assignment),
+                      std::move(schedule)),
+        graph_(&graph) {}
 
   static AsyncOneExtraBitDelayed make(const G& graph, Assignment assignment,
                                       AsyncParams params = {}) {
     AsyncSchedule schedule(graph.num_nodes(), assignment.num_colors, params);
-    return AsyncOneExtraBitDelayed(graph, std::move(assignment), schedule);
+    return AsyncOneExtraBitDelayed(graph, std::move(assignment),
+                                   std::move(schedule));
   }
 
   void on_tick(NodeId u, Xoshiro256& rng, double /*now*/,
                Outbox<Message>& out) {
-    ++real_ticks_[u];
-    const std::uint64_t wt = working_time_[u];
-    const auto phase = static_cast<std::uint32_t>(schedule_.phase_of(wt));
-    switch (schedule_.op_at(wt)) {
+    AsyncNodeRecord& s = nodes_[u];
+    ++s.real_ticks;
+    const AsyncSchedule::Step step = schedule_.step_at(s.working_time);
+    const std::uint32_t phase = step.phase;
+    const auto tag = static_cast<std::uint16_t>(phase + 1);
+    switch (step.op) {
       case AsyncSchedule::Op::kTwoChoicesSample: {
         const NodeId v = graph_->sample_neighbor(u, rng);
         const NodeId w = graph_->sample_neighbor(u, rng);
         out.post(u, Message{Kind::kTwoChoices, phase, table_.color(v),
                             table_.color(w), 0, 0});
-        has_intermediate_[u] = 0;  // reset; the answer may re-arm it
+        // Reset; the answer may re-arm it.
+        s.intermediate = AsyncNodeRecord::kNoColor;
         break;
       }
       case AsyncSchedule::Op::kCommit: {
-        if (has_intermediate_[u]) {
-          table_.set_color(u, intermediate_[u]);
-          bit_phase_[u] = phase + 1;
-          has_intermediate_[u] = 0;
+        if (s.intermediate != AsyncNodeRecord::kNoColor) {
+          table_.set_color(u, s.intermediate);
+          s.bit_tag = tag;
+          s.intermediate = AsyncNodeRecord::kNoColor;
         } else {
-          bit_phase_[u] = 0;
+          s.bit_tag = 0;
         }
         break;
       }
       case AsyncSchedule::Op::kBitProp: {
-        if (bit_phase_[u] != phase + 1) {
+        if (s.bit_tag != tag) {
           const NodeId v = graph_->sample_neighbor(u, rng);
           // Phase-tagged bit (see async_one_extra_bit.hpp): v's bit only
           // counts if it was set in the querier's current phase.
-          const std::uint8_t fresh = bit_phase_[v] == phase + 1 ? 1 : 0;
+          const std::uint8_t fresh = nodes_[v].bit_tag == tag ? 1 : 0;
           out.post(u, Message{Kind::kBitProp, phase, table_.color(v), 0,
                               fresh, 0});
         }
@@ -225,23 +217,12 @@ class AsyncOneExtraBitDelayed {
       case AsyncSchedule::Op::kSyncSample: {
         const NodeId v = graph_->sample_neighbor(u, rng);
         out.post(u, Message{Kind::kSync, phase, 0, 0, 0,
-                            static_cast<std::int64_t>(real_ticks_[v])});
+                            static_cast<std::int64_t>(nodes_[v].real_ticks)});
         break;
       }
-      case AsyncSchedule::Op::kJump: {
-        if (last_jump_phase_[u] != phase && gadget_.count(u) > 0) {
-          const std::int64_t target =
-              static_cast<std::int64_t>(real_ticks_[u]) +
-              gadget_.median_offset(u);
-          working_time_[u] =
-              static_cast<std::uint64_t>(std::max<std::int64_t>(target, 0));
-          last_jump_phase_[u] = phase;
-          gadget_.clear(u);
-          return;
-        }
-        gadget_.clear(u);
+      case AsyncSchedule::Op::kJump:
+        if (jump(u, s, step.phase)) return;
         break;
-      }
       case AsyncSchedule::Op::kEndgame: {
         const NodeId v = graph_->sample_neighbor(u, rng);
         const NodeId w = graph_->sample_neighbor(u, rng);
@@ -249,47 +230,41 @@ class AsyncOneExtraBitDelayed {
                             table_.color(w), 0, 0});
         break;
       }
-      case AsyncSchedule::Op::kDone: {
-        if (!finished_[u]) {
-          finished_[u] = 1;
-          ++finished_count_;
-        }
+      case AsyncSchedule::Op::kDone:
+        finish(s);
         break;
-      }
       case AsyncSchedule::Op::kWait:
         break;
     }
-    ++working_time_[u];
+    ++s.working_time;
   }
 
   void on_message(NodeId u, const Message& m, Xoshiro256& /*rng*/,
                   double /*now*/, Outbox<Message>& /*out*/) {
-    const std::uint64_t wt = working_time_[u];
-    const auto current_phase =
-        static_cast<std::uint32_t>(schedule_.phase_of(wt));
+    AsyncNodeRecord& s = nodes_[u];
+    const AsyncSchedule::Step step = schedule_.step_at(s.working_time);
+    // Answers to an earlier phase's queries are stale: drop them. (The
+    // endgame has no phase structure.)
+    if (m.kind != Kind::kEndgame && m.phase != step.phase) return;
     switch (m.kind) {
       case Kind::kTwoChoices: {
-        // Usable only until this phase's commit step (offset 3*Delta).
-        if (m.phase != current_phase) return;
-        if (wt % schedule_.phase_length() > 3 * schedule_.delta()) return;
-        if (m.color_a == m.color_b) {
-          intermediate_[u] = m.color_a;
-          has_intermediate_[u] = 1;
+        // Usable only until this phase's commit step.
+        if (step.before_commit && m.color_a == m.color_b) {
+          s.intermediate = m.color_a;
         }
         break;
       }
       case Kind::kBitProp: {
-        if (m.phase != current_phase) return;  // stale answer: drop
-        if (bit_phase_[u] != current_phase + 1 && m.peer_bit) {
+        const auto tag = static_cast<std::uint16_t>(step.phase + 1);
+        if (s.bit_tag != tag && m.peer_bit) {
           table_.set_color(u, m.color_a);
-          bit_phase_[u] = current_phase + 1;
+          s.bit_tag = tag;
         }
         break;
       }
       case Kind::kSync: {
-        if (m.phase != current_phase) return;
         gadget_.record(u, m.peer_ticks -
-                              static_cast<std::int64_t>(real_ticks_[u]));
+                              static_cast<std::int64_t>(s.real_ticks));
         break;
       }
       case Kind::kEndgame: {
@@ -299,31 +274,15 @@ class AsyncOneExtraBitDelayed {
     }
   }
 
-  std::uint64_t num_nodes() const noexcept { return table_.num_nodes(); }
-
-  bool done() const noexcept {
-    return table_.has_consensus() || finished_count_ == table_.num_nodes();
-  }
-
-  const OpinionTable& table() const noexcept { return table_; }
-  const AsyncSchedule& schedule() const noexcept { return schedule_; }
-  std::uint64_t nodes_finished() const noexcept { return finished_count_; }
+  using AsyncOebState::done;
+  using AsyncOebState::nodes_finished;
+  using AsyncOebState::num_nodes;
+  using AsyncOebState::schedule;
+  using AsyncOebState::state_bytes_per_node;
+  using AsyncOebState::table;
 
  private:
-  static constexpr std::uint32_t kNoJump = ~std::uint32_t{0};
-
   const G* graph_;
-  AsyncSchedule schedule_;
-  OpinionTable table_;
-  SyncGadgetStore gadget_;
-  std::vector<std::uint64_t> working_time_;
-  std::vector<std::uint64_t> real_ticks_;
-  std::vector<ColorId> intermediate_;
-  std::vector<std::uint8_t> has_intermediate_;
-  std::vector<std::uint32_t> bit_phase_;
-  std::vector<std::uint8_t> finished_;
-  std::vector<std::uint32_t> last_jump_phase_;
-  std::uint64_t finished_count_ = 0;
 };
 
 }  // namespace plurality

@@ -74,6 +74,12 @@ class SyncGadgetStore {
 
   std::uint32_t capacity() const noexcept { return capacity_; }
 
+  /// Bytes held by the sample slots and the per-node counts.
+  std::uint64_t storage_bytes() const noexcept {
+    return offsets_.size() * sizeof(std::int32_t) +
+           counts_.size() * sizeof(std::uint32_t);
+  }
+
  private:
   std::uint32_t capacity_;
   std::vector<std::int32_t> offsets_;
