@@ -134,17 +134,26 @@ inline RunPlan make_plan(const ExperimentContext& ctx,
   return plan;
 }
 
-/// Attributes the per-node cost of the opinion state a run is about to
-/// carry: the table's packed colors + support counters, plus the
-/// sharded engine's live/snapshot copies (two more packed arrays) when
-/// that engine will drive the protocol. Called by both dispatches below
-/// so every engine-driven record can report bytes_per_node.
-inline void note_state_footprint(const RunPlan& plan,
-                                 const OpinionTable& table,
-                                 bool sharded_engine) {
-  double bytes = table.state_bytes_per_node();
+/// Attributes the per-node cost of the state a run is about to carry:
+/// the protocol's own figure when it reports one
+/// (state_bytes_per_node(), e.g. the async OneExtraBit node records and
+/// gadget slots), else its table's packed colors + support counters;
+/// plus the sharded engine's live/snapshot copies (two more packed
+/// arrays) when that engine will drive the protocol. Called by both
+/// dispatches below so every engine-driven record can report
+/// bytes_per_node.
+template <typename P>
+void note_state_footprint(const RunPlan& plan, const P& proto,
+                          bool sharded_engine) {
+  double bytes = 0.0;
+  if constexpr (requires { proto.state_bytes_per_node(); }) {
+    bytes = proto.state_bytes_per_node();
+  } else {
+    bytes = proto.table().state_bytes_per_node();
+  }
   if (sharded_engine && !plan.tuning.exact_reads) {
-    bytes += 2.0 * static_cast<double>(color_width_bytes(table.width()));
+    bytes += 2.0 * static_cast<double>(
+                       color_width_bytes(proto.table().width()));
   }
   plan.ctx->note_state_bytes_per_node(bytes);
 }
@@ -211,7 +220,7 @@ AsyncRunResult run_queued(const RunPlan& plan, P& proto,
                           Perturber* perturb = nullptr) {
   plan.ctx->note_effective_engine(engine_kind_name(EngineKind::kSharded));
   plan.ctx->note_effective_latency(model.name());
-  note_state_footprint(plan, proto.table(), /*sharded_engine=*/true);
+  note_state_footprint(plan, proto, /*sharded_engine=*/true);
   return run_sharded_queued(proto, model, discipline, rng(), plan.shards,
                             max_time, std::forward<Obs>(obs), sample_every,
                             /*epoch_length=*/0.25, perturb, plan.tuning);
@@ -241,8 +250,7 @@ AsyncRunResult run(const RunPlan& plan, P& proto, Xoshiro256& rng,
   const EngineKind effective = effective_engine_kind<P>(plan.engine);
   if (effective != plan.engine) warn_sharded_fallback_once();
   plan.ctx->note_effective_engine(engine_kind_name(effective));
-  note_state_footprint(plan, proto.table(),
-                       effective == EngineKind::kSharded);
+  note_state_footprint(plan, proto, effective == EngineKind::kSharded);
   const std::uint64_t shard_seed =
       effective == EngineKind::kSharded ? rng() : 0;
   // Dispatch on `effective`, the same value that was just recorded, so

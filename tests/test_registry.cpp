@@ -10,9 +10,13 @@
 #include <string>
 #include <vector>
 
+#include "core/async_one_extra_bit.hpp"
 #include "experiment/args.hpp"
 #include "experiment/json_writer.hpp"
 #include "experiment/registry.hpp"
+#include "graph/complete.hpp"
+#include "opinion/assignment.hpp"
+#include "run_plan.hpp"
 #include "support/assert.hpp"
 
 namespace plurality {
@@ -318,6 +322,53 @@ TEST(Registry, RejectsInvalidScenarioFlags) {
                    *toy, make_args({"--graph=regular",
                                     "--graph-degree=4294967304"})),
                ContractViolation);
+}
+
+// A toy that drives AsyncOneExtraBit through bench::run, so tests can
+// assert on the bytes_per_node the dispatch attributes to it.
+constexpr std::uint64_t kFootprintNodes = 1024;
+
+AsyncOneExtraBit<CompleteGraph> footprint_protocol(const CompleteGraph& g,
+                                                   Xoshiro256& rng) {
+  return AsyncOneExtraBit<CompleteGraph>::make(
+      g, assign_plurality_bias(kFootprintNodes, 4, kFootprintNodes / 8, rng));
+}
+
+int footprint_toy_experiment(ExperimentContext& ctx) {
+  const bench::RunPlan plan =
+      bench::make_plan(ctx, EngineKind::kSuperposition);
+  const CompleteGraph g(kFootprintNodes);
+  Xoshiro256 rng(ctx.master_seed);
+  auto proto = footprint_protocol(g, rng);
+  const AsyncRunResult result = bench::run(plan, proto, rng, 2.0);
+  const std::vector<double> ticks{static_cast<double>(result.ticks)};
+  ctx.record("footprint_toy_ticks", {{"n", kFootprintNodes}}, ticks);
+  return 0;
+}
+
+const ExperimentRegistrar kFootprintToyRegistrar{
+    "test_toy_footprint", "async OneExtraBit toy for the registry tests",
+    "Catalog paragraph of the footprint toy: runs one short async "
+    "OneExtraBit run through bench::run, so tests can assert on the "
+    "bytes_per_node it attributes.",
+    /*default_reps=*/1, footprint_toy_experiment};
+
+TEST(Registry, BytesPerNodeUsesTheProtocolsOwnFootprint) {
+  // The table alone is about 1 B/node here; the protocol's node records,
+  // gadget slots and program are most of its state, and the record must
+  // say so.
+  const auto& registry = ExperimentRegistry::instance();
+  const Experiment* toy = registry.find("test_toy_footprint");
+  ASSERT_NE(toy, nullptr);
+  const JsonValue record = registry.run_to_record(*toy, make_args({}));
+  const JsonValue* bytes = record.find("params")->find("bytes_per_node");
+  ASSERT_NE(bytes, nullptr);
+
+  const CompleteGraph g(kFootprintNodes);
+  Xoshiro256 rng(1);
+  const auto proto = footprint_protocol(g, rng);
+  EXPECT_DOUBLE_EQ(bytes->as_double(), proto.state_bytes_per_node());
+  EXPECT_GT(bytes->as_double(), 10.0 * proto.table().state_bytes_per_node());
 }
 
 TEST(Registry, EndToEndRealExperimentProducesValidRecord) {

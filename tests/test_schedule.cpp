@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <map>
+#include <string>
 
 #include "core/schedule.hpp"
 #include "support/assert.hpp"
@@ -129,6 +130,114 @@ TEST(Schedule, TotalTimeIsOrderLogN) {
     EXPECT_GT(ratio, 10.0);
     EXPECT_LT(ratio, 120.0);
   }
+}
+
+/// The in-phase layout of schedule.hpp's header, recomputed from the
+/// schedule's lengths alone: the oracle for the precomputed program.
+struct ClosedForm {
+  const AsyncSchedule& s;
+
+  std::uint64_t offset(std::uint64_t wt) const {
+    return wt % s.phase_length();
+  }
+
+  Op op(std::uint64_t wt) const {
+    if (wt >= s.part1_length()) {
+      return wt < s.total_length() ? Op::kEndgame : Op::kDone;
+    }
+    const std::uint64_t off = offset(wt);
+    const std::uint64_t d = s.delta();
+    const std::uint64_t b = s.bp_ticks();
+    const std::uint64_t y = s.sync_ticks();
+    const bool gadget = s.sync_gadget_enabled();
+    if (off < d) return Op::kWait;
+    if (off == d) return Op::kTwoChoicesSample;
+    if (off < 3 * d) return Op::kWait;
+    if (off == 3 * d) return Op::kCommit;
+    if (off < 4 * d) return Op::kWait;
+    if (off < 4 * d + b) return Op::kBitProp;
+    if (off < 5 * d + b) return Op::kWait;
+    if (off < 5 * d + b + y) return gadget ? Op::kSyncSample : Op::kWait;
+    if (off < 6 * d + b + y) return Op::kWait;
+    return gadget ? Op::kJump : Op::kWait;
+  }
+
+  std::uint64_t phase(std::uint64_t wt) const {
+    return wt >= s.part1_length() ? s.num_phases() : wt / s.phase_length();
+  }
+
+  bool before_commit(std::uint64_t wt) const {
+    return wt < s.part1_length() && offset(wt) <= 3 * s.delta();
+  }
+};
+
+TEST(Schedule, ProgramMatchesClosedFormAtEveryWorkingTime) {
+  struct Case {
+    std::uint64_t n;
+    std::uint32_t k;
+    AsyncParams params;
+  };
+  AsyncParams no_gadget;
+  no_gadget.sync_gadget_enabled = false;
+  AsyncParams stretched;
+  stretched.delta_mult = 2.5;
+  stretched.bp_mult = 1.0;
+  stretched.sync_mult = 3.0;
+  stretched.extra_phases = 0;
+  stretched.endgame_mult = 1.0;
+  const Case cases[] = {
+      {3, 1, {}},          {1 << 10, 4, {}},         {1 << 16, 8, {}},
+      {1 << 16, 8, no_gadget}, {5000, 1000, {}},     {1 << 20, 2, stretched},
+  };
+  for (const Case& c : cases) {
+    const AsyncSchedule s(c.n, c.k, c.params);
+    const ClosedForm oracle{s};
+    for (std::uint64_t wt = 0; wt <= s.total_length() + 2; ++wt) {
+      const AsyncSchedule::Step& step = s.step_at(wt);
+      ASSERT_EQ(step.op, oracle.op(wt)) << "n " << c.n << " wt " << wt;
+      ASSERT_EQ(s.op_at(wt), step.op);
+      ASSERT_EQ(step.phase, oracle.phase(wt)) << "n " << c.n << " wt " << wt;
+      ASSERT_EQ(s.phase_of(wt), step.phase);
+      ASSERT_EQ(step.before_commit, oracle.before_commit(wt))
+          << "n " << c.n << " wt " << wt;
+    }
+    EXPECT_EQ(s.program_bytes(),
+              (s.total_length() + 1) * sizeof(AsyncSchedule::Step));
+  }
+}
+
+/// The ContractViolation message of constructing a schedule, or "".
+std::string rejection(std::uint64_t n, std::uint32_t k, AsyncParams params) {
+  try {
+    const AsyncSchedule s(n, k, params);
+  } catch (const ContractViolation& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(Schedule, RejectsProgramsBeyondTheirFieldWidths) {
+  // Phase indices are u16 in the program: kMaxPhases phases fit ...
+  AsyncParams most;
+  most.phase_mult = 1e-9;  // ceil(phase_mult * ln ln n) = 1
+  most.extra_phases = static_cast<int>(AsyncSchedule::kMaxPhases) - 1;
+  EXPECT_EQ(AsyncSchedule(3, 2, most).num_phases(), AsyncSchedule::kMaxPhases);
+  // ... one more does not, and the message names the limit.
+  AsyncParams too_many = most;
+  ++too_many.extra_phases;
+  EXPECT_NE(rejection(3, 2, too_many).find("kMaxPhases"), std::string::npos);
+
+  // Working times are u32: a total length past kMaxTotalLength is
+  // rejected before its program is allocated, whether the excess sits
+  // in part 1 or in the endgame.
+  AsyncParams long_phases;
+  long_phases.bp_mult = 1e9;
+  EXPECT_NE(rejection(100, 2, long_phases).find("kMaxTotalLength"),
+            std::string::npos);
+  AsyncParams long_endgame;
+  long_endgame.endgame_mult = 1e9;
+  EXPECT_NE(rejection(100, 2, long_endgame).find("kMaxTotalLength"),
+            std::string::npos);
 }
 
 TEST(Schedule, RejectsBadParameters) {
