@@ -7,7 +7,9 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <span>
+#include <type_traits>
 #include <vector>
 
 #include "support/assert.hpp"
@@ -46,13 +48,31 @@ inline std::uint64_t ceil_at_least(double x, std::uint64_t at_least = 1) {
   return std::max(v, at_least);
 }
 
-/// Lower median of a non-empty range; reorders the input (nth_element).
-/// For even sizes this returns the lower of the two middle elements,
-/// matching the tie-breaking the Sync Gadget tests assume.
+/// Lower median of a non-empty range; may reorder the input. For even
+/// sizes this returns the lower of the two middle elements, matching the
+/// tie-breaking the Sync Gadget tests assume.
+///
+/// Integer ranges of up to kRankSelectMax values (the gadget's per-node
+/// samples) take a branchless rank selection instead of nth_element:
+/// the lower median is the largest value with at most `mid` values
+/// strictly below it. Both paths return the same value.
+inline constexpr std::size_t kRankSelectMax = 32;
+
 template <typename T>
 T median_inplace(std::span<T> values) {
   PC_EXPECTS(!values.empty());
   const std::size_t mid = (values.size() - 1) / 2;
+  if constexpr (std::is_integral_v<T>) {
+    if (values.size() <= kRankSelectMax) {
+      T best = std::numeric_limits<T>::lowest();
+      for (const T candidate : values) {
+        std::uint32_t below = 0;
+        for (const T other : values) below += other < candidate;
+        best = below <= mid && candidate > best ? candidate : best;
+      }
+      return best;
+    }
+  }
   std::nth_element(values.begin(), values.begin() + static_cast<std::ptrdiff_t>(mid),
                    values.end());
   return values[mid];

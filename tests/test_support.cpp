@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
+#include <climits>
 #include <cmath>
+#include <cstdint>
+#include <random>
 #include <span>
 #include <vector>
 
@@ -112,6 +116,31 @@ TEST(Math, MedianCopyDoesNotMutate) {
 TEST(Math, MedianNegativeOffsets) {
   std::vector<std::int32_t> v{-5, 3, -1, 0, 2};
   EXPECT_EQ(median_inplace(std::span<std::int32_t>(v)), 0);
+}
+
+TEST(Math, MedianMatchesSortedReferenceAcrossBothPaths) {
+  // Sizes up to kRankSelectMax take the rank selection, larger ones
+  // nth_element; both must return the sorted lower middle, including
+  // with ties and the type's lowest value (the gadget clamps offsets
+  // to INT32_MIN).
+  std::mt19937_64 gen(5);
+  for (std::size_t size = 1; size <= kRankSelectMax + 8; ++size) {
+    for (int trial = 0; trial < 50; ++trial) {
+      std::vector<std::int32_t> v(size);
+      for (auto& x : v) {
+        x = static_cast<std::int32_t>(gen() % 9) - 4;
+        if (gen() % 16 == 0) x = INT32_MIN;
+        if (gen() % 16 == 0) x = INT32_MAX;
+      }
+      std::vector<std::int32_t> sorted = v;
+      std::sort(sorted.begin(), sorted.end());
+      ASSERT_EQ(median_inplace(std::span<std::int32_t>(v)),
+                sorted[(size - 1) / 2])
+          << "size " << size << " trial " << trial;
+    }
+  }
+  std::vector<std::uint64_t> wide{7, 3, 9, 3};
+  EXPECT_EQ(median_inplace(std::span<std::uint64_t>(wide)), 3u);
 }
 
 TEST(Math, ApproxEqual) {
