@@ -9,6 +9,7 @@
 #include <set>
 #include <vector>
 
+#include "rng/batch.hpp"
 #include "rng/distributions.hpp"
 #include "rng/seed.hpp"
 #include "rng/splitmix64.hpp"
@@ -112,6 +113,68 @@ TEST(Exponential, UnitKnownVectors) {
   EXPECT_DOUBLE_EQ(exponential_unit(rng), 1.1687569895341419);
   EXPECT_DOUBLE_EQ(exponential_unit(rng), 2.4246017725317657);
   EXPECT_DOUBLE_EQ(exponential_unit(rng), 1.5641674415681472);
+}
+
+/// Counts the words a transform consumes, to prove a vector exercises
+/// uniform_below's rejection loop.
+struct CountingGenerator {
+  using result_type = std::uint64_t;
+  static constexpr std::uint64_t min() noexcept { return 0; }
+  static constexpr std::uint64_t max() noexcept { return ~std::uint64_t{0}; }
+  std::uint64_t operator()() noexcept {
+    ++words;
+    return rng.next();
+  }
+  Xoshiro256 rng;
+  std::uint64_t words = 0;
+};
+
+TEST(UniformBelow, KnownVectorsThroughRejectionLoop) {
+  // At bound 2^63 + 1 the rejection threshold is 2^63 - 1, so about
+  // half the words are rejected; the count below proves some were.
+  CountingGenerator gen{Xoshiro256(kVectorSeed)};
+  constexpr std::uint64_t kBound = (std::uint64_t{1} << 63) + 1;
+  EXPECT_EQ(uniform_below(gen, kBound), 816391653902526162ULL);
+  EXPECT_EQ(uniform_below(gen, kBound), 9077879003015333425ULL);
+  EXPECT_EQ(uniform_below(gen, kBound), 5371171803005217199ULL);
+  EXPECT_EQ(uniform_below(gen, kBound), 1734759860707952351ULL);
+  EXPECT_EQ(gen.words, 9u);  // five words rejected
+}
+
+// Xoshiro256Block feeds the --sampling=batch engines (one block per
+// superposition run, seeded by one draw of the run's stream, and one
+// per shard). As above, if any of these values ever changes, RNG
+// stability broke. Consecutive words come from consecutive lanes, so
+// the vectors reach into lane 7 and into the second refill.
+TEST(Xoshiro256Block, FillRawKnownVectors) {
+  Xoshiro256Block block(kVectorSeed);
+  std::uint64_t words[Xoshiro256Block::kBuffer + 2];
+  block.fill_raw(words);
+  EXPECT_EQ(words[0], 2494099229535621201ULL);
+  EXPECT_EQ(words[1], 17734463578058486263ULL);
+  EXPECT_EQ(words[7], 12340992678672400536ULL);
+  EXPECT_EQ(words[Xoshiro256Block::kBuffer], 7799320647366661809ULL);
+  EXPECT_EQ(words[Xoshiro256Block::kBuffer + 1], 15127922409109858638ULL);
+}
+
+TEST(Xoshiro256Block, FillUniformBelowKnownVectors) {
+  Xoshiro256Block block(kVectorSeed);
+  NodeId nodes[4];
+  block.fill_uniform_below(1024, nodes);
+  EXPECT_EQ(nodes[0], 138u);
+  EXPECT_EQ(nodes[1], 984u);
+  EXPECT_EQ(nodes[2], 884u);
+  EXPECT_EQ(nodes[3], 852u);
+}
+
+TEST(Xoshiro256Block, FillExponentialUnitKnownVectors) {
+  // Same libm tolerance as Exponential.UnitKnownVectors.
+  Xoshiro256Block block(kVectorSeed);
+  double waits[3];
+  block.fill_exponential_unit(waits);
+  EXPECT_DOUBLE_EQ(waits[0], 2.000960248173548);
+  EXPECT_DOUBLE_EQ(waits[1], 0.039378040690413896);
+  EXPECT_DOUBLE_EQ(waits[2], 0.14660218858357418);
 }
 
 TEST(Xoshiro, BitBalance) {
