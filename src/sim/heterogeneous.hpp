@@ -10,63 +10,26 @@
 
 #include <cstdint>
 #include <span>
-#include <utility>
+#include <vector>
 
-#include "rng/distributions.hpp"
-#include "sim/concepts.hpp"
-#include "sim/event_queue.hpp"
-#include "sim/observers.hpp"
-#include "sim/result.hpp"
-#include "support/assert.hpp"
+#include "sim/continuous_engine.hpp"
 
 namespace plurality {
 
-/// Runs `proto` with node u ticking at rate `rates[u]` until done() or
-/// `max_time`; when cut off by the horizon, result.time reports
-/// `max_time`, as in the other engines. Requires rates.size() ==
-/// proto.num_nodes() and every rate > 0.
+/// Runs `proto` with node u ticking at rate `rates[u]` on the clock
+/// loop (sim/drive.hpp), perturbations included. Requires rates.size()
+/// == proto.num_nodes() and every rate > 0. At unit rates this is
+/// run_continuous_heap, draw for draw.
 template <AsyncProtocol P, typename Obs = NullObserver>
 AsyncRunResult run_continuous_heterogeneous(P& proto, Xoshiro256& rng,
                                             std::span<const double> rates,
                                             double max_time,
                                             Obs&& obs = Obs{},
-                                            double sample_every = 1.0) {
-  PC_EXPECTS(max_time > 0.0);
-  PC_EXPECTS(sample_every > 0.0);
-  const std::uint64_t n = proto.num_nodes();
-  PC_EXPECTS(rates.size() == n);
-  double total_rate = 0.0;
-  for (const double r : rates) {
-    PC_EXPECTS(r > 0.0);
-    total_rate += r;
-  }
-
-  EventQueue<NodeId> ticks(total_rate);
-  for (std::uint64_t u = 0; u < n; ++u) {
-    ticks.push(exponential(rng, rates[u]), static_cast<NodeId>(u));
-  }
-
-  AsyncRunResult result;
-  double now = 0.0;
-  double next_sample = 0.0;
-  while (!ticks.empty() && !proto.done()) {
-    if (ticks.next_time() > max_time) break;
-    const auto event = ticks.pop();
-    now = event.time;
-    while (next_sample <= now) {
-      obs(next_sample, proto);
-      next_sample += sample_every;
-    }
-    proto.on_tick(event.payload, rng);
-    ++result.ticks;
-    ticks.push(now + exponential(rng, rates[event.payload]),
-               event.payload);
-  }
-  result.time = proto.done() ? now : max_time;
-  obs(result.time, proto);
-  result.consensus = proto.table().has_consensus();
-  if (result.consensus) result.winner = proto.table().consensus_color();
-  return result;
+                                            double sample_every = 1.0,
+                                            Perturber* perturb = nullptr) {
+  return detail::drive(proto,
+                       detail::ClockQueue(proto.num_nodes(), rng, rates),
+                       max_time, obs, sample_every, perturb);
 }
 
 /// Convenience rate profiles for the clock-skew experiment.

@@ -24,4 +24,15 @@ struct AsyncRunResult {
   ColorId winner = 0;        ///< the agreed color; valid iff consensus
 };
 
+namespace detail {
+
+/// Records whether `proto` ended in consensus, and on which color.
+template <typename Result, typename P>
+void record_consensus(Result& result, const P& proto) {
+  result.consensus = proto.table().has_consensus();
+  if (result.consensus) result.winner = proto.table().consensus_color();
+}
+
+}  // namespace detail
+
 }  // namespace plurality

@@ -28,8 +28,7 @@ SyncRunResult run_sync(P& proto, Xoshiro256& rng, std::uint64_t max_rounds,
     ++result.rounds;
   }
   obs(static_cast<double>(result.rounds), proto);
-  result.consensus = proto.table().has_consensus();
-  if (result.consensus) result.winner = proto.table().consensus_color();
+  detail::record_consensus(result, proto);
   return result;
 }
 

@@ -10,6 +10,7 @@
 #include "graph/complete.hpp"
 #include "opinion/assignment.hpp"
 #include "sim/heterogeneous.hpp"
+#include "sim/perturb.hpp"
 #include "support/assert.hpp"
 
 namespace plurality {
@@ -24,6 +25,7 @@ class TickCounter {
   std::uint64_t num_nodes() const noexcept { return per_node_.size(); }
   bool done() const noexcept { return false; }
   const OpinionTable& table() const noexcept { return table_; }
+  OpinionTable& mutable_table() noexcept { return table_; }
   std::uint64_t ticks_of(NodeId u) const { return per_node_[u]; }
 
  private:
@@ -74,6 +76,76 @@ TEST(Heterogeneous, RejectsBadRates) {
   const std::vector<double> zero_rate{1.0, 0.0, 1.0, 1.0};
   EXPECT_THROW(run_continuous_heterogeneous(proto, rng, zero_rate, 1.0),
                ContractViolation);
+}
+
+PerturbSpec perturb_spec(PerturbKind kind, double rate, std::uint64_t budget,
+                        double start) {
+  PerturbSpec spec;
+  spec.kind = kind;
+  spec.rate = rate;
+  spec.budget = budget;
+  spec.start = start;
+  return spec;
+}
+
+TEST(Heterogeneous, InjectionDrainsItsWholeBudget) {
+  const std::uint64_t n = 64;
+  TickCounter proto(n);
+  Xoshiro256 rng(9);
+  const auto rates = clock_rates::two_speed(n, 0.25, 0.1, rng);
+  Perturber perturb(perturb_spec(PerturbKind::kInject, 4.0, 12, 2.0), n, 2,
+                    91);
+  run_continuous_heterogeneous(proto, rng, rates, 50.0, NullObserver{}, 1.0,
+                               &perturb);
+  EXPECT_TRUE(perturb.exhausted());
+  ASSERT_EQ(perturb.events().size(), 12u);
+  for (const PerturbEvent& event : perturb.events()) {
+    EXPECT_GE(event.time, 2.0);
+    EXPECT_LE(event.time, 50.0);
+  }
+}
+
+TEST(Heterogeneous, RunsPastTransientConsensusUntilExhausted) {
+  // A 63:1 split agrees almost at once; the injections arrive long after
+  // and must still land, and the run must re-converge after the last.
+  const std::uint64_t n = 64;
+  const CompleteGraph g(n);
+  Xoshiro256 rng(10);
+  const auto rates = clock_rates::log_normal(n, 0.3, rng);
+  TwoChoicesAsync proto(g, assign_two_colors(n, n - 1, rng));
+  Perturber perturb(perturb_spec(PerturbKind::kInject, 0.5, 8, 30.0), n, 2,
+                    92);
+  const auto result = run_continuous_heterogeneous(
+      proto, rng, rates, 500.0, NullObserver{}, 1.0, &perturb);
+  EXPECT_TRUE(perturb.exhausted());
+  EXPECT_EQ(perturb.events().size(), 8u);
+  EXPECT_GT(result.time, 30.0);
+  EXPECT_TRUE(result.consensus);
+}
+
+TEST(Heterogeneous, CrashSuppressesTheCrashedNodesTicks) {
+  // Eight nodes crash right after time 1; over a horizon of 200 they
+  // keep only the few ticks they took before, while the rest tick on.
+  // Swallowed ticks still count in the run's total.
+  const std::uint64_t n = 64;
+  TickCounter proto(n);
+  Xoshiro256 rng(11);
+  const auto rates = clock_rates::uniform(n);
+  Perturber perturb(perturb_spec(PerturbKind::kCrash, 100.0, 8, 1.0), n, 2,
+                    93);
+  const auto result = run_continuous_heterogeneous(
+      proto, rng, rates, 200.0, NullObserver{}, 1.0, &perturb);
+  ASSERT_EQ(perturb.crashed_count(), 8u);
+  std::uint64_t counted = 0;
+  for (NodeId u = 0; u < n; ++u) {
+    counted += proto.ticks_of(u);
+    if (perturb.is_crashed(u)) {
+      EXPECT_LT(proto.ticks_of(u), 15u) << "node " << u;
+    } else {
+      EXPECT_GT(proto.ticks_of(u), 100u) << "node " << u;
+    }
+  }
+  EXPECT_GT(result.ticks, counted);
 }
 
 TEST(ClockRates, TwoSpeedPreservesMeanRate) {
