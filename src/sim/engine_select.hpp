@@ -92,9 +92,11 @@ constexpr EngineKind effective_engine_kind(EngineKind kind) noexcept {
 ///
 /// `tuning` (sim/sharded_engine.hpp) maps onto the engines as follows:
 /// the sharded engine honors all three knobs; the superposition engine
-/// honors --sampling=batch via run_continuous_batch; exact_reads and
-/// numa are sharded-engine concepts and are no-ops elsewhere (the
-/// single-stream engines are already exact and single-threaded).
+/// honors --sampling=batch via run_continuous_batch (the bench plan
+/// rejects batch sampling on the sequential and heap engines, which
+/// have no superposition stream); exact_reads and numa are
+/// sharded-engine concepts and are no-ops elsewhere (the single-stream
+/// engines are already exact and single-threaded).
 template <AsyncProtocol P, typename Obs = NullObserver>
 AsyncRunResult run_async_engine(EngineKind kind, P& proto, Xoshiro256& rng,
                                 std::uint64_t seed_for_shards,

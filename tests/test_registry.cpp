@@ -371,6 +371,39 @@ TEST(Registry, BytesPerNodeUsesTheProtocolsOwnFootprint) {
   EXPECT_GT(bytes->as_double(), 10.0 * proto.table().state_bytes_per_node());
 }
 
+TEST(Registry, RejectsBatchSamplingOnEnginesWithoutSuperposition) {
+  // The sequential and heap engines draw no superposition ticks, so
+  // --sampling=batch would run scalar under a batch label. The plan
+  // refuses, naming the flag and the engine it resolved to, whether
+  // --engine= picked it or the experiment defaults to it (endgame runs
+  // on the sequential engine).
+  const auto& registry = ExperimentRegistry::instance();
+  const Experiment* toy = registry.find("test_toy_footprint");
+  const Experiment* endgame = registry.find("endgame");
+  ASSERT_NE(toy, nullptr);
+  ASSERT_NE(endgame, nullptr);
+  const auto expect_rejected = [&](const Experiment& experiment,
+                                   const Args& args,
+                                   const std::string& engine) {
+    try {
+      registry.run_to_record(experiment, args);
+      FAIL() << "--sampling=batch on the " << engine << " engine must throw";
+    } catch (const ContractViolation& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("--sampling=batch"), std::string::npos) << what;
+      EXPECT_NE(what.find(engine), std::string::npos) << what;
+    }
+  };
+  expect_rejected(*toy, make_args({"--engine=sequential", "--sampling=batch"}),
+                  "sequential");
+  expect_rejected(*toy, make_args({"--engine=heap", "--sampling=batch"}),
+                  "heap");
+  expect_rejected(*endgame, make_args({"--sampling=batch"}), "sequential");
+  // The superposition engine honors batch sampling.
+  EXPECT_NO_THROW(registry.run_to_record(
+      *toy, make_args({"--engine=superposition", "--sampling=batch"})));
+}
+
 TEST(Registry, EndToEndRealExperimentProducesValidRecord) {
   // This test links the experiment object library, so the 17 migrated
   // bench experiments are registered here too. Run a real one, small.
