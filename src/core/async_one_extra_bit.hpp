@@ -67,7 +67,7 @@ class AsyncOneExtraBit : public detail::AsyncOebState {
   /// Almost half of all ticks are waits, which only advance the two
   /// clocks; they stay inline in the engine's loop, and every other op
   /// runs out of line in execute().
-  void on_tick(NodeId u, Xoshiro256& rng) {
+  [[gnu::always_inline]] void on_tick(NodeId u, Xoshiro256& rng) {
     AsyncNodeRecord& s = nodes_[u];
     ++s.real_ticks;
     const AsyncSchedule::Step step = schedule_.step_at(s.working_time);

@@ -72,7 +72,7 @@ class ThreeMajorityAsync {
     PC_EXPECTS(graph.num_nodes() == table_.num_nodes());
   }
 
-  void on_tick(NodeId u, Xoshiro256& rng) {
+  [[gnu::always_inline]] void on_tick(NodeId u, Xoshiro256& rng) {
     const ColorId a = table_.color(graph_->sample_neighbor(u, rng));
     const ColorId b = table_.color(graph_->sample_neighbor(u, rng));
     const ColorId c = table_.color(graph_->sample_neighbor(u, rng));

@@ -64,7 +64,7 @@ class TwoChoicesAsync {
     PC_EXPECTS(graph.num_nodes() == table_.num_nodes());
   }
 
-  void on_tick(NodeId u, Xoshiro256& rng) {
+  [[gnu::always_inline]] void on_tick(NodeId u, Xoshiro256& rng) {
     const NodeId v = graph_->sample_neighbor(u, rng);
     const NodeId w = graph_->sample_neighbor(u, rng);
     const ColorId cv = table_.color(v);

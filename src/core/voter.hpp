@@ -60,7 +60,7 @@ class VoterAsync {
     PC_EXPECTS(graph.num_nodes() == table_.num_nodes());
   }
 
-  void on_tick(NodeId u, Xoshiro256& rng) {
+  [[gnu::always_inline]] void on_tick(NodeId u, Xoshiro256& rng) {
     const NodeId v = graph_->sample_neighbor(u, rng);
     table_.set_color(u, table_.color(v));
   }

@@ -24,7 +24,10 @@ concept SyncProtocol = requires(P p, const P cp, Xoshiro256& rng) {
 };
 
 /// A protocol advanced one node-tick at a time (the paper's sequential /
-/// continuous asynchronous models).
+/// continuous asynchronous models). on_tick is the body of every
+/// engine's inner loop, so the protocols mark it [[gnu::always_inline]]:
+/// left to the compiler's per-file inlining budget, it goes out of line
+/// in some engines of a translation unit that instantiates many.
 template <typename P>
 concept AsyncProtocol = requires(P p, const P cp, NodeId u, Xoshiro256& rng) {
   { p.on_tick(u, rng) };

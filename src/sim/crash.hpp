@@ -48,7 +48,7 @@ class CrashAdapter {
     }
   }
 
-  void on_tick(NodeId u, Xoshiro256& rng) {
+  [[gnu::always_inline]] void on_tick(NodeId u, Xoshiro256& rng) {
     if (ticks_[u] >= crash_after_[u]) return;  // crashed: clock is dead
     ++ticks_[u];
     inner_.on_tick(u, rng);
