@@ -15,6 +15,7 @@
 #include "opinion/assignment.hpp"
 #include "sim/continuous_engine.hpp"
 #include "sim/observers.hpp"
+#include "sim/perturb.hpp"
 #include "sim/sequential_engine.hpp"
 #include "sim/sync_driver.hpp"
 #include "support/assert.hpp"
@@ -227,6 +228,90 @@ TEST(HeapEngine, StopsOnConsensus) {
   EXPECT_TRUE(result.consensus);
   EXPECT_EQ(result.winner, 0u);
   EXPECT_LT(result.time, 1e6);
+}
+
+/// Records, at every tick, how many perturbation events have landed, so
+/// a test can compare it with the events' own times.
+class DrainProbe {
+ public:
+  DrainProbe(std::uint64_t n, const Perturber& perturb)
+      : table_(std::vector<ColorId>(n, 0), 2), perturb_(&perturb) {}
+
+  void on_tick(NodeId, Xoshiro256&) {
+    landed_.push_back(perturb_->events().size());
+  }
+  std::uint64_t num_nodes() const noexcept { return table_.num_nodes(); }
+  bool done() const noexcept { return false; }
+  const OpinionTable& table() const noexcept { return table_; }
+  OpinionTable& mutable_table() noexcept { return table_; }
+
+  /// Events that should have landed before a tick at time `t`.
+  std::size_t due_by(double t) const {
+    std::size_t due = 0;
+    for (const PerturbEvent& e : perturb_->events()) due += e.time <= t;
+    return due;
+  }
+  const std::vector<std::size_t>& landed() const noexcept { return landed_; }
+
+ private:
+  OpinionTable table_;
+  const Perturber* perturb_;
+  std::vector<std::size_t> landed_;
+};
+
+PerturbSpec forty_injections() {
+  PerturbSpec spec;
+  spec.kind = PerturbKind::kInject;
+  spec.rate = 8.0;
+  spec.budget = 40;
+  spec.start = 0.5;
+  return spec;
+}
+
+/// A tick source with known times: node k mod n ticks at (k + 1) / 64.
+struct GridTicks {
+  std::uint64_t n;
+  Xoshiro256& rng;
+  std::uint64_t k = 0;
+
+  double next_time(double) const {
+    return static_cast<double>(k + 1) / 64.0;
+  }
+  template <typename Tick>
+  void fire(double, Tick& tick) {
+    tick(static_cast<NodeId>(k % n), rng);
+    ++k;
+  }
+};
+
+TEST(ClockLoop, DrainsEveryDueEventBeforeTheTick) {
+  const std::uint64_t n = 16;
+  Perturber perturb(forty_injections(), n, 2, 5);
+  DrainProbe proto(n, perturb);
+  Xoshiro256 rng(6);
+  detail::drive(proto, GridTicks{n, rng}, 10.0, NullObserver{}, 1.0,
+                &perturb);
+  ASSERT_EQ(perturb.events().size(), 40u);
+  ASSERT_EQ(proto.landed().size(), 640u);
+  for (std::size_t k = 0; k < proto.landed().size(); ++k) {
+    const double t = static_cast<double>(k + 1) / 64.0;
+    ASSERT_EQ(proto.landed()[k], proto.due_by(t)) << "tick at " << t;
+  }
+}
+
+TEST(SequentialEngine, DrainsEveryDueEventBeforeTheStep) {
+  // Step s runs at parallel time s / n.
+  const std::uint64_t n = 64;
+  Perturber perturb(forty_injections(), n, 2, 7);
+  DrainProbe proto(n, perturb);
+  Xoshiro256 rng(8);
+  run_sequential(proto, rng, 10.0, NullObserver{}, 1.0, &perturb);
+  ASSERT_EQ(perturb.events().size(), 40u);
+  ASSERT_EQ(proto.landed().size(), 640u);
+  for (std::size_t s = 0; s < proto.landed().size(); ++s) {
+    const double t = static_cast<double>(s) / static_cast<double>(n);
+    ASSERT_EQ(proto.landed()[s], proto.due_by(t)) << "step at " << t;
+  }
 }
 
 /// Messaging protocol that posts a fixed fan of delayed messages on the
