@@ -96,7 +96,7 @@ struct RunPlan {
   LatencySpec latency;      ///< resolved --latency*
   PerturbSpec perturb;      ///< resolved --perturb* (or experiment default)
   unsigned shards = 1;      ///< resolved --shards=
-  EngineTuning tuning;      ///< resolved --sampling/--numa/--exact-reads
+  EngineTuning tuning;      ///< resolved --numa/--exact-reads
 };
 
 /// The graph spec an experiment will actually build: the experiment's
@@ -115,9 +115,7 @@ inline GraphSpec resolved_graph_spec(const ExperimentContext& ctx,
 /// overrides `default_graph`, --perturb= overrides `default_perturb`
 /// (most experiments default to none; the recovery experiments default
 /// to their studied kind); the --graph-* / --perturb-* family knobs
-/// apply either way. --sampling=batch on the sequential or heap engine
-/// is rejected naming both: those engines draw no superposition ticks
-/// to batch, so the run would be scalar under a `sampling: batch` label.
+/// apply either way.
 inline RunPlan make_plan(const ExperimentContext& ctx,
                          EngineKind default_engine,
                          GraphKind default_graph = GraphKind::kComplete,
@@ -133,15 +131,6 @@ inline RunPlan make_plan(const ExperimentContext& ctx,
   if (!ctx.args.has_flag("perturb")) plan.perturb.kind = default_perturb;
   plan.shards = ctx.shards;
   plan.tuning = ctx.tuning;
-  if (plan.tuning.sampling == SamplingMode::kBatch &&
-      (plan.engine == EngineKind::kSequential ||
-       plan.engine == EngineKind::kHeap)) {
-    std::string what = "--sampling=batch needs the superposition or "
-                       "sharded engine; this experiment resolves to the ";
-    what += engine_kind_name(plan.engine);
-    what += " engine (pick one with --engine=)";
-    throw ContractViolation(what);
-  }
   return plan;
 }
 

@@ -143,31 +143,21 @@ class ExperimentContext {
     // carries the contention summary unless tracing is explicitly off.
     trace_spec = trace::parse_trace_spec(args.get_string("trace", "summary"));
     // Resolve the engine-tuning knobs on the main thread (same
-    // loud-failure policy). --sampling= selects scalar per-tick draws
-    // (the bit-stable default) or the batched block kernels;
-    // --exact-reads switches the sharded engine to its
-    // distribution-exact two-phase schedule; --numa= is trajectory-
-    // neutral placement plumbing (recorded as numa_effective, never
-    // echoed into params — like --jobs=).
-    tuning.sampling =
-        parse_sampling_mode(args.get_string("sampling", "scalar"));
-    tuning.numa = parse_numa_mode(args.get_string("numa", "off"));
-    tuning.exact_reads = args.has_flag("exact-reads");
-    if (tuning.exact_reads && tuning.sampling == SamplingMode::kBatch) {
-      throw ContractViolation(
-          "--exact-reads cannot be combined with --sampling=batch: the "
-          "exact schedule replays ticks serially and consumes no batched "
-          "node draws");
-    }
-    if (tuning.sampling == SamplingMode::kBatch &&
-        latency.kind != LatencyKind::kZero) {
-      std::string what = "--sampling=batch cannot be combined with --latency=";
-      what += latency_kind_name(latency.kind);
-      what +=
-          ": the delivery-queue and messaging drivers interleave ticks with "
-          "deliveries one draw at a time and consume no batched node draws";
+    // loud-failure policy). --exact-reads switches the sharded engine
+    // to its distribution-exact two-phase schedule; --numa= is
+    // trajectory-neutral placement plumbing (recorded as
+    // numa_effective, never echoed into params — like --jobs=).
+    // --sampling= is rejected, not ignored: every engine has one
+    // node-draw path, and the raw-args echo would otherwise label a run
+    // with whatever value was passed.
+    if (args.has_flag("sampling")) {
+      std::string what = "--sampling=";
+      what += args.get_string("sampling", "");
+      what += " is not supported: every engine has a single node-draw path";
       throw ContractViolation(what);
     }
+    tuning.numa = parse_numa_mode(args.get_string("numa", "off"));
+    tuning.exact_reads = args.has_flag("exact-reads");
   }
 
   Args args;
@@ -187,7 +177,7 @@ class ExperimentContext {
                             ///< --perturb-budget/--perturb-start/
                             ///< --perturb-interval/--perturb-target
   trace::TraceSpec trace_spec;  ///< resolved --trace= (off|summary|FILE)
-  EngineTuning tuning;  ///< resolved --sampling/--numa/--exact-reads
+  EngineTuning tuning;  ///< resolved --numa/--exact-reads
 
   /// Independent seed stream for one sweep point of the experiment.
   SeedSequence seeds_for(std::uint64_t sweep_point) const {

@@ -64,8 +64,7 @@ constexpr ColorWidth color_width_for(ColorId num_colors) noexcept {
 namespace detail {
 
 /// 64-byte-aligned slab allocation: one cache line of alignment so the
-/// hot arrays never straddle a line at their base and SIMD loads in the
-/// batch kernels stay aligned.
+/// hot arrays never straddle a line at their base.
 inline constexpr std::align_val_t kSlabAlign{64};
 
 struct SlabDeleter {

@@ -4,8 +4,8 @@
 /// The paper's continuous asynchronous model: every node carries an
 /// independent Poisson(1) clock. Each engine here is a tick source for
 /// the one clock loop in sim/drive.hpp: superposition sampling (the
-/// default, and its --sampling=batch form), the n-timer clock queue,
-/// and the messaging source that races ticks against delayed messages.
+/// default), the n-timer clock queue, and the messaging source that
+/// races ticks against delayed messages.
 /// The sources are exact samplers of the same process but consume the
 /// RNG stream differently: a fixed seed gives *statistically identical*
 /// runs across engines, not bit-identical trajectories (see README,
@@ -33,7 +33,6 @@
 #include <utility>
 #include <vector>
 
-#include "rng/batch.hpp"
 #include "rng/distributions.hpp"
 #include "sim/concepts.hpp"
 #include "sim/drive.hpp"
@@ -100,81 +99,49 @@ concept MessagingProtocol =
 
 namespace detail {
 
-/// The default superposition draws: blocks of 64 pairs from the run's
-/// own stream.
-struct ScalarDraws {
-  static constexpr std::size_t kSize = 64;
-
-  explicit ScalarDraws(Xoshiro256& rng) : rng(rng) {}
-
-  void refill(std::uint64_t n) {
-    for (std::size_t i = 0; i < kSize; ++i) {
-      nodes[i] = static_cast<NodeId>(uniform_below(rng, n));
-    }
-    for (std::size_t i = 0; i < kSize; ++i) waits[i] = exponential_unit(rng);
-  }
-
-  Xoshiro256& rng;
-  NodeId nodes[kSize];
-  double waits[kSize];  // Exp(1) draws, scaled by 1/n on use
-};
-
-/// The --sampling=batch draws: blocks of 256 pairs from a lane-parallel
-/// Xoshiro256Block (rng/batch.hpp) seeded by one draw of the run's
-/// stream, while the protocol's own draws stay on that stream. The
-/// same process as ScalarDraws but NOT bit-identical to it for a fixed
-/// seed (the block interleaves eight expanded streams), which is why
-/// the scalar draws stay the default. Equivalence is pinned by the
-/// KS/moment gates in tests/test_batch_rng.cpp.
-struct BlockDraws {
-  static constexpr std::size_t kSize = 256;
-
-  explicit BlockDraws(Xoshiro256& rng) : block(rng()) {}
-
-  void refill(std::uint64_t n) {
-    block.fill_uniform_below(n, nodes);
-    block.fill_exponential_unit(waits);
-  }
-
-  Xoshiro256Block block;
-  NodeId nodes[kSize];
-  double waits[kSize];
-};
-
 /// Superposition sampling: the union of n Poisson(1) clocks is one
 /// Poisson(n) process whose arrivals hit nodes independently and
 /// uniformly (Mosk-Aoyama & Shah, paper ref [4]), so a tick is a
 /// Uniform(n) node after an Exp(n) gap, O(1) with no per-node state.
-/// The (node, Exp(1)) pairs are pre-drawn in blocks: refilling in two
-/// tight loops keeps the uniform_below and log pipelines independent,
-/// which measurably beats drawing the pair inside the tick loop.
-template <typename Draws>
+/// The (node, Exp(1)) pairs are pre-drawn from the run's stream in
+/// blocks of 64: refilling in two tight loops keeps the uniform_below
+/// and log pipelines independent, which measurably beats drawing the
+/// pair inside the tick loop.
 class Superposition {
  public:
   Superposition(std::uint64_t n, Xoshiro256& rng)
-      : n_(n), inv_n_(1.0 / static_cast<double>(n)), rng_(rng),
-        draws_(rng) {}
+      : n_(n), inv_n_(1.0 / static_cast<double>(n)), rng_(rng) {}
 
   double next_time(double now) {
-    if (next_ == Draws::kSize) {
-      draws_.refill(n_);
+    if (next_ == kBlock) {
+      refill();
       next_ = 0;
     }
-    return now + draws_.waits[next_] * inv_n_;
+    return now + waits_[next_] * inv_n_;
   }
 
   template <typename Tick>
   void fire(double, Tick& tick) {
-    tick(draws_.nodes[next_], rng_);
+    tick(nodes_[next_], rng_);
     ++next_;  // after the tick: before it, GCC keeps next_ in memory
   }
 
  private:
+  static constexpr std::size_t kBlock = 64;
+
+  void refill() {
+    for (std::size_t i = 0; i < kBlock; ++i) {
+      nodes_[i] = static_cast<NodeId>(uniform_below(rng_, n_));
+    }
+    for (std::size_t i = 0; i < kBlock; ++i) waits_[i] = exponential_unit(rng_);
+  }
+
   std::uint64_t n_;
   double inv_n_;
   Xoshiro256& rng_;
-  Draws draws_;
-  std::size_t next_ = Draws::kSize;
+  NodeId nodes_[kBlock];
+  double waits_[kBlock];  // Exp(1) draws, scaled by 1/n on use
+  std::size_t next_ = kBlock;
 };
 
 /// Per-node clocks, the reference the superposition engine is
@@ -282,20 +249,8 @@ template <AsyncProtocol P, typename Obs = NullObserver>
 AsyncRunResult run_continuous(P& proto, Xoshiro256& rng, double max_time,
                               Obs&& obs = Obs{}, double sample_every = 1.0,
                               Perturber* perturb = nullptr) {
-  return detail::drive(
-      proto, detail::Superposition<detail::ScalarDraws>(proto.num_nodes(), rng),
-      max_time, obs, sample_every, perturb);
-}
-
-/// run_continuous with --sampling=batch draws (detail::BlockDraws).
-template <AsyncProtocol P, typename Obs = NullObserver>
-AsyncRunResult run_continuous_batch(P& proto, Xoshiro256& rng,
-                                    double max_time, Obs&& obs = Obs{},
-                                    double sample_every = 1.0,
-                                    Perturber* perturb = nullptr) {
-  return detail::drive(
-      proto, detail::Superposition<detail::BlockDraws>(proto.num_nodes(), rng),
-      max_time, obs, sample_every, perturb);
+  return detail::drive(proto, detail::Superposition(proto.num_nodes(), rng),
+                       max_time, obs, sample_every, perturb);
 }
 
 /// The reference n-timer simulation of run_continuous's process.

@@ -90,12 +90,8 @@ constexpr EngineKind effective_engine_kind(EngineKind kind) noexcept {
 /// runs — event-time order on the single-stream engines, epoch
 /// boundaries on the sharded one.
 ///
-/// `tuning` (sim/sharded_engine.hpp) maps onto the engines as follows:
-/// the sharded engine honors all three knobs; the superposition engine
-/// honors --sampling=batch via run_continuous_batch (the bench plan
-/// rejects batch sampling on the sequential and heap engines, which
-/// have no superposition stream); exact_reads and numa are
-/// sharded-engine concepts and are no-ops elsewhere (the single-stream
+/// `tuning` (sim/sharded_engine.hpp) applies to the sharded engine
+/// only: exact_reads and numa are no-ops elsewhere (the single-stream
 /// engines are already exact and single-threaded).
 template <AsyncProtocol P, typename Obs = NullObserver>
 AsyncRunResult run_async_engine(EngineKind kind, P& proto, Xoshiro256& rng,
@@ -114,11 +110,6 @@ AsyncRunResult run_async_engine(EngineKind kind, P& proto, Xoshiro256& rng,
                                  std::forward<Obs>(obs), sample_every,
                                  perturb);
     case EngineKind::kSuperposition:
-      if (tuning.sampling == SamplingMode::kBatch) {
-        return run_continuous_batch(proto, rng, max_time,
-                                    std::forward<Obs>(obs), sample_every,
-                                    perturb);
-      }
       return run_continuous(proto, rng, max_time, std::forward<Obs>(obs),
                             sample_every, perturb);
     case EngineKind::kSharded:

@@ -44,7 +44,6 @@
 
 #include "jobs/executor.hpp"
 #include "opinion/packed.hpp"
-#include "rng/batch.hpp"
 #include "rng/distributions.hpp"
 #include "rng/seed.hpp"
 #include "sim/concepts.hpp"
@@ -62,15 +61,11 @@ namespace plurality {
 
 /// The sharded engine's performance/exactness knobs; the default tuple
 /// is bit-identical to every checked-in baseline.
-///   - sampling (--sampling=batch): node indices come from
-///     rng/batch.hpp's lane-parallel Xoshiro256Block on a separate
-///     per-shard stream — statistically equivalent, not bit-identical;
 ///   - numa (--numa=firsttouch|bind): the packed arrays are first
 ///     touched in a parallel init epoch, and bind pins the executor's
 ///     workers (sim/numa.hpp); trajectory-neutral;
 ///   - exact_reads (--exact-reads): the exact body.
 struct EngineTuning {
-  SamplingMode sampling = SamplingMode::kScalar;
   NumaMode numa = NumaMode::kOff;
   bool exact_reads = false;
 };
@@ -142,11 +137,6 @@ inline std::uint64_t resolve_shards(unsigned num_shards,
   }
   return std::min<std::uint64_t>(num_shards, n);
 }
-
-/// Node draws for one epoch are pulled through a bounded per-shard
-/// buffer in batch mode, so the resident cost is constant per shard
-/// instead of one word per tick.
-inline constexpr std::size_t kNodeBatch = 4096;
 
 /// Per-shard state every body shares: the node range, the shard's RNG
 /// stream, and the epoch's recolor log and tick count (read by the
@@ -276,72 +266,38 @@ class PackedBody {
   ShardDeltaSlab deltas_;
 };
 
-struct StaleShard : ShardCore {
-  std::vector<NodeId> node_buf;  // batch mode: bounded draw buffer
-};
-
 /// The stale body (run_sharded): each shard draws its Poisson tick
 /// count for the epoch and runs the tick loop on its own range, reading
 /// foreign nodes from the epoch-start snapshot.
 template <typename T, typename P>
-class StaleBody : public PackedBody<T, StaleShard> {
-  using Base = PackedBody<T, StaleShard>;
+class StaleBody : public PackedBody<T, ShardCore> {
+  using Base = PackedBody<T, ShardCore>;
 
  public:
   using Base::shards;
 
   StaleBody(P& proto, std::uint64_t seed, std::uint64_t num_shards,
-            Perturber* perturb, const EngineTuning& tuning)
-      : Base(proto.mutable_table(), seed, num_shards, tuning.numa),
+            Perturber* perturb, NumaMode numa)
+      : Base(proto.mutable_table(), seed, num_shards, numa),
         proto_(proto),
-        perturb_(perturb),
-        batch_(tuning.sampling == SamplingMode::kBatch) {
-    if (!batch_) return;
-    const SeedSequence streams(seed);
-    blocks_.reserve(num_shards);
-    for (std::uint64_t s = 0; s < num_shards; ++s) {
-      // A stream index disjoint from every shard's scalar stream: the
-      // node-draw block and the protocol draws never share words.
-      blocks_.emplace_back(streams.stream(num_shards + s));
-      shards[s].node_buf.resize(kNodeBatch);
-    }
-  }
+        perturb_(perturb) {}
 
   std::uint64_t run_shard(std::uint64_t s, double /*t0*/, double dt) {
-    StaleShard& shard = shards[s];
+    ShardCore& shard = shards[s];
     // Locals, so the tick loop's byte-wide stores cannot force reloads.
-    const bool batch = batch_;
     const Perturber* const perturb = perturb_;
     const std::uint64_t n_s = shard.hi - shard.lo;
     const std::uint64_t ticks =
         poisson(shard.rng, static_cast<double>(n_s) * dt);
     const auto [colors, view, delta] = this->refs(s);
-    std::uint64_t done = 0;
-    while (done < ticks) {
-      // Scalar mode runs one full-epoch chunk with per-tick draws;
-      // batch mode refills the node buffer through the lane-parallel
-      // block stream and consumes it in the same tick loop.
-      const std::uint64_t chunk =
-          batch ? std::min<std::uint64_t>(kNodeBatch, ticks - done)
-                : ticks - done;
-      if (batch) {
-        blocks_[s].fill_uniform_below(
-            n_s, std::span<NodeId>(shard.node_buf.data(),
-                                   static_cast<std::size_t>(chunk)));
-      }
-      for (std::uint64_t t = 0; t < chunk; ++t) {
-        const auto u = static_cast<NodeId>(
-            shard.lo + (batch ? shard.node_buf[t]
-                              : static_cast<NodeId>(
-                                    uniform_below(shard.rng, n_s))));
-        // Crashed nodes' clocks are dead: the tick is swallowed (the
-        // bitmap is stable within an epoch — drains happen between
-        // epochs on the calling thread).
-        if (perturb != nullptr && !perturb->allows_tick(u)) continue;
-        Base::apply(colors, delta, shard, u,
-                    proto_.propose(u, view, shard.rng));
-      }
-      done += chunk;
+    for (std::uint64_t t = 0; t < ticks; ++t) {
+      const auto u =
+          static_cast<NodeId>(shard.lo + uniform_below(shard.rng, n_s));
+      // Crashed nodes' clocks are dead: the tick is swallowed (the
+      // bitmap is stable within an epoch — drains happen between
+      // epochs on the calling thread).
+      if (perturb != nullptr && !perturb->allows_tick(u)) continue;
+      Base::apply(colors, delta, shard, u, proto_.propose(u, view, shard.rng));
     }
     shard.ticks += ticks;
     return ticks;
@@ -350,8 +306,6 @@ class StaleBody : public PackedBody<T, StaleShard> {
  private:
   P& proto_;
   Perturber* perturb_;
-  bool batch_;
-  std::vector<Xoshiro256Block> blocks_;  // batch mode: per-shard streams
 };
 
 template <typename Query>
@@ -686,7 +640,7 @@ AsyncRunResult run_sharded(P& proto, std::uint64_t seed, unsigned num_shards,
           return run(body);
         }
         detail::StaleBody<decltype(tag), P> body(proto, seed, shards,
-                                                 perturb, tuning);
+                                                 perturb, tuning.numa);
         return run(body);
       });
 }
@@ -704,11 +658,10 @@ AsyncRunResult run_sharded(P& proto, std::uint64_t seed, unsigned num_shards,
 /// event-time order — so the only deviation is the stale foreign read.
 /// A horizon cutoff drops queries in flight and reports `max_time`.
 ///
-/// Only `tuning.numa` applies: the interleave consumes no batched draws
-/// (the registry rejects --sampling=batch with a latency model), and
-/// exact_reads is a contract violation here. Perturbations drain as in
-/// run_sharded; a crashed node stops querying and its answers are
-/// dropped (the in-flight flag still clears).
+/// Only `tuning.numa` applies; exact_reads is a contract violation
+/// here. Perturbations drain as in run_sharded; a crashed node stops
+/// querying and its answers are dropped (the in-flight flag still
+/// clears).
 template <DelayedShardableProtocol P, typename Obs = NullObserver>
 AsyncRunResult run_sharded_queued(P& proto, const LatencyModel& latency,
                                   QueryDiscipline discipline,

@@ -1,6 +1,6 @@
 // Trajectory fingerprints of the single-stream engines: superposition
-// (with no perturbation, opinion injection and crashes), its batched
-// form, the sequential step engine (including a horizon cut between
+// (with no perturbation, opinion injection and crashes), the
+// sequential step engine (including a horizon cut between
 // two steps), the n-timer heap engine (with and without opinion
 // injection), the messaging driver under exponential and constant
 // latency, and the heterogeneous-clock engine at two rate profiles and
@@ -105,8 +105,8 @@ std::uint64_t heap_case(bool inject) {
   return finish(fp, result, proto);
 }
 
-/// The superposition-sampled engines: scalar, batched and sequential.
-enum class StreamEngine { kContinuous, kBatch, kSequential };
+/// The superposition-sampled engines: continuous and sequential.
+enum class StreamEngine { kContinuous, kSequential };
 
 /// Two-choices on K_1024 at a 3:1 split on `engine` under `kind`. A
 /// crashed minority node keeps its color forever, so a crash run, like
@@ -124,10 +124,6 @@ std::uint64_t stream_case(StreamEngine engine, PerturbKind kind,
   switch (engine) {
     case StreamEngine::kContinuous:
       result = run_continuous(proto, rng, horizon, obs, kSampleEvery, perturb);
-      break;
-    case StreamEngine::kBatch:
-      result = run_continuous_batch(proto, rng, horizon, obs, kSampleEvery,
-                                    perturb);
       break;
     case StreamEngine::kSequential:
       result = run_sequential(proto, rng, horizon, obs, kSampleEvery, perturb);
@@ -241,8 +237,6 @@ constexpr Golden kGolden[] = {
     {"continuous/none", 0x3d644e27c0a0af06ULL},
     {"continuous/inject", 0xf4e44f9fbec2da42ULL},
     {"continuous/crash", 0xda0432a41cde5870ULL},
-    {"batch/none", 0xe5ccfb947a8b34ccULL},
-    {"batch/inject", 0x1101dd7ead10b57cULL},
     {"sequential/none", 0x36ea3f4bca3ffa13ULL},
     {"sequential/inject", 0x99d5209448e010bfULL},
     {"sequential/horizon", 0x30d58504e1c784e9ULL},
@@ -272,9 +266,6 @@ TEST(EngineFingerprints, EverySingleStreamQueueUserMatches) {
         stream_case(StreamEngine::kContinuous, PerturbKind::kInject));
   check("continuous/crash",
         stream_case(StreamEngine::kContinuous, PerturbKind::kCrash));
-  check("batch/none", stream_case(StreamEngine::kBatch, PerturbKind::kNone));
-  check("batch/inject",
-        stream_case(StreamEngine::kBatch, PerturbKind::kInject));
   check("sequential/none",
         stream_case(StreamEngine::kSequential, PerturbKind::kNone));
   check("sequential/inject",

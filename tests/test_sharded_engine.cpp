@@ -1,5 +1,6 @@
 // Tests for the sharded tick engine: shard-count-independent
-// correctness, fixed-seed determinism, the OpinionTable bulk merge it
+// correctness, fixed-seed determinism (with and without an explicit
+// default EngineTuning), the OpinionTable bulk merge it
 // relies on, the --engine dispatch (including the fallback for
 // protocols that are not shardable), and the delivery-queue driver
 // (run_sharded_queued): determinism, the blocking one-query-in-flight
@@ -123,6 +124,27 @@ TEST(ShardedEngine, DeterministicForFixedSeedAndShardCount) {
   EXPECT_EQ(a.ticks, b.ticks);
   EXPECT_DOUBLE_EQ(a.time, b.time);
   EXPECT_EQ(a.consensus, b.consensus);
+  EXPECT_EQ(a.winner, b.winner);
+}
+
+TEST(ShardedEngine, DefaultTuningPreservesHistoricalTrajectories) {
+  // EngineTuning{} must be the historical engine bit-for-bit: a run
+  // with the defaulted tuning parameter equals a run without it.
+  const std::uint64_t n = 256;
+  const CompleteGraph g(n);
+  const auto run_once = [&](bool pass_tuning) {
+    Xoshiro256 rng(7);
+    TwoChoicesAsync proto(g, assign_two_colors(n, (n * 3) / 4, rng));
+    if (pass_tuning) {
+      return run_sharded(proto, 42, 3, 1e6, NullObserver{}, 1.0, 0.25,
+                         nullptr, EngineTuning{});
+    }
+    return run_sharded(proto, 42, 3, 1e6);
+  };
+  const auto a = run_once(false);
+  const auto b = run_once(true);
+  EXPECT_EQ(a.ticks, b.ticks);
+  EXPECT_DOUBLE_EQ(a.time, b.time);
   EXPECT_EQ(a.winner, b.winner);
 }
 

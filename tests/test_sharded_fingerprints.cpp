@@ -41,13 +41,12 @@ constexpr std::uint64_t kSeed = 42;
 constexpr double kHorizon = 200.0;
 constexpr double kSampleEvery = 0.5;
 
-enum class Body { kStaleScalar, kStaleBatch, kQueuedBlocking,
-                  kQueuedFireAndForget, kExact };
+enum class Body { kStaleScalar, kQueuedBlocking, kQueuedFireAndForget,
+                  kExact };
 
 const char* body_name(Body body) {
   switch (body) {
     case Body::kStaleScalar: return "stale_scalar";
-    case Body::kStaleBatch: return "stale_batch";
     case Body::kQueuedBlocking: return "queued_blocking";
     case Body::kQueuedFireAndForget: return "queued_fire_and_forget";
     case Body::kExact: return "exact";
@@ -92,7 +91,6 @@ std::uint64_t run_case(Body body, ColorWidth width, bool inject) {
   Perturber* perturb = inject ? &perturber : nullptr;
 
   EngineTuning tuning;
-  if (body == Body::kStaleBatch) tuning.sampling = SamplingMode::kBatch;
   if (body == Body::kExact) tuning.exact_reads = true;
 
   Fingerprint fp;
@@ -127,10 +125,6 @@ constexpr Golden kGolden[] = {
     {"stale_scalar/u8/inject", 0xedcaa622eb0e3731ULL},
     {"stale_scalar/u32/none", 0x19e339d69fd6d21dULL},
     {"stale_scalar/u32/inject", 0xedcaa622eb0e3731ULL},
-    {"stale_batch/u8/none", 0x9d2c7466033656b2ULL},
-    {"stale_batch/u8/inject", 0x9ccfe29c219de96eULL},
-    {"stale_batch/u32/none", 0x9d2c7466033656b2ULL},
-    {"stale_batch/u32/inject", 0x9ccfe29c219de96eULL},
     {"queued_blocking/u8/none", 0xec9efa3d03ac6e34ULL},
     {"queued_blocking/u8/inject", 0xe7454d8eef6d91eaULL},
     {"queued_blocking/u32/none", 0xec9efa3d03ac6e34ULL},
@@ -150,7 +144,7 @@ TEST(ShardedFingerprints, EveryBodyWidthAndPerturbationCaseMatches) {
     jobs::set_process_concurrency(concurrency);
     std::size_t checked = 0;
     for (const Body body :
-         {Body::kStaleScalar, Body::kStaleBatch, Body::kQueuedBlocking,
+         {Body::kStaleScalar, Body::kQueuedBlocking,
           Body::kQueuedFireAndForget, Body::kExact}) {
       for (const ColorWidth width : {ColorWidth::kU8, ColorWidth::kU32}) {
         for (const bool inject : {false, true}) {

@@ -1,6 +1,6 @@
 // Property and round-trip tests for the CLI spec parsers — the
 // `--engine=`, `--graph=`, `--latency=`, `--perturb=`,
-// `--perturb-target=`, `--trace=`, `--sampling=`, and `--numa=` axes. Three properties, each
+// `--perturb-target=`, `--trace=`, and `--numa=` axes. Three properties, each
 // checked exhaustively over the accepted vocabulary and then fuzzed
 // with 10k seeded random strings per parser (the CI sanitizer jobs run
 // this same binary under ASan/UBSan):
@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "graph/factory.hpp"
-#include "rng/batch.hpp"
 #include "rng/distributions.hpp"
 #include "rng/xoshiro256.hpp"
 #include "sim/engine_select.hpp"
@@ -159,16 +158,6 @@ TEST(SpecParsers, TraceRoundTripsAndRejectsNamingTheFlag) {
       EXPECT_EQ(again.path, spec.path);
     }
   });
-}
-
-TEST(SpecParsers, SamplingRoundTripsAndRejectsNamingTheFlag) {
-  for (const SamplingMode mode :
-       {SamplingMode::kScalar, SamplingMode::kBatch}) {
-    EXPECT_EQ(parse_sampling_mode(sampling_mode_name(mode)), mode);
-  }
-  EXPECT_THROW(parse_sampling_mode("simd"), ContractViolation);
-  fuzz_parser("--sampling=", 707,
-              [](const std::string& s) { parse_sampling_mode(s); });
 }
 
 TEST(SpecParsers, NumaRoundTripsAndRejectsNamingTheFlag) {
