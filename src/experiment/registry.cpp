@@ -224,9 +224,8 @@ JsonValue ExperimentRegistry::run_to_record(const Experiment& experiment,
   // The engines that actually ran (a sharded request can fall back per
   // protocol), so the record stays truthful even when it differs from
   // the requested --engine=.
-  if (const auto engines = ctx.effective_engines(); !engines.empty()) {
-    params["engine_effective"] = join_comma(engines);
-  }
+  const auto engines = ctx.effective_engines();
+  if (!engines.empty()) params["engine_effective"] = join_comma(engines);
   // The resolved worker count, in *every* record: --shards=0 picks the
   // host's core count, sharded trajectories are keyed on it, and a
   // baseline recorded on a 64-core box must be distinguishable from
@@ -238,11 +237,15 @@ JsonValue ExperimentRegistry::run_to_record(const Experiment& experiment,
   // clock recorded at --jobs=64 must be distinguishable from one
   // recorded serially.
   params["jobs_effective"] = ctx.jobs;
-  // The resolved --numa= mode, in *every* record, for the same reason:
+  // The --numa= mode that ran, in *every* record, for the same reason:
   // placement is trajectory-neutral plumbing, but a wall clock measured
   // under first-touch/bind placement must be distinguishable from one
-  // measured without it.
-  params["numa_effective"] = numa_mode_name(ctx.tuning.numa);
+  // measured without it. Only the sharded engine places memory or pins
+  // workers, so a record whose runs never reached it says off.
+  params["numa_effective"] = numa_mode_name(
+      engines.count(engine_kind_name(EngineKind::kSharded)) > 0
+          ? ctx.tuning.numa
+          : NumaMode::kOff);
   // The per-node memory footprint of the largest run (resolved color
   // width + support counters + engine copies + CSR share), when any run
   // noted its state: deterministic for a fixed invocation, and the
