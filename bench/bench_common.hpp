@@ -3,7 +3,7 @@
 /// \file bench_common.hpp
 /// Shared scaffolding for the registered experiments in bench/. Every
 /// experiment body receives an ExperimentContext (shared --seed=,
-/// --reps=, --threads=, --csv handling plus its own sweep overrides),
+/// --reps=, --jobs=, --csv handling plus its own sweep overrides),
 /// prints the paper claim it regenerates, renders its tables via
 /// experiment/table.hpp, and records its headline series through
 /// ctx.record() so each run also emits a structured JSON record.
@@ -30,7 +30,6 @@
 #include "opinion/placement.hpp"
 #include "rng/seed.hpp"
 #include "run_plan.hpp"
-#include "sim/engine_select.hpp"
 #include "stats/quantiles.hpp"
 #include "stats/regression.hpp"
 

@@ -69,8 +69,7 @@ Cell run_cell(ExperimentContext& ctx, const bench::RunPlan& plan,
             result.time,
             (result.consensus && result.winner == 0) ? 1.0 : 0.0,
             result.consensus ? 1.0 : 0.0};
-      },
-      ctx.threads);
+      });
   ctx.record("time_vs_placement",
              {{"protocol", protocol},
               {"placement", placement_kind_name(placement.kind)},

@@ -6,6 +6,8 @@
 //       ~linear for asynchronous Two-Choices, with the extrapolated
 //       crossover k* printed (constants put k* beyond laptop k; the
 //       shapes are the reproducible claim).
+// Runs on --engine=sequential (default), heap or superposition: the
+// phased protocol has no propose(), so --engine=sharded is rejected.
 
 #include <cmath>
 
@@ -45,7 +47,7 @@ int run_exp(ExperimentContext& ctx) {
   // instead of a by-reference write, so concurrent leaves stay
   // race-free; only slots 0-1 are recorded, keeping the BENCH record
   // bit-identical to the historical two-loop version.
-  SweepRunner sweep(ctx.threads);
+  SweepRunner sweep;
   std::uint64_t sweep_point = 0;
   for (std::uint64_t n = 2048; n <= max_n; n *= 2, ++sweep_point) {
     const CompleteGraph g(n);
@@ -181,7 +183,9 @@ const ExperimentRegistrar kRegistrar{
     "near-flat-in-k claim. Records `async_oeb_time_vs_n`, "
     "`async_oeb_win_vs_n`, `async_oeb_time_vs_k`, and "
     "`async_tc_time_vs_k` (consensus time / plurality win rate per "
-    "sweep point). Overrides: --n=, --max_n=, --k=, --engine=.",
+    "sweep point). Overrides: --n=, --max_n=, --k=, "
+    "--engine=sequential|heap|superposition (the phased protocol is not "
+    "shardable, so --engine=sharded is rejected).",
     /*default_reps=*/8, run_exp};
 
 }  // namespace

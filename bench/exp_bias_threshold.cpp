@@ -32,7 +32,7 @@ int run_exp(ExperimentContext& ctx) {
   // Both k-tables ride one job graph (see runner.hpp): all (k, beta,
   // rep) leaves share the process executor; rows land in declaration
   // order, tables print afterwards in k order.
-  SweepRunner sweep(ctx.threads);
+  SweepRunner sweep;
   std::deque<Table> tables;
   for (const std::uint32_t k : {2u, 5u}) {
     tables.emplace_back(

@@ -34,7 +34,7 @@ int run_exp(ExperimentContext& ctx) {
   // One profile = one sweep point on ONE job graph; records and rows
   // come from finish callbacks in declaration order, bit-identical to
   // the historical per-profile run_repetitions_multi loop.
-  SweepRunner runner(ctx.threads);
+  SweepRunner runner;
   auto add_profile = [&](const std::string& name, auto make_rates,
                          std::uint64_t sweep_point) {
     runner.add_point(

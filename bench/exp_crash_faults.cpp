@@ -4,9 +4,9 @@
 // crashed node pins a dead color, so the table reports *live
 // agreement*: the fraction of surviving nodes on the live-plurality
 // color at the horizon, for both async Two-Choices and the phased
-// protocol. Runs on any --graph= family and any --engine= (the phased
-// protocol falls back from sharded to superposition; the record's
-// engine_effective says which engine actually drove each arm).
+// protocol. Runs on any --graph= family and --engine=sequential|heap|
+// superposition; the phased protocol cannot shard, so --engine=sharded
+// is rejected.
 
 #include "bench_common.hpp"
 #include "core/async_one_extra_bit.hpp"
@@ -75,8 +75,7 @@ int run_exp(ExperimentContext& ctx) {
             const auto result = bench::run(plan, proto, rng, 2000.0);
             return std::vector<double>{proto.live_agreement(),
                                        result.consensus ? 1.0 : 0.0};
-          },
-          ctx.threads);
+          });
       ctx.record("live_agreement",
                  {{"n", n_eff},
                   {"crash_frac", fraction},
@@ -104,8 +103,8 @@ const ExperimentRegistrar kRegistrar{
     "--crash_tick= (crashed nodes stop ticking and answering) and "
     "measures whether the survivors still agree, for plain async "
     "Two-Choices and the phased OneExtraBit protocol, on any --graph= "
-    "family and --engine= (the phased protocol is not shardable and "
-    "falls back to superposition; engine_effective records what ran). "
+    "family and --engine=sequential|heap|superposition (the phased "
+    "protocol is not shardable, so --engine=sharded is rejected). "
     "Records `live_agreement` (fraction of live nodes on the "
     "live-plurality color) per crash fraction and protocol; the "
     "resolved crash_tick and the crash_frac sweep land in the params "

@@ -38,7 +38,7 @@ int run_exp(ExperimentContext& ctx) {
   // slots rather than by-reference writes, so concurrent leaves stay
   // race-free; only slots 0-1 are recorded, keeping the BENCH record
   // bit-identical to the historical loop.
-  SweepRunner sweep(ctx.threads);
+  SweepRunner sweep;
   std::uint64_t sweep_point = 0;
   for (const double mult : {0.25, 0.5, 1.0, 2.0, 4.0}) {
     AsyncParams params;

@@ -42,7 +42,7 @@ int run_exp(ExperimentContext& ctx) {
   // — so the build_rng draw sequence is unchanged; the deque keeps
   // their addresses stable for the leaf lambdas.
   std::deque<AnyGraph> graphs;
-  SweepRunner sweep(ctx.threads);
+  SweepRunner sweep;
   const auto body_for = [&ctx, &plan](const AnyGraph& g, std::uint64_t n_eff,
                                       std::uint64_t c1) {
     return [&ctx, &plan, &g, n_eff, c1](std::uint64_t, Xoshiro256& rng) {

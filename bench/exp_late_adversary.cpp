@@ -73,8 +73,7 @@ Cell run_cell(ExperimentContext& ctx, const bench::RunPlan& cell_plan,
         const auto result = bench::run(cell_plan, proto, rng, horizon);
         return std::vector<double>{result.time,
                                    result.consensus ? 1.0 : 0.0};
-      },
-      ctx.threads);
+      });
   ctx.record("time_vs_budget",
              {{"protocol", protocol},
               {"arm", arm},

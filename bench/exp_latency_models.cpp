@@ -36,7 +36,6 @@
 #include "graph/csr.hpp"
 #include "opinion/assignment.hpp"
 #include "sim/continuous_engine.hpp"
-#include "sim/engine_select.hpp"
 #include "sim/latency.hpp"
 
 using namespace plurality;
@@ -77,8 +76,7 @@ std::vector<std::vector<double>> run_cell(ExperimentContext& ctx,
         }
         return std::vector<double>{result.time,
                                    result.consensus ? 1.0 : 0.0};
-      },
-      ctx.threads);
+      });
 }
 
 int run_exp(ExperimentContext& ctx) {
@@ -221,8 +219,7 @@ int run_exp(ExperimentContext& ctx) {
           return bench::run_queued(plan, proto, latency,
                                    QueryDiscipline::kFireAndForget, rng, 1e5)
               .time;
-        },
-        ctx.threads);
+        });
     const auto msg_times = run_repetitions(
         ctx.reps, ctx.seeds_for(1001),
         [&](std::uint64_t, Xoshiro256& rng) {
@@ -236,13 +233,12 @@ int run_exp(ExperimentContext& ctx) {
           // cross-validates the sharded queues *against* the messaging
           // driver by design, so a --engine=sharded request (which did
           // drive the main sweep) must not trip the dispatch's
-          // "ignoring --engine=" warning here.
+          // messaging-engine rejection here.
           ctx.note_effective_engine(
               engine_kind_name(EngineKind::kSuperposition));
           ctx.note_effective_latency(latency.name());
           return run_continuous_messaging(proto, latency, rng, 1e5).time;
-        },
-        ctx.threads);
+        });
     ctx.record("const_ff_sharded",
                {{"protocol", "two_choices"},
                 {"latency", "const"},

@@ -28,8 +28,7 @@ void compare_models(ExperimentContext& ctx, Table& table,
         [&](std::uint64_t, Xoshiro256& rng) {
           auto proto = make_proto(rng);
           return engine(proto, rng).time;
-        },
-        ctx.threads);
+        });
   };
   const auto seq = run_with(0, [](auto& proto, Xoshiro256& rng) {
     return run_sequential(proto, rng, 1e6);

@@ -37,7 +37,7 @@ int run_exp(ExperimentContext& ctx) {
   // declaration order (all 4a points, then all 4b points), so records,
   // rows, and the power-law fit are bit-identical to the historical
   // two-loop version.
-  SweepRunner sweep(ctx.threads);
+  SweepRunner sweep;
   std::uint64_t sweep_point = 0;
   for (std::uint64_t k = 8; k <= max_k; k *= 2, ++sweep_point) {
     const std::uint64_t bias = n / (k + 1);

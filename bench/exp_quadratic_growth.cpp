@@ -33,7 +33,7 @@ int run_exp(ExperimentContext& ctx) {
   // One job graph over the whole ratio sweep (see runner.hpp): every
   // (ratio, rep) pair is a leaf on the process executor; rows are
   // recorded in declaration order after the sweep drains.
-  SweepRunner sweep(ctx.threads);
+  SweepRunner sweep;
   std::uint64_t sweep_point = 0;
   for (const double r : ratios) {
     // c1 = r/(1+r) * n so that c1/c2 = r exactly (up to rounding).

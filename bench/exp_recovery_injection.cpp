@@ -94,8 +94,7 @@ Cell run_cell(ExperimentContext& ctx, const bench::RunPlan& cell_plan,
           out.push_back(points.empty() ? 1.0 : agreement_at(points, t));
         }
         return out;
-      },
-      ctx.threads);
+      });
   ctx.record("recovery_time_vs_rate",
              {{"protocol", protocol},
               {"engine", engine_name},
@@ -161,7 +160,7 @@ int run_exp(ExperimentContext& ctx) {
   // (sharded workers + main-thread drains). --engine= pins one.
   std::vector<EngineKind> engines;
   if (ctx.args.has_flag("engine")) {
-    engines.push_back(parse_engine_kind(ctx.engine));
+    engines.push_back(plan.engine);
   } else {
     engines = {EngineKind::kSequential, EngineKind::kSharded};
   }

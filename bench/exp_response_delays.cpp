@@ -47,8 +47,7 @@ int run_exp(ExperimentContext& ctx) {
               result.time,
               (result.consensus && result.winner == 0) ? 1.0 : 0.0,
               result.consensus ? 1.0 : 0.0};
-        },
-        ctx.threads);
+        });
     ctx.record("time_vs_delay", {{"n", n}, {"k", k}, {"mean_delay", 0.0}},
                slots[0]);
     const Summary time = summarize(slots[0]);
@@ -78,8 +77,7 @@ int run_exp(ExperimentContext& ctx) {
               result.time,
               (result.consensus && result.winner == 0) ? 1.0 : 0.0,
               result.consensus ? 1.0 : 0.0};
-        },
-        ctx.threads);
+        });
     ctx.record("time_vs_delay",
                {{"n", n}, {"k", k}, {"mean_delay", 1.0 / rate}}, slots[0]);
     const Summary time = summarize(slots[0]);

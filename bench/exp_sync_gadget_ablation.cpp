@@ -47,7 +47,7 @@ int run_exp(ExperimentContext& ctx) {
   // extra result slots instead of by-reference writes, so concurrent
   // leaves stay race-free; only slots 0-1 are recorded, keeping the
   // BENCH record bit-identical to the historical nested loop.
-  SweepRunner sweep(ctx.threads);
+  SweepRunner sweep;
   std::uint64_t sweep_point = 0;
   for (std::uint64_t n = 4096; n <= max_n; n *= 2) {
     const CompleteGraph g(n);

@@ -69,7 +69,7 @@ int run_exp(ExperimentContext& ctx) {
   // on the process executor; records and table rows are emitted by the
   // finish callbacks in declaration order, bit-identical to the
   // historical per-point loop.
-  SweepRunner sweep(ctx.threads);
+  SweepRunner sweep;
   std::uint64_t sweep_point = 0;
   for (std::uint64_t n = 1024; n <= max_n; n *= 4, ++sweep_point) {
     sweep.add_point(

@@ -47,8 +47,7 @@ void measure(ExperimentContext& ctx, const bench::RunPlan& plan,
         return std::vector<double>{
             tc_result.time, tc_result.consensus ? 1.0 : 0.0,
             voter_result.time, voter_result.consensus ? 1.0 : 0.0};
-      },
-      ctx.threads);
+      });
   ctx.record("tc_time", {{"n", n}, {"topology", name.c_str()}}, slots[0]);
   ctx.record("voter_time", {{"n", n}, {"topology", name.c_str()}},
              slots[2]);

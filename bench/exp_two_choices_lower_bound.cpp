@@ -33,7 +33,7 @@ int run_exp(ExperimentContext& ctx) {
   // the sweep drains, in declaration order. c1 is read off the count
   // profile at declaration time — placement only permutes nodes, never
   // the counts — so the leaf bodies stay free of shared writes.
-  SweepRunner sweep(ctx.threads);
+  SweepRunner sweep;
   const auto body_for = [&ctx, &graph, n](std::uint64_t k,
                                           std::uint64_t bias) {
     return [&ctx, &graph, n, k, bias](std::uint64_t, Xoshiro256& rng) {

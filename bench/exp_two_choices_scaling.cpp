@@ -37,7 +37,7 @@ int run_exp(ExperimentContext& ctx) {
   // every graph) is identical to the historical per-point loop — and
   // live in a deque so the leaf lambdas can hold stable references.
   std::deque<AnyGraph> graphs;
-  SweepRunner sweep(ctx.threads);
+  SweepRunner sweep;
   std::uint64_t sweep_point = 0;
   for (std::uint64_t n_req = 1024; n_req <= max_n;
        n_req *= 2, ++sweep_point) {

@@ -9,8 +9,7 @@
 //                                        is generated from this output;
 //                                        see tools/gen_experiment_docs.py)
 //
-// Shared knobs (--seed= --reps= --threads= --jobs= --csv) plus each
-// experiment's
+// Shared knobs (--seed= --reps= --jobs= --csv) plus each experiment's
 // own sweep overrides pass straight through. Besides the human-readable
 // tables on stdout, every run writes one structured JSON record —
 // params, per-rep samples, Welford mean/stderr, wall clock — to
@@ -50,9 +49,11 @@ void print_list(const ExperimentRegistry& registry, std::ostream& os) {
 void print_usage(const ExperimentRegistry& registry, std::ostream& os) {
   os << "usage: plurality_exp --exp=<name>[,<name>...] | --all | --list |"
         " --describe-all\n"
-     << "       [--seed=N] [--reps=N] [--threads=N] [--jobs=N] [--csv]\n"
+     << "       [--seed=N] [--reps=N] [--jobs=N] [--csv]\n"
      << "       [--engine=sequential|heap|superposition|sharded]"
         " [--shards=T]\n"
+     << "       (an engine or latency a protocol cannot run is an error,"
+        " never a fallback)\n"
      << "       [--latency=zero|const|exp|pareto|aging]"
         " [--latency-mean=M] [--latency-shape=S]\n"
      << "       [--graph=complete|ring|torus|er|regular|sbm]"
@@ -79,15 +80,17 @@ void print_catalog(const ExperimentRegistry& registry, std::ostream& os) {
         "     experiment registry. -->\n\n"
      << "All " << registry.size()
      << " experiments live in the single registry-driven binary\n"
-        "`plurality_exp` and share the common knobs `--seed=` `--reps=` "
-        "`--threads=`\n`--jobs=` (process-wide thread cap for the "
+        "`plurality_exp` and share the common knobs `--seed=` `--reps=`\n"
+        "`--jobs=` (process-wide thread cap for the "
         "work-stealing executor;\nresults are bit-identical for every "
         "value) `--csv` `--engine=` `--shards=` `--latency=` "
         "`--latency-mean=`\n`--latency-shape=` plus the scenario axes "
         "`--graph=` (with `--graph-p=`\n`--graph-degree=` "
         "`--graph-blocks=` `--graph-pin=` `--graph-pout=`) and\n"
         "`--placement=` (with `--placement-fraction=`) — see README and "
-        "docs/SCENARIOS.md.\nEvery run emits one `BENCH_<name>.json` "
+        "docs/SCENARIOS.md.\nAn engine or latency a protocol cannot run "
+        "is rejected with an error naming\nthe flags, never replaced by "
+        "a fallback. Every run emits one `BENCH_<name>.json` "
         "record with the resolved\nparameters and per-repetition "
         "samples.\n";
   for (const Experiment* e : registry.list()) {

@@ -4,35 +4,32 @@
 /// The one run dispatch behind every experiment: a RunPlan is the
 /// resolved {engine, graph, placement, latency} tuple of one
 /// experiment invocation, and bench::run(plan, ...) is the single
-/// entry point that routes any protocol to the driver that can
-/// actually execute that composition.
+/// entry point that routes any protocol to the driver that executes
+/// that composition, or rejects the composition with a
+/// ContractViolation naming the flags in conflict. Nothing is silently
+/// downgraded.
 ///
 /// Dispatch rules (each records truthful *_effective attribution):
 ///   - zero latency: the requested engine drives the protocol
-///     (sequential | heap | superposition | sharded), with the
-///     sharded→superposition fallback for non-shardable protocols —
-///     bit-identical behavior (and RNG consumption) to the old
-///     bench::run_async, so historical baselines survive unchanged;
+///     (sequential | heap | superposition | sharded); --engine=sharded
+///     is rejected for a protocol that is not ShardableProtocol;
 ///   - non-zero latency + a delayed-shardable protocol (query/apply
 ///     split): the sharded engine's per-shard delivery queues
 ///     (run_sharded_queued), under the blocking one-query-in-flight
-///     discipline, always with the resolved --shards= worker count —
-///     the only driver for this composition, so the run is attributed
-///     engine_effective=sharded whatever engine was requested, and
-///     shards_effective names the count that actually keyed the
-///     trajectories. This is what makes graph × placement ×
-///     random-latency compositions run in parallel instead of being
-///     exiled to single-threaded drivers;
+///     discipline, always with the resolved --shards= worker count.
+///     They are the only driver for this composition, so an explicit
+///     --engine= other than sharded is rejected; under the
+///     experiment's default engine the run is attributed
+///     engine_effective=sharded, and shards_effective names the count
+///     that keyed the trajectories;
 ///   - non-zero latency + a protocol without the query/apply split:
-///     the latency is *ignored with a once-per-process warning* and no
-///     latency_effective is attributed — the record stays truthful;
+///     rejected;
 ///   - messaging protocols (core/delayed.hpp) take the explicit-model
-///     overload and always ride the superposition messaging driver,
-///     the only single-stream engine with a delivery queue.
+///     overload and ride the superposition messaging driver, the only
+///     single-stream engine with a delivery queue; an explicit
+///     --engine= other than superposition is rejected.
 
-#include <atomic>
 #include <cstdint>
-#include <iostream>
 #include <string>
 #include <utility>
 #include <variant>
@@ -42,46 +39,12 @@
 #include "graph/factory.hpp"
 #include "opinion/placement.hpp"
 #include "sim/continuous_engine.hpp"
-#include "sim/engine_select.hpp"
 #include "sim/latency.hpp"
+#include "sim/sequential_engine.hpp"
 #include "sim/sharded_engine.hpp"
+#include "support/assert.hpp"
 
 namespace plurality::bench {
-
-/// Once per process (a plain function, not a template, so the flag is
-/// shared by every protocol instantiation).
-inline void warn_sharded_fallback_once() {
-  static std::atomic_flag warned = ATOMIC_FLAG_INIT;
-  if (!warned.test_and_set()) {
-    std::cerr << "warning: --engine=sharded is not supported by this "
-                 "protocol (no propose()); running on the superposition "
-                 "engine instead\n";
-  }
-}
-
-/// Once per process: a messaging (delayed-response) run was asked to
-/// use an engine without a delivery queue.
-inline void warn_messaging_engine_once() {
-  static std::atomic_flag warned = ATOMIC_FLAG_INIT;
-  if (!warned.test_and_set()) {
-    std::cerr << "warning: delayed-response runs require the messaging "
-                 "driver; ignoring --engine= and running on the "
-                 "superposition-based delivery engine\n";
-  }
-}
-
-/// Once per process: --latency= was requested for a protocol that has
-/// no query/apply split (e.g. the stateful OneExtraBit tick machines),
-/// so the run proceeds with instant responses.
-inline void warn_latency_unsupported_once() {
-  static std::atomic_flag warned = ATOMIC_FLAG_INIT;
-  if (!warned.test_and_set()) {
-    std::cerr << "warning: --latency= is not supported by this protocol "
-                 "(no query/apply split); running with instant "
-                 "responses instead (the record carries no "
-                 "latency_effective for these samples)\n";
-  }
-}
 
 /// The resolved composition of one experiment invocation: which engine
 /// drives the runs, which topology family the sweep builds, where the
@@ -204,9 +167,9 @@ inline AnyGraph topology(const RunPlan& plan, std::uint64_t n,
 
 /// Runs a delayed-shardable protocol under an explicit latency model on
 /// the sharded engine's per-shard delivery queues — the only driver for
-/// this composition, whatever engine the plan requested, and always
-/// with the plan's resolved `--shards=` count: the record says
-/// {engine_effective: sharded, shards_effective: plan.shards}, and that
+/// this composition (bench::run routes here; latency_models also calls
+/// it directly), always with the plan's resolved `--shards=` count: the
+/// record says {engine_effective: sharded, shards_effective: plan.shards}, and that
 /// pair must describe the trajectories it holds (replaying a record
 /// with a different shard count gives a different — statistically
 /// equivalent — run). The engine seeds its per-shard streams from a
@@ -226,55 +189,102 @@ AsyncRunResult run_queued(const RunPlan& plan, P& proto,
                             /*epoch_length=*/0.25, perturb, plan.tuning);
 }
 
+/// Throws the ContractViolation for a flag combination bench::run
+/// cannot honor: `flags` names the values in conflict, `why` says
+/// which protocol or driver cannot run them.
+[[noreturn]] inline void reject(std::string flags, const char* why) {
+  flags += " is not supported: ";
+  flags += why;
+  throw ContractViolation(flags);
+}
+
+/// "--<key>=<value>", for rejection messages.
+inline std::string flag(const char* key, const char* value) {
+  std::string text = "--";
+  text += key;
+  text += "=";
+  text += value;
+  return text;
+}
+
 /// THE run dispatch for plain (non-messaging) async protocols: engine ×
-/// latency routing as described in the file header. For the default
-/// zero-latency axis this is bit-identical (including RNG consumption)
-/// to the historical bench::run_async.
+/// latency routing as described in the file header. The shard seed is
+/// one word of `rng`, drawn only when the sharded engine runs.
 template <typename P, typename Obs = NullObserver>
 AsyncRunResult run(const RunPlan& plan, P& proto, Xoshiro256& rng,
                    double max_time, Obs&& obs = Obs{},
                    double sample_every = 1.0, Perturber* perturb = nullptr) {
+  const char* engine = engine_kind_name(plan.engine);
   if (plan.latency.kind != LatencyKind::kZero) {
+    const char* latency = latency_kind_name(plan.latency.kind);
     if constexpr (DelayedShardableProtocol<P>) {
+      if (!plan.ctx->engine.empty() && plan.engine != EngineKind::kSharded) {
+        std::string flags = flag("engine", engine);
+        flags += " with ";
+        flags += flag("latency", latency);
+        reject(std::move(flags),
+               "response latency runs only on the sharded engine's "
+               "delivery queues (pass --engine=sharded or drop --engine=)");
+      }
       const auto model = plan.latency.make();
       return run_queued(plan, proto, *model, QueryDiscipline::kBlocking,
                         rng, max_time, std::forward<Obs>(obs),
                         sample_every, perturb);
     } else {
-      // Fall through to the instant-response dispatch below; the
-      // warning is loud and the record carries no latency_effective
-      // for these samples, so it cannot misattribute them.
-      warn_latency_unsupported_once();
+      reject(flag("latency", latency),
+             "this protocol has no query/apply split, so it cannot wait "
+             "for responses (drop --latency=)");
     }
   }
-  const EngineKind effective = effective_engine_kind<P>(plan.engine);
-  if (effective != plan.engine) warn_sharded_fallback_once();
-  plan.ctx->note_effective_engine(engine_kind_name(effective));
-  note_state_footprint(plan, proto, effective == EngineKind::kSharded);
-  const std::uint64_t shard_seed =
-      effective == EngineKind::kSharded ? rng() : 0;
-  // Dispatch on `effective`, the same value that was just recorded, so
-  // the JSON label and the engine that runs can never diverge.
-  return run_async_engine(effective, proto, rng, shard_seed, plan.shards,
-                          max_time, std::forward<Obs>(obs), sample_every,
-                          perturb, plan.tuning);
+  if constexpr (!ShardableProtocol<P>) {
+    if (plan.engine == EngineKind::kSharded) {
+      reject(flag("engine", engine),
+             "this protocol has no propose(), so it cannot shard (use "
+             "--engine=sequential|heap|superposition)");
+    }
+  }
+  plan.ctx->note_effective_engine(engine);
+  note_state_footprint(plan, proto, plan.engine == EngineKind::kSharded);
+  switch (plan.engine) {
+    case EngineKind::kSequential:
+      return run_sequential(proto, rng, max_time, std::forward<Obs>(obs),
+                            sample_every, perturb);
+    case EngineKind::kHeap:
+      return run_continuous_heap(proto, rng, max_time,
+                                 std::forward<Obs>(obs), sample_every,
+                                 perturb);
+    case EngineKind::kSuperposition:
+      return run_continuous(proto, rng, max_time, std::forward<Obs>(obs),
+                            sample_every, perturb);
+    case EngineKind::kSharded:
+      // Rejected above for non-shardable P; the if constexpr keeps
+      // run_sharded uninstantiated for them.
+      if constexpr (ShardableProtocol<P>) {
+        return run_sharded(proto, rng(), plan.shards, max_time,
+                           std::forward<Obs>(obs), sample_every,
+                           /*epoch_length=*/0.25, perturb, plan.tuning);
+      }
+      break;
+  }
+  throw ContractViolation("unreachable engine kind");
 }
 
 /// The run dispatch for *messaging* protocols (core/delayed.hpp) under
-/// an explicit latency model. Messaging protocols always ride the
+/// an explicit latency model. Messaging protocols ride the
 /// superposition-based delivery driver (the only single-stream engine
-/// with a message queue); any other engine request falls back to it
-/// with a once-per-process warning, and the record's
-/// params.engine_effective says "superposition" so the JSON stays
-/// truthful. The latency draws come from `rng` via the driver (see
-/// continuous_engine.hpp); `model` must outlive the run.
+/// with a message queue), so an explicit --engine= naming any other
+/// engine is rejected. The latency draws come from `rng` via the driver
+/// (see continuous_engine.hpp); `model` must outlive the run.
 template <MessagingProtocol P, typename Obs = NullObserver>
 AsyncRunResult run(const RunPlan& plan, P& proto, const LatencyModel& model,
                    Xoshiro256& rng, double max_time, Obs&& obs = Obs{},
                    double sample_every = 1.0) {
   if (!plan.ctx->engine.empty() &&
       plan.engine != EngineKind::kSuperposition) {
-    warn_messaging_engine_once();
+    reject(flag("engine", engine_kind_name(plan.engine)),
+           "delayed-response protocols run only on the superposition "
+           "messaging driver (pass --engine=superposition or drop "
+           "--engine=)");
   }
   plan.ctx->note_effective_engine(
       engine_kind_name(EngineKind::kSuperposition));

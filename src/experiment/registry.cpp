@@ -181,7 +181,6 @@ JsonValue ExperimentRegistry::run_to_record(const Experiment& experiment,
   JsonValue params = JsonValue::object();
   params["seed"] = ctx.master_seed;
   params["reps"] = ctx.reps;
-  params["threads"] = ctx.threads;
   // Explicit --latency/--latency-mean/--latency-shape flags reach the
   // record through the raw-args echo below; the resolved shape default
   // is only interesting when a model was requested by kind.
@@ -221,9 +220,9 @@ JsonValue ExperimentRegistry::run_to_record(const Experiment& experiment,
   for (const auto& [key, value] : ctx.noted_params()) {
     if (!params.has(key)) params[key] = value;
   }
-  // The engines that actually ran (a sharded request can fall back per
-  // protocol), so the record stays truthful even when it differs from
-  // the requested --engine=.
+  // The engines that actually ran, so the record stays truthful even
+  // when it differs from the requested --engine= (see
+  // note_effective_engine).
   const auto engines = ctx.effective_engines();
   if (!engines.empty()) params["engine_effective"] = join_comma(engines);
   // The resolved worker count, in *every* record: --shards=0 picks the

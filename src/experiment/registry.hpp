@@ -5,7 +5,7 @@
 /// name, a one-line description, a default repetition count, and a run
 /// entry point. One binary (`plurality_exp`) then exposes all of them
 /// behind `--exp=<name>`, `--list`, and `--all`, with shared
-/// `--seed/--reps/--threads/--csv` handling through ExperimentContext.
+/// `--seed/--reps/--jobs/--csv` handling through ExperimentContext.
 ///
 /// Besides the human-readable tables an experiment prints, every run
 /// produces one structured JSON record (see run_to_record): the
@@ -32,12 +32,47 @@
 #include "jobs/executor.hpp"
 #include "opinion/placement.hpp"
 #include "rng/seed.hpp"
-#include "sim/engine_select.hpp"
 #include "sim/latency.hpp"
 #include "sim/perturb.hpp"
+#include "sim/sharded_engine.hpp"
+#include "support/assert.hpp"
 #include "trace/trace.hpp"
 
 namespace plurality {
+
+/// The engine an `--engine=` value names; bench::run (bench/run_plan.hpp)
+/// switches on it. Engines sample the same stochastic process but
+/// consume the RNG stream differently, so switching engines changes the
+/// realized trajectory for a fixed seed while leaving every
+/// distribution intact (see README, "Engine selection").
+enum class EngineKind {
+  kSequential,     ///< uniform node per discrete step, time = steps/n
+  kHeap,           ///< continuous clocks via the n-timer event queue
+  kSuperposition,  ///< continuous clocks via O(1) superposition sampling
+  kSharded,        ///< superposition split into executor-run shards
+};
+
+inline const char* engine_kind_name(EngineKind kind) noexcept {
+  switch (kind) {
+    case EngineKind::kSequential: return "sequential";
+    case EngineKind::kHeap: return "heap";
+    case EngineKind::kSuperposition: return "superposition";
+    case EngineKind::kSharded: return "sharded";
+  }
+  return "unknown";
+}
+
+/// Parses an `--engine=` value; throws ContractViolation (naming the
+/// offending text) on anything unrecognized.
+inline EngineKind parse_engine_kind(const std::string& name) {
+  if (name == "sequential") return EngineKind::kSequential;
+  if (name == "heap") return EngineKind::kHeap;
+  if (name == "superposition") return EngineKind::kSuperposition;
+  if (name == "sharded") return EngineKind::kSharded;
+  throw ContractViolation(
+      "--engine=" + name +
+      " is not one of sequential|heap|superposition|sharded");
+}
 
 /// Per-run state handed to an experiment body: the parsed CLI plus the
 /// shared knobs every experiment honors, and the sink for measured
@@ -49,7 +84,6 @@ class ExperimentContext {
       : args(std::move(arguments)),
         master_seed(args.get_u64("seed", 42)),
         reps(args.get_u64("reps", default_reps)),
-        threads(static_cast<unsigned>(args.get_u64("threads", 0))),
         engine(args.get_string("engine", "")),
         shards(static_cast<unsigned>(args.get_u64("shards", 0))),
         jobs(static_cast<unsigned>(args.get_u64("jobs", 0))),
@@ -147,15 +181,22 @@ class ExperimentContext {
     // to its distribution-exact two-phase schedule; --numa= is
     // trajectory-neutral placement plumbing (recorded as
     // numa_effective, never echoed into params — like --jobs=).
-    // --sampling= is rejected, not ignored: every engine has one
-    // node-draw path, and the raw-args echo would otherwise label a run
-    // with whatever value was passed.
-    if (args.has_flag("sampling")) {
-      std::string what = "--sampling=";
-      what += args.get_string("sampling", "");
-      what += " is not supported: every engine has a single node-draw path";
+    // --sampling= and --threads= are rejected, not ignored: every engine
+    // has one node-draw path, --jobs= is the one concurrency knob, and
+    // the raw-args echo would otherwise label a run with whatever value
+    // was passed.
+    const auto reject_flag = [&](const char* key, const char* why) {
+      if (!args.has_flag(key)) return;
+      std::string what = "--";
+      what += key;
+      what += "=";
+      what += args.get_string(key, "");
+      what += " is not supported: ";
+      what += why;
       throw ContractViolation(what);
-    }
+    };
+    reject_flag("sampling", "every engine has a single node-draw path");
+    reject_flag("threads", "--jobs= is the one concurrency knob");
     tuning.numa = parse_numa_mode(args.get_string("numa", "off"));
     tuning.exact_reads = args.has_flag("exact-reads");
   }
@@ -163,7 +204,6 @@ class ExperimentContext {
   Args args;
   std::uint64_t master_seed;
   std::uint64_t reps;
-  unsigned threads;
   std::string engine;  ///< --engine= override; empty = experiment default
   unsigned shards;     ///< --shards=, resolved (0 -> hardware concurrency)
   unsigned jobs;       ///< --jobs=, resolved (0 -> hardware concurrency);
@@ -196,10 +236,12 @@ class ExperimentContext {
   JsonValue take_series() { return std::exchange(series_, JsonValue::array()); }
 
   /// Called by the bench harness with the engine that actually drove a
-  /// protocol (a --engine=sharded request falls back to superposition
-  /// for non-shardable protocols); collected into the JSON record as
-  /// params.engine_effective so records never silently misattribute
-  /// their samples. Thread-safe (repetition bodies run on workers).
+  /// protocol; collected into the JSON record as
+  /// params.engine_effective. It can differ from --engine=: some
+  /// experiments sweep or cross-check engines of their own, and under
+  /// the experiment's default engine a non-zero --latency= runs on the
+  /// sharded delivery queues. Thread-safe (repetition bodies run on
+  /// workers).
   void note_effective_engine(const std::string& name) const {
     const std::lock_guard<std::mutex> lock(engines_mutex_);
     engines_used_.insert(name);

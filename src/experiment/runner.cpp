@@ -27,53 +27,24 @@ std::vector<std::vector<double>> transpose_rows(
 std::vector<std::vector<double>> run_repetitions_multi(
     std::uint64_t reps, std::size_t slots, const SeedSequence& seeds,
     const std::function<std::vector<double>(std::uint64_t, Xoshiro256&)>&
-        body,
-    unsigned threads) {
-  PC_EXPECTS(reps >= 1);
-  PC_EXPECTS(slots >= 1);
-
-  // results[rep][slot]; each repetition writes its own row, so no locks.
-  std::vector<std::vector<double>> per_rep(reps);
-
-  if (threads == 1) {
-    // Pure serial on the caller: the baseline the determinism tests
-    // compare every parallel schedule against.
-    for (std::uint64_t rep = 0; rep < reps; ++rep) {
-      Xoshiro256 rng = seeds.make_rng(rep);
-      per_rep[rep] = body(rep, rng);
-    }
-    return transpose_rows(per_rep, slots);
-  }
-
-  jobs::JobGraph graph;
-  std::vector<jobs::JobGraph::JobId> leaves;
-  leaves.reserve(reps);
-  for (std::uint64_t rep = 0; rep < reps; ++rep) {
-    leaves.push_back(graph.add([&seeds, &body, &per_rep, rep] {
-      Xoshiro256 rng = seeds.make_rng(rep);
-      per_rep[rep] = body(rep, rng);
-    }));
-    // A chain to leaf rep - threads caps in-flight repetitions at
-    // `threads` without a shared counter (threads == 0: no cap; the
-    // executor's --jobs= worker count is then the only limit).
-    if (threads != 0 && rep >= threads) {
-      graph.depend(leaves[rep], leaves[rep - threads]);
-    }
-  }
-  jobs::Executor::process().run(graph);
-  return transpose_rows(per_rep, slots);
+        body) {
+  std::vector<std::vector<double>> by_slot;
+  SweepRunner sweep;
+  sweep.add_point(reps, slots, seeds, body,
+                  [&by_slot](const std::vector<std::vector<double>>& out) {
+                    by_slot = out;
+                  });
+  sweep.run();
+  return by_slot;
 }
 
 std::vector<double> run_repetitions(
     std::uint64_t reps, const SeedSequence& seeds,
-    const std::function<double(std::uint64_t, Xoshiro256&)>& body,
-    unsigned threads) {
+    const std::function<double(std::uint64_t, Xoshiro256&)>& body) {
   auto multi = run_repetitions_multi(
-      reps, 1, seeds,
-      [&body](std::uint64_t rep, Xoshiro256& rng) {
+      reps, 1, seeds, [&body](std::uint64_t rep, Xoshiro256& rng) {
         return std::vector<double>{body(rep, rng)};
-      },
-      threads);
+      });
   return std::move(multi[0]);
 }
 
@@ -94,36 +65,28 @@ void SweepRunner::run() {
   PC_EXPECTS(!ran_);
   ran_ = true;
 
-  if (threads_ == 1) {
-    // Serial inline: execute and finish each point in declaration
-    // order — the reference schedule.
+  const auto run_leaf = [](Point& point, std::uint64_t rep) {
+    Xoshiro256 rng = point.seeds.make_rng(rep);
+    point.per_rep[rep] = point.body(rep, rng);
+  };
+  jobs::Executor& executor = jobs::Executor::process();
+  if (executor.workers() == 0) {
+    // Serial inline, in declaration order: the reference schedule.
     for (Point& point : points_) {
       for (std::uint64_t rep = 0; rep < point.reps; ++rep) {
-        Xoshiro256 rng = point.seeds.make_rng(rep);
-        point.per_rep[rep] = point.body(rep, rng);
-      }
-      point.finish(transpose_rows(point.per_rep, point.slots));
-    }
-    return;
-  }
-
-  // One graph over the whole sweep: leaves in declaration order, the
-  // in-flight cap as chain dependencies across point boundaries.
-  jobs::JobGraph graph;
-  std::vector<jobs::JobGraph::JobId> leaves;
-  for (Point& point : points_) {
-    for (std::uint64_t rep = 0; rep < point.reps; ++rep) {
-      leaves.push_back(graph.add([&point, rep] {
-        Xoshiro256 rng = point.seeds.make_rng(rep);
-        point.per_rep[rep] = point.body(rep, rng);
-      }));
-      const std::size_t j = leaves.size() - 1;
-      if (threads_ != 0 && j >= threads_) {
-        graph.depend(leaves[j], leaves[j - threads_]);
+        run_leaf(point, rep);
       }
     }
+  } else {
+    // One graph over the whole sweep, leaves in declaration order.
+    jobs::JobGraph graph;
+    for (Point& point : points_) {
+      for (std::uint64_t rep = 0; rep < point.reps; ++rep) {
+        graph.add([&run_leaf, &point, rep] { run_leaf(point, rep); });
+      }
+    }
+    executor.run(graph);
   }
-  jobs::Executor::process().run(graph);
 
   for (Point& point : points_) {
     point.finish(transpose_rows(point.per_rep, point.slots));

@@ -9,7 +9,7 @@
 ///
 /// Two entry points:
 ///   - run_repetitions / run_repetitions_multi: one sweep point, reps
-///     fanned out as executor jobs (the historical API, unchanged);
+///     fanned out as executor jobs (a one-point SweepRunner);
 ///   - SweepRunner: a whole sweep declared up front as a DAG of
 ///     (sweep-point, repetition) leaf jobs on ONE executor submission,
 ///     so short points at the end of a sweep fill the cores that long
@@ -29,24 +29,20 @@
 namespace plurality {
 
 /// Runs `reps` repetitions of `body(rep_index, rng)` and collects the
-/// returned doubles in repetition order. `threads` caps how many
-/// repetitions may be in flight at once; 0 = no cap (the executor's
-/// worker count — the --jobs= budget — is then the only limit), 1 =
-/// pure serial on the calling thread. The body must be thread-safe
-/// with respect to its captures (each call receives an independent
-/// RNG).
+/// returned doubles in repetition order: a one-point SweepRunner, so
+/// the executor's worker count (the --jobs= budget) is the only limit
+/// on repetitions in flight. The body must be thread-safe with respect
+/// to its captures (each call receives an independent RNG).
 std::vector<double> run_repetitions(
     std::uint64_t reps, const SeedSequence& seeds,
-    const std::function<double(std::uint64_t, Xoshiro256&)>& body,
-    unsigned threads = 0);
+    const std::function<double(std::uint64_t, Xoshiro256&)>& body);
 
 /// As run_repetitions, but the body returns several named quantities;
 /// returns one vector per slot, each in repetition order.
 std::vector<std::vector<double>> run_repetitions_multi(
     std::uint64_t reps, std::size_t slots, const SeedSequence& seeds,
     const std::function<std::vector<double>(std::uint64_t, Xoshiro256&)>&
-        body,
-    unsigned threads = 0);
+        body);
 
 /// Declares a whole sweep as one job graph: call add_point() once per
 /// sweep point (in the order rows should be recorded/printed), then
@@ -54,18 +50,17 @@ std::vector<std::vector<double>> run_repetitions_multi(
 /// stream drawn from that point's SeedSequence at the rep index, and
 /// every leaf writes a pre-sized slot — so the transposed per-slot
 /// sample vectors handed to `finish` are bit-identical to a serial
-/// sweep for any worker count, including zero.
-///
-/// `threads` (0 = no cap, 1 = serial inline) bounds in-flight leaves
-/// across the WHOLE sweep via chain dependencies: leaf j cannot start
-/// before leaf j - threads completes. One SweepRunner is single-use.
+/// sweep for any worker count. When the process executor has no
+/// workers (--jobs=1) the leaves run inline on the caller, in
+/// declaration order: the reference schedule the determinism tests
+/// compare every parallel one against. One SweepRunner is single-use.
 class SweepRunner {
  public:
   using Body = std::function<std::vector<double>(std::uint64_t, Xoshiro256&)>;
   using Finish =
       std::function<void(const std::vector<std::vector<double>>&)>;
 
-  explicit SweepRunner(unsigned threads = 0) : threads_(threads) {}
+  SweepRunner() = default;
   SweepRunner(const SweepRunner&) = delete;
   SweepRunner& operator=(const SweepRunner&) = delete;
 
@@ -92,7 +87,6 @@ class SweepRunner {
     std::vector<std::vector<double>> per_rep;  // pre-sized result rows
   };
 
-  unsigned threads_;
   bool ran_ = false;
   std::vector<Point> points_;
 };

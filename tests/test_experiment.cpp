@@ -1,13 +1,16 @@
 // Tests for the experiment harness: CLI args, table rendering, and the
-// thread-count-independent repetition runner.
+// worker-count-independent repetition runner.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
+#include <thread>
 
 #include "experiment/args.hpp"
 #include "experiment/runner.hpp"
 #include "experiment/table.hpp"
+#include "jobs/executor.hpp"
 #include "rng/distributions.hpp"
 #include "support/assert.hpp"
 
@@ -154,8 +157,12 @@ TEST(Runner, DeterministicAcrossThreadCounts) {
     return static_cast<double>(uniform_below(rng, 1000000)) +
            static_cast<double>(rep) * 1e7;
   };
-  const auto serial = run_repetitions(32, seeds, body, 1);
-  const auto parallel = run_repetitions(32, seeds, body, 8);
+  jobs::set_process_concurrency(1);  // inline, the reference schedule
+  const auto serial = run_repetitions(32, seeds, body);
+  jobs::set_process_concurrency(8);
+  const auto parallel = run_repetitions(32, seeds, body);
+  jobs::set_process_concurrency(
+      std::max(1u, std::thread::hardware_concurrency()));
   EXPECT_EQ(serial, parallel);
 }
 
@@ -165,8 +172,7 @@ TEST(Runner, ResultsInRepetitionOrder) {
       10, seeds,
       [](std::uint64_t rep, Xoshiro256&) {
         return static_cast<double>(rep);
-      },
-      4);
+      });
   for (std::size_t i = 0; i < results.size(); ++i) {
     EXPECT_DOUBLE_EQ(results[i], static_cast<double>(i));
   }
@@ -179,8 +185,7 @@ TEST(Runner, MultiSlotShapesAndOrder) {
       [](std::uint64_t rep, Xoshiro256&) {
         const auto r = static_cast<double>(rep);
         return std::vector<double>{r, r * 10, r * 100};
-      },
-      3);
+      });
   ASSERT_EQ(slots.size(), 3u);
   for (std::size_t s = 0; s < 3; ++s) {
     ASSERT_EQ(slots[s].size(), 6u);

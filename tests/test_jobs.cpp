@@ -307,12 +307,13 @@ TEST(ParallelFor, SaturatedExecutorRunsOnlyTheCallersIndicesInline) {
 // ---- SweepRunner -----------------------------------------------------
 
 TEST(SweepRunner, MatchesSerialScheduleAndFinishOrder) {
-  // The same two-point sweep under the serial path (threads=1), a
-  // chained cap (threads=2), and full width (threads=0) must hand
-  // identical per-slot samples to finish callbacks, in declaration
-  // order — the contract the experiment layer's records rest on.
-  const auto run_with = [](unsigned threads) {
-    SweepRunner sweep(threads);
+  // The same three-point sweep inline (one thread, no executor
+  // workers) and on the executor at two widths must hand identical
+  // per-slot samples to finish callbacks, in declaration order — the
+  // contract the experiment layer's records rest on.
+  const auto run_at = [](unsigned total) {
+    set_process_concurrency(total);
+    SweepRunner sweep;
     std::vector<std::vector<std::vector<double>>> results;
     std::vector<int> finish_order;
     for (int point = 0; point < 3; ++point) {
@@ -332,7 +333,7 @@ TEST(SweepRunner, MatchesSerialScheduleAndFinishOrder) {
     return std::pair{results, finish_order};
   };
 
-  const auto [serial, serial_order] = run_with(1);
+  const auto [serial, serial_order] = run_at(1);
   ASSERT_EQ(serial.size(), 3u);
   EXPECT_EQ(serial_order, (std::vector<int>{0, 1, 2}));
   // Slot 1 carries the rep index: proves per-rep slots land in rep
@@ -342,15 +343,16 @@ TEST(SweepRunner, MatchesSerialScheduleAndFinishOrder) {
       EXPECT_EQ(by_slot[1][rep], static_cast<double>(rep));
     }
   }
-  for (const unsigned threads : {2u, 0u}) {
-    const auto [parallel, parallel_order] = run_with(threads);
+  for (const unsigned total : {2u, 4u}) {
+    const auto [parallel, parallel_order] = run_at(total);
     EXPECT_EQ(parallel, serial);
     EXPECT_EQ(parallel_order, serial_order);
   }
+  set_process_concurrency(std::max(1u, std::thread::hardware_concurrency()));
 }
 
 TEST(SweepRunner, PropagatesBodyExceptions) {
-  SweepRunner sweep(0);
+  SweepRunner sweep;
   bool finished = false;
   sweep.add_point(
       2, 1, SeedSequence(1),
@@ -411,10 +413,13 @@ TEST(RunRepetitions, IdenticalAcrossJobGraphAndSerialPaths) {
   const auto body = [](std::uint64_t, Xoshiro256& rng) {
     return static_cast<double>(rng.next() % 100000);
   };
-  const auto serial = run_repetitions(32, seeds, body, 1);
-  for (const unsigned threads : {0u, 2u, 8u}) {
-    EXPECT_EQ(run_repetitions(32, seeds, body, threads), serial);
+  set_process_concurrency(1);
+  const auto serial = run_repetitions(32, seeds, body);
+  for (const unsigned total : {2u, 8u}) {
+    set_process_concurrency(total);
+    EXPECT_EQ(run_repetitions(32, seeds, body), serial);
   }
+  set_process_concurrency(std::max(1u, std::thread::hardware_concurrency()));
 }
 
 }  // namespace

@@ -1,8 +1,9 @@
 // Scheduling-determinism stress test for the job-graph experiment
 // layer: a real registered experiment (two_choices_scaling on an SBM
 // community graph) must emit bit-identical BENCH records and stdout
-// whether it runs serially (--threads=1 --jobs=1) or on the process
-// executor with any worker count (--jobs=1,2,8), across repeated runs.
+// whether it runs serially (--jobs=1: no executor workers, every leaf
+// inline in declaration order) or on the process executor with any
+// worker count (--jobs=2,8), across repeated runs.
 // This is the executable form of the executor's determinism contract
 // (jobs/executor.hpp): RNG streams are keyed by (seed, sweep-point,
 // rep) and every rep writes a pre-sized slot, so scheduling order can
@@ -37,8 +38,8 @@ struct RunOutput {
 /// Runs two_choices_scaling small-but-real (SBM topology, 8 reps, two
 /// sweep points) under the given scheduling flags and returns the BENCH
 /// record with the scheduling-dependent fields pinned: wall clock and
-/// the jobs/threads echoes differ across runs BY DESIGN, everything
-/// else must not.
+/// the jobs echo differ across runs BY DESIGN, everything else must
+/// not.
 RunOutput run_scaling(const std::vector<const char*>& scheduling_flags) {
   const auto& registry = ExperimentRegistry::instance();
   const Experiment* experiment = registry.find("two_choices_scaling");
@@ -56,7 +57,6 @@ RunOutput run_scaling(const std::vector<const char*>& scheduling_flags) {
   record["wall_clock_seconds"] = 0.0;
   JsonValue& params = record["params"];
   params["jobs_effective"] = 0;
-  params["threads"] = 0;
   // Peak RSS is a host/allocator property, not a trajectory property —
   // it legitimately differs across worker counts and even across
   // identical reruns. numa_effective and bytes_per_node stay: both are
@@ -83,15 +83,15 @@ RunOutput run_scaling(const std::vector<const char*>& scheduling_flags) {
 }
 
 TEST(SchedulingDeterminism, RecordsBitIdenticalAcrossJobsCounts) {
-  // The ground truth: pure serial (no executor path at all).
-  const RunOutput serial = run_scaling({"--threads=1", "--jobs=1"});
+  // The ground truth: --jobs=1 leaves the executor without workers,
+  // so every leaf runs inline on the caller in declaration order.
+  const RunOutput serial = run_scaling({"--jobs=1"});
   ASSERT_NE(serial.record.find("\"rounds_vs_n\""), std::string::npos);
 
-  // Executor path at increasing widths. --jobs=1 exercises the
-  // zero-worker inline path; 2 and 8 are real work-stealing schedules
+  // Executor path at increasing widths: real work-stealing schedules
   // with different worker counts (and different steal interleavings
   // every run).
-  for (const char* jobs : {"--jobs=1", "--jobs=2", "--jobs=8"}) {
+  for (const char* jobs : {"--jobs=2", "--jobs=8"}) {
     const RunOutput parallel = run_scaling({jobs});
     EXPECT_EQ(serial.record, parallel.record)
         << "BENCH record diverged from serial under " << jobs;

@@ -2,7 +2,9 @@
 // JsonValue build/parse/dump round-trip, registrar bookkeeping, and an
 // end-to-end run of both a toy experiment and a real registered
 // experiment through ExperimentRegistry::run_to_record, validating that
-// the emitted JSON parses and carries the expected keys.
+// the emitted JSON parses and carries the expected keys, and the
+// bench::run dispatch: every engine runs, and every flag combination a
+// protocol cannot honor is rejected with a message naming the flags.
 
 #include <gtest/gtest.h>
 
@@ -11,6 +13,7 @@
 #include <vector>
 
 #include "core/async_one_extra_bit.hpp"
+#include "core/delayed.hpp"
 #include "core/voter.hpp"
 #include "experiment/args.hpp"
 #include "experiment/json_writer.hpp"
@@ -18,6 +21,7 @@
 #include "graph/complete.hpp"
 #include "opinion/assignment.hpp"
 #include "run_plan.hpp"
+#include "sim/latency.hpp"
 #include "support/assert.hpp"
 
 namespace plurality {
@@ -394,6 +398,128 @@ TEST(Registry, NumaEffectiveNamesOnlyAModeAnEngineExecuted) {
             "firsttouch");
   EXPECT_EQ(numa_effective(make_args({"--engine=sharded", "--shards=2"})),
             "off");
+}
+
+TEST(Registry, DispatchRunsEveryEngine) {
+  const auto& registry = ExperimentRegistry::instance();
+  const Experiment* toy = registry.find("test_toy_voter");
+  ASSERT_NE(toy, nullptr);
+  for (const char* engine :
+       {"sequential", "heap", "superposition", "sharded"}) {
+    const std::string flag = std::string("--engine=") + engine;
+    const JsonValue record = registry.run_to_record(
+        *toy, make_args({flag.c_str(), "--shards=2"}));
+    EXPECT_EQ(record.find("exit_code")->as_u64(), 0u) << engine;
+    EXPECT_EQ(record.find("params")->find("engine_effective")->as_string(),
+              engine);
+  }
+}
+
+// A toy that runs a messaging (delayed-response) protocol through the
+// explicit-model bench::run overload.
+int messaging_toy_experiment(ExperimentContext& ctx) {
+  const bench::RunPlan plan =
+      bench::make_plan(ctx, EngineKind::kSuperposition);
+  constexpr std::uint64_t kNodes = 256;
+  const CompleteGraph g(kNodes);
+  Xoshiro256 rng(ctx.master_seed);
+  TwoChoicesAsyncDelayed proto(g, assign_two_colors(kNodes, 192, rng));
+  const ConstantLatency latency(0.5);
+  const AsyncRunResult result = bench::run(plan, proto, latency, rng, 2.0);
+  const std::vector<double> ticks{static_cast<double>(result.ticks)};
+  ctx.record("messaging_toy_ticks", {{"n", kNodes}}, ticks);
+  return 0;
+}
+
+const ExperimentRegistrar kMessagingToyRegistrar{
+    "test_toy_messaging", "messaging-protocol toy for the registry tests",
+    "Catalog paragraph of the messaging toy: runs one short "
+    "delayed-response Two-Choices run through bench::run, so tests can "
+    "assert on which --engine= values it accepts.",
+    /*default_reps=*/1, messaging_toy_experiment};
+
+/// The message of the ContractViolation the named experiment throws
+/// under `args`; fails the test when it runs instead.
+std::string rejection(const char* name, const Args& args) {
+  const auto& registry = ExperimentRegistry::instance();
+  const Experiment* experiment = registry.find(name);
+  EXPECT_NE(experiment, nullptr) << name;
+  if (experiment == nullptr) return "";
+  try {
+    registry.run_to_record(*experiment, args);
+  } catch (const ContractViolation& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << name << " ran instead of rejecting its flags";
+  return "";
+}
+
+bool mentions(const std::string& what, const char* text) {
+  return what.find(text) != std::string::npos;
+}
+
+TEST(Registry, RejectsShardedEngineForNonShardableProtocol) {
+  // AsyncOneExtraBit has no propose(): it cannot shard, and must not
+  // quietly run on superposition instead.
+  const std::string what =
+      rejection("test_toy_footprint", make_args({"--engine=sharded"}));
+  EXPECT_TRUE(mentions(what, "--engine=sharded")) << what;
+  EXPECT_TRUE(mentions(what, "propose()")) << what;
+}
+
+TEST(Registry, RejectsLatencyForProtocolWithoutQueryApplySplit) {
+  const std::string what =
+      rejection("test_toy_footprint", make_args({"--latency=exp"}));
+  EXPECT_TRUE(mentions(what, "--latency=exp")) << what;
+  EXPECT_TRUE(mentions(what, "query/apply split")) << what;
+}
+
+TEST(Registry, RejectsSingleStreamEngineWithLatency) {
+  // Response latency runs only on the sharded delivery queues, so an
+  // explicit single-stream engine cannot honor it.
+  const std::string what = rejection(
+      "test_toy_voter", make_args({"--engine=heap", "--latency=exp"}));
+  EXPECT_TRUE(mentions(what, "--engine=heap")) << what;
+  EXPECT_TRUE(mentions(what, "--latency=exp")) << what;
+}
+
+TEST(Registry, LatencyUnderTheDefaultEngineRunsOnTheShardedQueues) {
+  const auto& registry = ExperimentRegistry::instance();
+  const Experiment* toy = registry.find("test_toy_voter");
+  ASSERT_NE(toy, nullptr);
+  const JsonValue record = registry.run_to_record(
+      *toy, make_args({"--latency=exp", "--shards=2"}));
+  const JsonValue* params = record.find("params");
+  EXPECT_EQ(params->find("engine_effective")->as_string(), "sharded");
+  EXPECT_EQ(params->find("latency_effective")->as_string(), "exp");
+}
+
+TEST(Registry, RejectsNonSuperpositionEngineForMessagingProtocol) {
+  const std::string what =
+      rejection("test_toy_messaging", make_args({"--engine=heap"}));
+  EXPECT_TRUE(mentions(what, "--engine=heap")) << what;
+  EXPECT_TRUE(mentions(what, "messaging driver")) << what;
+
+  const auto& registry = ExperimentRegistry::instance();
+  const JsonValue record = registry.run_to_record(
+      *registry.find("test_toy_messaging"),
+      make_args({"--engine=superposition"}));
+  EXPECT_EQ(record.find("params")->find("engine_effective")->as_string(),
+            "superposition");
+}
+
+TEST(Registry, RejectsThreadsNamingJobs) {
+  // --jobs= is the one concurrency knob.
+  const std::string what =
+      rejection("test_toy", make_args({"--threads=2"}));
+  EXPECT_TRUE(mentions(what, "--threads=2")) << what;
+  EXPECT_TRUE(mentions(what, "--jobs=")) << what;
+
+  // And a default record carries no threads param.
+  const auto& registry = ExperimentRegistry::instance();
+  const JsonValue record =
+      registry.run_to_record(*registry.find("test_toy"), make_args({}));
+  EXPECT_FALSE(record.find("params")->has("threads"));
 }
 
 TEST(Registry, EndToEndRealExperimentProducesValidRecord) {

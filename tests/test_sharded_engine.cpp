@@ -1,9 +1,7 @@
 // Tests for the sharded tick engine: shard-count-independent
 // correctness, fixed-seed determinism (with and without an explicit
-// default EngineTuning), the OpinionTable bulk merge it
-// relies on, the --engine dispatch (including the fallback for
-// protocols that are not shardable), and the delivery-queue driver
-// (run_sharded_queued): determinism, the blocking one-query-in-flight
+// default EngineTuning), the OpinionTable bulk merge it relies on, and
+// the delivery-queue driver (run_sharded_queued): determinism, the blocking one-query-in-flight
 // discipline, and delivery across epoch boundaries.
 
 #include <gtest/gtest.h>
@@ -18,7 +16,6 @@
 #include "graph/csr.hpp"
 #include "graph/factory.hpp"
 #include "opinion/assignment.hpp"
-#include "sim/engine_select.hpp"
 #include "sim/latency.hpp"
 #include "sim/sharded_engine.hpp"
 #include "support/assert.hpp"
@@ -33,29 +30,6 @@ static_assert(ShardableProtocol<ThreeMajorityAsync<CompleteGraph>>);
 static_assert(DelayedShardableProtocol<VoterAsync<CompleteGraph>>);
 static_assert(DelayedShardableProtocol<TwoChoicesAsync<CsrTopology>>);
 static_assert(DelayedShardableProtocol<ThreeMajorityAsync<CsrTopology>>);
-
-/// Ticks are counted but never change colors; not shardable (no
-/// propose), used to pin the engine-select fallback.
-class CountOnly {
- public:
-  explicit CountOnly(std::uint64_t n) : table_(make_colors(n), 2) {}
-  void on_tick(NodeId, Xoshiro256&) { ++ticks_; }
-  std::uint64_t num_nodes() const noexcept { return table_.num_nodes(); }
-  bool done() const noexcept { return false; }
-  const OpinionTable& table() const noexcept { return table_; }
-  std::uint64_t ticks() const noexcept { return ticks_; }
-
- private:
-  static std::vector<ColorId> make_colors(std::uint64_t n) {
-    std::vector<ColorId> c(n, 0);
-    c[0] = 1;
-    return c;
-  }
-  OpinionTable table_;
-  std::uint64_t ticks_ = 0;
-};
-
-static_assert(!ShardableProtocol<CountOnly>);
 
 TEST(OpinionTableMerge, AppliesChangesAndDeltasInBulk) {
   OpinionTable table({0, 0, 1, 1, 2}, 3);
@@ -198,41 +172,6 @@ TEST(ShardedEngine, Contracts) {
   EXPECT_THROW(run_sharded(proto, 1, 1, 0.0), ContractViolation);
   EXPECT_THROW(run_sharded(proto, 1, 1, 1.0, NullObserver{}, 0.0),
                ContractViolation);
-}
-
-TEST(EngineSelect, ParsesAllEngineNamesAndRejectsUnknown) {
-  EXPECT_EQ(parse_engine_kind("sequential"), EngineKind::kSequential);
-  EXPECT_EQ(parse_engine_kind("heap"), EngineKind::kHeap);
-  EXPECT_EQ(parse_engine_kind("superposition"), EngineKind::kSuperposition);
-  EXPECT_EQ(parse_engine_kind("sharded"), EngineKind::kSharded);
-  EXPECT_THROW(parse_engine_kind("warp-drive"), ContractViolation);
-  EXPECT_STREQ(engine_kind_name(EngineKind::kSharded), "sharded");
-}
-
-TEST(EngineSelect, DispatchRunsEveryEngine) {
-  const std::uint64_t n = 128;
-  const CompleteGraph g(n);
-  for (const EngineKind kind :
-       {EngineKind::kSequential, EngineKind::kHeap,
-        EngineKind::kSuperposition, EngineKind::kSharded}) {
-    Xoshiro256 rng(6);
-    TwoChoicesAsync proto(g, assign_two_colors(n, (n * 7) / 8, rng));
-    const auto result = run_async_engine(kind, proto, rng, /*seed=*/13,
-                                         /*shards=*/2, 1e6);
-    EXPECT_TRUE(result.consensus) << engine_kind_name(kind);
-    EXPECT_EQ(result.winner, 0u) << engine_kind_name(kind);
-  }
-}
-
-TEST(EngineSelect, ShardedFallsBackForNonShardableProtocols) {
-  CountOnly proto(32);
-  Xoshiro256 rng(8);
-  const auto result = run_async_engine(EngineKind::kSharded, proto, rng,
-                                       /*seed=*/1, /*shards=*/4, 10.0);
-  // Fallback superposition engine drove the protocol to the horizon.
-  EXPECT_DOUBLE_EQ(result.time, 10.0);
-  EXPECT_EQ(result.ticks, proto.ticks());
-  EXPECT_GT(proto.ticks(), 0u);
 }
 
 /// A delayed-shardable probe that counts how many queries were issued

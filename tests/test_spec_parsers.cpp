@@ -18,10 +18,10 @@
 #include <string>
 #include <vector>
 
+#include "experiment/registry.hpp"
 #include "graph/factory.hpp"
 #include "rng/distributions.hpp"
 #include "rng/xoshiro256.hpp"
-#include "sim/engine_select.hpp"
 #include "sim/latency.hpp"
 #include "sim/numa.hpp"
 #include "sim/perturb.hpp"
