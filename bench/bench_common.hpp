@@ -17,6 +17,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <iostream>
+#include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <variant>
@@ -143,12 +145,21 @@ inline void banner(const ExperimentContext& ctx, const std::string& id,
             << "--------------------------------------------------------\n";
 }
 
-/// Prints a fitted growth law under a table.
-inline void report_fit(const ExperimentContext& ctx, const std::string& label,
-                       const LinearFit& fit) {
-  if (ctx.csv) return;
-  std::printf("%s: slope=%.3f intercept=%.3f R^2=%.4f\n", label.c_str(),
-              fit.slope, fit.intercept, fit.r_squared);
+/// Fits `ys` against `xs` with `fit` (fit_linear, fit_log_x or
+/// fit_power_law) and prints the growth law under a table. A sweep of
+/// fewer than two points (a small --max_n=) has no fit: nothing is
+/// printed and the result is empty.
+inline std::optional<LinearFit> report_fit(
+    const ExperimentContext& ctx, const std::string& label,
+    LinearFit (*fit)(std::span<const double>, std::span<const double>),
+    std::span<const double> xs, std::span<const double> ys) {
+  if (xs.size() < 2) return std::nullopt;
+  const LinearFit result = fit(xs, ys);
+  if (!ctx.csv) {
+    std::printf("%s: slope=%.3f intercept=%.3f R^2=%.4f\n", label.c_str(),
+                result.slope, result.intercept, result.r_squared);
+  }
+  return result;
 }
 
 }  // namespace plurality::bench

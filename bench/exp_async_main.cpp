@@ -7,7 +7,8 @@
 //       crossover k* printed (constants put k* beyond laptop k; the
 //       shapes are the reproducible claim).
 // Runs on --engine=sequential (default), heap or superposition: the
-// phased protocol has no propose(), so --engine=sharded is rejected.
+// phased protocol's tick has no sample()/decide() split, so
+// --engine=sharded is rejected.
 
 #include <cmath>
 
@@ -152,18 +153,18 @@ int run_exp(ExperimentContext& ctx) {
   sweep.run();
 
   growth.print(std::cout, ctx.csv);
-  bench::report_fit(ctx, "time = a + b*ln(n) fit", fit_log_x(xs, ys));
+  bench::report_fit(ctx, "time = a + b*ln(n) fit", fit_log_x, xs, ys);
   versus.print(std::cout, ctx.csv);
 
-  const LinearFit tc_fit = fit_linear(ks, tc_times);
-  const LinearFit oeb_fit = fit_linear(ks, oeb_times);
-  bench::report_fit(ctx, "async Two-Choices time vs k (expect slope > 0)",
-                    tc_fit);
-  bench::report_fit(ctx, "async OneExtraBit time vs k (expect slope ~ 0)",
-                    oeb_fit);
-  if (!ctx.csv && tc_fit.slope > oeb_fit.slope) {
-    const double k_star = (oeb_fit.intercept - tc_fit.intercept) /
-                          (tc_fit.slope - oeb_fit.slope);
+  const auto tc_fit = bench::report_fit(
+      ctx, "async Two-Choices time vs k (expect slope > 0)", fit_linear, ks,
+      tc_times);
+  const auto oeb_fit = bench::report_fit(
+      ctx, "async OneExtraBit time vs k (expect slope ~ 0)", fit_linear, ks,
+      oeb_times);
+  if (!ctx.csv && tc_fit && oeb_fit && tc_fit->slope > oeb_fit->slope) {
+    const double k_star = (oeb_fit->intercept - tc_fit->intercept) /
+                          (tc_fit->slope - oeb_fit->slope);
     std::printf(
         "extrapolated crossover: async Two-Choices overtakes the phased "
         "protocol's fixed Theta(log n) budget near k* ~ %.0f\n", k_star);

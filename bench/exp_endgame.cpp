@@ -115,7 +115,7 @@ int run_exp(ExperimentContext& ctx) {
   sweep.run();
 
   by_n.print(std::cout, ctx.csv);
-  bench::report_fit(ctx, "endgame time = a + b*ln(n) fit", fit_log_x(xs, ys));
+  bench::report_fit(ctx, "endgame time = a + b*ln(n) fit", fit_log_x, xs, ys);
   by_eps.print(std::cout, ctx.csv);
   return 0;
 }

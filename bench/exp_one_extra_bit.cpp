@@ -133,7 +133,7 @@ int run_exp(ExperimentContext& ctx) {
   growth.print(std::cout, ctx.csv);
   bench::report_fit(ctx,
                     "OneExtraBit rounds ~ n^b power law (expect b ~ 0)",
-                    fit_power_law(xs, ys));
+                    fit_power_law, xs, ys);
   return 0;
 }
 

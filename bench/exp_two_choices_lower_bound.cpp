@@ -125,10 +125,10 @@ int run_exp(ExperimentContext& ctx) {
   theorem.print(std::cout, ctx.csv);
   bench::report_fit(ctx, "rounds = a + b*(n/c1) fit (expect b ~ 1, the "
                          "Omega(n/c1) law)",
-                    fit_linear(xs, ys));
+                    fit_linear, xs, ys);
   neartie.print(std::cout, ctx.csv);
   bench::report_fit(ctx, "rounds ~ k^b power-law fit (expect b ~ 1)",
-                    fit_power_law(ks, rounds_by_k));
+                    fit_power_law, ks, rounds_by_k);
   return 0;
 }
 

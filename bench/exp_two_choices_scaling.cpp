@@ -83,7 +83,7 @@ int run_exp(ExperimentContext& ctx) {
   sweep.run();
 
   table.print(std::cout, ctx.csv);
-  bench::report_fit(ctx, "rounds = a + b*ln(n) fit", fit_log_x(xs, ys));
+  bench::report_fit(ctx, "rounds = a + b*ln(n) fit", fit_log_x, xs, ys);
   return 0;
 }
 

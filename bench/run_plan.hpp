@@ -239,8 +239,8 @@ AsyncRunResult run(const RunPlan& plan, P& proto, Xoshiro256& rng,
   if constexpr (!ShardableProtocol<P>) {
     if (plan.engine == EngineKind::kSharded) {
       reject(flag("engine", engine),
-             "this protocol has no propose(), so it cannot shard (use "
-             "--engine=sequential|heap|superposition)");
+             "this protocol has no sample()/decide() split, so it cannot "
+             "shard (use --engine=sequential|heap|superposition)");
     }
   }
   plan.ctx->note_effective_engine(engine);

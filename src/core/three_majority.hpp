@@ -8,6 +8,7 @@
 /// Two-Choices on the clique; included as an extra baseline for the
 /// head-to-head experiments.
 
+#include <array>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -79,14 +80,20 @@ class ThreeMajorityAsync {
     table_.set_color(u, detail::majority_of_three(a, b, c));
   }
 
-  /// Sharded-engine form of on_tick: the same update as a pure color
-  /// proposal off a read view (see sim/sharded_engine.hpp).
+  /// Sharded-engine form of on_tick, split in two (see
+  /// sim/sharded_engine.hpp): sample() draws the three neighbors,
+  /// decide() is the majority rule off a read view.
+  std::array<NodeId, 3> sample(NodeId u, Xoshiro256& rng) const {
+    const NodeId a = graph_->sample_neighbor(u, rng);
+    const NodeId b = graph_->sample_neighbor(u, rng);
+    return {a, b, graph_->sample_neighbor(u, rng)};
+  }
+
   template <typename View>
-  ColorId propose(NodeId u, const View& view, Xoshiro256& rng) const {
-    const ColorId a = view.color(graph_->sample_neighbor(u, rng));
-    const ColorId b = view.color(graph_->sample_neighbor(u, rng));
-    const ColorId c = view.color(graph_->sample_neighbor(u, rng));
-    return detail::majority_of_three(a, b, c);
+  ColorId decide(NodeId /*u*/, const std::array<NodeId, 3>& s,
+                 const View& view) const {
+    return detail::majority_of_three(view.color(s[0]), view.color(s[1]),
+                                     view.color(s[2]));
   }
 
   /// Delayed form of the tick, split at the query/response boundary for

@@ -8,6 +8,7 @@
 /// Omega(k) when all minorities tie — and experiments E1–E3 reproduce
 /// both sides.
 
+#include <array>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -71,13 +72,19 @@ class TwoChoicesAsync {
     if (cv == table_.color(w)) table_.set_color(u, cv);
   }
 
-  /// Sharded-engine form of on_tick: the same update as a pure color
-  /// proposal off a read view (see sim/sharded_engine.hpp).
+  /// Sharded-engine form of on_tick, split in two (see
+  /// sim/sharded_engine.hpp): sample() draws the two neighbors, decide()
+  /// is the adopt-on-coincidence rule off a read view.
+  std::array<NodeId, 2> sample(NodeId u, Xoshiro256& rng) const {
+    const NodeId v = graph_->sample_neighbor(u, rng);
+    return {v, graph_->sample_neighbor(u, rng)};
+  }
+
   template <typename View>
-  ColorId propose(NodeId u, const View& view, Xoshiro256& rng) const {
-    const ColorId cv = view.color(graph_->sample_neighbor(u, rng));
-    const ColorId cw = view.color(graph_->sample_neighbor(u, rng));
-    return cv == cw ? cv : view.color(u);
+  ColorId decide(NodeId u, const std::array<NodeId, 2>& s,
+                 const View& view) const {
+    const ColorId cv = view.color(s[0]);
+    return cv == view.color(s[1]) ? cv : view.color(u);
   }
 
   /// Delayed form of the tick, split at the query/response boundary for

@@ -7,6 +7,7 @@
 /// run time on the clique is Theta(n). Included as the canonical
 /// baseline the Two-Choices literature (paper ref [2]) improves on.
 
+#include <array>
 #include <cstdint>
 #include <utility>
 #include <vector>
@@ -65,11 +66,17 @@ class VoterAsync {
     table_.set_color(u, table_.color(v));
   }
 
-  /// Sharded-engine form of on_tick: the same update as a pure color
-  /// proposal off a read view (see sim/sharded_engine.hpp).
+  /// Sharded-engine form of on_tick, split in two (see
+  /// sim/sharded_engine.hpp): sample() draws the neighbor, decide()
+  /// copies its color off a read view.
+  std::array<NodeId, 1> sample(NodeId u, Xoshiro256& rng) const {
+    return {graph_->sample_neighbor(u, rng)};
+  }
+
   template <typename View>
-  ColorId propose(NodeId u, const View& view, Xoshiro256& rng) const {
-    return view.color(graph_->sample_neighbor(u, rng));
+  ColorId decide(NodeId /*u*/, const std::array<NodeId, 1>& s,
+                 const View& view) const {
+    return view.color(s[0]);
   }
 
   /// Delayed form of the tick, split at the query/response boundary for

@@ -459,12 +459,12 @@ bool mentions(const std::string& what, const char* text) {
 }
 
 TEST(Registry, RejectsShardedEngineForNonShardableProtocol) {
-  // AsyncOneExtraBit has no propose(): it cannot shard, and must not
-  // quietly run on superposition instead.
+  // AsyncOneExtraBit has no sample()/decide() split: it cannot shard,
+  // and must not quietly run on superposition instead.
   const std::string what =
       rejection("test_toy_footprint", make_args({"--engine=sharded"}));
   EXPECT_TRUE(mentions(what, "--engine=sharded")) << what;
-  EXPECT_TRUE(mentions(what, "propose()")) << what;
+  EXPECT_TRUE(mentions(what, "sample()/decide()")) << what;
 }
 
 TEST(Registry, RejectsLatencyForProtocolWithoutQueryApplySplit) {
@@ -554,6 +554,27 @@ TEST(Registry, EndToEndRealExperimentProducesValidRecord) {
     EXPECT_TRUE(entry.find("mean")->is_number());
     EXPECT_TRUE(entry.find("stderr")->is_number());
   }
+}
+
+TEST(Registry, SinglePointSweepSkipsItsGrowthFit) {
+  // At --max_n=2048 the n sweep has one point, which a regression fit
+  // cannot take; the experiment must still run and record its series.
+  const auto& registry = ExperimentRegistry::instance();
+  const Experiment* experiment = registry.find("endgame");
+  ASSERT_NE(experiment, nullptr);
+  const Args args = make_args({"--reps=2", "--max_n=2048", "--csv"});
+  ::testing::internal::CaptureStdout();
+  JsonValue record;
+  std::string error;
+  try {
+    record = registry.run_to_record(*experiment, args);
+  } catch (const ContractViolation& e) {
+    error = e.what();
+  }
+  ::testing::internal::GetCapturedStdout();
+  ASSERT_EQ(error, "");
+  EXPECT_EQ(record.find("exit_code")->as_u64(), 0u);
+  EXPECT_GT(record.find("series")->size(), 0u);
 }
 
 }  // namespace

@@ -6,9 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
+#include "core/async_one_extra_bit.hpp"
 #include "core/three_majority.hpp"
 #include "core/two_choices.hpp"
 #include "core/voter.hpp"
@@ -30,6 +34,35 @@ static_assert(ShardableProtocol<ThreeMajorityAsync<CompleteGraph>>);
 static_assert(DelayedShardableProtocol<VoterAsync<CompleteGraph>>);
 static_assert(DelayedShardableProtocol<TwoChoicesAsync<CsrTopology>>);
 static_assert(DelayedShardableProtocol<ThreeMajorityAsync<CsrTopology>>);
+
+// sample() returns the K nodes a tick reads: 1 for voter, 2 for
+// Two-Choices, 3 for 3-majority. The phased protocol has no split.
+template <typename P>
+using SampleOf = decltype(std::declval<const P&>().sample(
+    NodeId{}, std::declval<Xoshiro256&>()));
+static_assert(std::is_same_v<SampleOf<VoterAsync<CompleteGraph>>,
+                             std::array<NodeId, 1>>);
+static_assert(std::is_same_v<SampleOf<TwoChoicesAsync<CsrTopology>>,
+                             std::array<NodeId, 2>>);
+static_assert(std::is_same_v<SampleOf<ThreeMajorityAsync<CompleteGraph>>,
+                             std::array<NodeId, 3>>);
+static_assert(!ShardableProtocol<AsyncOneExtraBit<CompleteGraph>>);
+
+TEST(PackedShardView, ReadsOwnRangeLiveAndEveryoneElseFromTheSnapshot) {
+  const std::vector<std::uint8_t> live = {10, 11, 12, 13, 14, 15};
+  const std::vector<std::uint8_t> snapshot = {20, 21, 22, 23, 24, 25};
+  const PackedShardView<std::uint8_t> mid(live.data(), snapshot.data(), 2,
+                                          4);
+  const std::vector<ColorId> expect_mid = {20, 21, 12, 13, 24, 25};
+  const PackedShardView<std::uint8_t> first(live.data(), snapshot.data(), 0,
+                                            3);
+  const std::vector<ColorId> expect_first = {10, 11, 12, 23, 24, 25};
+  for (NodeId v = 0; v < live.size(); ++v) {
+    EXPECT_EQ(mid.color(v), expect_mid[v]) << v;
+    EXPECT_EQ(first.color(v), expect_first[v]) << v;
+    EXPECT_EQ(mid.address(v), v >= 2 && v < 4 ? &live[v] : &snapshot[v]);
+  }
+}
 
 TEST(OpinionTableMerge, AppliesChangesAndDeltasInBulk) {
   OpinionTable table({0, 0, 1, 1, 2}, 3);
@@ -187,8 +220,10 @@ class CountingDelayed {
   };
 
   void on_tick(NodeId, Xoshiro256&) {}
+  std::array<NodeId, 1> sample(NodeId u, Xoshiro256&) const { return {u}; }
   template <typename View>
-  ColorId propose(NodeId u, const View& view, Xoshiro256&) const {
+  ColorId decide(NodeId u, const std::array<NodeId, 1>&,
+                 const View& view) const {
     return view.color(u);
   }
   template <typename View>

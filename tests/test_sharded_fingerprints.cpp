@@ -1,5 +1,6 @@
 // Trajectory fingerprints of the sharded engine: one 64-bit hash per
-// (per-shard body x forced color width x perturbation) case over a
+// (per-shard body x forced color width x perturbation) case, plus the
+// stale and exact bodies under voter and 3-majority, over a
 // run's final colors, tick count, end time and observer series,
 // checked against a table recorded from a known-good build. A change to
 // the order or number of RNG draws, to the epoch schedule, or to the
@@ -21,9 +22,12 @@
 #include <cstdint>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <utility>
 
+#include "core/three_majority.hpp"
 #include "core/two_choices.hpp"
+#include "core/voter.hpp"
 #include "fingerprint.hpp"
 #include "graph/complete.hpp"
 #include "jobs/executor.hpp"
@@ -66,29 +70,35 @@ struct HashingObserver {
   }
 };
 
-/// Two-choices on K_1024 at a 3:1 split. The u32 width is forced by
-/// declaring 70000 colors of which only two are populated — this moves
-/// the packed width without touching an RNG draw.
-std::uint64_t run_case(Body body, ColorWidth width, bool inject) {
+enum class Rule { kTwoChoices, kVoter, kThreeMajority };
+
+/// Two-choices (or voter / 3-majority) on K_1024 at a 3:1 split. The
+/// u16 and u32 widths are forced by declaring 300 and 70000 colors of
+/// which only two are populated — this moves the packed width without
+/// touching an RNG draw. Voter does not reach consensus within the
+/// horizon, and a crashed minority node never converts, so those rows
+/// pin a full-horizon run.
+template <template <typename> class Proto>
+std::uint64_t run_rule(Body body, ColorWidth width, PerturbKind kind) {
   const CompleteGraph g(kNodes);
   Xoshiro256 rng(2024);
   Assignment assignment = assign_two_colors(kNodes, (kNodes * 3) / 4, rng);
-  if (width == ColorWidth::kU32) {
-    assignment.num_colors = 70000;
+  if (width != ColorWidth::kU8) {
+    assignment.num_colors = width == ColorWidth::kU16 ? 300 : 70000;
     assignment.counts.resize(assignment.num_colors, 0);
   }
-  TwoChoicesAsync proto(g, std::move(assignment));
+  Proto<CompleteGraph> proto(g, std::move(assignment));
   EXPECT_EQ(proto.table().width(), width);
 
   PerturbSpec spec;
-  if (inject) {
-    spec.kind = PerturbKind::kInject;
+  if (kind != PerturbKind::kNone) {
+    spec.kind = kind;
     spec.rate = 4.0;
     spec.budget = 12;
     spec.start = 2.0;
   }
   Perturber perturber(spec, kNodes, 2, /*seed=*/77);
-  Perturber* perturb = inject ? &perturber : nullptr;
+  Perturber* perturb = kind != PerturbKind::kNone ? &perturber : nullptr;
 
   EngineTuning tuning;
   if (body == Body::kExact) tuning.exact_reads = true;
@@ -108,7 +118,10 @@ std::uint64_t run_case(Body body, ColorWidth width, bool inject) {
     result = run_sharded(proto, kSeed, kShards, kHorizon, obs, kSampleEvery,
                          /*epoch_length=*/0.25, perturb, tuning);
   }
-  EXPECT_TRUE(result.consensus);
+  if (!std::is_same_v<Proto<CompleteGraph>, VoterAsync<CompleteGraph>> &&
+      kind != PerturbKind::kCrash) {
+    EXPECT_TRUE(result.consensus);
+  }
   fp.add(result.ticks);
   fp.add(result.time);
   fp.add(static_cast<std::uint64_t>(result.winner));
@@ -118,8 +131,22 @@ std::uint64_t run_case(Body body, ColorWidth width, bool inject) {
   return fp.value();
 }
 
+std::uint64_t run_case(Body body, ColorWidth width, PerturbKind kind,
+                       Rule rule = Rule::kTwoChoices) {
+  switch (rule) {
+    case Rule::kTwoChoices:
+      return run_rule<TwoChoicesAsync>(body, width, kind);
+    case Rule::kVoter: return run_rule<VoterAsync>(body, width, kind);
+    case Rule::kThreeMajority:
+      return run_rule<ThreeMajorityAsync>(body, width, kind);
+  }
+  return 0;
+}
+
 // Recorded with GCC 12 on x86-64 Linux (glibc libm); see the file header.
-// Widths never touch an RNG draw, so each u8 line equals its u32 twin.
+// Widths never touch an RNG draw, so each u8 line equals its u16 and
+// u32 twins. The rows after exact/u32/inject were recorded at the
+// parent of the sample()/decide() split and held through it.
 constexpr Golden kGolden[] = {
     {"stale_scalar/u8/none", 0x19e339d69fd6d21dULL},
     {"stale_scalar/u8/inject", 0xedcaa622eb0e3731ULL},
@@ -137,6 +164,44 @@ constexpr Golden kGolden[] = {
     {"exact/u8/inject", 0x3b707d9f758de6d6ULL},
     {"exact/u32/none", 0xcebb57fdb89d54f6ULL},
     {"exact/u32/inject", 0x3b707d9f758de6d6ULL},
+    {"stale_scalar/u16/none", 0x19e339d69fd6d21dULL},
+    {"stale_scalar/u8/crash", 0x24c86ae2f87a1605ULL},
+    {"exact/u8/crash", 0x55d355d009827394ULL},
+    {"stale_voter/u8/none", 0xc24b24b559ed2702ULL},
+    {"stale_voter/u8/inject", 0x78f87e94c63d2282ULL},
+    {"stale_three_majority/u8/none", 0x59151f1f329942c5ULL},
+    {"stale_three_majority/u8/inject", 0x27528e851e59ba0fULL},
+    {"exact_voter/u8/none", 0x90db21e3bce067bcULL},
+    {"exact_three_majority/u8/none", 0x889150ad2d24a4ffULL},
+};
+
+/// The rows outside the (body x u8/u32 x none/inject) grid.
+struct ExtraCase {
+  const char* name;
+  Body body;
+  ColorWidth width;
+  PerturbKind kind;
+  Rule rule;
+};
+constexpr ExtraCase kExtraCases[] = {
+    {"stale_scalar/u16/none", Body::kStaleScalar, ColorWidth::kU16,
+     PerturbKind::kNone, Rule::kTwoChoices},
+    {"stale_scalar/u8/crash", Body::kStaleScalar, ColorWidth::kU8,
+     PerturbKind::kCrash, Rule::kTwoChoices},
+    {"exact/u8/crash", Body::kExact, ColorWidth::kU8, PerturbKind::kCrash,
+     Rule::kTwoChoices},
+    {"stale_voter/u8/none", Body::kStaleScalar, ColorWidth::kU8,
+     PerturbKind::kNone, Rule::kVoter},
+    {"stale_voter/u8/inject", Body::kStaleScalar, ColorWidth::kU8,
+     PerturbKind::kInject, Rule::kVoter},
+    {"stale_three_majority/u8/none", Body::kStaleScalar, ColorWidth::kU8,
+     PerturbKind::kNone, Rule::kThreeMajority},
+    {"stale_three_majority/u8/inject", Body::kStaleScalar, ColorWidth::kU8,
+     PerturbKind::kInject, Rule::kThreeMajority},
+    {"exact_voter/u8/none", Body::kExact, ColorWidth::kU8,
+     PerturbKind::kNone, Rule::kVoter},
+    {"exact_three_majority/u8/none", Body::kExact, ColorWidth::kU8,
+     PerturbKind::kNone, Rule::kThreeMajority},
 };
 
 TEST(ShardedFingerprints, EveryBodyWidthAndPerturbationCaseMatches) {
@@ -151,13 +216,22 @@ TEST(ShardedFingerprints, EveryBodyWidthAndPerturbationCaseMatches) {
           std::string name = body_name(body);
           name += width == ColorWidth::kU8 ? "/u8" : "/u32";
           name += inject ? "/inject" : "/none";
-          const std::uint64_t hash = run_case(body, width, inject);
+          const std::uint64_t hash = run_case(
+              body, width, inject ? PerturbKind::kInject : PerturbKind::kNone);
           if (check_fingerprint(kGolden, name, hash,
                                 " at concurrency " +
                                     std::to_string(concurrency))) {
             ++checked;
           }
         }
+      }
+    }
+    for (const ExtraCase& c : kExtraCases) {
+      const std::uint64_t hash = run_case(c.body, c.width, c.kind, c.rule);
+      if (check_fingerprint(kGolden, c.name, hash,
+                            " at concurrency " +
+                                std::to_string(concurrency))) {
+        ++checked;
       }
     }
     EXPECT_EQ(checked, std::size(kGolden));
