@@ -1,6 +1,8 @@
 // B2 — robustness probe (ours): crash-stop faults. A fraction of nodes
 // silently stops ticking mid-run (their colors stay readable — the
-// adversarial case). Global consensus becomes unreachable once a
+// adversarial case). The crashes are the --perturb=crash stream: from
+// --perturb-start= on, floor(f * n) uniform live nodes crash within
+// about one time unit. Global consensus becomes unreachable once a
 // crashed node pins a dead color, so the table reports *live
 // agreement*: the fraction of surviving nodes on the live-plurality
 // color at the horizon, for both async Two-Choices and the phased
@@ -8,19 +10,31 @@
 // superposition; the phased protocol cannot shard, so --engine=sharded
 // is rejected.
 
+#include <cstdio>
+#include <string>
+
 #include "bench_common.hpp"
 #include "core/async_one_extra_bit.hpp"
 #include "core/two_choices.hpp"
 #include "graph/csr.hpp"
 #include "opinion/assignment.hpp"
-#include "sim/crash.hpp"
-#include "sim/sequential_engine.hpp"
+#include "sim/perturb.hpp"
 
 using namespace plurality;
 
 namespace {
 
 int run_exp(ExperimentContext& ctx) {
+  // The experiment owns its crash stream; only the onset is a knob.
+  for (const char* key : {"perturb", "perturb-rate", "perturb-budget",
+                          "perturb-target", "perturb-interval",
+                          "crash_tick"}) {
+    if (ctx.args.has_flag(key)) {
+      bench::reject(bench::flag(key, ctx.args.get_string(key, "").c_str()),
+                    "crash_faults draws its own crash stream (each swept "
+                    "fraction of the nodes, from --perturb-start=)");
+    }
+  }
   bench::banner(ctx, "B2 (crash faults)",
                 "survivors should still agree (live agreement ~ 1) for "
                 "moderate crash fractions; crashed nodes pin stale "
@@ -35,46 +49,60 @@ int run_exp(ExperimentContext& ctx) {
   const std::uint64_t n_eff = csr.num_nodes();
   const std::uint32_t k = 4;
   const std::uint64_t bias = n_eff / 4;
-  const std::uint64_t crash_tick = ctx.args.get_u64("crash_tick", 50);
+  const double start =
+      ctx.args.has_flag("perturb-start") ? plan.perturb.start : 50.0;
 
   // The resolved fault parameters, in the record's params block: the
   // raw-args echo only carries what was explicitly passed.
-  ctx.note_param("crash_tick", JsonValue(crash_tick));
+  ctx.note_param("perturb-start", JsonValue(start));
   ctx.note_param("crash_fracs", JsonValue("0,0.05,0.1,0.25,0.5"));
 
+  char onset[32];
+  std::snprintf(onset, sizeof onset, "%g", start);
   Table table("B2: live agreement under crash-stop faults  (" +
                   plan.graph.label() + ", n=" + std::to_string(n_eff) +
-                  ", k=4, crash at own tick " + std::to_string(crash_tick) +
-                  ")",
+                  ", k=4, crashes from t=" + onset + ")",
               {"crash_frac", "protocol", "live_agree", "ci95",
                "global_consensus"});
 
   std::uint64_t sweep = 0;
   for (const double fraction : {0.0, 0.05, 0.1, 0.25, 0.5}) {
+    // floor(f * n) crashes at rate floor(f * n): the whole budget lands
+    // about one time unit after the onset. f = 0 runs unperturbed (a
+    // budget of 0 would mean unlimited).
+    const auto budget =
+        static_cast<std::uint64_t>(fraction * static_cast<double>(n_eff));
+    bench::RunPlan cell_plan = plan;
+    cell_plan.perturb = PerturbSpec{};
+    if (budget > 0) {
+      cell_plan.perturb.kind = PerturbKind::kCrash;
+      cell_plan.perturb.budget = budget;
+      cell_plan.perturb.rate = static_cast<double>(budget);
+      cell_plan.perturb.start = start;
+    }
     for (const bool phased : {false, true}) {
       const auto seeds = ctx.seeds_for(sweep++);
       const auto slots = run_repetitions_multi(
           ctx.reps, 2, seeds,
           [&](std::uint64_t, Xoshiro256& rng) {
-            const auto crashes =
-                crash_fraction_plan(n_eff, fraction, crash_tick, rng);
             auto workload = bench::place_on(
                 ctx, any, counts_plurality_bias(n_eff, k, bias), rng);
+            Perturber perturb =
+                bench::make_perturber(cell_plan, n_eff, k, rng);
+            const auto run = [&](auto& proto) {
+              const auto result = bench::run(cell_plan, proto, rng, 2000.0,
+                                             NullObserver{}, 1.0, &perturb);
+              return std::vector<double>{
+                  perturb.live_agreement(proto.table()),
+                  result.consensus ? 1.0 : 0.0};
+            };
             if (phased) {
-              CrashAdapter<AsyncOneExtraBit<CsrTopology>> proto(
-                  AsyncOneExtraBit<CsrTopology>::make(
-                      csr, std::move(workload)),
-                  crashes);
-              const auto result = bench::run(plan, proto, rng, 2000.0);
-              return std::vector<double>{proto.live_agreement(),
-                                         result.consensus ? 1.0 : 0.0};
+              auto proto = AsyncOneExtraBit<CsrTopology>::make(
+                  csr, std::move(workload));
+              return run(proto);
             }
-            CrashAdapter<TwoChoicesAsync<CsrTopology>> proto(
-                TwoChoicesAsync<CsrTopology>(csr, std::move(workload)),
-                crashes);
-            const auto result = bench::run(plan, proto, rng, 2000.0);
-            return std::vector<double>{proto.live_agreement(),
-                                       result.consensus ? 1.0 : 0.0};
+            TwoChoicesAsync<CsrTopology> proto(csr, std::move(workload));
+            return run(proto);
           });
       ctx.record("live_agreement",
                  {{"n", n_eff},
@@ -99,17 +127,20 @@ const ExperimentRegistrar kRegistrar{
     "crash_faults",
     "B2 (robustness): live agreement among survivors under crash-stop "
     "faults, async Two-Choices vs the phased protocol",
-    "Robustness probe: crashes a sweep of node fractions at tick "
-    "--crash_tick= (crashed nodes stop ticking and answering) and "
+    "Robustness probe: for each swept crash fraction f, the "
+    "--perturb=crash stream crashes floor(f * n) uniform nodes from "
+    "--perturb-start= (default 50) within about one time unit (crashed "
+    "nodes stop ticking; their colors stay readable), and the run "
     "measures whether the survivors still agree, for plain async "
     "Two-Choices and the phased OneExtraBit protocol, on any --graph= "
     "family and --engine=sequential|heap|superposition (the phased "
     "protocol is not shardable, so --engine=sharded is rejected). "
     "Records `live_agreement` (fraction of live nodes on the "
     "live-plurality color) per crash fraction and protocol; the "
-    "resolved crash_tick and the crash_frac sweep land in the params "
-    "block. Overrides: --n=, --crash_tick=, --graph=, --engine=, "
-    "--placement=.",
+    "resolved perturb-start and the crash_frac sweep land in the params "
+    "block. The experiment owns its crash stream: any other --perturb* "
+    "flag is rejected. Overrides: --n=, --perturb-start=, --graph=, "
+    "--engine=, --placement=.",
     /*default_reps=*/5, run_exp};
 
 }  // namespace

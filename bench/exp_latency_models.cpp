@@ -14,11 +14,11 @@
 // mean delay. The topology comes from the graph factory (default:
 // complete graph, the historical workload; pass --graph= to compose
 // latency with any family and --placement= with any start). Two
-// engines can drive the cells: the default is the single-stream
-// superposition messaging driver (delayed protocol variants,
-// core/delayed.hpp); --engine=sharded runs the same blocking
-// discipline on the sharded engine's per-shard delivery queues
-// (run_sharded_queued), which is the parallel path. Passing
+// engines can drive the cells' one protocol object: the default is the
+// single-stream superposition messaging driver (through
+// DelayedResponses, core/delayed.hpp); --engine=sharded runs the same
+// blocking discipline on the sharded engine's per-shard delivery
+// queues (run_sharded_queued), which is the parallel path. Passing
 // --latency=<model> restricts the sweep to that model; --latency-mean=
 // sets the matched mean (default 1.0) and --latency-shape= overrides
 // the per-family default shape. A final section cross-validates the
@@ -44,11 +44,9 @@ namespace {
 
 /// One (protocol, model) cell: consensus times of the blocking
 /// discipline, on the engine the plan selects — the messaging driver
-/// (delayed protocol variant) by default, the sharded engine's
-/// delivery queues (plain protocol, query/apply split) under
-/// --engine=sharded.
-template <template <GraphTopology> class ProtoDelayed,
-          template <GraphTopology> class ProtoPlain>
+/// by default, the sharded engine's delivery queues under
+/// --engine=sharded. Both drive the protocol's query/apply split.
+template <template <GraphTopology> class Proto>
 std::vector<std::vector<double>> run_cell(ExperimentContext& ctx,
                                           const bench::RunPlan& plan,
                                           const AnyGraph& any,
@@ -61,18 +59,16 @@ std::vector<std::vector<double>> run_cell(ExperimentContext& ctx,
   return run_repetitions_multi(
       ctx.reps, 2, seeds,
       [&](std::uint64_t, Xoshiro256& rng) {
+        Proto<CsrTopology> proto(
+            csr, bench::place_on(ctx, any,
+                                 counts_two_colors(n, (n * 3) / 4), rng));
         AsyncRunResult result;
         if (sharded) {
-          ProtoPlain<CsrTopology> proto(
-              csr, bench::place_on(ctx, any,
-                                   counts_two_colors(n, (n * 3) / 4), rng));
           result = bench::run_queued(plan, proto, model,
                                      QueryDiscipline::kBlocking, rng, 1e5);
         } else {
-          ProtoDelayed<CsrTopology> proto(
-              csr, bench::place_on(ctx, any,
-                                   counts_two_colors(n, (n * 3) / 4), rng));
-          result = bench::run(plan, proto, model, rng, 1e5);
+          DelayedResponses delayed(proto);
+          result = bench::run(plan, delayed, model, rng, 1e5);
         }
         return std::vector<double>{result.time,
                                    result.consensus ? 1.0 : 0.0};
@@ -146,10 +142,10 @@ int run_exp(ExperimentContext& ctx) {
     };
     Row rows[] = {
         {"two_choices",
-         run_cell<TwoChoicesAsyncDelayed, TwoChoicesAsync>(
+         run_cell<TwoChoicesAsync>(
              ctx, plan, any, csr, *model, sweep_point * 2)},
         {"three_majority",
-         run_cell<ThreeMajorityAsyncDelayed, ThreeMajorityAsync>(
+         run_cell<ThreeMajorityAsync>(
              ctx, plan, any, csr, *model, sweep_point * 2 + 1)},
     };
     ++sweep_point;
@@ -223,12 +219,11 @@ int run_exp(ExperimentContext& ctx) {
     const auto msg_times = run_repetitions(
         ctx.reps, ctx.seeds_for(1001),
         [&](std::uint64_t, Xoshiro256& rng) {
-          TwoChoicesAsyncDelayed<CsrTopology> proto(
-              csr,
-              bench::place_on(ctx, any,
-                              counts_two_colors(n_eff, (n_eff * 3) / 4),
-                              rng),
-              QueryDiscipline::kFireAndForget);
+          TwoChoicesAsync<CsrTopology> proto(
+              csr, bench::place_on(ctx, any,
+                                   counts_two_colors(n_eff, (n_eff * 3) / 4),
+                                   rng));
+          DelayedResponses delayed(proto, QueryDiscipline::kFireAndForget);
           // Raw messaging driver, attributed by hand: this section
           // cross-validates the sharded queues *against* the messaging
           // driver by design, so a --engine=sharded request (which did
@@ -237,7 +232,7 @@ int run_exp(ExperimentContext& ctx) {
           ctx.note_effective_engine(
               engine_kind_name(EngineKind::kSuperposition));
           ctx.note_effective_latency(latency.name());
-          return run_continuous_messaging(proto, latency, rng, 1e5).time;
+          return run_continuous_messaging(delayed, latency, rng, 1e5).time;
         });
     ctx.record("const_ff_sharded",
                {{"protocol", "two_choices"},
@@ -275,7 +270,8 @@ const ExperimentRegistrar kRegistrar{
     "delay. The topology comes from the graph factory (default "
     "complete; --graph= composes latency with any family, --placement= "
     "with any start). The default engine is the single-stream "
-    "superposition messaging driver; --engine=sharded runs the same "
+    "superposition messaging driver (the plain protocols' query/apply "
+    "split, answered late); --engine=sharded runs the same "
     "blocking discipline on the sharded engine's per-shard delivery "
     "queues (--shards=T workers). Records `time_vs_model` (consensus "
     "time and success rate per protocol x model) plus "

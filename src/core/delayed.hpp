@@ -1,23 +1,30 @@
 #pragma once
 
 /// \file delayed.hpp
-/// Delayed-response protocol variants: the response-delay extension of
-/// the source paper (§4) generalized to arbitrary edge-latency models
-/// (sim/latency.hpp, after Bankhamer et al.).
+/// Delayed responses on the single-stream messaging driver: the
+/// response-delay extension of the source paper (§4) generalized to
+/// arbitrary edge-latency models (sim/latency.hpp, after Bankhamer et
+/// al.).
 ///
 /// Model implemented here: contacting a peer is instantaneous and the
 /// peer answers immediately, but the answer travels back for a random
 /// time drawn from the driver's LatencyModel. The answer therefore
 /// carries the peer's state *as of the query tick* and is applied on
-/// delivery. Answers arriving after the relevant step's deadline (e.g.
-/// a two-choices answer arriving after the node already committed,
-/// detected via a phase tag) are dropped — exactly the kind of
-/// straggler the paper's tactical waiting blocks absorb.
+/// delivery.
 ///
-/// None of these protocols samples a delay itself: every message is
-/// posted via the delay-less Outbox::post, and the messaging driver
-/// draws the latency from its model at enqueue time (the RNG-ownership
-/// invariant in continuous_engine.hpp). Run them with
+/// DelayedResponses runs any protocol with a query/apply split (the
+/// DelayedShardableProtocol form the sharded delivery queues use) on
+/// the messaging driver, so Two-Choices, 3-Majority and voter each
+/// have one update rule for every engine. AsyncOneExtraBitDelayed is
+/// the paper's protocol with its sample steps answered late; answers
+/// arriving after the relevant step's deadline (e.g. a two-choices
+/// answer arriving after the node already committed, detected via a
+/// phase tag) are dropped — exactly the kind of straggler the paper's
+/// tactical waiting blocks absorb.
+///
+/// Neither samples a delay itself: the messaging driver draws each
+/// posted message's latency from its model at enqueue time (the
+/// RNG-ownership invariant in continuous_engine.hpp). Run them with
 /// run_continuous_messaging(proto, latency_model, ...). Under
 /// ZeroLatency they reproduce the instant-response protocols'
 /// consensus-time distribution (enforced by
@@ -31,116 +38,53 @@
 
 #include "core/async_state.hpp"
 #include "core/schedule.hpp"
-#include "core/three_majority.hpp"
 #include "graph/graph.hpp"
 #include "opinion/assignment.hpp"
 #include "opinion/table.hpp"
-#include "rng/distributions.hpp"
 #include "rng/xoshiro256.hpp"
 #include "sim/continuous_engine.hpp"
-#include "support/assert.hpp"
+#include "sim/latency.hpp"
+#include "sim/sharded_engine.hpp"
 
 namespace plurality {
 
-// QueryDiscipline (kBlocking | kFireAndForget) lives in sim/latency.hpp
-// now: the sharded engine's delivery-queue driver implements the same
-// disciplines, and sim/ must not depend on core/.
-
-/// Asynchronous Two-Choices with delayed responses; the smallest
-/// protocol exercising the messaging driver end to end. On each
-/// (non-suppressed) tick the node samples two neighbors — read at
-/// query time — and the matched pair travels back under the driver's
-/// latency model; the update applies on delivery.
-template <GraphTopology G>
-class TwoChoicesAsyncDelayed {
+/// Runs a query/apply protocol on the messaging driver. A tick posts
+/// proto.query() — the sampled colors, read at query time — and the
+/// delivery sets the node's color to proto.apply_query(), resolved
+/// against its color at delivery time. Under QueryDiscipline::kBlocking
+/// a node with an answer in flight skips its ticks (no draw);
+/// kFireAndForget queries on every tick. Borrows `proto`, which must
+/// outlive the adapter.
+template <DelayedShardableProtocol P>
+class DelayedResponses {
  public:
-  struct Message {
-    ColorId first;
-    ColorId second;
-  };
+  using Message = typename P::Query;
 
-  TwoChoicesAsyncDelayed(const G& graph, Assignment assignment,
-                         QueryDiscipline discipline =
-                             QueryDiscipline::kBlocking)
-      : graph_(&graph),
-        table_(std::move(assignment.colors), assignment.num_colors),
-        discipline_(discipline) {
-    PC_EXPECTS(graph.num_nodes() == table_.num_nodes());
-    pending_.assign(table_.num_nodes(), 0);
-  }
+  explicit DelayedResponses(P& proto, QueryDiscipline discipline =
+                                          QueryDiscipline::kBlocking)
+      : proto_(proto), discipline_(discipline),
+        pending_(proto.num_nodes(), 0) {}
 
   void on_tick(NodeId u, Xoshiro256& rng, double /*now*/,
                Outbox<Message>& out) {
     if (discipline_ == QueryDiscipline::kBlocking && pending_[u]) return;
-    const NodeId v = graph_->sample_neighbor(u, rng);
-    const NodeId w = graph_->sample_neighbor(u, rng);
     pending_[u] = 1;
-    out.post(u, Message{table_.color(v), table_.color(w)});
+    out.post(u, proto_.query(u, proto_.table(), rng));
   }
 
   void on_message(NodeId u, const Message& m, Xoshiro256& /*rng*/,
                   double /*now*/, Outbox<Message>& /*out*/) {
     pending_[u] = 0;
-    if (m.first == m.second) table_.set_color(u, m.first);
+    proto_.mutable_table().set_color(
+        u, proto_.apply_query(u, m, proto_.table()));
   }
 
-  std::uint64_t num_nodes() const noexcept { return table_.num_nodes(); }
-  bool done() const noexcept { return table_.has_consensus(); }
-  const OpinionTable& table() const noexcept { return table_; }
+  std::uint64_t num_nodes() const noexcept { return proto_.num_nodes(); }
+  bool done() const noexcept { return proto_.done(); }
+  const OpinionTable& table() const noexcept { return proto_.table(); }
 
  private:
-  const G* graph_;
-  OpinionTable table_;
-  QueryDiscipline discipline_;
-  std::vector<std::uint8_t> pending_;
-};
-
-/// Asynchronous 3-Majority with delayed responses: the tick samples
-/// three neighbors at query time; the majority rule is applied when
-/// the answer arrives. Same query disciplines as
-/// TwoChoicesAsyncDelayed. The second baseline of experiment L1.
-template <GraphTopology G>
-class ThreeMajorityAsyncDelayed {
- public:
-  struct Message {
-    ColorId a;
-    ColorId b;
-    ColorId c;
-  };
-
-  ThreeMajorityAsyncDelayed(const G& graph, Assignment assignment,
-                            QueryDiscipline discipline =
-                                QueryDiscipline::kBlocking)
-      : graph_(&graph),
-        table_(std::move(assignment.colors), assignment.num_colors),
-        discipline_(discipline) {
-    PC_EXPECTS(graph.num_nodes() == table_.num_nodes());
-    pending_.assign(table_.num_nodes(), 0);
-  }
-
-  void on_tick(NodeId u, Xoshiro256& rng, double /*now*/,
-               Outbox<Message>& out) {
-    if (discipline_ == QueryDiscipline::kBlocking && pending_[u]) return;
-    const ColorId a = table_.color(graph_->sample_neighbor(u, rng));
-    const ColorId b = table_.color(graph_->sample_neighbor(u, rng));
-    const ColorId c = table_.color(graph_->sample_neighbor(u, rng));
-    pending_[u] = 1;
-    out.post(u, Message{a, b, c});
-  }
-
-  void on_message(NodeId u, const Message& m, Xoshiro256& /*rng*/,
-                  double /*now*/, Outbox<Message>& /*out*/) {
-    pending_[u] = 0;
-    table_.set_color(u, detail::majority_of_three(m.a, m.b, m.c));
-  }
-
-  std::uint64_t num_nodes() const noexcept { return table_.num_nodes(); }
-  bool done() const noexcept { return table_.has_consensus(); }
-  const OpinionTable& table() const noexcept { return table_; }
-
- private:
-  const G* graph_;
-  OpinionTable table_;
+  P& proto_;
   QueryDiscipline discipline_;
   std::vector<std::uint8_t> pending_;
 };

@@ -97,9 +97,9 @@ class ThreeMajorityAsync {
   }
 
   /// Delayed form of the tick, split at the query/response boundary for
-  /// the sharded engine's delivery queues (run_sharded_queued): the
-  /// three neighbor colors are read at query time (matching the
-  /// ThreeMajorityAsyncDelayed message semantics), the majority rule is
+  /// the sharded engine's delivery queues (run_sharded_queued) and the
+  /// messaging driver (DelayedResponses, core/delayed.hpp): the three
+  /// neighbor colors are read at query time, the majority rule is
   /// resolved at delivery.
   struct Query {
     ColorId a;

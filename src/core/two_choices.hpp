@@ -88,9 +88,9 @@ class TwoChoicesAsync {
   }
 
   /// Delayed form of the tick, split at the query/response boundary for
-  /// the sharded engine's delivery queues (run_sharded_queued): the two
-  /// neighbor colors are read at query time (matching the
-  /// TwoChoicesAsyncDelayed message semantics), and the
+  /// the sharded engine's delivery queues (run_sharded_queued) and the
+  /// messaging driver (DelayedResponses, core/delayed.hpp): the two
+  /// neighbor colors are read at query time, and the
   /// adopt-on-coincidence rule is resolved against the node's *current*
   /// color when the answer is delivered.
   struct Query {

@@ -19,17 +19,16 @@
 ///     ZeroLatency this makes an answer land before any later tick, so
 ///     the zero-latency messaging run is the instant-response process).
 ///     Deliveries among themselves keep (time, post order).
-///   - Latency-draw RNG ownership: when the source is constructed with
-///     a LatencyModel, *the source* draws one latency per message from
-///     the run's RNG stream at enqueue time (the moment the outbox is
-///     drained). Protocols never sample delays themselves, so the same
-///     protocol code runs unchanged under every latency model and a
-///     fixed (seed, model) pair is deterministic.
+///   - Latency-draw RNG ownership: *the source* draws one latency per
+///     message from its LatencyModel, on the run's RNG stream, at
+///     enqueue time (the moment the outbox is drained). Protocols never
+///     sample delays themselves, so the same protocol code runs
+///     unchanged under every latency model and a fixed (seed, model)
+///     pair is deterministic.
 
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -55,21 +54,10 @@ class MessagingTicks;
 template <typename Message>
 class Outbox {
  public:
-  /// Schedules `message` for delivery to `to` after `delay` time units.
-  /// Requires delay >= 0. Prefer the delay-less overload: it lets the
-  /// engine's LatencyModel own the draw so the protocol is reusable
-  /// under every latency family.
-  void post(NodeId to, double delay, Message message) {
-    PC_EXPECTS(delay >= 0.0);
-    staged_.emplace_back(to, delay, std::move(message));
-  }
-
   /// Schedules `message` for delivery to `to` after a latency the
   /// *engine* draws from its LatencyModel when the outbox is drained.
-  /// Running such a protocol requires an engine given a model
-  /// (run_continuous_messaging's LatencyModel overload).
   void post(NodeId to, Message message) {
-    staged_.emplace_back(to, kDrawFromModel, std::move(message));
+    staged_.emplace_back(to, std::move(message));
   }
 
   bool empty() const noexcept { return staged_.empty(); }
@@ -78,10 +66,7 @@ class Outbox {
   template <typename>
   friend class detail::MessagingTicks;  // the engine drains staged_
 
-  /// Sentinel delay marking "draw from the engine's latency model".
-  static constexpr double kDrawFromModel = -1.0;
-
-  std::vector<std::tuple<NodeId, double, Message>> staged_;
+  std::vector<std::pair<NodeId, Message>> staged_;
 };
 
 /// A protocol that, in addition to ticking, receives delayed messages.
@@ -191,12 +176,11 @@ class ClockQueue {
 
 /// Message deliveries racing the superposition tick stream (see the
 /// file header for the tie and latency-draw invariants). The outbox is
-/// drained after every event. Posting without a delay when the source
-/// has no latency model is a contract violation.
+/// drained after every event.
 template <typename P>
 class MessagingTicks {
  public:
-  MessagingTicks(P& proto, Xoshiro256& rng, const LatencyModel* latency)
+  MessagingTicks(P& proto, Xoshiro256& rng, const LatencyModel& latency)
       : proto_(proto), rng_(rng), latency_(latency), n_(proto.num_nodes()),
         inv_n_(1.0 / static_cast<double>(n_)),
         deliveries_(static_cast<double>(n_)),
@@ -216,13 +200,8 @@ class MessagingTicks {
       tick(static_cast<NodeId>(uniform_below(rng_, n_)), rng_, now, outbox_);
       next_tick_ = now + exponential_unit(rng_) * inv_n_;
     }
-    for (auto& [to, delay, message] : outbox_.staged_) {
-      double resolved = delay;
-      if (resolved == Outbox<Message>::kDrawFromModel) {
-        PC_EXPECTS(latency_ != nullptr);
-        resolved = latency_->sample(rng_);
-      }
-      deliveries_.push(now + resolved, {to, std::move(message)});
+    for (auto& [to, message] : outbox_.staged_) {
+      deliveries_.push(now + latency_.sample(rng_), {to, std::move(message)});
     }
     outbox_.staged_.clear();
   }
@@ -232,7 +211,7 @@ class MessagingTicks {
 
   P& proto_;
   Xoshiro256& rng_;
-  const LatencyModel* latency_;
+  const LatencyModel& latency_;
   std::uint64_t n_;
   double inv_n_;
   EventQueue<std::pair<NodeId, Message>> deliveries_;
@@ -263,24 +242,15 @@ AsyncRunResult run_continuous_heap(P& proto, Xoshiro256& rng, double max_time,
                        max_time, obs, sample_every, perturb);
 }
 
-/// Runs a messaging protocol whose posts carry explicit delays.
-template <MessagingProtocol P, typename Obs = NullObserver>
-AsyncRunResult run_continuous_messaging(P& proto, Xoshiro256& rng,
-                                        double max_time, Obs&& obs = Obs{},
-                                        double sample_every = 1.0) {
-  return detail::drive(proto, detail::MessagingTicks<P>(proto, rng, nullptr),
-                       max_time, obs, sample_every, nullptr);
-}
-
 /// Runs a messaging protocol under the given edge-latency model: the
-/// source stamps every model-posted message with a latency drawn from
+/// source stamps every posted message with a latency drawn from
 /// `latency` (see sim/latency.hpp). The model must outlive the call.
 template <MessagingProtocol P, typename Obs = NullObserver>
 AsyncRunResult run_continuous_messaging(P& proto, const LatencyModel& latency,
                                         Xoshiro256& rng, double max_time,
                                         Obs&& obs = Obs{},
                                         double sample_every = 1.0) {
-  return detail::drive(proto, detail::MessagingTicks<P>(proto, rng, &latency),
+  return detail::drive(proto, detail::MessagingTicks<P>(proto, rng, latency),
                        max_time, obs, sample_every, nullptr);
 }
 

@@ -13,10 +13,10 @@
 ///                *different* color.
 ///   - crash:     crash-stop scheduled by *global time* — a
 ///                Poisson(rate) stream of single-node crash-stop events
-///                starting at --perturb-start. Unlike CrashAdapter's
-///                own-tick deadlines this composes with the sharded and
-///                queued engines and with random latency, because the
-///                schedule lives in global time, not per-node clocks.
+///                starting at --perturb-start. The schedule lives in
+///                global time, not per-node clocks, so it composes with
+///                every engine and latency model, and it never writes
+///                a color, so it runs on every protocol.
 ///                A crashed node keeps its color readable (memory
 ///                intact, clock dead) and the engines suppress its
 ///                ticks via allows_tick().
@@ -321,10 +321,11 @@ double agreement_at(const std::vector<AgreementPoint>& trace, double t);
 namespace detail {
 
 /// The single-stream engines' drain hook: perturbation writes go
-/// through the protocol's own table, so the protocol must expose
-/// mutable_table(). Protocols without it (stateful adapters like
-/// CrashAdapter) cannot be perturbed — a loud contract violation, not
-/// a silent no-op.
+/// through the protocol's own table. A protocol without
+/// mutable_table() (AsyncOneExtraBit keeps per-node state next to its
+/// colors) drains through a writer that throws, so crashes, which only
+/// freeze a node, run on it, while the first re-coloring event is a
+/// loud contract violation, not a silent no-op.
 template <typename P>
 void drain_perturbations(Perturber* perturb, double now, P& proto) {
   if (perturb == nullptr) return;
@@ -333,10 +334,12 @@ void drain_perturbations(Perturber* perturb, double now, P& proto) {
                 }) {
     perturb->drain_until(now, proto.mutable_table());
   } else {
-    throw ContractViolation(
-        "--perturb= requires a protocol exposing mutable_table(); this "
-        "protocol keeps private per-node state the perturbation layer "
-        "cannot re-color");
+    perturb->drain_until(now, proto.table(), [](NodeId, ColorId) {
+      throw ContractViolation(
+          "--perturb= requires a protocol exposing mutable_table(); this "
+          "protocol keeps private per-node state the perturbation layer "
+          "cannot re-color");
+    });
   }
 }
 

@@ -1,164 +1,164 @@
-// Tests for crash-stop fault injection.
+// Tests for crash-stop faults: the Perturber's crash model
+// (--perturb=crash), a global-time stream of single-node crash-stop
+// events whose victims stop ticking and keep their colors readable.
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <limits>
+#include <utility>
+#include <vector>
 
 #include "core/two_choices.hpp"
 #include "core/voter.hpp"
 #include "graph/complete.hpp"
 #include "opinion/assignment.hpp"
-#include "sim/crash.hpp"
+#include "opinion/table.hpp"
+#include "sim/perturb.hpp"
 #include "sim/sequential_engine.hpp"
-#include "support/assert.hpp"
 
 namespace plurality {
 namespace {
 
-TEST(CrashAdapter, CrashedNodesStopTicking) {
-  const std::uint64_t n = 16;
+/// `budget` crashes from `start` at `rate` per time unit.
+PerturbSpec crash_spec(std::uint64_t budget, double start, double rate) {
+  PerturbSpec spec;
+  spec.kind = PerturbKind::kCrash;
+  spec.budget = budget;
+  spec.start = start;
+  spec.rate = rate;
+  return spec;
+}
+
+/// The nodes the crash stream of (spec, n, seed) hits, in order. Crash
+/// victims do not depend on the colors, so a dry run names them.
+std::vector<NodeId> crash_victims(const PerturbSpec& spec, std::uint64_t n,
+                                  std::uint64_t seed) {
+  Perturber dry(spec, n, 2, seed);
+  OpinionTable table(std::vector<ColorId>(n, 0), 2);
+  dry.drain_until(std::numeric_limits<double>::max(), table);
+  std::vector<NodeId> victims;
+  for (const PerturbEvent& event : dry.events()) victims.push_back(event.node);
+  return victims;
+}
+
+/// Voter that counts the ticks the engine lets through to a crashed
+/// node (there must be none).
+class CrashWatch : public VoterAsync<CompleteGraph> {
+ public:
+  CrashWatch(const CompleteGraph& g, Assignment a, const Perturber& perturb)
+      : VoterAsync<CompleteGraph>(g, std::move(a)), perturb_(&perturb) {}
+
+  void on_tick(NodeId u, Xoshiro256& rng) {
+    if (perturb_->is_crashed(u)) ++dead_ticks;
+    VoterAsync<CompleteGraph>::on_tick(u, rng);
+  }
+
+  std::uint64_t dead_ticks = 0;
+
+ private:
+  const Perturber* perturb_;
+};
+
+TEST(CrashFaults, CrashedNodesStopTickingAndKeepTheirColor) {
+  const std::uint64_t n = 64;
   const CompleteGraph g(n);
   Xoshiro256 rng(1);
-  std::vector<std::uint64_t> plan(n, kNeverCrashes);
-  plan[3] = 0;  // node 3 dead from the start
-  CrashAdapter<VoterAsync<CompleteGraph>> proto(
-      VoterAsync<CompleteGraph>(g, assign_equal(n, 4, rng)),
-      std::move(plan));
-  const ColorId frozen = proto.table().color(3);
-  run_sequential(proto, rng, 100.0);
-  EXPECT_TRUE(proto.is_crashed(3));
-  EXPECT_EQ(proto.table().color(3), frozen);
-  EXPECT_EQ(proto.crashed_count(), 1u);
-}
-
-TEST(CrashAdapter, DeadlineCountsOwnTicks) {
-  const std::uint64_t n = 8;
-  const CompleteGraph g(n);
-  Xoshiro256 rng(2);
-  std::vector<std::uint64_t> plan(n, 5);  // everyone dies after 5 ticks
-  CrashAdapter<VoterAsync<CompleteGraph>> proto(
-      VoterAsync<CompleteGraph>(g, assign_equal(n, 2, rng)),
-      std::move(plan));
-  EXPECT_EQ(proto.crashed_count(), 0u);
-  // Drive ticks directly (an engine would stop at consensus, which tiny
-  // voter populations reach before anyone's deadline).
-  for (int round = 0; round < 10; ++round) {
-    for (NodeId u = 0; u < n; ++u) proto.on_tick(u, rng);
+  Perturber perturb(crash_spec(16, 1.0, 50.0), n, 4, /*seed=*/11);
+  CrashWatch proto(g, assign_equal(n, 4, rng), perturb);
+  const auto result =
+      run_sequential(proto, rng, 100.0, NullObserver{}, 1.0, &perturb);
+  EXPECT_GT(result.ticks, 0u);
+  EXPECT_EQ(proto.dead_ticks, 0u);
+  EXPECT_EQ(perturb.crashed_count(), 16u);
+  ASSERT_EQ(perturb.events().size(), 16u);
+  for (const PerturbEvent& event : perturb.events()) {
+    EXPECT_TRUE(perturb.is_crashed(event.node));
+    EXPECT_EQ(proto.table().color(event.node), event.color);
   }
-  EXPECT_EQ(proto.crashed_count(), n);
 }
 
-TEST(CrashAdapter, LiveAgreementIgnoresCrashedHoldouts) {
+TEST(CrashFaults, LiveAgreementIgnoresCrashedHoldouts) {
   const std::uint64_t n = 64;
   const CompleteGraph g(n);
   Xoshiro256 rng(3);
-  // Strong majority; a couple of dead-at-start minority nodes pin color 1.
-  auto workload = assign_two_colors(n, n - 4, rng);
-  std::vector<std::uint64_t> plan(n, kNeverCrashes);
-  // Crash exactly the minority holders at tick 0.
-  for (NodeId u = 0; u < n; ++u) {
-    if (workload.colors[u] == 1) plan[u] = 0;
+  // Four crashes right after time 0; the workload puts the minority
+  // color on exactly those four nodes.
+  const PerturbSpec spec = crash_spec(4, 0.0, 1e6);
+  Assignment workload;
+  workload.num_colors = 2;
+  workload.colors.assign(n, 0);
+  for (const NodeId u : crash_victims(spec, n, /*seed=*/13)) {
+    workload.colors[u] = 1;
   }
-  CrashAdapter<TwoChoicesAsync<CompleteGraph>> proto(
-      TwoChoicesAsync<CompleteGraph>(g, std::move(workload)),
-      std::move(plan));
-  const auto result = run_sequential(proto, rng, 500.0);
+  workload.counts = {n - 4, 4};
+  TwoChoicesAsync proto(g, std::move(workload));
+  Perturber perturb(spec, n, 2, /*seed=*/13);
+  const auto result =
+      run_sequential(proto, rng, 500.0, NullObserver{}, 1.0, &perturb);
   // Global consensus is impossible: crashed nodes pin color 1 ...
   EXPECT_FALSE(result.consensus);
   EXPECT_GE(proto.table().support(1), 4u);
   // ... but live nodes essentially agree. (A live node can transiently
   // hold color 1 at the stop snapshot by sampling two pinned nodes, so
   // "essentially": at most one straggler among 60 live nodes.)
-  EXPECT_GE(proto.live_agreement(), 59.0 / 60.0);
-}
-
-TEST(CrashAdapter, PlanRejectsSizeMismatch) {
-  const CompleteGraph g(8);
-  Xoshiro256 rng(4);
-  EXPECT_THROW(
-      (CrashAdapter<VoterAsync<CompleteGraph>>(
-          VoterAsync<CompleteGraph>(g, assign_equal(8, 2, rng)),
-          std::vector<std::uint64_t>(3, kNeverCrashes))),
-      ContractViolation);
-}
-
-TEST(CrashFractionPlan, MarksExactFraction) {
-  Xoshiro256 rng(5);
-  const auto plan = crash_fraction_plan(1000, 0.25, 7, rng);
-  std::uint64_t crashing = 0;
-  for (const auto deadline : plan) {
-    if (deadline != kNeverCrashes) {
-      EXPECT_EQ(deadline, 7u);
-      ++crashing;
-    }
-  }
-  EXPECT_EQ(crashing, 250u);
-}
-
-TEST(CrashFractionPlan, ZeroAndFullFractions) {
-  Xoshiro256 rng(6);
-  const auto none = crash_fraction_plan(100, 0.0, 1, rng);
-  for (const auto d : none) EXPECT_EQ(d, kNeverCrashes);
-  const auto all = crash_fraction_plan(100, 1.0, 1, rng);
-  for (const auto d : all) EXPECT_EQ(d, 1u);
-  EXPECT_THROW(crash_fraction_plan(100, 1.5, 1, rng), ContractViolation);
+  EXPECT_GE(perturb.live_agreement(proto.table()), 59.0 / 60.0);
 }
 
 // The O(1)/O(k) incremental counters (crashed_count, live_agreement)
-// must agree with a from-scratch O(n) rescan at every point of a run
-// with staggered deadlines — including deadline-0 nodes counted at
-// construction and the exact crash-transition ticks.
-TEST(CrashAdapter, IncrementalCountersMatchBruteForceRescan) {
+// must agree with a from-scratch O(n) rescan after every drain of a
+// staggered crash stream.
+TEST(CrashFaults, IncrementalCountersMatchBruteForceRescan) {
   const std::uint64_t n = 256;
   const CompleteGraph g(n);
   Xoshiro256 rng(8);
-  std::vector<std::uint64_t> plan(n, kNeverCrashes);
-  for (NodeId u = 0; u < n; ++u) {
-    if (u % 3 == 0) plan[u] = u % 17;  // staggered; includes deadline 0
-  }
-  CrashAdapter<TwoChoicesAsync<CompleteGraph>> proto(
-      TwoChoicesAsync<CompleteGraph>(g, assign_equal(n, 4, rng)),
-      std::move(plan));
+  TwoChoicesAsync proto(g, assign_equal(n, 4, rng));
+  Perturber perturb(crash_spec(100, 0.0, 8.0), n, 4, /*seed=*/18);
 
   const auto brute_force_check = [&] {
     std::uint64_t crashed = 0;
     std::vector<std::uint64_t> live_support(proto.table().num_colors(), 0);
     for (NodeId u = 0; u < n; ++u) {
-      if (proto.is_crashed(u)) {
+      if (perturb.is_crashed(u)) {
         ++crashed;
       } else {
         ++live_support[proto.table().color(u)];
       }
     }
-    EXPECT_EQ(proto.crashed_count(), crashed);
+    EXPECT_EQ(perturb.crashed_count(), crashed);
     const std::uint64_t live = n - crashed;
     std::uint64_t best = 0;
     for (const auto s : live_support) best = std::max(best, s);
     const double expected =
         live == 0 ? 1.0
                   : static_cast<double>(best) / static_cast<double>(live);
-    EXPECT_DOUBLE_EQ(proto.live_agreement(), expected);
+    EXPECT_DOUBLE_EQ(perturb.live_agreement(proto.table()), expected);
   };
 
-  brute_force_check();  // deadline-0 nodes already crashed
+  brute_force_check();  // nothing crashed yet
+  double now = 0.0;
   for (int round = 0; round < 30; ++round) {
     for (int i = 0; i < 64; ++i) {
-      proto.on_tick(static_cast<NodeId>(uniform_below(rng, n)), rng);
+      const auto u = static_cast<NodeId>(uniform_below(rng, n));
+      if (perturb.allows_tick(u)) proto.on_tick(u, rng);
     }
+    now += 0.5;
+    perturb.drain_until(now, proto.mutable_table());
     brute_force_check();
   }
-  EXPECT_GT(proto.crashed_count(), 0u);
+  EXPECT_GT(perturb.crashed_count(), 0u);
 }
 
-TEST(CrashAdapter, SurvivorsStillReachLiveAgreementUnderLateCrashes) {
+TEST(CrashFaults, SurvivorsStillAgreeUnderLateCrashes) {
   const std::uint64_t n = 512;
   const CompleteGraph g(n);
   Xoshiro256 rng(7);
-  const auto plan = crash_fraction_plan(n, 0.2, 20, rng);
-  CrashAdapter<TwoChoicesAsync<CompleteGraph>> proto(
-      TwoChoicesAsync<CompleteGraph>(
-          g, assign_two_colors(n, (n * 3) / 4, rng)),
-      plan);
-  run_sequential(proto, rng, 2000.0);
-  EXPECT_GT(proto.live_agreement(), 0.999);
+  // A fifth of the nodes crash from time 20, within about a time unit.
+  Perturber perturb(crash_spec(n / 5, 20.0, 100.0), n, 2, /*seed=*/17);
+  TwoChoicesAsync proto(g, assign_two_colors(n, (n * 3) / 4, rng));
+  run_sequential(proto, rng, 2000.0, NullObserver{}, 1.0, &perturb);
+  EXPECT_EQ(perturb.crashed_count(), n / 5);
+  EXPECT_GT(perturb.live_agreement(proto.table()), 0.999);
 }
 
 }  // namespace

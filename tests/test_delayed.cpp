@@ -1,25 +1,28 @@
-// Tests for the delayed-response protocols (§4 generalized to latency
-// models): delayed Two-Choices / 3-Majority and the delayed
+// Tests for delayed responses (§4 generalized to latency models):
+// Two-Choices / 3-Majority through DelayedResponses and the delayed
 // asynchronous OneExtraBit protocol, all driven by the messaging
-// engine's LatencyModel (the protocols no longer sample delays).
+// engine's LatencyModel (the protocols never sample delays).
 
 #include <gtest/gtest.h>
 
 #include "core/async_one_extra_bit.hpp"
 #include "core/delayed.hpp"
+#include "core/three_majority.hpp"
+#include "core/two_choices.hpp"
 #include "graph/complete.hpp"
 #include "opinion/assignment.hpp"
 #include "rng/seed.hpp"
 #include "sim/continuous_engine.hpp"
 #include "sim/latency.hpp"
-#include "support/assert.hpp"
 
 namespace plurality {
 namespace {
 
 static_assert(MessagingProtocol<AsyncOneExtraBitDelayed<CompleteGraph>>);
-static_assert(MessagingProtocol<TwoChoicesAsyncDelayed<CompleteGraph>>);
-static_assert(MessagingProtocol<ThreeMajorityAsyncDelayed<CompleteGraph>>);
+static_assert(
+    MessagingProtocol<DelayedResponses<TwoChoicesAsync<CompleteGraph>>>);
+static_assert(
+    MessagingProtocol<DelayedResponses<ThreeMajorityAsync<CompleteGraph>>>);
 
 TEST(DelayedTwoChoices, ConsensusUnderModerateDelays) {
   const std::uint64_t n = 512;
@@ -28,8 +31,9 @@ TEST(DelayedTwoChoices, ConsensusUnderModerateDelays) {
   const ExponentialLatency latency(0.5);
   for (std::uint64_t rep = 0; rep < 5; ++rep) {
     Xoshiro256 rng = seeds.make_rng(rep);
-    TwoChoicesAsyncDelayed proto(g, assign_two_colors(n, (n * 3) / 4, rng));
-    const auto result = run_continuous_messaging(proto, latency, rng, 1e5);
+    TwoChoicesAsync proto(g, assign_two_colors(n, (n * 3) / 4, rng));
+    DelayedResponses delayed(proto);
+    const auto result = run_continuous_messaging(delayed, latency, rng, 1e5);
     ASSERT_TRUE(result.consensus);
     EXPECT_EQ(result.winner, 0u);
   }
@@ -42,23 +46,12 @@ TEST(DelayedThreeMajority, ConsensusUnderModerateDelays) {
   const ExponentialLatency latency(0.5);
   for (std::uint64_t rep = 0; rep < 5; ++rep) {
     Xoshiro256 rng = seeds.make_rng(rep);
-    ThreeMajorityAsyncDelayed proto(g,
-                                    assign_two_colors(n, (n * 3) / 4, rng));
-    const auto result = run_continuous_messaging(proto, latency, rng, 1e5);
+    ThreeMajorityAsync proto(g, assign_two_colors(n, (n * 3) / 4, rng));
+    DelayedResponses delayed(proto);
+    const auto result = run_continuous_messaging(delayed, latency, rng, 1e5);
     ASSERT_TRUE(result.consensus);
     EXPECT_EQ(result.winner, 0u);
   }
-}
-
-TEST(DelayedTwoChoices, ModelPostWithoutModelIsContractViolation) {
-  // A protocol that posts via the delay-less Outbox overload requires a
-  // driver constructed with a LatencyModel.
-  const std::uint64_t n = 16;
-  const CompleteGraph g(n);
-  Xoshiro256 rng(2);
-  TwoChoicesAsyncDelayed proto(g, assign_equal(n, 2, rng));
-  EXPECT_THROW(run_continuous_messaging(proto, rng, 1e3),
-               ContractViolation);
 }
 
 TEST(DelayedOEB, Theorem13RegimeStillConverges) {

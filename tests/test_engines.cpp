@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 #include <vector>
 
 #include "core/delayed.hpp"
@@ -14,6 +15,7 @@
 #include "graph/complete.hpp"
 #include "opinion/assignment.hpp"
 #include "sim/continuous_engine.hpp"
+#include "sim/latency.hpp"
 #include "sim/observers.hpp"
 #include "sim/perturb.hpp"
 #include "sim/sequential_engine.hpp"
@@ -55,7 +57,8 @@ class TickCounter {
 static_assert(AsyncProtocol<TickCounter>);
 static_assert(AsyncProtocol<TwoChoicesAsync<CompleteGraph>>);
 static_assert(SyncProtocol<TwoChoicesSync<CompleteGraph>>);
-static_assert(MessagingProtocol<TwoChoicesAsyncDelayed<CompleteGraph>>);
+static_assert(
+    MessagingProtocol<DelayedResponses<TwoChoicesAsync<CompleteGraph>>>);
 
 TEST(SequentialEngine, ExecutesExactlyMaxTimeTimesN) {
   TickCounter proto(64);
@@ -314,9 +317,29 @@ TEST(SequentialEngine, DrainsEveryDueEventBeforeTheStep) {
   }
 }
 
-/// Messaging protocol that posts a fixed fan of delayed messages on the
-/// very first tick and records the order deliveries come back in; pins
-/// down the engine's (delivery time, post order) sequencing exactly.
+/// Latency model that replays a fixed script of delays, one per draw.
+class ScriptedLatency final : public LatencyModel {
+ public:
+  explicit ScriptedLatency(std::vector<double> delays)
+      : delays_(std::move(delays)) {}
+  double sample(Xoshiro256&) const override { return delays_.at(next_++); }
+  double mean() const noexcept override { return 0.0; }
+  LatencyKind kind() const noexcept override {
+    return LatencyKind::kConstant;
+  }
+
+ private:
+  std::vector<double> delays_;
+  mutable std::size_t next_ = 0;
+};
+
+/// The delays 5, 1, 1, 3, for the four messages of MessageOrderRecorder.
+ScriptedLatency fan_delays() { return ScriptedLatency({5.0, 1.0, 1.0, 3.0}); }
+
+/// Messaging protocol that posts a fan of four messages on the very
+/// first tick and records the order deliveries come back in; under
+/// fan_delays() it pins down the engine's (delivery time, post order)
+/// sequencing exactly.
 class MessageOrderRecorder {
  public:
   using Message = int;
@@ -328,10 +351,7 @@ class MessageOrderRecorder {
     if (posted_) return;
     posted_ = true;
     post_time_ = now;
-    out.post(1, 5.0, 0);
-    out.post(1, 1.0, 1);
-    out.post(1, 1.0, 2);  // exact tie with message 1: post order decides
-    out.post(1, 3.0, 3);
+    for (int m = 0; m < 4; ++m) out.post(1, m);
   }
 
   void on_message(NodeId, const int& m, Xoshiro256&, double now,
@@ -368,10 +388,10 @@ static_assert(MessagingProtocol<MessageOrderRecorder>);
 TEST(MessagingEngine, DeliveriesArriveInTimeThenPostOrder) {
   MessageOrderRecorder proto(8);
   Xoshiro256 rng(21);
-  const auto result = run_continuous_messaging(proto, rng, 1e4);
+  const auto result = run_continuous_messaging(proto, fan_delays(), rng, 1e4);
   ASSERT_EQ(proto.received().size(), 4u);
-  // Delays 5, 1, 1, 3 posted in ids 0..3: arrival must be 1, 2 (tie in
-  // post order), 3, 0.
+  // Delays 5, 1, 1, 3 drawn for ids 0..3: arrival must be 1, 2 (an exact
+  // tie, in post order), 3, 0.
   EXPECT_EQ(proto.received(), (std::vector<int>{1, 2, 3, 0}));
   const double t0 = proto.post_time();
   EXPECT_DOUBLE_EQ(proto.delivery_times()[0], t0 + 1.0);
@@ -386,7 +406,7 @@ TEST(MessagingEngine, HorizonCutoffReportsMaxTime) {
   MessageOrderRecorder proto(8);
   Xoshiro256 rng(22);
   // Horizon shorter than the longest delay: the run is cut off.
-  const auto result = run_continuous_messaging(proto, rng, 2.0);
+  const auto result = run_continuous_messaging(proto, fan_delays(), rng, 2.0);
   EXPECT_DOUBLE_EQ(result.time, 2.0);
   EXPECT_LT(proto.received().size(), 4u);
 }
@@ -395,8 +415,9 @@ TEST(MessagingEngine, DelayedTwoChoicesReachesConsensus) {
   const CompleteGraph g(128);
   Xoshiro256 rng(10);
   const ExponentialLatency latency(0.25);
-  TwoChoicesAsyncDelayed proto(g, assign_two_colors(128, 112, rng));
-  const auto result = run_continuous_messaging(proto, latency, rng, 1e5);
+  TwoChoicesAsync proto(g, assign_two_colors(128, 112, rng));
+  DelayedResponses delayed(proto);
+  const auto result = run_continuous_messaging(delayed, latency, rng, 1e5);
   EXPECT_TRUE(result.consensus);
   EXPECT_EQ(result.winner, 0u);
 }
@@ -407,8 +428,9 @@ TEST(MessagingEngine, HugeDelaysStallProgress) {
   // Mean delay 1000 time units >> horizon: almost no answer arrives, so
   // almost no node ever flips.
   const ExponentialLatency latency(1000.0);
-  TwoChoicesAsyncDelayed proto(g, assign_two_colors(64, 40, rng));
-  const auto result = run_continuous_messaging(proto, latency, rng, 5.0);
+  TwoChoicesAsync proto(g, assign_two_colors(64, 40, rng));
+  DelayedResponses delayed(proto);
+  const auto result = run_continuous_messaging(delayed, latency, rng, 5.0);
   EXPECT_FALSE(result.consensus);
   EXPECT_GE(proto.table().support(1), 15u);  // minority barely dented
 }

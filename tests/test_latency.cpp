@@ -167,8 +167,9 @@ TEST(LatencyDriver, FixedSeedIsDeterministicPerModel) {
   const CompleteGraph g(n);
   const auto run_once = [&](const LatencyModel& model, std::uint64_t seed) {
     Xoshiro256 rng(seed);
-    TwoChoicesAsyncDelayed proto(g, assign_two_colors(n, (n * 3) / 4, rng));
-    return run_continuous_messaging(proto, model, rng, 1e5);
+    TwoChoicesAsync proto(g, assign_two_colors(n, (n * 3) / 4, rng));
+    DelayedResponses delayed(proto);
+    return run_continuous_messaging(delayed, model, rng, 1e5);
   };
 
   const ExponentialLatency expo(0.5);
@@ -194,8 +195,9 @@ TEST(LatencyDriver, ZeroLatencyDrawsNoRngAndDeliversInstantly) {
   const CompleteGraph g(n);
   const ZeroLatency zero;
   Xoshiro256 rng(11);
-  TwoChoicesAsyncDelayed proto(g, assign_two_colors(n, (n * 3) / 4, rng));
-  const auto result = run_continuous_messaging(proto, zero, rng, 1e5);
+  TwoChoicesAsync proto(g, assign_two_colors(n, (n * 3) / 4, rng));
+  DelayedResponses delayed(proto);
+  const auto result = run_continuous_messaging(delayed, zero, rng, 1e5);
   EXPECT_TRUE(result.consensus);
   EXPECT_EQ(result.winner, 0u);
 }
@@ -209,9 +211,9 @@ TEST(LatencyDriver, BlockingSuppressesTicksWhileQueryInFlight) {
   const CompleteGraph g(n);
   const ConstantLatency latency(1e6);
   Xoshiro256 rng(33);
-  TwoChoicesAsyncDelayed proto(g, assign_two_colors(n, 40, rng),
-                               QueryDiscipline::kBlocking);
-  const auto result = run_continuous_messaging(proto, latency, rng, 50.0);
+  TwoChoicesAsync proto(g, assign_two_colors(n, 40, rng));
+  DelayedResponses delayed(proto, QueryDiscipline::kBlocking);
+  const auto result = run_continuous_messaging(delayed, latency, rng, 50.0);
   EXPECT_FALSE(result.consensus);
   EXPECT_EQ(proto.table().support(0), 40u);
   EXPECT_EQ(proto.table().support(1), 24u);

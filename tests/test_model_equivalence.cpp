@@ -192,11 +192,10 @@ TEST(EngineEquivalence, ShardedQueuedMatchesMessagingDriver) {
     messaging_times.reserve(kReps);
     for (std::uint64_t rep = 0; rep < kReps; ++rep) {
       Xoshiro256 rng = msg_seeds.make_rng(rep);
-      TwoChoicesAsyncDelayed proto(g,
-                                   assign_two_colors(n, (n * 3) / 4, rng),
-                                   input.discipline);
+      TwoChoicesAsync proto(g, assign_two_colors(n, (n * 3) / 4, rng));
+      DelayedResponses delayed(proto, input.discipline);
       const auto result =
-          run_continuous_messaging(proto, *input.latency, rng, 1e6);
+          run_continuous_messaging(delayed, *input.latency, rng, 1e6);
       EXPECT_TRUE(result.consensus);
       messaging_times.push_back(result.time);
     }
@@ -238,8 +237,9 @@ TEST(EngineEquivalence, ZeroLatencyMessagingMatchesInstantEngines) {
   delayed_times.reserve(kReps);
   for (std::uint64_t rep = 0; rep < kReps; ++rep) {
     Xoshiro256 rng = seeds.make_rng(rep);
-    TwoChoicesAsyncDelayed proto(g, assign_two_colors(n, (n * 3) / 4, rng));
-    const auto result = run_continuous_messaging(proto, zero, rng, 1e6);
+    TwoChoicesAsync proto(g, assign_two_colors(n, (n * 3) / 4, rng));
+    DelayedResponses delayed(proto);
+    const auto result = run_continuous_messaging(delayed, zero, rng, 1e6);
     EXPECT_TRUE(result.consensus);
     delayed_times.push_back(result.time);
   }

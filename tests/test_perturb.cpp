@@ -13,12 +13,14 @@
 #include <optional>
 #include <vector>
 
+#include "core/async_one_extra_bit.hpp"
 #include "core/two_choices.hpp"
+#include "graph/complete.hpp"
 #include "graph/csr.hpp"
 #include "graph/factory.hpp"
 #include "opinion/assignment.hpp"
 #include "rng/distributions.hpp"
-#include "sim/crash.hpp"
+#include "sim/continuous_engine.hpp"
 #include "sim/perturb.hpp"
 #include "sim/sequential_engine.hpp"
 #include "sim/sharded_engine.hpp"
@@ -278,19 +280,37 @@ TEST(PerturbEngine, CrashByGlobalTimeFreezesVictimColors) {
   EXPECT_GT(perturb.live_agreement(proto.table()), 0.99);
 }
 
-// The perturbation layer refuses protocols it cannot re-color instead
-// of silently doing nothing.
+// The perturbation layer refuses to re-color a protocol without
+// mutable_table() (AsyncOneExtraBit keeps per-node state next to its
+// colors) instead of silently doing nothing.
 TEST(PerturbEngine, ProtocolWithoutMutableTableIsLoudlyRejected) {
   const std::uint64_t n = 32;
   const CompleteGraph g(n);
   Xoshiro256 rng(33);
-  CrashAdapter<TwoChoicesAsync<CompleteGraph>> proto(
-      TwoChoicesAsync<CompleteGraph>(g, assign_equal(n, 2, rng)),
-      std::vector<std::uint64_t>(n, kNeverCrashes));
+  auto proto = AsyncOneExtraBit<CompleteGraph>::make(
+      g, assign_plurality_bias(n, 2, n / 4, rng));
   Perturber perturb(make_spec(PerturbKind::kInject, 5.0, 4), n, 2, 55);
   EXPECT_THROW(
       run_sequential(proto, rng, 100.0, NullObserver{}, 1.0, &perturb),
       ContractViolation);
+}
+
+// Crashes never re-color, so they run on that protocol too: the
+// victims stop ticking and keep their colors.
+TEST(PerturbEngine, CrashRunsOnProtocolWithoutMutableTable) {
+  const std::uint64_t n = 256;
+  const CompleteGraph g(n);
+  Xoshiro256 rng(34);
+  auto proto = AsyncOneExtraBit<CompleteGraph>::make(
+      g, assign_plurality_bias(n, 4, n / 4, rng));
+  Perturber perturb(make_spec(PerturbKind::kCrash, 20.0, 16, 5.0), n, 4,
+                    56);
+  run_continuous(proto, rng, 400.0, NullObserver{}, 1.0, &perturb);
+  EXPECT_EQ(perturb.crashed_count(), 16u);
+  for (const PerturbEvent& event : perturb.events()) {
+    EXPECT_EQ(event.kind, PerturbKind::kCrash);
+    EXPECT_EQ(proto.table().color(event.node), event.color);
+  }
 }
 
 // --- churn ----------------------------------------------------------------

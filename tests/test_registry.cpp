@@ -14,6 +14,7 @@
 
 #include "core/async_one_extra_bit.hpp"
 #include "core/delayed.hpp"
+#include "core/two_choices.hpp"
 #include "core/voter.hpp"
 #include "experiment/args.hpp"
 #include "experiment/json_writer.hpp"
@@ -423,9 +424,10 @@ int messaging_toy_experiment(ExperimentContext& ctx) {
   constexpr std::uint64_t kNodes = 256;
   const CompleteGraph g(kNodes);
   Xoshiro256 rng(ctx.master_seed);
-  TwoChoicesAsyncDelayed proto(g, assign_two_colors(kNodes, 192, rng));
+  TwoChoicesAsync proto(g, assign_two_colors(kNodes, 192, rng));
+  DelayedResponses delayed(proto);
   const ConstantLatency latency(0.5);
-  const AsyncRunResult result = bench::run(plan, proto, latency, rng, 2.0);
+  const AsyncRunResult result = bench::run(plan, delayed, latency, rng, 2.0);
   const std::vector<double> ticks{static_cast<double>(result.ticks)};
   ctx.record("messaging_toy_ticks", {{"n", kNodes}}, ticks);
   return 0;
@@ -520,6 +522,20 @@ TEST(Registry, RejectsThreadsNamingJobs) {
   const JsonValue record =
       registry.run_to_record(*registry.find("test_toy"), make_args({}));
   EXPECT_FALSE(record.find("params")->has("threads"));
+}
+
+TEST(Registry, CrashFaultsRejectsPerturbFlagsItWouldIgnore) {
+  // B2 draws its own crash stream, so any other --perturb* flag (and
+  // the retired --crash_tick=) is an error naming the flag, not a
+  // record claiming a run it never made.
+  for (const char* flag :
+       {"--perturb=inject", "--perturb-rate=2", "--perturb-budget=5",
+        "--perturb-target=hub", "--perturb-interval=2",
+        "--crash_tick=10"}) {
+    const std::string what = rejection(
+        "crash_faults", make_args({flag, "--reps=1", "--n=256", "--csv"}));
+    EXPECT_TRUE(mentions(what, flag)) << flag << ": " << what;
+  }
 }
 
 TEST(Registry, EndToEndRealExperimentProducesValidRecord) {
