@@ -1,7 +1,7 @@
 // Trajectory fingerprints of the sharded engine: one 64-bit hash per
 // (per-shard body x forced color width x perturbation) case, plus the
-// stale and exact bodies under voter and 3-majority, over a
-// run's final colors, tick count, end time and observer series,
+// stale, queued (blocking) and exact bodies under voter and 3-majority,
+// over a run's final colors, tick count, end time and observer series,
 // checked against a table recorded from a known-good build. A change to
 // the order or number of RNG draws, to the epoch schedule, or to the
 // merge / perturbation-drain semantics changes a hash and fails the
@@ -145,8 +145,11 @@ std::uint64_t run_case(Body body, ColorWidth width, PerturbKind kind,
 
 // Recorded with GCC 12 on x86-64 Linux (glibc libm); see the file header.
 // Widths never touch an RNG draw, so each u8 line equals its u16 and
-// u32 twins. The rows after exact/u32/inject were recorded at the
-// parent of the sample()/decide() split and held through it.
+// u32 twins. The rows from stale_scalar/u16/none to
+// exact_three_majority/u8/none were recorded at the parent of the
+// sample()/decide() split and held through it; the queued voter and
+// 3-majority rows were recorded before the three protocols were folded
+// into one sampling template (core/sampling.hpp).
 constexpr Golden kGolden[] = {
     {"stale_scalar/u8/none", 0x19e339d69fd6d21dULL},
     {"stale_scalar/u8/inject", 0xedcaa622eb0e3731ULL},
@@ -173,6 +176,8 @@ constexpr Golden kGolden[] = {
     {"stale_three_majority/u8/inject", 0x27528e851e59ba0fULL},
     {"exact_voter/u8/none", 0x90db21e3bce067bcULL},
     {"exact_three_majority/u8/none", 0x889150ad2d24a4ffULL},
+    {"queued_voter/u8/none", 0x2710d56c0f312a4eULL},
+    {"queued_three_majority/u8/none", 0xd69309fdde2d65f8ULL},
 };
 
 /// The rows outside the (body x u8/u32 x none/inject) grid.
@@ -202,6 +207,10 @@ constexpr ExtraCase kExtraCases[] = {
      PerturbKind::kNone, Rule::kVoter},
     {"exact_three_majority/u8/none", Body::kExact, ColorWidth::kU8,
      PerturbKind::kNone, Rule::kThreeMajority},
+    {"queued_voter/u8/none", Body::kQueuedBlocking, ColorWidth::kU8,
+     PerturbKind::kNone, Rule::kVoter},
+    {"queued_three_majority/u8/none", Body::kQueuedBlocking,
+     ColorWidth::kU8, PerturbKind::kNone, Rule::kThreeMajority},
 };
 
 TEST(ShardedFingerprints, EveryBodyWidthAndPerturbationCaseMatches) {
