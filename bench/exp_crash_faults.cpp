@@ -35,6 +35,14 @@ int run_exp(ExperimentContext& ctx) {
                     "fraction of the nodes, from --perturb-start=)");
     }
   }
+  // Checked before any cell runs: the Two-Choices cells could shard,
+  // the phased ones cannot.
+  if (ctx.engine == engine_kind_name(EngineKind::kSharded)) {
+    bench::reject(bench::flag("engine", ctx.engine.c_str()),
+                  "the phased protocol has no sample()/decide() split, so "
+                  "crash_faults cannot shard (use --engine=sequential|heap|"
+                  "superposition)");
+  }
   bench::banner(ctx, "B2 (crash faults)",
                 "survivors should still agree (live agreement ~ 1) for "
                 "moderate crash fractions; crashed nodes pin stale "

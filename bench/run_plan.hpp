@@ -102,8 +102,8 @@ inline RunPlan make_plan(const ExperimentContext& ctx,
 /// (state_bytes_per_node(), e.g. the async OneExtraBit node records and
 /// gadget slots), else its table's packed colors + support counters;
 /// plus the sharded engine's live/snapshot copies (two more packed
-/// arrays) when that engine will drive the protocol. Called by both
-/// dispatches below so every engine-driven record can report
+/// arrays) when that engine will drive the protocol. Called by every
+/// dispatch below so every engine-driven record can report
 /// bytes_per_node.
 template <typename P>
 void note_state_footprint(const RunPlan& plan, const P& proto,
@@ -289,6 +289,7 @@ AsyncRunResult run(const RunPlan& plan, P& proto, const LatencyModel& model,
   plan.ctx->note_effective_engine(
       engine_kind_name(EngineKind::kSuperposition));
   plan.ctx->note_effective_latency(model.name());
+  note_state_footprint(plan, proto, /*sharded_engine=*/false);
   return run_continuous_messaging(proto, model, rng, max_time,
                                   std::forward<Obs>(obs), sample_every);
 }

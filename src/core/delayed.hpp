@@ -14,8 +14,11 @@
 ///
 /// DelayedResponses runs any protocol with a query/apply split (the
 /// DelayedShardableProtocol form the sharded delivery queues use) on
-/// the messaging driver, so Two-Choices, 3-Majority and voter each
-/// have one update rule for every engine. AsyncOneExtraBitDelayed is
+/// the messaging driver. Two-Choices, 3-Majority and voter get that
+/// split from SamplingAsync (core/sampling.hpp), which derives it, like
+/// their other engine forms, from the one rule each states: the query
+/// carries the K sampled colors, and the rule is applied at delivery
+/// against the node's color then. AsyncOneExtraBitDelayed is
 /// the paper's protocol with its sample steps answered late; answers
 /// arriving after the relevant step's deadline (e.g. a two-choices
 /// answer arriving after the node already committed, detected via a
@@ -82,6 +85,12 @@ class DelayedResponses {
   std::uint64_t num_nodes() const noexcept { return proto_.num_nodes(); }
   bool done() const noexcept { return proto_.done(); }
   const OpinionTable& table() const noexcept { return proto_.table(); }
+
+  /// The table's packed colors and support counters plus the one-byte
+  /// in-flight flag per node.
+  double state_bytes_per_node() const noexcept {
+    return proto_.table().state_bytes_per_node() + sizeof(pending_[0]);
+  }
 
  private:
   P& proto_;

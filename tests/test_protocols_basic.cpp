@@ -150,12 +150,15 @@ TEST(VoterTest, WinsProportionallyToInitialSupport) {
 }
 
 TEST(ThreeMajorityTest, MajorityHelperIsExhaustive) {
-  using detail::majority_of_three;
-  EXPECT_EQ(majority_of_three(1, 1, 1), 1u);
-  EXPECT_EQ(majority_of_three(1, 1, 2), 1u);
-  EXPECT_EQ(majority_of_three(1, 2, 1), 1u);
-  EXPECT_EQ(majority_of_three(2, 1, 1), 1u);
-  EXPECT_EQ(majority_of_three(1, 2, 3), 1u);  // all distinct -> first
+  // The node's own color (9) never enters the rule.
+  const auto majority = [](ColorId a, ColorId b, ColorId c) {
+    return ThreeMajorityRule::next(9, {a, b, c});
+  };
+  EXPECT_EQ(majority(1, 1, 1), 1u);
+  EXPECT_EQ(majority(1, 1, 2), 1u);
+  EXPECT_EQ(majority(1, 2, 1), 1u);
+  EXPECT_EQ(majority(2, 1, 1), 1u);
+  EXPECT_EQ(majority(1, 2, 3), 1u);  // all distinct -> first
 }
 
 TEST(ThreeMajorityTest, StrongBiasWinsBothModels) {

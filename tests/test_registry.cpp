@@ -510,6 +510,24 @@ TEST(Registry, RejectsNonSuperpositionEngineForMessagingProtocol) {
             "superposition");
 }
 
+TEST(Registry, MessagingRunNotesItsStateFootprint) {
+  // The messaging dispatch attributes the delayed adapter's state: the
+  // table's packed colors and supports plus one in-flight flag per node.
+  const auto& registry = ExperimentRegistry::instance();
+  const JsonValue record = registry.run_to_record(
+      *registry.find("test_toy_messaging"), make_args({}));
+  const JsonValue* bytes = record.find("params")->find("bytes_per_node");
+  ASSERT_NE(bytes, nullptr);
+  EXPECT_GT(bytes->as_double(), 0.0);
+
+  constexpr std::uint64_t kNodes = 256;
+  const CompleteGraph g(kNodes);
+  Xoshiro256 rng(1);
+  TwoChoicesAsync proto(g, assign_two_colors(kNodes, 192, rng));
+  EXPECT_DOUBLE_EQ(bytes->as_double(),
+                   proto.table().state_bytes_per_node() + 1.0);
+}
+
 TEST(Registry, RejectsThreadsNamingJobs) {
   // --jobs= is the one concurrency knob.
   const std::string what =
@@ -536,6 +554,19 @@ TEST(Registry, CrashFaultsRejectsPerturbFlagsItWouldIgnore) {
         "crash_faults", make_args({flag, "--reps=1", "--n=256", "--csv"}));
     EXPECT_TRUE(mentions(what, flag)) << flag << ": " << what;
   }
+}
+
+TEST(Registry, CrashFaultsRejectsShardedEngineBeforeAnyCell) {
+  // The phased protocol cannot shard, so B2 rejects --engine=sharded up
+  // front: the rejection names the flag, and nothing ran or printed
+  // (the banner, every cell and the table come after the check).
+  ::testing::internal::CaptureStdout();
+  const std::string what =
+      rejection("crash_faults",
+                make_args({"--engine=sharded", "--reps=1", "--n=256"}));
+  const std::string printed = ::testing::internal::GetCapturedStdout();
+  EXPECT_TRUE(mentions(what, "--engine=sharded")) << what;
+  EXPECT_TRUE(printed.empty()) << printed;
 }
 
 TEST(Registry, EndToEndRealExperimentProducesValidRecord) {

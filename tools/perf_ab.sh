@@ -22,7 +22,14 @@
 # metric's "better" direction in the change's BENCHMARK.json; a
 # "claim" column says whether the change won >= 9 of 10 pairs (scaled
 # to PAIRS) and its median beats the parent's by more than the parent's
-# interquartile range.
+# interquartile range. A "regress" column reads the same runs against
+# the metric's relative "bound" in the change's BENCHMARK.json:
+#   ok          the change's median is not worse than the parent's by
+#               more than the bound;
+#   unresolved  it is, but the parent's own IQR exceeds the bound times
+#               its median, so the runs are too noisy to tell, and not
+#               every change run is worse than every parent run;
+#   WORSE       anything else.
 #
 # Microbench mode builds each side's plurality_exp (Release, no tests
 # or examples), then runs
@@ -159,8 +166,7 @@ out, pairs, workload = sys.argv[1], int(sys.argv[2]), sys.argv[3]
 load = lambda side, i: json.load(open("%s/%s.%d.json" % (out, side, i)))
 parent = [load("parent", i) for i in range(pairs)]
 change = [load("change", i) for i in range(pairs)]
-better = {m["name"]: m["better"] for m in
-          json.load(open(out + "/change/BENCHMARK.json"))["end_to_end"]}
+metrics = json.load(open(out + "/change/BENCHMARK.json"))["end_to_end"]
 
 
 def summary(values):
@@ -173,19 +179,27 @@ def summary(values):
 need = -(-9 * pairs // 10)  # 9 of 10, rounded up
 print("%s: %d pairs (parent p25/median/p75 -> change p25/median/p75)"
       % (workload, pairs))
-print("%-15s %32s   %32s %6s %6s" % ("metric", "parent", "change", "wins",
-                                      "claim"))
-for name, direction in better.items():
+print("%-15s %32s   %32s %6s %6s %11s" % ("metric", "parent", "change",
+                                           "wins", "claim", "regress"))
+for metric in metrics:
+    name, bound = metric["name"], metric["bound"]
     a = [r["metrics"][name]["value"] for r in parent]
     b = [r["metrics"][name]["value"] for r in change]
-    lower = direction == "lower"
+    lower = metric["better"] == "lower"
     wins = sum((y < x) if lower else (y > x) for x, y in zip(a, b))
     pa, pb = summary(a), summary(b)
     gain = (pa[1] - pb[1]) if lower else (pb[1] - pa[1])
     claim = wins >= need and gain > pa[2] - pa[0]
+    worse_everywhere = (min(b) > max(a)) if lower else (max(b) < min(a))
+    if -gain <= bound * abs(pa[1]):
+        regress = "ok"
+    elif pa[2] - pa[0] > bound * abs(pa[1]) and not worse_everywhere:
+        regress = "unresolved"
+    else:
+        regress = "WORSE"
     print("%-15s %10.4g %10.4g %10.4g   %10.4g %10.4g %10.4g %3d/%-2d %6s"
-          % (name, pa[0], pa[1], pa[2], pb[0], pb[1], pb[2], wins, pairs,
-             "yes" if claim else "no"))
+          " %11s" % (name, pa[0], pa[1], pa[2], pb[0], pb[1], pb[2], wins,
+                     pairs, "yes" if claim else "no", regress))
 for side, results in (("parent", parent), ("change", change)):
     failed = sum(r["failed"] for r in results)
     attempted = sum(r["attempted"] for r in results)
