@@ -3,7 +3,12 @@
 // community graph) must emit bit-identical BENCH records and stdout
 // whether it runs serially (--jobs=1: no executor workers, every leaf
 // inline in declaration order) or on the process executor with any
-// worker count (--jobs=2,8), across repeated runs.
+// worker count (--jobs=2,8), across repeated runs. A sharded record
+// (recovery_injection on the sharded engine under opinion injection)
+// must match too, at --jobs=1 against --jobs=4: there the executor's
+// workers also claim the engine's per-epoch shard and snapshot-refresh
+// phases, so under TSan this is the parallel epoch boundary's race
+// check.
 // This is the executable form of the executor's determinism contract
 // (jobs/executor.hpp): RNG streams are keyed by (seed, sweep-point,
 // rep) and every rep writes a pre-sized slot, so scheduling order can
@@ -35,18 +40,16 @@ struct RunOutput {
   std::string stdout_text;
 };
 
-/// Runs two_choices_scaling small-but-real (SBM topology, 8 reps, two
-/// sweep points) under the given scheduling flags and returns the BENCH
-/// record with the scheduling-dependent fields pinned: wall clock and
-/// the jobs echo differ across runs BY DESIGN, everything else must
-/// not.
-RunOutput run_scaling(const std::vector<const char*>& scheduling_flags) {
+/// Runs experiment `name` with `tail` plus the given scheduling flags
+/// and returns the BENCH record with the scheduling-dependent fields
+/// pinned: wall clock and the jobs echo differ across runs BY DESIGN,
+/// everything else must not.
+RunOutput run_record(const char* name, std::vector<const char*> tail,
+                     const std::vector<const char*>& scheduling_flags) {
   const auto& registry = ExperimentRegistry::instance();
-  const Experiment* experiment = registry.find("two_choices_scaling");
+  const Experiment* experiment = registry.find(name);
   EXPECT_NE(experiment, nullptr);
 
-  std::vector<const char*> tail{"--graph=sbm", "--reps=8", "--max_n=2048",
-                                "--seed=12345", "--csv"};
   tail.insert(tail.end(), scheduling_flags.begin(), scheduling_flags.end());
 
   ::testing::internal::CaptureStdout();
@@ -82,6 +85,15 @@ RunOutput run_scaling(const std::vector<const char*>& scheduling_flags) {
   return out;
 }
 
+/// two_choices_scaling small-but-real: SBM topology, 8 reps, two sweep
+/// points.
+RunOutput run_scaling(const std::vector<const char*>& scheduling_flags) {
+  return run_record("two_choices_scaling",
+                    {"--graph=sbm", "--reps=8", "--max_n=2048",
+                     "--seed=12345", "--csv"},
+                    scheduling_flags);
+}
+
 TEST(SchedulingDeterminism, RecordsBitIdenticalAcrossJobsCounts) {
   // The ground truth: --jobs=1 leaves the executor without workers,
   // so every leaf runs inline on the caller in declaration order.
@@ -110,6 +122,25 @@ TEST(SchedulingDeterminism, RepeatedParallelRunsAreStable) {
         << "record changed between identical --jobs=8 runs";
     EXPECT_EQ(first.stdout_text, again.stdout_text);
   }
+}
+
+TEST(SchedulingDeterminism, ShardedRecordBitIdenticalAcrossJobsCounts) {
+  // Every rate x protocol cell on the 4-shard engine, with injected
+  // opinions drained between epochs.
+  const std::vector<const char*> tail{
+      "--engine=sharded", "--shards=4", "--perturb=inject", "--n=8192",
+      "--reps=3",         "--seed=12345", "--csv"};
+  const RunOutput serial =
+      run_record("recovery_injection", tail, {"--jobs=1"});
+  ASSERT_NE(serial.record.find("\"perturb_effective\": \"inject\""),
+            std::string::npos);
+  ASSERT_NE(serial.record.find("\"engine_effective\": \"sharded\""),
+            std::string::npos);
+  const RunOutput parallel =
+      run_record("recovery_injection", tail, {"--jobs=4"});
+  EXPECT_EQ(serial.record, parallel.record)
+      << "sharded BENCH record diverged from serial under --jobs=4";
+  EXPECT_EQ(serial.stdout_text, parallel.stdout_text);
 }
 
 }  // namespace

@@ -162,6 +162,41 @@ TEST(Poisson, SplitBranchKnownVectors) {
   EXPECT_EQ(gen.words, 1080395u);
 }
 
+TEST(Gamma, BoostBranchKnownVectors) {
+  // Shape 0.5 (a Dirichlet placement's alpha < 1) takes the boosting
+  // transform: one open uniform, then a Gamma(1.5) squeeze draw. The
+  // tolerance admits libm's last-ulp differences in pow/log/sqrt.
+  CountingGenerator gen{Xoshiro256(kVectorSeed)};
+  EXPECT_DOUBLE_EQ(gamma(gen, 0.5), 0.035273432350267607);
+  EXPECT_DOUBLE_EQ(gamma(gen, 0.5), 0.012945797825312832);
+  EXPECT_DOUBLE_EQ(gamma(gen, 0.5), 0.0012429531346967878);
+  EXPECT_DOUBLE_EQ(gamma(gen, 0.5), 0.14883998217818817);
+  EXPECT_EQ(gen.words, 20u);
+}
+
+TEST(Gamma, SqueezeBranchKnownVectors) {
+  // Shape 2.5 runs Marsaglia & Tsang's squeeze directly.
+  CountingGenerator gen{Xoshiro256(kVectorSeed)};
+  EXPECT_DOUBLE_EQ(gamma(gen, 2.5), 1.802400588898404);
+  EXPECT_DOUBLE_EQ(gamma(gen, 2.5), 0.96800993148857217);
+  EXPECT_DOUBLE_EQ(gamma(gen, 2.5), 1.3660698933511419);
+  EXPECT_DOUBLE_EQ(gamma(gen, 2.5), 2.2407512798723812);
+  EXPECT_EQ(gen.words, 14u);
+}
+
+TEST(StandardNormal, KnownVectors) {
+  // The log-normal clock rates' draw (Marsaglia polar): five normals
+  // from seven uniform pairs, so the count proves two pairs fell
+  // outside the unit disc and were redrawn.
+  CountingGenerator gen{Xoshiro256(kVectorSeed)};
+  EXPECT_DOUBLE_EQ(standard_normal(gen), -0.26279965231825059);
+  EXPECT_DOUBLE_EQ(standard_normal(gen), 2.4419546476013587);
+  EXPECT_DOUBLE_EQ(standard_normal(gen), -0.62932564503930055);
+  EXPECT_DOUBLE_EQ(standard_normal(gen), 1.5298347469602356);
+  EXPECT_DOUBLE_EQ(standard_normal(gen), -0.25080401542378683);
+  EXPECT_EQ(gen.words, 14u);
+}
+
 TEST(SeedSequence, KnownVectors) {
   // Shard s of a sharded run draws from stream s; experiment sweep
   // points and repetitions derive through child().
