@@ -265,10 +265,10 @@ int run_exp(ExperimentContext& ctx) {
   // ---- M1e: LLC-crossing series. The same far-from-consensus Voter
   // workload on the sharded engine at a geometric ladder of n, with a
   // *fixed* total tick budget so every sweep point simulates the same
-  // load: once the packed working set (1 byte/node color state plus
-  // live + snapshot shard buffers) outgrows the last-level cache, the
-  // per-tick cost should plateau at the DRAM random-access rate
-  // instead of climbing — the acceptance gate for the billion-node
+  // load: once the packed working set (1 byte/node color state, which
+  // the shards write live, plus the snapshot) outgrows the last-level
+  // cache, the per-tick cost should plateau at the DRAM random-access
+  // rate instead of climbing — the acceptance gate for the billion-node
   // hot path. The plateau assumes huge-page translation (the slab
   // layer madvises THP); on hosts that never promote — e.g. a
   // virtualized CI box in `madvise` THP mode that ignores the advice
@@ -299,13 +299,13 @@ int run_exp(ExperimentContext& ctx) {
     double bytes_node = 0.0;
     const auto samples = per_rep([&](Xoshiro256& rng) {
       VoterAsync proto(me_graph, assign_equal(me_n, 64, rng));
-      // Hot-state share: packed colors + the engine's live and
-      // snapshot buffers (complete graph, so no topology share).
+      // Hot-state share: packed colors (the engine's live buffer) +
+      // its snapshot (complete graph, so no topology share).
       bytes_node = proto.table().state_bytes_per_node() +
                    (ctx.tuning.exact_reads
                         ? 0.0
-                        : 2.0 * static_cast<double>(color_width_bytes(
-                                    proto.table().width())));
+                        : static_cast<double>(color_width_bytes(
+                              proto.table().width())));
       ctx.note_state_bytes_per_node(bytes_node);
       const auto start = std::chrono::steady_clock::now();
       const auto result =

@@ -101,8 +101,9 @@ inline RunPlan make_plan(const ExperimentContext& ctx,
 /// the protocol's own figure when it reports one
 /// (state_bytes_per_node(), e.g. the async OneExtraBit node records and
 /// gadget slots), else its table's packed colors + support counters;
-/// plus the sharded engine's live/snapshot copies (two more packed
-/// arrays) when that engine will drive the protocol. Called by every
+/// plus the sharded engine's snapshot (one more packed array; its live
+/// buffer is the table's own slab) when that engine will drive the
+/// protocol. Called by every
 /// dispatch below so every engine-driven record can report
 /// bytes_per_node.
 template <typename P>
@@ -115,8 +116,7 @@ void note_state_footprint(const RunPlan& plan, const P& proto,
     bytes = proto.table().state_bytes_per_node();
   }
   if (sharded_engine && !plan.tuning.exact_reads) {
-    bytes += 2.0 * static_cast<double>(
-                       color_width_bytes(proto.table().width()));
+    bytes += static_cast<double>(color_width_bytes(proto.table().width()));
   }
   plan.ctx->note_state_bytes_per_node(bytes);
 }

@@ -346,8 +346,8 @@ class ExperimentContext {
 
   /// Called by the bench harness with the per-node byte cost of one
   /// run's resident *opinion state* — packed colors + support counters
-  /// + the sharded engine's live/snapshot copies (bench::run computes
-  /// it from the table's resolved width). The maximum across runs is
+  /// + the sharded engine's snapshot copy (bench::run computes it from
+  /// the table's resolved width). The maximum across runs is
   /// combined with the topology share into params.bytes_per_node, the
   /// memory-footprint half of the M1e LLC-crossing claim. Thread-safe
   /// (repetition bodies run on workers).

@@ -22,18 +22,8 @@ OpinionTable::OpinionTable(std::vector<ColorId> colors, ColorId num_colors,
   PC_ENSURES(surviving_ >= 1);
 }
 
-void OpinionTable::merge_shard_deltas(std::span<const NodeId> changed,
-                                      const PackedColors& live,
-                                      std::span<const std::int64_t> delta) {
-  PC_EXPECTS(live.size() == packed_.size());
-  PC_EXPECTS(live.width() == packed_.width());
+void OpinionTable::apply_support_deltas(std::span<const std::int64_t> delta) {
   PC_EXPECTS(delta.size() == support_.size());
-  for (const NodeId u : changed) {
-    PC_EXPECTS(u < packed_.size());
-    const ColorId c = live.get(u);
-    PC_EXPECTS(c < num_colors_);
-    packed_.set(u, c);
-  }
   std::int64_t total = 0;
   for (ColorId c = 0; c < num_colors_; ++c) {
     const std::int64_t d = delta[c];

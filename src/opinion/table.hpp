@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "graph/graph.hpp"
@@ -62,17 +63,13 @@ class OpinionTable {
     // scans, never for correctness decisions (see plurality_color()).
   }
 
-  /// Bulk merge for the sharded engine: `changed` lists the nodes a
-  /// shard recolored during an epoch (duplicates allowed), `live` is the
-  /// engine's full n-entry packed color array (same width as the table)
-  /// holding their final colors, and `delta` is the shard's per-color
-  /// net support change over the epoch. Updates colors, supports,
-  /// survivor count and max support in O(|changed| + num_colors).
-  /// Requires the deltas to sum to zero and to keep every support
-  /// non-negative.
-  void merge_shard_deltas(std::span<const NodeId> changed,
-                          const PackedColors& live,
-                          std::span<const std::int64_t> delta);
+  /// Folds one shard's epoch into the aggregates. The sharded engine's
+  /// shards write their own nodes' colors straight into the packed slab
+  /// (mutable_packed_colors()) during an epoch; `delta` is the shard's
+  /// per-color net support change over it. Updates supports, survivor
+  /// count and max support in O(num_colors). Requires the deltas to sum
+  /// to zero and to keep every support non-negative.
+  void apply_support_deltas(std::span<const std::int64_t> delta);
 
   std::uint64_t support(ColorId c) const {
     PC_EXPECTS(c < num_colors_);
@@ -96,9 +93,25 @@ class OpinionTable {
     return support_;
   }
 
-  /// The packed per-node color array (index = node) — the engines'
-  /// bulk-copy source for live/snapshot buffers.
+  /// The packed per-node color array (index = node) — the sharded
+  /// engine's snapshot source.
   const PackedColors& packed_colors() const noexcept { return packed_; }
+
+  /// The same slab, writable: the sharded engine's live buffer. Writes
+  /// through it bypass the aggregates, which stay stale until the
+  /// engine's apply_support_deltas() calls at the epoch boundary; nothing
+  /// may read supports or call set_color() in between.
+  PackedColors& mutable_packed_colors() noexcept { return packed_; }
+
+  /// Replaces the slab with `colors`, which must hold the same colors
+  /// at the same width: the NUMA first-touch form, in which the sharded
+  /// engine packs each shard's range into a fresh slab from the thread
+  /// that claims the shard, so its pages land on that thread's node.
+  void adopt_colors(PackedColors colors) {
+    PC_EXPECTS(colors.size() == packed_.size());
+    PC_EXPECTS(colors.width() == packed_.width());
+    packed_ = std::move(colors);
+  }
 
   /// Widens every node's color into `out` (resized to n): the
   /// previous-round buffer of the synchronous protocols and the test
@@ -109,7 +122,8 @@ class OpinionTable {
 
   /// Bytes of hot state per node held by the table itself (packed color
   /// array + support counters); the engines add their own buffers on
-  /// top (see bench::run's bytes_per_node attribution).
+  /// top (the sharded engine's snapshot; see bench::run's bytes_per_node
+  /// attribution).
   double state_bytes_per_node() const noexcept {
     const double n = static_cast<double>(packed_.size());
     return (static_cast<double>(packed_.storage_bytes()) +

@@ -4,13 +4,17 @@
 /// NUMA-aware placement for the sharded engine's hot arrays, behind the
 /// `--numa=` knob:
 ///
-///   - off        — historical behavior: the main thread allocates and
-///                  initializes live/snapshot, so on a multi-socket box
-///                  every page lands on the allocating thread's node;
-///   - firsttouch — live/snapshot (and each shard's delta row) are
-///                  allocated *uninitialized* and first written in a
-///                  parallel init epoch, so each shard's pages land on
-///                  the node of whichever thread claimed that shard;
+///   - off        — historical behavior: the shards write the table's
+///                  own slab (the live buffer) and the main thread
+///                  allocates and initializes the snapshot, so on a
+///                  multi-socket box every page lands on the
+///                  allocating thread's node;
+///   - firsttouch — a fresh live slab and the snapshot (and each
+///                  shard's delta row) are allocated *uninitialized*
+///                  and first written in a parallel init epoch, so each
+///                  shard's pages land on the node of whichever thread
+///                  claimed that shard; the table then adopts the fresh
+///                  slab as its own, once per run;
 ///   - bind       — firsttouch plus explicit pinning of the process
 ///                  executor's workers: worker w is pinned to CPU
 ///                  floor((w + 1) * ncpu / (workers + 1)), the calling

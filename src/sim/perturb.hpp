@@ -234,9 +234,9 @@ class Perturber {
 
   /// Applies all events with time <= now against `table` (reads) via
   /// `set_color` (writes — the engine's representation: the table
-  /// alone for single-stream engines, table + live + snapshot for the
-  /// sharded ones). Must be called from the engine's main thread with
-  /// workers parked.
+  /// alone for single-stream engines, the table plus the snapshot for
+  /// the sharded ones, whose live buffer is the table's slab). Must be
+  /// called from the engine's main thread with workers parked.
   void drain_until(double now, const OpinionTable& table,
                    const SetColor& set_color);
 
