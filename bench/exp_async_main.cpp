@@ -42,7 +42,7 @@ int run_exp(ExperimentContext& ctx) {
                 "time/ln(n)", "sched_budget"});
   std::vector<double> xs;
   std::vector<double> ys;
-  // Both tables' points go on ONE job graph; finish callbacks run in
+  // Both tables' points go on ONE SweepRunner; finish callbacks run in
   // declaration order (6a points, then 6b points). The schedule budget
   // (deterministic per point) rides back as an extra result slot
   // instead of a by-reference write, so concurrent leaves stay

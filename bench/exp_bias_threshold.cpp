@@ -29,7 +29,7 @@ int run_exp(ExperimentContext& ctx) {
   const double sqrt_n = std::sqrt(static_cast<double>(n));
   const double betas[] = {0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0};
 
-  // Both k-tables ride one job graph (see runner.hpp): all (k, beta,
+  // Both k-tables ride one SweepRunner (see runner.hpp): all (k, beta,
   // rep) leaves share the process executor; rows land in declaration
   // order, tables print afterwards in k order.
   SweepRunner sweep;

@@ -31,7 +31,7 @@ int run_exp(ExperimentContext& ctx) {
               {"rate_profile", "mean_time", "ci95", "win_rate",
                "success"});
 
-  // One profile = one sweep point on ONE job graph; records and rows
+  // One profile = one sweep point on ONE SweepRunner; records and rows
   // come from finish callbacks in declaration order, bit-identical to
   // the historical per-profile run_repetitions_multi loop.
   SweepRunner runner;

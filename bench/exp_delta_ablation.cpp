@@ -33,7 +33,7 @@ int run_exp(ExperimentContext& ctx) {
               {"delta_mult", "Delta", "sched_budget", "mean_time", "ci95",
                "win_rate", "poor_frac@2D"});
 
-  // One multiplier = one sweep point on ONE job graph. The schedule's
+  // One multiplier = one sweep point on ONE SweepRunner. The schedule's
   // delta/budget (deterministic per point) ride back as extra result
   // slots rather than by-reference writes, so concurrent leaves stay
   // race-free; only slots 0-1 are recorded, keeping the BENCH record

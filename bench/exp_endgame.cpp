@@ -36,7 +36,7 @@ int run_exp(ExperimentContext& ctx) {
   std::vector<double> xs;
   std::vector<double> ys;
 
-  // Both tables ride ONE job graph (see runner.hpp): every (point, rep)
+  // Both tables ride ONE SweepRunner (see runner.hpp): every (point, rep)
   // pair is a leaf on the process executor. Topologies are built up
   // front in the historical order — all E8a graphs, then the E8b graph
   // — so the build_rng draw sequence is unchanged; the deque keeps

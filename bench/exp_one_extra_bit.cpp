@@ -33,7 +33,7 @@ int run_exp(ExperimentContext& ctx) {
       {"k", "bias", "oeb_rounds", "oeb_ci95", "oeb_win", "tc_rounds",
        "tc_ci95", "tc_win", "tc/oeb"});
 
-  // Both tables' points go on ONE job graph; finish callbacks run in
+  // Both tables' points go on ONE SweepRunner; finish callbacks run in
   // declaration order (all 4a points, then all 4b points), so records,
   // rows, and the power-law fit are bit-identical to the historical
   // two-loop version.

@@ -30,7 +30,7 @@ int run_exp(ExperimentContext& ctx) {
               {"initial_ratio", "predicted_sq", "measured_mean",
                "measured_ci95", "measured/predicted"});
 
-  // One job graph over the whole ratio sweep (see runner.hpp): every
+  // One SweepRunner over the whole ratio sweep (see runner.hpp): every
   // (ratio, rep) pair is a leaf on the process executor; rows are
   // recorded in declaration order after the sweep drains.
   SweepRunner sweep;

@@ -42,7 +42,7 @@ int run_exp(ExperimentContext& ctx) {
               {"n", "gadget", "max_spread", "spread/Delta", "poor_frac@2D",
                "win_rate", "jumps/node/phase"});
 
-  // Every (n, gadget) pair is one sweep point on ONE job graph. The
+  // Every (n, gadget) pair is one sweep point on ONE SweepRunner. The
   // schedule's delta/num_phases (deterministic per point) ride back as
   // extra result slots instead of by-reference writes, so concurrent
   // leaves stay race-free; only slots 0-1 are recorded, keeping the

@@ -65,7 +65,7 @@ int run_exp(ExperimentContext& ctx) {
               {"n", "max_dev_mean", "ci95", "envelope", "dev/envelope",
                "min_ticks", "max_ticks"});
 
-  // The whole n-sweep is ONE job graph: every (n, rep) pair is a leaf
+  // The whole n-sweep is ONE SweepRunner: every (n, rep) pair is a leaf
   // on the process executor; records and table rows are emitted by the
   // finish callbacks in declaration order, bit-identical to the
   // historical per-point loop.

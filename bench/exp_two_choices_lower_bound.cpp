@@ -28,7 +28,7 @@ int run_exp(ExperimentContext& ctx) {
   const std::uint64_t n =
       std::visit([](const auto& cg) { return cg.num_nodes(); }, graph);
 
-  // Both k-sweeps ride one job graph (see runner.hpp): every (k, rep)
+  // Both k-sweeps ride one SweepRunner (see runner.hpp): every (k, rep)
   // pair is a leaf on the process executor; rows and fits happen after
   // the sweep drains, in declaration order. c1 is read off the count
   // profile at declaration time — placement only permutes nodes, never

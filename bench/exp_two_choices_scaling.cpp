@@ -30,7 +30,7 @@ int run_exp(ExperimentContext& ctx) {
   std::vector<double> xs;
   std::vector<double> ys;
 
-  // The whole sweep is ONE job graph: every (n, rep) pair is a leaf on
+  // The whole sweep is ONE SweepRunner: every (n, rep) pair is a leaf on
   // the process executor, so short small-n points fill workers that
   // the big-n points leave idle. Topologies are built up front on the
   // main thread in sweep order — the build_rng draw sequence (and so

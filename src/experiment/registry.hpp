@@ -89,7 +89,7 @@ class ExperimentContext {
         jobs(static_cast<unsigned>(args.get_u64("jobs", 0))),
         csv(args.csv()) {
     // Resolve --jobs=0 (hardware concurrency) up front and configure
-    // the process-wide thread cap: the work-stealing executor gets
+    // the process-wide thread cap: the fork-join executor gets
     // jobs - 1 workers (the main thread is the first thread), and it is
     // the only thread consumer — sweep leaves and the sharded engine's
     // epoch shards run on the same workers — so `jobs` is a hard

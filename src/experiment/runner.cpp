@@ -1,5 +1,6 @@
 #include "experiment/runner.hpp"
 
+#include <atomic>
 #include <utility>
 
 #include "jobs/executor.hpp"
@@ -65,28 +66,27 @@ void SweepRunner::run() {
   PC_EXPECTS(!ran_);
   ran_ = true;
 
-  const auto run_leaf = [](Point& point, std::uint64_t rep) {
-    Xoshiro256 rng = point.seeds.make_rng(rep);
-    point.per_rep[rep] = point.body(rep, rng);
-  };
-  jobs::Executor& executor = jobs::Executor::process();
-  if (executor.workers() == 0) {
-    // Serial inline, in declaration order: the reference schedule.
-    for (Point& point : points_) {
-      for (std::uint64_t rep = 0; rep < point.reps; ++rep) {
-        run_leaf(point, rep);
-      }
+  // One fork over the whole sweep, leaves in declaration order. Once a
+  // leaf throws, the leaves that have not started yet are skipped, and
+  // parallel_for rethrows the first exception.
+  std::vector<std::pair<Point*, std::uint64_t>> leaves;
+  for (Point& point : points_) {
+    for (std::uint64_t rep = 0; rep < point.reps; ++rep) {
+      leaves.emplace_back(&point, rep);
     }
-  } else {
-    // One graph over the whole sweep, leaves in declaration order.
-    jobs::JobGraph graph;
-    for (Point& point : points_) {
-      for (std::uint64_t rep = 0; rep < point.reps; ++rep) {
-        graph.add([&run_leaf, &point, rep] { run_leaf(point, rep); });
-      }
-    }
-    executor.run(graph);
   }
+  std::atomic<bool> failed{false};
+  jobs::Executor::process().parallel_for(leaves.size(), [&](std::size_t i) {
+    if (failed.load(std::memory_order_relaxed)) return;
+    const auto [point, rep] = leaves[i];
+    try {
+      Xoshiro256 rng = point->seeds.make_rng(rep);
+      point->per_rep[rep] = point->body(rep, rng);
+    } catch (...) {
+      failed.store(true, std::memory_order_relaxed);
+      throw;
+    }
+  });
 
   for (Point& point : points_) {
     point.finish(transpose_rows(point.per_rep, point.slots));

@@ -1,7 +1,7 @@
 #pragma once
 
 /// \file runner.hpp
-/// Seeded repetition runner on top of the process-wide work-stealing
+/// Seeded repetition runner on top of the process-wide fork-join
 /// executor (src/jobs/). Each repetition gets its own RNG stream
 /// derived from (master seed, repetition index), so results are
 /// identical regardless of the number of worker threads — determinism
@@ -9,14 +9,14 @@
 ///
 /// Two entry points:
 ///   - run_repetitions / run_repetitions_multi: one sweep point, reps
-///     fanned out as executor jobs (a one-point SweepRunner);
-///   - SweepRunner: a whole sweep declared up front as a DAG of
-///     (sweep-point, repetition) leaf jobs on ONE executor submission,
-///     so short points at the end of a sweep fill the cores that long
-///     early points leave idle. Per-point completion callbacks run on
-///     the calling thread in declaration order after the DAG drains,
+///     fanned out over the executor (a one-point SweepRunner);
+///   - SweepRunner: a whole sweep declared up front and run as ONE
+///     parallel_for over its (sweep-point, repetition) leaves, so short
+///     points at the end of a sweep fill the cores that long early
+///     points leave idle. Per-point completion callbacks run on the
+///     calling thread in declaration order after every leaf finished,
 ///     which keeps Welford aggregation, BENCH JSON records, and table
-///     printing bit-identical to a serial run regardless of job
+///     printing bit-identical to a serial run regardless of leaf
 ///     completion order.
 
 #include <cstdint>
@@ -44,16 +44,16 @@ std::vector<std::vector<double>> run_repetitions_multi(
     const std::function<std::vector<double>(std::uint64_t, Xoshiro256&)>&
         body);
 
-/// Declares a whole sweep as one job graph: call add_point() once per
+/// Declares a whole sweep as one fork: call add_point() once per
 /// sweep point (in the order rows should be recorded/printed), then
-/// run(). Every (point, rep) pair becomes one leaf job with its RNG
-/// stream drawn from that point's SeedSequence at the rep index, and
-/// every leaf writes a pre-sized slot — so the transposed per-slot
-/// sample vectors handed to `finish` are bit-identical to a serial
-/// sweep for any worker count. When the process executor has no
-/// workers (--jobs=1) the leaves run inline on the caller, in
-/// declaration order: the reference schedule the determinism tests
-/// compare every parallel one against. One SweepRunner is single-use.
+/// run(). Every (point, rep) pair becomes one leaf with its RNG stream
+/// drawn from that point's SeedSequence at the rep index, and every
+/// leaf writes a pre-sized slot — so the transposed per-slot sample
+/// vectors handed to `finish` are bit-identical to a serial sweep for
+/// any worker count. When the process executor has no workers
+/// (--jobs=1) the leaves run inline on the caller, in declaration
+/// order: the reference schedule the determinism tests compare every
+/// parallel one against. One SweepRunner is single-use.
 class SweepRunner {
  public:
   using Body = std::function<std::vector<double>(std::uint64_t, Xoshiro256&)>;
@@ -71,10 +71,10 @@ class SweepRunner {
   void add_point(std::uint64_t reps, std::size_t slots, SeedSequence seeds,
                  Body body, Finish finish);
 
-  /// Executes every declared point's repetitions (one executor
-  /// submission), then the finish callbacks in declaration order.
-  /// Rethrows the first exception any body threw; finish callbacks do
-  /// not run in that case.
+  /// Executes every declared point's repetitions (one parallel_for),
+  /// then the finish callbacks in declaration order. Once a body
+  /// throws, the leaves that have not started are skipped and the first
+  /// exception is rethrown; finish callbacks do not run in that case.
   void run();
 
  private:

@@ -101,7 +101,6 @@ TraceSummary Registry::summarize() const {
     s.queue_drained += sink->queue_drained();
     s.depth_samples += sink->depth_samples();
     s.depth_max = std::max(s.depth_max, sink->depth_max());
-    s.steal_count += sink->steal_count();
     s.park_count += sink->park_count();
     s.park_ns += sink->park_ns();
     s.events_recorded += sink->timeline_size();
@@ -174,12 +173,6 @@ JsonValue Registry::timeline_json() const {
           entry["name"] = "queue_depth";
           entry["ph"] = "C";
           args["depth"] = e.value;
-          break;
-        case EventKind::kSteal:
-          entry["name"] = "steal";
-          entry["ph"] = "i";
-          entry["s"] = "t";
-          args["migrated"] = e.value;
           break;
         case EventKind::kPark:
           entry["name"] = "park";

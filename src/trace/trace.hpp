@@ -7,7 +7,7 @@
 ///   - Aggregates (kSummary, the default): every instrumented thread
 ///     owns a Sink whose counters are relaxed std::atomic fields —
 ///     barrier waits, tick-loop work, delivery-queue drains, a bounded
-///     exact histogram of queue depths, executor steals and parks.
+///     exact histogram of queue depths, executor parks.
 ///     Aggregates never drop and merge order-independently, so the
 ///     summary folded into every BENCH record is deterministic wherever
 ///     the underlying quantity is (queue depths are trajectory
@@ -73,8 +73,7 @@ enum class EventKind : std::uint8_t {
   kBarrierWait,  ///< span: a thread blocked on the epoch barrier
   kQueueDrain,   ///< span: delivery-queue processing within an epoch
   kQueueDepth,   ///< counter: delivery-queue depth at an epoch boundary
-  kSteal,        ///< instant: the executor stole a batch of jobs
-  kPark          ///< span: an executor worker slept between jobs
+  kPark          ///< span: an executor worker slept between forks
 };
 
 struct Event {
@@ -157,12 +156,6 @@ class Sink {
     append(EventKind::kQueueDepth, ts, 0, depth);
   }
 
-  /// The executor migrated a batch of jobs from another worker's deque.
-  void steal(std::int64_t ts, std::uint64_t migrated) {
-    steal_count_.fetch_add(1, std::memory_order_relaxed);
-    append(EventKind::kSteal, ts, 0, migrated);
-  }
-
   /// An executor worker slept on the park condition for `dur_ns`.
   void park(std::int64_t ts, std::int64_t dur) {
     park_ns_.fetch_add(as_u64(dur), std::memory_order_relaxed);
@@ -195,9 +188,6 @@ class Sink {
   }
   std::uint64_t depth_bucket(std::size_t i) const {
     return depth_hist_[i].load(std::memory_order_relaxed);
-  }
-  std::uint64_t steal_count() const {
-    return steal_count_.load(std::memory_order_relaxed);
   }
   std::uint64_t park_count() const {
     return park_count_.load(std::memory_order_relaxed);
@@ -245,7 +235,6 @@ class Sink {
   std::atomic<std::uint64_t> depth_samples_{0};
   std::atomic<std::uint64_t> depth_max_{0};
   std::array<std::atomic<std::uint64_t>, kDepthBuckets> depth_hist_{};
-  std::atomic<std::uint64_t> steal_count_{0};
   std::atomic<std::uint64_t> park_count_{0};
   std::atomic<std::uint64_t> park_ns_{0};
 
@@ -265,6 +254,8 @@ struct TraceSummary {
   std::uint64_t depth_p50 = 0;
   std::uint64_t depth_p99 = 0;
   std::uint64_t depth_max = 0;  ///< unclamped, unlike the quantiles
+  /// Always 0: the executor has no steal path. Kept because every
+  /// BENCH record carries it as `trace.steal_count`.
   std::uint64_t steal_count = 0;
   std::uint64_t park_count = 0;
   std::uint64_t park_ns = 0;

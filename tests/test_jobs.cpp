@@ -1,29 +1,30 @@
-// Tests for the work-stealing job executor (src/jobs/): dependency
-// order on diamond / fan-out / fan-in graphs, the steal path under a
-// deliberately unbalanced load, park/unpark with no lost wakeups over
-// many tiny graphs, exception propagation (first throw wins, queued
-// jobs skipped), RAII shutdown with work still queued, the zero-worker
-// inline degradation, cycle detection, the parallel_for fork-join
-// (every index once, errors, no foreign work on a saturated executor),
-// and SweepRunner's determinism / ordering contract, including sweeps
-// of sharded runs that never nest on one thread.
+// Tests for the fork-join executor (src/jobs/): parallel_for runs
+// every index once at every worker count, rethrows the first error,
+// loses no wakeup over many back-to-back small forks, and runs only its
+// caller's indices on a saturated executor; and SweepRunner's
+// determinism / ordering contract on top of it: declaration order at
+// --jobs=1, skipped leaves and the first exception after a failure,
+// sweeps of sharded runs that never nest on one thread, and the sweep
+// caller lending its thread to a run's shards at the sweep's tail.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <mutex>
 #include <set>
 #include <stdexcept>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/two_choices.hpp"
 #include "experiment/runner.hpp"
 #include "graph/complete.hpp"
 #include "jobs/executor.hpp"
-#include "jobs/graph.hpp"
 #include "opinion/assignment.hpp"
 #include "rng/seed.hpp"
 #include "sim/sharded_engine.hpp"
@@ -31,216 +32,6 @@
 
 namespace plurality::jobs {
 namespace {
-
-// ---- JobGraph structure ----------------------------------------------
-
-TEST(JobGraph, AddAndDependBookkeeping) {
-  JobGraph graph;
-  const auto a = graph.add([] {});
-  const auto b = graph.add([] {});
-  graph.depend(b, a);
-  EXPECT_EQ(graph.size(), 2u);
-  EXPECT_FALSE(graph.done());
-  EXPECT_FALSE(graph.failed());
-}
-
-TEST(JobGraph, RejectsSelfDependencyAndEmptyJob) {
-  JobGraph graph;
-  const auto a = graph.add([] {});
-  EXPECT_THROW(graph.depend(a, a), ContractViolation);
-  EXPECT_THROW(graph.add(std::function<void()>{}), ContractViolation);
-}
-
-// ---- dependency order ------------------------------------------------
-
-// Runs the graph on `workers` threads and returns per-job finish
-// stamps from a shared atomic counter.
-std::vector<std::uint64_t> run_stamped(
-    unsigned workers, std::vector<std::function<void()>>& bodies,
-    const std::vector<std::pair<std::size_t, std::size_t>>& edges) {
-  JobGraph graph;
-  std::atomic<std::uint64_t> clock{0};
-  std::vector<std::uint64_t> stamp(bodies.size(), 0);
-  std::vector<JobGraph::JobId> ids;
-  for (std::size_t i = 0; i < bodies.size(); ++i) {
-    ids.push_back(graph.add([&, i] {
-      bodies[i]();
-      stamp[i] = clock.fetch_add(1) + 1;
-    }));
-  }
-  for (const auto& [job, prereq] : edges) {
-    graph.depend(ids[job], ids[prereq]);
-  }
-  Executor executor(workers);
-  executor.run(graph);
-  EXPECT_TRUE(graph.done());
-  return stamp;
-}
-
-TEST(Executor, DiamondRespectsDependencies) {
-  for (const unsigned workers : {0u, 1u, 4u}) {
-    std::vector<std::function<void()>> bodies(4, [] {});
-    // 0 -> {1, 2} -> 3
-    const auto stamp = run_stamped(
-        workers, bodies, {{1, 0}, {2, 0}, {3, 1}, {3, 2}});
-    EXPECT_LT(stamp[0], stamp[1]);
-    EXPECT_LT(stamp[0], stamp[2]);
-    EXPECT_GT(stamp[3], stamp[1]);
-    EXPECT_GT(stamp[3], stamp[2]);
-  }
-}
-
-TEST(Executor, FanOutFanInRespectsDependencies) {
-  constexpr std::size_t kFan = 32;
-  for (const unsigned workers : {0u, 2u, 8u}) {
-    std::vector<std::function<void()>> bodies(kFan + 2, [] {});
-    std::vector<std::pair<std::size_t, std::size_t>> edges;
-    for (std::size_t i = 1; i <= kFan; ++i) {
-      edges.push_back({i, 0});          // fan-out from the root
-      edges.push_back({kFan + 1, i});   // fan-in to the sink
-    }
-    const auto stamp = run_stamped(workers, bodies, edges);
-    for (std::size_t i = 1; i <= kFan; ++i) {
-      EXPECT_LT(stamp[0], stamp[i]);
-      EXPECT_LT(stamp[i], stamp[kFan + 1]);
-    }
-    EXPECT_EQ(stamp[kFan + 1], kFan + 2);  // sink finished last
-  }
-}
-
-// ---- steal path ------------------------------------------------------
-
-TEST(Executor, StealsAcrossWorkersUnderUnbalancedLoad) {
-  // A root job fans out hundreds of continuations. The finishing worker
-  // pushes all of them onto its OWN deque, so every other worker (and
-  // the waiting caller) can only obtain work by stealing. Seeing more
-  // than one executing thread proves the steal path moved jobs.
-  constexpr int kJobs = 512;
-  JobGraph graph;
-  std::mutex mutex;
-  std::set<std::thread::id> executors_seen;
-  const auto root = graph.add([] {});
-  for (int i = 0; i < kJobs; ++i) {
-    const auto leaf = graph.add([&] {
-      {
-        const std::lock_guard<std::mutex> lock(mutex);
-        executors_seen.insert(std::this_thread::get_id());
-      }
-      // Enough work that the queue cannot drain before thieves arrive.
-      volatile std::uint64_t sink = 0;
-      for (int spin = 0; spin < 20000; ++spin) {
-        sink = sink + static_cast<std::uint64_t>(spin);
-      }
-    });
-    graph.depend(leaf, root);
-  }
-  Executor executor(3);
-  executor.run(graph);
-  EXPECT_TRUE(graph.done());
-  // The caller helps too, so with 3 workers up to 4 threads execute;
-  // on a single-core box the schedule may still time-slice across
-  // workers. Require only that work left the owning deque.
-  EXPECT_GE(executors_seen.size(), 2u);
-}
-
-// ---- park/unpark -----------------------------------------------------
-
-TEST(Executor, ManySmallGraphsNoLostWakeups) {
-  // Each tiny graph parks the workers before the next submission; a
-  // lost wakeup would hang this loop (the 2-job graphs cannot finish
-  // without a worker or the helping caller picking them up).
-  Executor executor(2);
-  for (int round = 0; round < 300; ++round) {
-    JobGraph graph;
-    std::atomic<int> ran{0};
-    const auto a = graph.add([&] { ran.fetch_add(1); });
-    const auto b = graph.add([&] { ran.fetch_add(1); });
-    graph.depend(b, a);
-    executor.run(graph);
-    ASSERT_EQ(ran.load(), 2);
-  }
-}
-
-// ---- exceptions ------------------------------------------------------
-
-TEST(Executor, ExceptionPropagatesAndSkipsQueuedJobs) {
-  JobGraph graph;
-  std::atomic<int> downstream_ran{0};
-  const auto boom = graph.add([] { throw std::runtime_error("boom"); });
-  // A long chain behind the throwing job: all of it must be skipped,
-  // yet the graph still drains (done() true) so wait() can rethrow.
-  auto prev = boom;
-  for (int i = 0; i < 50; ++i) {
-    const auto next = graph.add([&] { downstream_ran.fetch_add(1); });
-    graph.depend(next, prev);
-    prev = next;
-  }
-  Executor executor(2);
-  EXPECT_THROW(executor.run(graph), std::runtime_error);
-  EXPECT_TRUE(graph.done());
-  EXPECT_TRUE(graph.failed());
-  EXPECT_EQ(downstream_ran.load(), 0);
-}
-
-TEST(Executor, FirstExceptionWins) {
-  JobGraph graph;
-  graph.add([] { throw std::runtime_error("first"); });
-  Executor executor(0);  // inline: deterministic single throw
-  try {
-    executor.run(graph);
-    FAIL() << "expected a throw";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "first");
-  }
-}
-
-// ---- shutdown --------------------------------------------------------
-
-TEST(Executor, RaiiShutdownWithQueuedWork) {
-  // Destroy the executor while a deep chain is still queued; the
-  // destructor must stop and join without executing everything and
-  // without touching freed state. The graph outlives the executor.
-  JobGraph graph;
-  std::atomic<int> ran{0};
-  auto prev = graph.add([&] { ran.fetch_add(1); });
-  for (int i = 0; i < 10000; ++i) {
-    const auto next = graph.add([&] { ran.fetch_add(1); });
-    graph.depend(next, prev);
-    prev = next;
-  }
-  {
-    Executor executor(2);
-    executor.submit(graph);
-    // No wait: the destructor runs with most of the chain pending.
-  }
-  EXPECT_LE(ran.load(), 10001);
-}
-
-// ---- zero workers ----------------------------------------------------
-
-TEST(Executor, ZeroWorkersRunsInlineInReleaseOrder) {
-  JobGraph graph;
-  std::vector<int> order;
-  for (int i = 0; i < 8; ++i) {
-    graph.add([&order, i] { order.push_back(i); });
-  }
-  Executor executor(0);
-  executor.run(graph);
-  // Independent jobs are injected FIFO and executed by the caller in
-  // submission order — the serial reference schedule.
-  ASSERT_EQ(order.size(), 8u);
-  for (int i = 0; i < 8; ++i) EXPECT_EQ(order[i], i);
-}
-
-TEST(Executor, ZeroWorkersDetectsCycle) {
-  JobGraph graph;
-  const auto a = graph.add([] {});
-  const auto b = graph.add([] {});
-  graph.depend(a, b);
-  graph.depend(b, a);
-  Executor executor(0);
-  EXPECT_THROW(executor.run(graph), ContractViolation);
-}
 
 // ---- parallel_for ----------------------------------------------------
 
@@ -268,25 +59,45 @@ TEST(ParallelFor, RunsEveryIndexThenRethrowsTheError) {
   EXPECT_EQ(ran.load(), 16);
 }
 
-TEST(ParallelFor, SaturatedExecutorRunsOnlyTheCallersIndicesInline) {
-  // The only worker is held inside a job, and a second graph sits in
-  // the injection queue: the caller must run all of its own indices, in
-  // order, and none of the queued jobs.
-  Executor executor(1);
-  std::atomic<bool> started{false};
-  std::atomic<bool> release{false};
-  JobGraph blocker;
-  blocker.add([&] {
-    started.store(true);
-    while (!release.load()) std::this_thread::yield();
-  });
-  executor.submit(blocker);
-  while (!started.load()) std::this_thread::yield();
+TEST(ParallelFor, ManySmallForksNoLostWakeups) {
+  // The workers park between back-to-back two-index forks, and every
+  // third fork opens another from inside an index. Every index of every
+  // fork must run exactly once, and the loop must not stall.
+  Executor executor(2);
+  for (int round = 0; round < 300; ++round) {
+    const bool nested = round % 3 == 0;
+    std::atomic<int> ran{0};
+    executor.parallel_for(2, [&](std::size_t i) {
+      ran.fetch_add(1);
+      if (nested && i == 1) {
+        executor.parallel_for(2, [&](std::size_t) { ran.fetch_add(1); });
+      }
+    });
+    ASSERT_EQ(ran.load(), nested ? 4 : 2) << round;
+  }
+}
 
-  JobGraph queued;
+TEST(ParallelFor, SaturatedExecutorRunsOnlyTheCallersIndicesInline) {
+  // The only worker is held inside an index of an outer fork that
+  // another thread opened, and one outer index is still unclaimed: the
+  // caller must run all of its own indices, in order, and none of the
+  // outer fork's.
+  Executor executor(1);
+  std::atomic<int> started{0};
+  std::atomic<bool> release{false};
   std::atomic<int> foreign{0};
-  for (int i = 0; i < 4; ++i) queued.add([&] { foreign.fetch_add(1); });
-  executor.submit(queued);
+  std::thread outer([&] {
+    executor.parallel_for(3, [&](std::size_t i) {
+      if (i == 2) {
+        foreign.fetch_add(1);
+        return;
+      }
+      started.fetch_add(1);
+      while (!release.load()) std::this_thread::yield();
+    });
+  });
+  // Index 0 holds the outer thread, so only the worker can take index 1.
+  while (started.load() < 2) std::this_thread::yield();
 
   std::vector<std::size_t> order;
   std::set<std::thread::id> threads;
@@ -299,9 +110,8 @@ TEST(ParallelFor, SaturatedExecutorRunsOnlyTheCallersIndicesInline) {
   EXPECT_EQ(foreign.load(), 0);
 
   release.store(true);
-  executor.wait(blocker);
-  executor.wait(queued);
-  EXPECT_EQ(foreign.load(), 4);
+  outer.join();
+  EXPECT_EQ(foreign.load(), 1);
 }
 
 // ---- SweepRunner -----------------------------------------------------
@@ -364,6 +174,92 @@ TEST(SweepRunner, PropagatesBodyExceptions) {
   EXPECT_FALSE(finished);
 }
 
+TEST(SweepRunner, RunsLeavesInDeclarationOrderAtOneJob) {
+  // --jobs=1: every leaf runs on the caller, point by point and rep by
+  // rep — the serial reference schedule.
+  set_process_concurrency(1);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::pair<int, std::uint64_t>> order;
+  std::set<std::thread::id> threads;
+  SweepRunner sweep;
+  for (int point = 0; point < 3; ++point) {
+    sweep.add_point(
+        3, 1, SeedSequence(5).child(point),
+        [&, point](std::uint64_t rep, Xoshiro256&) {
+          order.emplace_back(point, rep);
+          threads.insert(std::this_thread::get_id());
+          return std::vector<double>{0.0};
+        },
+        [](const auto&) {});
+  }
+  sweep.run();
+  set_process_concurrency(std::max(1u, std::thread::hardware_concurrency()));
+  const std::vector<std::pair<int, std::uint64_t>> expected = {
+      {0, 0}, {0, 1}, {0, 2}, {1, 0}, {1, 1},
+      {1, 2}, {2, 0}, {2, 1}, {2, 2}};
+  EXPECT_EQ(order, expected);
+  EXPECT_EQ(threads, std::set<std::thread::id>{caller});
+}
+
+/// What a sweep of kLeaves leaves did after its leaf 0 threw "first":
+/// the leaves that started, the message run() rethrew, and whether a
+/// finish callback ran.
+struct FailedSweep {
+  int started = 0;
+  std::string what;
+  bool finished = false;
+};
+
+constexpr int kFailingLeaves = 64;
+
+FailedSweep run_failing_sweep(unsigned total) {
+  set_process_concurrency(total);
+  std::atomic<int> started{0};
+  std::atomic<bool> thrown{false};
+  FailedSweep out;
+  SweepRunner sweep;
+  sweep.add_point(
+      kFailingLeaves, 1, SeedSequence(3),
+      [&](std::uint64_t rep, Xoshiro256&) -> std::vector<double> {
+        started.fetch_add(1);
+        if (rep == 0) {
+          thrown.store(true);
+          throw std::runtime_error("first");
+        }
+        // A leaf already running on another thread throws only well
+        // after leaf 0 did.
+        while (!thrown.load()) std::this_thread::yield();
+        std::this_thread::sleep_for(std::chrono::milliseconds(100));
+        throw std::runtime_error("later");
+      },
+      [&](const auto&) { out.finished = true; });
+  try {
+    sweep.run();
+  } catch (const std::runtime_error& e) {
+    out.what = e.what();
+  }
+  set_process_concurrency(std::max(1u, std::thread::hardware_concurrency()));
+  out.started = started.load();
+  return out;
+}
+
+TEST(SweepRunner, SkipsUnstartedLeavesAfterAFailure) {
+  // Inline, leaf 0's throw skips every later leaf. On four threads the
+  // leaves already running finish, and the rest are skipped.
+  const FailedSweep serial = run_failing_sweep(1);
+  EXPECT_EQ(serial.started, 1);
+  EXPECT_FALSE(serial.finished);
+  const FailedSweep parallel = run_failing_sweep(4);
+  EXPECT_GE(parallel.started, 1);
+  EXPECT_LT(parallel.started, kFailingLeaves);
+  EXPECT_FALSE(parallel.finished);
+}
+
+TEST(SweepRunner, FirstExceptionWins) {
+  EXPECT_EQ(run_failing_sweep(1).what, "first");
+  EXPECT_EQ(run_failing_sweep(4).what, "first");
+}
+
 TEST(SweepRunner, ShardedRunsNeverNestOnOneThread) {
   // Each run's epochs fan out through parallel_for on the same
   // executor that runs the sweep. A thread inside a run only ever helps
@@ -408,7 +304,51 @@ TEST(SweepRunner, ShardedRunsNeverNestOnOneThread) {
   EXPECT_EQ(parallel, serial);
 }
 
-TEST(RunRepetitions, IdenticalAcrossJobGraphAndSerialPaths) {
+TEST(SweepRunner, CallerHelpsInFlightShardsAtTheSweepTail) {
+  // Two leaves on two threads. The leaf that lands on the caller returns
+  // once the other leaf has started; the other leaf opens a two-index
+  // shard fork whose indices each wait (up to a deadline) for both to
+  // have started. Out of leaves and holding no index, the caller must
+  // join that fork and run one of its indices.
+  set_process_concurrency(2);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<bool> run_started{false};
+  std::atomic<int> arrived{0};
+  std::mutex mutex;
+  std::set<std::thread::id> shard_threads;
+  SweepRunner sweep;
+  sweep.add_point(
+      2, 1, SeedSequence(11),
+      [&](std::uint64_t, Xoshiro256&) {
+        if (std::this_thread::get_id() == caller) {
+          while (!run_started.load()) std::this_thread::yield();
+          return std::vector<double>{0.0};
+        }
+        run_started.store(true);
+        Executor::process().parallel_for(2, [&](std::size_t) {
+          {
+            const std::lock_guard<std::mutex> lock(mutex);
+            shard_threads.insert(std::this_thread::get_id());
+          }
+          arrived.fetch_add(1);
+          const auto deadline =
+              std::chrono::steady_clock::now() + std::chrono::seconds(10);
+          while (arrived.load() < 2 &&
+                 std::chrono::steady_clock::now() < deadline) {
+            std::this_thread::yield();
+          }
+        });
+        return std::vector<double>{0.0};
+      },
+      [](const auto&) {});
+  sweep.run();
+  set_process_concurrency(std::max(1u, std::thread::hardware_concurrency()));
+  EXPECT_EQ(shard_threads.size(), 2u);
+  EXPECT_EQ(shard_threads.count(caller), 1u)
+      << "the sweep's caller did not help the in-flight run's shards";
+}
+
+TEST(RunRepetitions, IdenticalAcrossExecutorAndSerialPaths) {
   const SeedSequence seeds(1234);
   const auto body = [](std::uint64_t, Xoshiro256& rng) {
     return static_cast<double>(rng.next() % 100000);

@@ -594,7 +594,7 @@ TEST(Registry, EndToEndRealExperimentProducesValidRecord) {
   for (std::size_t i = 0; i < series->size(); ++i) {
     const JsonValue& entry = series->at(i);
     // The trace layer's contention series hold one per-run sample, and
-    // whether the steal/barrier ones appear depends on the schedule.
+    // whether the barrier-wait one appears depends on the schedule.
     if (entry.find("name")->as_string().rfind("trace_", 0) == 0) continue;
     EXPECT_EQ(entry.find("samples")->size(), 2u);
     EXPECT_EQ(entry.find("count")->as_u64(), 2u);

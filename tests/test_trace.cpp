@@ -82,15 +82,15 @@ TEST(TraceSink, OverflowDropCountIsExact) {
   // every one of the 13.
   trace::Sink sink(/*tid=*/0, /*timeline_capacity=*/8);
   for (int i = 0; i < 13; ++i) {
-    sink.steal(/*ts=*/i, /*migrated=*/1);
+    sink.park(/*ts=*/i, /*dur=*/1);
   }
   EXPECT_EQ(sink.timeline_size(), 8u);
   EXPECT_EQ(sink.dropped(), 5u);
-  EXPECT_EQ(sink.steal_count(), 13u);
+  EXPECT_EQ(sink.park_count(), 13u);
   // The retained prefix is the first 8 appends, in order.
   for (std::size_t i = 0; i < sink.timeline_size(); ++i) {
     EXPECT_EQ(sink.timeline_at(i).ts_ns, static_cast<std::int64_t>(i));
-    EXPECT_EQ(sink.timeline_at(i).kind, EventKind::kSteal);
+    EXPECT_EQ(sink.timeline_at(i).kind, EventKind::kPark);
   }
 }
 
@@ -207,7 +207,6 @@ TEST(TraceRun, SummaryMatchesBruteForceRecountOfTimeline) {
   std::uint64_t ticks = 0;
   std::uint64_t drained = 0;
   std::uint64_t barrier_waits = 0;
-  std::uint64_t steals = 0;
   std::uint64_t events = 0;
   std::vector<std::uint64_t> depths;
   std::uint64_t depth_max = 0;
@@ -231,9 +230,6 @@ TEST(TraceRun, SummaryMatchesBruteForceRecountOfTimeline) {
         case EventKind::kBarrierWait:
           ++barrier_waits;
           break;
-        case EventKind::kSteal:
-          ++steals;
-          break;
         case EventKind::kPark:
           break;
       }
@@ -242,7 +238,6 @@ TEST(TraceRun, SummaryMatchesBruteForceRecountOfTimeline) {
   EXPECT_EQ(summary.ticks, ticks);
   EXPECT_EQ(summary.queue_drained, drained);
   EXPECT_EQ(summary.barrier_wait_count, barrier_waits);
-  EXPECT_EQ(summary.steal_count, steals);
   EXPECT_EQ(summary.events_recorded, events);
   EXPECT_EQ(summary.depth_samples, depths.size());
   EXPECT_EQ(summary.depth_max, depth_max);

@@ -75,7 +75,7 @@ mkdir -p "$OUT_DIR/sharded_composition"
   --latency=pareto --latency-mean=0.5 > /dev/null
 
 # Parallel-catalog wall-clock entry: the heaviest sweep again, but on
-# the work-stealing executor with every host core (--jobs=0 resolves to
+# the fork-join executor with every host core (--jobs=0 resolves to
 # the core count). By the determinism contract the series are
 # bit-identical to the serial record above — what this entry adds is a
 # gated wall clock for the parallel path, and an end-to-end exercise of
