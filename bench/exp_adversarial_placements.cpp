@@ -210,7 +210,7 @@ const ExperimentRegistrar kRegistrar{
     "contrast), --engine= (incl. sharded with --shards=T — protocols "
     "run on the flat CSR view, so the parallel engine drives every "
     "composition), --latency= (compose a response-latency model, "
-    "blocking discipline on the sharded delivery queues).",
+    "blocking discipline on the sharded queued body).",
     /*default_reps=*/10, run_exp};
 
 }  // namespace

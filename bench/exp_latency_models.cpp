@@ -17,13 +17,13 @@
 // engines can drive the cells' one protocol object: the default is the
 // single-stream superposition messaging driver (through
 // DelayedResponses, core/delayed.hpp); --engine=sharded runs the same
-// blocking discipline on the sharded engine's per-shard delivery
-// queues (run_sharded_queued), which is the parallel path. Passing
+// blocking discipline on the sharded engine's queued body
+// (run_sharded_queued), which is the parallel path. Passing
 // --latency=<model> restricts the sweep to that model; --latency-mean=
 // sets the matched mean (default 1.0) and --latency-shape= overrides
 // the per-family default shape. A final section cross-validates the
-// sharded engine's delivery queues against the messaging driver under
-// constant latency and the fire-and-forget discipline.
+// sharded engine's fire-and-forget delivery queues against the
+// messaging driver under constant latency.
 
 #include <string>
 #include <utility>
@@ -44,7 +44,7 @@ namespace {
 
 /// One (protocol, model) cell: consensus times of the blocking
 /// discipline, on the engine the plan selects — the messaging driver
-/// by default, the sharded engine's delivery queues under
+/// by default, the sharded engine's queued body under
 /// --engine=sharded. Both drive the protocol's query/apply split.
 template <template <GraphTopology> class Proto>
 std::vector<std::vector<double>> run_cell(ExperimentContext& ctx,
@@ -272,8 +272,8 @@ const ExperimentRegistrar kRegistrar{
     "with any start). The default engine is the single-stream "
     "superposition messaging driver (the plain protocols' query/apply "
     "split, answered late); --engine=sharded runs the same "
-    "blocking discipline on the sharded engine's per-shard delivery "
-    "queues (--shards=T workers). Records `time_vs_model` (consensus "
+    "blocking discipline on the sharded engine's queued body "
+    "(--shards=T workers). Records `time_vs_model` (consensus "
     "time and success rate per protocol x model) plus "
     "`const_ff_sharded` / `const_ff_messaging` (the sharded engine's "
     "delivery queues vs the messaging driver under constant latency and "

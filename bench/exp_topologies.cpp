@@ -140,7 +140,7 @@ const ExperimentRegistrar kRegistrar{
     "CSR view (graph/csr.hpp), so every engine — including "
     "--engine=sharded with --shards=T workers — drives every family, "
     "and --latency= composes a response-latency model onto the runs "
-    "(blocking discipline, sharded delivery queues). Records `tc_time` "
+    "(blocking discipline, sharded queued body). Records `tc_time` "
     "and `voter_time` per topology — expanders track the clique, the "
     "low-conductance ring/torus stall, and the SBM sits between, gated "
     "by its cross-block rate. Overrides: --n=, --horizon=, --engine=, "

@@ -14,7 +14,7 @@
 ///     (sequential | heap | superposition | sharded); --engine=sharded
 ///     is rejected for a protocol that is not ShardableProtocol;
 ///   - non-zero latency + a delayed-shardable protocol (query/apply
-///     split): the sharded engine's per-shard delivery queues
+///     split): the sharded engine's queued body
 ///     (run_sharded_queued), under the blocking one-query-in-flight
 ///     discipline, always with the resolved --shards= worker count.
 ///     They are the only driver for this composition, so an explicit
@@ -166,7 +166,7 @@ inline AnyGraph topology(const RunPlan& plan, std::uint64_t n,
 }
 
 /// Runs a delayed-shardable protocol under an explicit latency model on
-/// the sharded engine's per-shard delivery queues — the only driver for
+/// the sharded engine's queued body — the only driver for
 /// this composition (bench::run routes here; latency_models also calls
 /// it directly), always with the plan's resolved `--shards=` count: the
 /// record says {engine_effective: sharded, shards_effective: plan.shards}, and that

@@ -13,7 +13,7 @@
 /// delivery.
 ///
 /// DelayedResponses runs any protocol with a query/apply split (the
-/// DelayedShardableProtocol form the sharded delivery queues use) on
+/// DelayedShardableProtocol form the sharded queued body uses) on
 /// the messaging driver. Two-Choices, 3-Majority and voter get that
 /// split from SamplingAsync (core/sampling.hpp), which derives it, like
 /// their other engine forms, from the one rule each states: the query

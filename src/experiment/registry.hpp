@@ -240,7 +240,7 @@ class ExperimentContext {
   /// params.engine_effective. It can differ from --engine=: some
   /// experiments sweep or cross-check engines of their own, and under
   /// the experiment's default engine a non-zero --latency= runs on the
-  /// sharded delivery queues. Thread-safe (repetition bodies run on
+  /// sharded queued body. Thread-safe (repetition bodies run on
   /// workers).
   void note_effective_engine(const std::string& name) const {
     const std::lock_guard<std::mutex> lock(engines_mutex_);

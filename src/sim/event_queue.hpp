@@ -75,19 +75,6 @@ class EventQueue {
   }
   ~EventQueue() { destroy_events(); }
 
-  /// Allocates pool chunks for `n` queued events, plus one partly filled
-  /// chunk per bucket, and a run buffer for a full slot. Nothing is
-  /// touched until used, so reserving on the constructing thread keeps
-  /// the queue's allocations off the threads that later fill it.
-  void reserve(std::size_t n) {
-    const std::size_t chunks =
-        (n + kChunkEvents - 1) / kChunkEvents + kRingSlots;
-    if (static_cast<std::size_t>(fresh_end_ - fresh_) < chunks) {
-      grow_pool(chunks);
-    }
-    ensure_run_capacity(std::min<std::size_t>(n, 2 * kEventsPerSlot));
-  }
-
   void push(double time, Payload payload) {
     PC_EXPECTS(time >= 0.0);
     const std::uint64_t slot = slot_of(time);

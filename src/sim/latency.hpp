@@ -29,9 +29,10 @@
 ///
 /// RNG-stream ownership: a model never owns a generator. The component
 /// that schedules deliveries (the messaging driver in
-/// continuous_engine.hpp) draws every latency from *its own* stream at
-/// the moment the message is enqueued, so protocols stay
-/// latency-agnostic and a fixed (seed, model) pair is deterministic.
+/// continuous_engine.hpp, or a shard of the queued sharded body) draws
+/// every latency from *its own* stream at the moment the query is
+/// issued, so protocols stay latency-agnostic and a fixed (seed, model)
+/// pair is deterministic.
 
 #include <cmath>
 #include <cstdint>
@@ -56,12 +57,11 @@ namespace plurality {
 /// concentrated around the mean.
 ///
 /// kFireAndForget posts a fresh query on every tick regardless of
-/// outstanding answers — the §4-style semantics, and the discipline
-/// the sharded engine's constant-latency epoch fold approximates
-/// (updates at full tick rate from c-stale reads).
+/// outstanding answers — the §4-style semantics: updates at the full
+/// tick rate, each from reads one latency old.
 ///
 /// Lives here (not in core/delayed.hpp) because both the delayed
-/// protocol variants and the sharded engine's delivery-queue driver
+/// protocol variants and the sharded engine's queued body
 /// (run_sharded_queued) implement it, and sim/ must not depend on
 /// core/.
 enum class QueryDiscipline : std::uint8_t { kBlocking, kFireAndForget };
@@ -100,13 +100,15 @@ inline LatencyKind parse_latency_kind(const std::string& name) {
 
 /// A response-latency sampler. sample() must return a finite value
 /// >= 0; mean() is the analytic expectation (0 only for ZeroLatency).
-/// Virtual dispatch is fine here: draws happen once per *message*, on
-/// the delivery-queue path, never in the tick-generation hot loop.
+/// Draws are virtual calls, one per issued query. In the queued sharded
+/// body that is inside the tick loop; a probe that dispatched the model
+/// once per run, as the color width is, showed no gain.
 class LatencyModel {
  public:
   virtual ~LatencyModel() = default;
 
-  /// One latency draw. The caller (the messaging driver) owns `rng`.
+  /// One latency draw. The caller (the messaging driver or a queued
+  /// shard) owns `rng`.
   virtual double sample(Xoshiro256& rng) const = 0;
 
   /// The analytic mean delay the model was parameterized with.
@@ -126,9 +128,8 @@ class ZeroLatency final : public LatencyModel {
 };
 
 /// Every response takes exactly `mean` time units. The degenerate
-/// endpoint of the positive-aging family (all mass at one point); also
-/// the model the sharded engine can fold into its epoch schedule
-/// exactly (see sharded_engine.hpp). Draws no RNG.
+/// endpoint of the positive-aging family (all mass at one point).
+/// Draws no RNG.
 class ConstantLatency final : public LatencyModel {
  public:
   explicit ConstantLatency(double mean) : mean_(mean) {

@@ -6,8 +6,9 @@
 ///
 ///   - Aggregates (kSummary, the default): every instrumented thread
 ///     owns a Sink whose counters are relaxed std::atomic fields —
-///     barrier waits, tick-loop work, delivery-queue drains, a bounded
-///     exact histogram of queue depths, executor parks.
+///     barrier waits, tick-loop work, the queued body's answer drains,
+///     a bounded exact histogram of its answers in flight (queue
+///     depths), executor parks.
 ///     Aggregates never drop and merge order-independently, so the
 ///     summary folded into every BENCH record is deterministic wherever
 ///     the underlying quantity is (queue depths are trajectory
@@ -71,8 +72,8 @@ const char* mode_name(Mode mode);
 enum class EventKind : std::uint8_t {
   kShardTicks,   ///< span: one shard's tick loop for one epoch
   kBarrierWait,  ///< span: a thread blocked on the epoch barrier
-  kQueueDrain,   ///< span: delivery-queue processing within an epoch
-  kQueueDepth,   ///< counter: delivery-queue depth at an epoch boundary
+  kQueueDrain,   ///< span: answers delivered within an epoch
+  kQueueDepth,   ///< counter: answers in flight at an epoch boundary
   kPark          ///< span: an executor worker slept between forks
 };
 

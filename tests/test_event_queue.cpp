@@ -82,16 +82,6 @@ TEST(EventQueue, ContractsOnEmptyAndNegativeTime) {
   EXPECT_THROW(q.push(-1.0, 0), ContractViolation);
 }
 
-TEST(EventQueue, ReserveDoesNotDisturbContents) {
-  EventQueue<int> q(1.0);
-  q.push(2.0, 2);
-  q.reserve(1024);
-  q.push(1.0, 1);
-  EXPECT_EQ(q.size(), 2u);
-  EXPECT_EQ(q.pop().payload, 1);
-  EXPECT_EQ(q.pop().payload, 2);
-}
-
 TEST(EventQueue, MoveOnlyPayloadsMoveThroughPopWithoutCopies) {
   EventQueue<std::unique_ptr<int>> q(1.0);
   q.push(3.0, std::make_unique<int>(30));

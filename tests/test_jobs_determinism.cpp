@@ -65,7 +65,7 @@ RunOutput run_record(const char* name, std::vector<const char*> tail,
   // identical reruns. numa_effective and bytes_per_node stay: both are
   // deterministic functions of the flags and the sweep.
   params["peak_rss_bytes"] = 0;
-  // The trace summary documents the schedule (barrier waits, steals),
+  // The trace summary documents the schedule (barrier waits, parks),
   // so like wall clock it differs across worker counts BY DESIGN; same
   // for the schedule-property trace series. Trajectory-property trace
   // series (the queue-depth quantiles) are NOT stripped — they must be
@@ -75,9 +75,7 @@ RunOutput run_record(const char* name, std::vector<const char*> tail,
   JsonValue kept = JsonValue::array();
   for (std::size_t i = 0; i < series.size(); ++i) {
     const std::string& name = series.at(i).find("name")->as_string();
-    if (name == "trace_barrier_wait_frac" || name == "trace_steal_count") {
-      continue;
-    }
+    if (name == "trace_barrier_wait_frac") continue;
     kept.push_back(series.at(i));
   }
   record["series"] = std::move(kept);
@@ -100,9 +98,8 @@ TEST(SchedulingDeterminism, RecordsBitIdenticalAcrossJobsCounts) {
   const RunOutput serial = run_scaling({"--jobs=1"});
   ASSERT_NE(serial.record.find("\"rounds_vs_n\""), std::string::npos);
 
-  // Executor path at increasing widths: real work-stealing schedules
-  // with different worker counts (and different steal interleavings
-  // every run).
+  // Executor path at increasing widths: real fork-join schedules with
+  // different worker counts (and a different claim order every run).
   for (const char* jobs : {"--jobs=2", "--jobs=8"}) {
     const RunOutput parallel = run_scaling({jobs});
     EXPECT_EQ(serial.record, parallel.record)
@@ -113,8 +110,8 @@ TEST(SchedulingDeterminism, RecordsBitIdenticalAcrossJobsCounts) {
 }
 
 TEST(SchedulingDeterminism, RepeatedParallelRunsAreStable) {
-  // Run-to-run stability at the widest setting: steal order differs
-  // every time, the record must not.
+  // Run-to-run stability at the widest setting: the order in which
+  // threads claim leaves differs every time, the record must not.
   const RunOutput first = run_scaling({"--jobs=8"});
   for (int repeat = 0; repeat < 3; ++repeat) {
     const RunOutput again = run_scaling({"--jobs=8"});

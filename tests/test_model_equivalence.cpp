@@ -168,7 +168,7 @@ TEST(EngineEquivalence, ShardedOnGraphMatchesSequentialOnGraph) {
 
 TEST(EngineEquivalence, ShardedQueuedMatchesMessagingDriver) {
   // The PR 5 acceptance gate for the latency axis: the sharded
-  // engine's per-shard delivery queues sample the same process as the
+  // engine's queued body samples the same process as the
   // single-stream messaging driver running the delayed protocol
   // variant — for a genuinely *random* latency model under the
   // blocking discipline, and for a constant latency under

@@ -138,15 +138,14 @@ def main():
                              "0.10)")
     parser.add_argument(
         "--series-skip",
-        default=r"^(ns_per_|trace_barrier_wait_frac$|trace_steal_count$)",
+        default=r"^(ns_per_|trace_barrier_wait_frac$)",
         help="regex of series names exempt from the mean gate — "
              "wall-time or schedule measurements that track the host "
              "rather than the seeded process. The trace layer's "
-             "barrier-wait fraction and steal count are schedule "
-             "properties (their presence and value depend on thread "
-             "timing); its queue-depth quantiles are trajectory "
-             "properties and stay gated. (default "
-             "'^(ns_per_|trace_barrier_wait_frac$|trace_steal_count$)')")
+             "barrier-wait fraction is a schedule property (its value "
+             "depends on thread timing); its queue-depth quantiles are "
+             "trajectory properties and stay gated. (default "
+             "'^(ns_per_|trace_barrier_wait_frac$)')")
     args = parser.parse_args()
 
     baseline = load_records(args.baseline_dir)
