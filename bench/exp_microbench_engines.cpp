@@ -277,9 +277,8 @@ int run_exp(ExperimentContext& ctx) {
   // resolved bytes/node of the hot state is recorded per sweep point
   // (and flows into the BENCH record's params.bytes_per_node). Scale
   // up with --m1e_max_n= (10^8 reproduces the memory-fit acceptance
-  // run); the engine honors --numa= and --exact-reads via the shared
-  // tuning context, so M1e notes the sharded engine for the record's
-  // numa_effective.
+  // run); the engine honors --numa= from the shared context, so M1e
+  // notes the sharded engine for the record's numa_effective.
   const std::uint64_t me_min_n = ctx.args.get_u64("m1e_min_n", 100000);
   const std::uint64_t me_max_n = ctx.args.get_u64("m1e_max_n", 3200000);
   const std::uint64_t me_ticks = ctx.args.get_u64("m1e_iters", 1ull << 21);
@@ -301,17 +300,15 @@ int run_exp(ExperimentContext& ctx) {
       VoterAsync proto(me_graph, assign_equal(me_n, 64, rng));
       // Hot-state share: packed colors (the engine's live buffer) +
       // its snapshot (complete graph, so no topology share).
-      bytes_node = proto.table().state_bytes_per_node() +
-                   (ctx.tuning.exact_reads
-                        ? 0.0
-                        : static_cast<double>(color_width_bytes(
-                              proto.table().width())));
+      bytes_node =
+          proto.table().state_bytes_per_node() +
+          static_cast<double>(color_width_bytes(proto.table().width()));
       ctx.note_state_bytes_per_node(bytes_node);
       const auto start = std::chrono::steady_clock::now();
       const auto result =
           run_sharded(proto, rng(), me_shards, me_horizon, NullObserver{},
                       /*sample_every=*/me_horizon, /*epoch_length=*/0.25,
-                      /*perturb=*/nullptr, ctx.tuning);
+                      /*perturb=*/nullptr, ctx.numa);
       const auto stop = std::chrono::steady_clock::now();
       g_sink = result.ticks;
       return std::chrono::duration<double, std::nano>(stop - start).count() /

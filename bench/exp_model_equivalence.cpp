@@ -102,11 +102,11 @@ const ExperimentRegistrar kRegistrar{
     "Runs the same Two-Choices clique workload on the sequential "
     "model and on both exact continuous engines (n-timer heap, "
     "superposition) and compares consensus-time distributions — the "
-    "empirical side of the ref [4] equivalence and of the PR 2 engine "
-    "rewrite. Records `sequential_time`, `heap_time`, and "
-    "`superposition_time`; the unit-test twin (with KS statistics, "
-    "including the zero-latency messaging driver) lives in "
-    "tests/test_model_equivalence.cpp. Overrides: --n=.",
+    "empirical side of the ref [4] equivalence. Records "
+    "`sequential_time`, `heap_time`, and "
+    "`superposition_time`; the unit-test twin, which holds every engine "
+    "to the sequential process with KS and mean gates, is the oracle in "
+    "tests/test_oracle.cpp. Overrides: --n=.",
     /*default_reps=*/30, run_exp};
 
 }  // namespace

@@ -59,7 +59,7 @@ struct RunPlan {
   LatencySpec latency;      ///< resolved --latency*
   PerturbSpec perturb;      ///< resolved --perturb* (or experiment default)
   unsigned shards = 1;      ///< resolved --shards=
-  EngineTuning tuning;      ///< resolved --numa/--exact-reads
+  NumaMode numa = NumaMode::kOff;  ///< resolved --numa=
 };
 
 /// The graph spec an experiment will actually build: the experiment's
@@ -93,7 +93,7 @@ inline RunPlan make_plan(const ExperimentContext& ctx,
   plan.perturb = ctx.perturb;
   if (!ctx.args.has_flag("perturb")) plan.perturb.kind = default_perturb;
   plan.shards = ctx.shards;
-  plan.tuning = ctx.tuning;
+  plan.numa = ctx.numa;
   return plan;
 }
 
@@ -103,9 +103,8 @@ inline RunPlan make_plan(const ExperimentContext& ctx,
 /// gadget slots), else its table's packed colors + support counters;
 /// plus the sharded engine's snapshot (one more packed array; its live
 /// buffer is the table's own slab) when that engine will drive the
-/// protocol. Called by every
-/// dispatch below so every engine-driven record can report
-/// bytes_per_node.
+/// protocol. Called by every dispatch below so every engine-driven
+/// record can report bytes_per_node.
 template <typename P>
 void note_state_footprint(const RunPlan& plan, const P& proto,
                           bool sharded_engine) {
@@ -115,7 +114,7 @@ void note_state_footprint(const RunPlan& plan, const P& proto,
   } else {
     bytes = proto.table().state_bytes_per_node();
   }
-  if (sharded_engine && !plan.tuning.exact_reads) {
+  if (sharded_engine) {
     bytes += static_cast<double>(color_width_bytes(proto.table().width()));
   }
   plan.ctx->note_state_bytes_per_node(bytes);
@@ -186,7 +185,7 @@ AsyncRunResult run_queued(const RunPlan& plan, P& proto,
   note_state_footprint(plan, proto, /*sharded_engine=*/true);
   return run_sharded_queued(proto, model, discipline, rng(), plan.shards,
                             max_time, std::forward<Obs>(obs), sample_every,
-                            /*epoch_length=*/0.25, perturb, plan.tuning);
+                            /*epoch_length=*/0.25, perturb, plan.numa);
 }
 
 /// Throws the ContractViolation for a flag combination bench::run
@@ -262,7 +261,7 @@ AsyncRunResult run(const RunPlan& plan, P& proto, Xoshiro256& rng,
       if constexpr (ShardableProtocol<P>) {
         return run_sharded(proto, rng(), plan.shards, max_time,
                            std::forward<Obs>(obs), sample_every,
-                           /*epoch_length=*/0.25, perturb, plan.tuning);
+                           /*epoch_length=*/0.25, perturb, plan.numa);
       }
       break;
   }

@@ -18,8 +18,8 @@
 /// form from the rule and one K-neighbor draw:
 ///
 ///   - SamplingAsync::on_tick, the tick of the single-stream engines;
-///   - SamplingAsync::sample()/decide(), the sharded stale and exact
-///     bodies (ShardableProtocol): sample() draws the K neighbors and
+///   - SamplingAsync::sample()/decide(), the sharded stale body
+///     (ShardableProtocol): sample() draws the K neighbors and
 ///     reads no color, decide() reads them off a view and applies the
 ///     rule;
 ///   - SamplingAsync::query()/apply_query(), the sharded delivery

@@ -239,7 +239,7 @@ JsonValue ExperimentRegistry::run_to_record(const Experiment& experiment,
   // workers, so a record whose runs never reached it says off.
   params["numa_effective"] = numa_mode_name(
       engines.count(engine_kind_name(EngineKind::kSharded)) > 0
-          ? ctx.tuning.numa
+          ? ctx.numa
           : NumaMode::kOff);
   // The per-node memory footprint of the largest run (resolved color
   // width + support counters + engine copies + CSR share), when any run

@@ -34,7 +34,7 @@
 #include "rng/seed.hpp"
 #include "sim/latency.hpp"
 #include "sim/perturb.hpp"
-#include "sim/sharded_engine.hpp"
+#include "sim/numa.hpp"
 #include "support/assert.hpp"
 #include "trace/trace.hpp"
 
@@ -176,29 +176,32 @@ class ExperimentContext {
     // counters are cheap enough to leave on, and every BENCH record
     // carries the contention summary unless tracing is explicitly off.
     trace_spec = trace::parse_trace_spec(args.get_string("trace", "summary"));
-    // Resolve the engine-tuning knobs on the main thread (same
-    // loud-failure policy). --exact-reads switches the sharded engine
-    // to its distribution-exact two-phase schedule; --numa= is
-    // trajectory-neutral placement plumbing (recorded as
-    // numa_effective, never echoed into params — like --jobs=).
-    // --sampling= and --threads= are rejected, not ignored: every engine
-    // has one node-draw path, --jobs= is the one concurrency knob, and
+    // Resolve --numa= on the main thread (same loud-failure policy):
+    // trajectory-neutral placement plumbing, recorded as numa_effective
+    // and never echoed into params — like --jobs=. --sampling=,
+    // --threads= and --exact-reads are rejected, not ignored: every
+    // engine has one node-draw path, --jobs= is the one concurrency
+    // knob, the sharded engine at one shard is the exact process, and
     // the raw-args echo would otherwise label a run with whatever value
     // was passed.
     const auto reject_flag = [&](const char* key, const char* why) {
       if (!args.has_flag(key)) return;
       std::string what = "--";
       what += key;
-      what += "=";
-      what += args.get_string(key, "");
+      if (const std::string value = args.get_string(key, "");
+          !value.empty()) {
+        what += "=";
+        what += value;
+      }
       what += " is not supported: ";
       what += why;
       throw ContractViolation(what);
     };
     reject_flag("sampling", "every engine has a single node-draw path");
     reject_flag("threads", "--jobs= is the one concurrency knob");
-    tuning.numa = parse_numa_mode(args.get_string("numa", "off"));
-    tuning.exact_reads = args.has_flag("exact-reads");
+    reject_flag("exact-reads",
+                "--engine=sharded --shards=1 runs the exact process");
+    numa = parse_numa_mode(args.get_string("numa", "off"));
   }
 
   Args args;
@@ -217,7 +220,7 @@ class ExperimentContext {
                             ///< --perturb-budget/--perturb-start/
                             ///< --perturb-interval/--perturb-target
   trace::TraceSpec trace_spec;  ///< resolved --trace= (off|summary|FILE)
-  EngineTuning tuning;  ///< resolved --numa/--exact-reads
+  NumaMode numa = NumaMode::kOff;  ///< resolved --numa=
 
   /// Independent seed stream for one sweep point of the experiment.
   SeedSequence seeds_for(std::uint64_t sweep_point) const {

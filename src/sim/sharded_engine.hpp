@@ -10,7 +10,7 @@
 /// Poisson(n_s * dt) times per epoch, each at a uniform node of the
 /// shard.
 ///
-/// Every driver runs one epoch skeleton (detail::run_epochs). It owns
+/// Both drivers run one epoch skeleton (detail::run_epochs). It owns
 /// the shard ranges and streams, the first-touch init epoch, error
 /// capture, the perturbation drain, the `done() && exhausted()` stop
 /// rule, the observer cadence and the horizon finalization, and calls a
@@ -32,10 +32,11 @@
 ///     node, or the end-of-epoch sweep); fire-and-forget answers ride
 ///     a per-shard calendar queue. Lazy application is exact because
 ///     apply_query() reads only the querier's own color, which nothing
-///     else writes while its answer is in flight;
-///   - exact (EngineTuning::exact_reads): parallel tick generation and
-///     a serial live replay, the reference the stale body is tested
-///     against.
+///     else writes while its answer is in flight.
+/// At one shard neither body has a foreign read, so the stale body runs
+/// the exact Poisson-clock process, apart from draining perturbations
+/// at epoch boundaries (tests/test_oracle.cpp holds every engine to that
+/// process).
 /// Each epoch's shards run through jobs::Executor::process().
 /// parallel_for: the calling thread and any idle executor workers claim
 /// shards, and a saturated executor leaves them all to the caller, in
@@ -78,17 +79,6 @@
 #include "trace/trace.hpp"
 
 namespace plurality {
-
-/// The sharded engine's performance/exactness knobs; the default tuple
-/// is bit-identical to every checked-in baseline.
-///   - numa (--numa=firsttouch|bind): the packed arrays are first
-///     touched in a parallel init epoch, and bind pins the executor's
-///     workers (sim/numa.hpp); trajectory-neutral;
-///   - exact_reads (--exact-reads): the exact body.
-struct EngineTuning {
-  NumaMode numa = NumaMode::kOff;
-  bool exact_reads = false;
-};
 
 /// Read view handed to ShardableProtocol::decide: live colors for the
 /// calling shard's own nodes, the epoch-start snapshot for everyone
@@ -267,9 +257,7 @@ class PackedBody {
   /// shard's support deltas to the table, then every shard's owner
   /// refreshes the snapshot entries of the nodes it recolored and
   /// clears its delta row, in parallel over disjoint node ranges.
-  template <typename Drain>
-  void finish_epoch(AsyncRunResult& result, const Drain& /*drain*/,
-                    jobs::Executor& executor) {
+  void finish_epoch(AsyncRunResult& result, jobs::Executor& executor) {
     for (std::uint64_t s = 0; s < shards.size(); ++s) {
       table_.apply_support_deltas(deltas_.shard(s));
       result.ticks += shards[s].ticks;
@@ -806,117 +794,14 @@ class QueuedBody : public PackedBody<T, QueuedShard<Answers>> {
   Perturber* perturb_;
 };
 
-/// The exact body (EngineTuning::exact_reads). Phase 1 (parallel,
-/// run_shard): each shard draws its Poisson tick count, then one (time,
-/// node) pair per tick — times iid uniform on [t0, t0 + dt), as for
-/// Poisson arrivals conditioned on their count — and sorts them by
-/// time. Phase 2 (serial, finish_epoch): the shards' streams are k-way
-/// merged by time (ties by shard index) and each tick's sample() and
-/// decide() run against the fully live table with the owning shard's
-/// RNG. That is exactly
-/// the sequential superposition process, so this body is the ground
-/// truth the stale body is tested against (tests/test_exact_reads.cpp),
-/// not a fast path; perturbations drain in exact event order.
-template <typename P>
-class ExactBody {
-  struct Event {
-    double time;
-    NodeId node;
-  };
-  struct Shard : ShardCore {
-    std::vector<Event> events;
-  };
-
- public:
-  std::vector<Shard> shards;
-
-  ExactBody(P& proto, std::uint64_t seed, std::uint64_t num_shards,
-            Perturber* perturb)
-      : shards(make_shards<Shard>(proto.num_nodes(), num_shards, seed)),
-        proto_(proto),
-        perturb_(perturb),
-        head_(num_shards, 0) {}
-
-  bool first_touch() const noexcept { return false; }
-  void init_shard(std::uint64_t) {}
-  void finish_init() {}
-  void write(NodeId, ColorId) {}  // the live table is the only state
-
-  std::uint64_t run_shard(std::uint64_t s, double t0, double dt) {
-    Shard& shard = shards[s];
-    const std::uint64_t n_s = shard.hi - shard.lo;
-    const std::uint64_t ticks =
-        poisson(shard.rng, static_cast<double>(n_s) * dt);
-    shard.events.resize(ticks);
-    for (auto& event : shard.events) {
-      event.time = t0 + uniform_unit(shard.rng) * dt;
-      event.node =
-          static_cast<NodeId>(shard.lo + uniform_below(shard.rng, n_s));
-    }
-    // stable_sort: equal times (probability zero, but determinism must
-    // not hinge on it) keep their generation order.
-    std::stable_sort(
-        shard.events.begin(), shard.events.end(),
-        [](const Event& a, const Event& b) { return a.time < b.time; });
-    return ticks;
-  }
-
-  /// Serial replay in event-time order against the live table; `drain`
-  /// applies perturbation events due at or before each tick.
-  template <typename Drain>
-  void finish_epoch(AsyncRunResult& result, const Drain& drain,
-                    jobs::Executor& /*executor*/) {
-    std::fill(head_.begin(), head_.end(), std::size_t{0});
-    const LiveTableView view{&proto_.table()};
-    for (;;) {
-      std::uint64_t next_shard = shards.size();
-      double next_time = 0.0;
-      for (std::uint64_t s = 0; s < shards.size(); ++s) {
-        if (head_[s] == shards[s].events.size()) continue;
-        const double t = shards[s].events[head_[s]].time;
-        if (next_shard == shards.size() || t < next_time) {
-          next_shard = s;
-          next_time = t;
-        }
-      }
-      if (next_shard == shards.size()) break;
-      const Event event = shards[next_shard].events[head_[next_shard]++];
-      ++result.ticks;
-      drain(event.time);
-      if (perturb_ != nullptr && !perturb_->allows_tick(event.node)) continue;
-      const ColorId next = proto_.decide(
-          event.node, proto_.sample(event.node, shards[next_shard].rng),
-          view);
-      if (next != proto_.table().color(event.node)) {
-        proto_.mutable_table().set_color(event.node, next);
-      }
-    }
-    for (auto& shard : shards) shard.events.clear();
-  }
-
- private:
-  /// decide() reads through the live table: no staleness by design.
-  struct LiveTableView {
-    const OpinionTable* table;
-    ColorId color(NodeId v) const { return table->color(v); }
-  };
-
-  P& proto_;
-  Perturber* perturb_;
-  std::vector<std::size_t> head_;
-};
-
-/// The one epoch skeleton behind every sharded driver: per epoch it
+/// The one epoch skeleton behind both sharded drivers: per epoch it
 /// runs the body's shard work on the process executor (parallel_for
-/// rethrows the first shard error), lets the body finish the epoch
-/// (merge or replay, from the calling thread, which may fork further
-/// shard phases onto the executor) and drains perturbations; around
-/// that it applies the shared stop rule, observer cadence and horizon
-/// finalization. A Body has `shards` (ShardCore-derived),
-/// `first_touch()`, `init_shard(s)` and `finish_init()` for the init
-/// epoch, `run_shard(s, t0, dt)` returning the ticks drawn,
-/// `finish_epoch(result, drain, executor)`, and `write(u, c)` mirroring
-/// a perturbation write into its own state.
+/// rethrows the first shard error), lets the body merge the epoch (from
+/// the calling thread, which forks the snapshot refresh onto the
+/// executor) and drains perturbations; around that it applies the
+/// shared stop rule, observer cadence and horizon finalization. A Body
+/// is a PackedBody with `run_shard(s, t0, dt)` returning the ticks
+/// drawn.
 template <typename Body, typename P, typename Obs>
 AsyncRunResult run_epochs(P& proto, Body& body, double max_time, Obs&& obs,
                           double sample_every, double epoch_length,
@@ -966,7 +851,7 @@ AsyncRunResult run_epochs(P& proto, Body& body, double max_time, Obs&& obs,
       epoch_t0 = now;
       epoch_dt = dt;
       executor.parallel_for(shards, tick_shard);
-      body.finish_epoch(result, drain, executor);
+      body.finish_epoch(result, executor);
       now += dt;
       drain(now);
     }
@@ -997,39 +882,35 @@ AsyncRunResult dispatch(const P& proto, unsigned num_shards, double max_time,
 }  // namespace detail
 
 /// Runs `proto` under Poisson(1) clocks until done() or `max_time`
-/// over `num_shards` shards (0 = hardware concurrency), on the stale
-/// body or, under `tuning.exact_reads`, the exact one. Deterministic
-/// for a fixed (seed, num_shards, epoch_length, tuning). done() is
-/// polled at epoch boundaries, so a run can overshoot consensus by up
-/// to one epoch; a horizon cutoff reports `max_time`.
+/// over `num_shards` shards (0 = hardware concurrency) on the stale
+/// body. Deterministic for a fixed (seed, num_shards, epoch_length);
+/// `--shards=1` is the exact process. done() is polled at epoch
+/// boundaries, so a run can overshoot consensus by up to one epoch; a
+/// horizon cutoff reports `max_time`.
 ///
 /// Perturbations (sim/perturb.hpp) drain on the calling thread at the
-/// first epoch boundary at or after their time (exact event order under
-/// exact_reads), writing the table (whose slab is the live buffer) and
-/// the snapshot together; crash
+/// first epoch boundary at or after their time, writing the table
+/// (whose slab is the live buffer) and the snapshot together; crash
 /// suppression is a read-only bitmap lookup in the tick loop. The run
 /// continues past transient consensus until the driver is exhausted.
+///
+/// `numa` (--numa=firsttouch|bind) first-touches the packed arrays in a
+/// parallel init epoch, and bind pins the executor's workers
+/// (sim/numa.hpp); every mode gives the same trajectory.
 template <ShardableProtocol P, typename Obs = NullObserver>
 AsyncRunResult run_sharded(P& proto, std::uint64_t seed, unsigned num_shards,
                            double max_time, Obs&& obs = Obs{},
                            double sample_every = 1.0,
                            double epoch_length = 0.25,
                            Perturber* perturb = nullptr,
-                           const EngineTuning& tuning = {}) {
-  const auto run = [&](auto& body) {
-    return detail::run_epochs(proto, body, max_time, obs, sample_every,
-                              epoch_length, perturb, tuning.numa);
-  };
+                           NumaMode numa = NumaMode::kOff) {
   return detail::dispatch(
       proto, num_shards, max_time, sample_every, epoch_length,
       [&](auto tag, std::uint64_t shards) {
-        if (tuning.exact_reads) {
-          detail::ExactBody<P> body(proto, seed, shards, perturb);
-          return run(body);
-        }
-        detail::StaleBody<decltype(tag), P> body(proto, seed, shards,
-                                                 perturb, tuning.numa);
-        return run(body);
+        detail::StaleBody<decltype(tag), P> body(proto, seed, shards, perturb,
+                                                 numa);
+        return detail::run_epochs(proto, body, max_time, obs, sample_every,
+                                  epoch_length, perturb, numa);
       });
 }
 
@@ -1047,8 +928,7 @@ AsyncRunResult run_sharded(P& proto, std::uint64_t seed, unsigned num_shards,
 /// is the stale foreign read. A horizon cutoff drops queries in flight
 /// and reports `max_time`.
 ///
-/// Only `tuning.numa` applies; exact_reads is a contract violation
-/// here. Perturbations drain as in run_sharded; a crashed node stops
+/// Perturbations and `numa` act as in run_sharded; a crashed node stops
 /// querying and its answers are dropped (a blocking node is re-armed
 /// all the same).
 template <DelayedShardableProtocol P, typename Obs = NullObserver>
@@ -1059,22 +939,16 @@ AsyncRunResult run_sharded_queued(P& proto, const LatencyModel& latency,
                                   double sample_every = 1.0,
                                   double epoch_length = 0.25,
                                   Perturber* perturb = nullptr,
-                                  const EngineTuning& tuning = {}) {
-  if (tuning.exact_reads) {
-    throw ContractViolation(
-        "--exact-reads names the zero-latency sharded schedule; it "
-        "cannot be combined with a latency model's queued body");
-  }
+                                  NumaMode numa = NumaMode::kOff) {
   return detail::dispatch(
       proto, num_shards, max_time, sample_every, epoch_length,
       [&](auto tag, std::uint64_t shards) {
         using T = decltype(tag);
         const auto run = [&]<typename Answers>(std::type_identity<Answers>) {
           detail::QueuedBody<T, P, Answers> body(proto, latency, seed, shards,
-                                                 epoch_length, perturb,
-                                                 tuning.numa);
+                                                 epoch_length, perturb, numa);
           return detail::run_epochs(proto, body, max_time, obs, sample_every,
-                                    epoch_length, perturb, tuning.numa);
+                                    epoch_length, perturb, numa);
         };
         using Query = typename P::Query;
         if (discipline == QueryDiscipline::kBlocking) {

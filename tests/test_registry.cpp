@@ -23,6 +23,7 @@
 #include "opinion/assignment.hpp"
 #include "run_plan.hpp"
 #include "sim/latency.hpp"
+#include "sim/numa.hpp"
 #include "support/assert.hpp"
 
 namespace plurality {
@@ -312,6 +313,39 @@ TEST(Registry, RejectsInvalidScenarioFlags) {
                    *toy, make_args({"--graph=regular",
                                     "--graph-degree=4294967304"})),
                ContractViolation);
+}
+
+TEST(TuningContext, ParsesFlagsAndRejectsSampling) {
+  {
+    const ExperimentContext ctx(make_args({"--numa=firsttouch"}), 1);
+    EXPECT_EQ(ctx.numa, NumaMode::kFirstTouch);
+  }
+  EXPECT_EQ(ExperimentContext(make_args({}), 1).numa, NumaMode::kOff);
+  EXPECT_THROW(ExperimentContext(make_args({"--numa=interleave"}), 1),
+               ContractViolation);
+  // Every engine has one node-draw path, so any --sampling= value is
+  // rejected naming the flag rather than echoed into the record.
+  for (const char* flag : {"--sampling=batch", "--sampling=scalar"}) {
+    try {
+      const ExperimentContext ctx(make_args({flag}), 1);
+      FAIL() << flag << " must throw";
+    } catch (const ContractViolation& e) {
+      EXPECT_NE(std::string(e.what()).find(flag), std::string::npos);
+    }
+  }
+}
+
+TEST(TuningContext, RejectsExactReadsNamingTheOneShardEngine) {
+  // The sharded engine at one shard runs the exact process, so the old
+  // exact-replay flag is rejected with a pointer to it, never ignored.
+  try {
+    const ExperimentContext ctx(make_args({"--exact-reads"}), 1);
+    FAIL() << "--exact-reads must throw";
+  } catch (const ContractViolation& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("--exact-reads"), std::string::npos) << what;
+    EXPECT_NE(what.find("--shards=1"), std::string::npos) << what;
+  }
 }
 
 // A toy that drives AsyncOneExtraBit through bench::run, so tests can

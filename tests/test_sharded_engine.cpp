@@ -1,10 +1,10 @@
 // Tests for the sharded tick engine: shard-count-independent
-// correctness, fixed-seed determinism (with and without an explicit
-// default EngineTuning), the OpinionTable support merge it relies on
-// and the table's agreement with a recount at every observation, and
-// the queued driver (run_sharded_queued): determinism, the blocking
-// one-query-in-flight discipline, delivery across epoch boundaries, and
-// the blocking answer slots' due-time edges.
+// correctness, fixed-seed determinism, trajectory-neutral --numa=
+// modes, the OpinionTable support merge it relies on and the table's
+// agreement with a recount at every observation, and the queued driver
+// (run_sharded_queued): determinism, the blocking one-query-in-flight
+// discipline, delivery across epoch boundaries, and the blocking answer
+// slots' due-time edges.
 
 #include <gtest/gtest.h>
 
@@ -28,6 +28,7 @@
 #include "jobs/executor.hpp"
 #include "opinion/assignment.hpp"
 #include "sim/latency.hpp"
+#include "sim/numa.hpp"
 #include "sim/perturb.hpp"
 #include "sim/sharded_engine.hpp"
 #include "support/assert.hpp"
@@ -196,8 +197,6 @@ TEST(ShardedEngine, SupportsMatchARecountAtEveryObservationUnderInjection) {
       spec.budget = 40;
       spec.start = 0.5;
       Perturber perturb(spec, n, 5, /*seed=*/31);
-      EngineTuning tuning;
-      tuning.numa = numa;
       std::uint64_t calls = 0;
       const RecountingObserver obs{&calls};
       if (queued) {
@@ -205,11 +204,11 @@ TEST(ShardedEngine, SupportsMatchARecountAtEveryObservationUnderInjection) {
         run_sharded_queued(proto, latency, QueryDiscipline::kBlocking,
                            /*seed=*/7, /*num_shards=*/4, /*max_time=*/12.0,
                            obs, /*sample_every=*/0.25,
-                           /*epoch_length=*/0.25, &perturb, tuning);
+                           /*epoch_length=*/0.25, &perturb, numa);
       } else {
         run_sharded(proto, /*seed=*/7, /*num_shards=*/4, /*max_time=*/12.0,
                     obs, /*sample_every=*/0.25, /*epoch_length=*/0.25,
-                    &perturb, tuning);
+                    &perturb, numa);
       }
       EXPECT_GT(perturb.events().size(), 0u);
       EXPECT_GE(calls, 10u);
@@ -235,25 +234,43 @@ TEST(ShardedEngine, DeterministicForFixedSeedAndShardCount) {
   EXPECT_EQ(a.winner, b.winner);
 }
 
-TEST(ShardedEngine, DefaultTuningPreservesHistoricalTrajectories) {
-  // EngineTuning{} must be the historical engine bit-for-bit: a run
-  // with the defaulted tuning parameter equals a run without it.
+TEST(NumaModes, TrajectoryNeutralAcrossAllModes) {
+  // --numa= is placement plumbing: every mode must reproduce the
+  // default trajectory bit-for-bit, like --jobs=.
   const std::uint64_t n = 256;
   const CompleteGraph g(n);
-  const auto run_once = [&](bool pass_tuning) {
+  const auto run_once = [&](NumaMode numa) {
     Xoshiro256 rng(7);
-    TwoChoicesAsync proto(g, assign_two_colors(n, (n * 3) / 4, rng));
-    if (pass_tuning) {
-      return run_sharded(proto, 42, 3, 1e6, NullObserver{}, 1.0, 0.25,
-                         nullptr, EngineTuning{});
-    }
-    return run_sharded(proto, 42, 3, 1e6);
+    ThreeMajorityAsync proto(g, assign_two_colors(n, (n * 3) / 4, rng));
+    return run_sharded(proto, /*seed=*/42, /*num_shards=*/4, 1e6,
+                       NullObserver{}, 1.0, 0.25, nullptr, numa);
   };
-  const auto a = run_once(false);
-  const auto b = run_once(true);
-  EXPECT_EQ(a.ticks, b.ticks);
-  EXPECT_DOUBLE_EQ(a.time, b.time);
-  EXPECT_EQ(a.winner, b.winner);
+  const auto off = run_once(NumaMode::kOff);
+  for (const NumaMode mode : {NumaMode::kFirstTouch, NumaMode::kBind}) {
+    const auto other = run_once(mode);
+    EXPECT_EQ(off.ticks, other.ticks);
+    EXPECT_DOUBLE_EQ(off.time, other.time);
+    EXPECT_EQ(off.winner, other.winner);
+    EXPECT_EQ(off.consensus, other.consensus);
+  }
+}
+
+TEST(NumaModes, QueuedEngineTrajectoryNeutralToo) {
+  const std::uint64_t n = 128;
+  const CompleteGraph g(n);
+  const ConstantLatency latency(0.125);
+  const auto run_once = [&](NumaMode numa) {
+    Xoshiro256 rng(5);
+    VoterAsync proto(g, assign_two_colors(n, (n * 3) / 4, rng));
+    return run_sharded_queued(proto, latency, QueryDiscipline::kBlocking,
+                              /*seed=*/31, /*num_shards=*/3, 1e6,
+                              NullObserver{}, 1.0, 0.25, nullptr, numa);
+  };
+  const auto off = run_once(NumaMode::kOff);
+  const auto touch = run_once(NumaMode::kFirstTouch);
+  EXPECT_EQ(off.ticks, touch.ticks);
+  EXPECT_DOUBLE_EQ(off.time, touch.time);
+  EXPECT_EQ(off.winner, touch.winner);
 }
 
 TEST(ShardedEngine, ShardCountClampsToNodes) {
@@ -267,18 +284,21 @@ TEST(ShardedEngine, ShardCountClampsToNodes) {
 }
 
 TEST(ShardedEngine, SingleShardMatchesProcessStatistics) {
-  // One shard, epoch 1.0: total ticks over a fixed horizon are
-  // Poisson(n * t). Mean 6400, sd ~ 80; allow 6 sigma.
+  // Total ticks over a fixed horizon are Poisson(n * t) at one shard
+  // and at four (the union of per-shard Poisson processes). Mean 6400,
+  // sd ~ 80; allow 6 sigma.
   const std::uint64_t n = 128;
   const CompleteGraph g(n);
-  Xoshiro256 rng(3);
-  VoterAsync proto(g, assign_equal(n, 64, rng));
   const double horizon = 50.0;
-  const auto result =
-      run_sharded(proto, /*seed=*/9, /*num_shards=*/1, horizon);
-  EXPECT_NEAR(static_cast<double>(result.ticks),
-              static_cast<double>(n) * horizon, 480.0);
-  EXPECT_DOUBLE_EQ(result.time, horizon);
+  for (const unsigned shards : {1u, 4u}) {
+    Xoshiro256 rng(3);
+    VoterAsync proto(g, assign_equal(n, 64, rng));
+    const auto result = run_sharded(proto, /*seed=*/9, shards, horizon);
+    EXPECT_NEAR(static_cast<double>(result.ticks),
+                static_cast<double>(n) * horizon, 480.0)
+        << shards << " shards";
+    EXPECT_DOUBLE_EQ(result.time, horizon);
+  }
 }
 
 TEST(ShardedEngine, ObserverFiresAtSampleBoundaries) {
