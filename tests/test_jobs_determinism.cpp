@@ -84,11 +84,15 @@ RunOutput run_record(const char* name, std::vector<const char*> tail,
 }
 
 /// two_choices_scaling small-but-real: SBM topology, 8 reps, two sweep
-/// points.
-RunOutput run_scaling(const std::vector<const char*>& scheduling_flags) {
+/// points. At --seed=12345 one n = 2048 repetition stays split across
+/// the SBM's two communities up to E1's 100 000-round cap: one long
+/// leaf among short ones, and about 2 s of the run. At --seed=1 every
+/// repetition converges within a few dozen rounds.
+RunOutput run_scaling(const std::vector<const char*>& scheduling_flags,
+                      const char* seed = "--seed=12345") {
   return run_record("two_choices_scaling",
-                    {"--graph=sbm", "--reps=8", "--max_n=2048",
-                     "--seed=12345", "--csv"},
+                    {"--graph=sbm", "--reps=8", "--max_n=2048", seed,
+                     "--csv"},
                     scheduling_flags);
 }
 
@@ -111,10 +115,12 @@ TEST(SchedulingDeterminism, RecordsBitIdenticalAcrossJobsCounts) {
 
 TEST(SchedulingDeterminism, RepeatedParallelRunsAreStable) {
   // Run-to-run stability at the widest setting: the order in which
-  // threads claim leaves differs every time, the record must not.
-  const RunOutput first = run_scaling({"--jobs=8"});
+  // threads claim leaves differs every time, the record must not. The
+  // capped repetition is left to the serial comparison above, so this
+  // check repeats on a seed whose leaves are all short.
+  const RunOutput first = run_scaling({"--jobs=8"}, "--seed=1");
   for (int repeat = 0; repeat < 3; ++repeat) {
-    const RunOutput again = run_scaling({"--jobs=8"});
+    const RunOutput again = run_scaling({"--jobs=8"}, "--seed=1");
     EXPECT_EQ(first.record, again.record)
         << "record changed between identical --jobs=8 runs";
     EXPECT_EQ(first.stdout_text, again.stdout_text);
