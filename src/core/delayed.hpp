@@ -36,6 +36,7 @@
 /// L1 compares the latency families head to head.
 
 #include <cstdint>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -226,6 +227,117 @@ class AsyncOneExtraBitDelayed : private detail::AsyncOebState {
       }
     }
   }
+
+  /// The queued body's form (run_sharded_queued, fire-and-forget, one
+  /// shard): the same program. A query carries the same answer as a
+  /// message.
+  using Query = Message;
+
+  /// Node u's program step at a tick: bumps its real time and runs the
+  /// instruction its working time points at. A commit recolors u
+  /// through `recolor`; a sample step reads peers' colors off `view`
+  /// (their bit tags and real times off their records, live only at one
+  /// shard) and returns the query.
+  template <typename View, typename Recolor>
+  std::optional<Query> step(NodeId u, const View& view, Xoshiro256& rng,
+                            Recolor&& recolor) {
+    AsyncNodeRecord& s = nodes_[u];
+    ++s.real_ticks;
+    const AsyncSchedule::Step at = schedule_.step_at(s.working_time);
+    const std::uint32_t phase = at.phase;
+    const auto tag = static_cast<std::uint16_t>(phase + 1);
+    std::optional<Query> query;
+    switch (at.op) {
+      case AsyncSchedule::Op::kTwoChoicesSample: {
+        const NodeId v = graph_->sample_neighbor(u, rng);
+        const NodeId w = graph_->sample_neighbor(u, rng);
+        query = Query{Kind::kTwoChoices, phase, view.color(v), view.color(w),
+                      0, 0};
+        // Reset; the answer may re-arm it.
+        s.intermediate = AsyncNodeRecord::kNoColor;
+        break;
+      }
+      case AsyncSchedule::Op::kCommit: {
+        if (s.intermediate != AsyncNodeRecord::kNoColor) {
+          recolor(s.intermediate);
+          s.bit_tag = tag;
+          s.intermediate = AsyncNodeRecord::kNoColor;
+        } else {
+          s.bit_tag = 0;
+        }
+        break;
+      }
+      case AsyncSchedule::Op::kBitProp: {
+        if (s.bit_tag != tag) {
+          const NodeId v = graph_->sample_neighbor(u, rng);
+          // Phase-tagged bit (see async_one_extra_bit.hpp): v's bit only
+          // counts if it was set in the querier's current phase.
+          const std::uint8_t fresh = nodes_[v].bit_tag == tag ? 1 : 0;
+          query = Query{Kind::kBitProp, phase, view.color(v), 0, fresh, 0};
+        }
+        break;
+      }
+      case AsyncSchedule::Op::kSyncSample: {
+        const NodeId v = graph_->sample_neighbor(u, rng);
+        query = Query{Kind::kSync, phase, 0, 0, 0,
+                      static_cast<std::int64_t>(nodes_[v].real_ticks)};
+        break;
+      }
+      case AsyncSchedule::Op::kJump:
+        if (jump(u, s, at.phase)) return query;
+        break;
+      case AsyncSchedule::Op::kEndgame: {
+        const NodeId v = graph_->sample_neighbor(u, rng);
+        const NodeId w = graph_->sample_neighbor(u, rng);
+        query = Query{Kind::kEndgame, phase, view.color(v), view.color(w), 0,
+                      0};
+        break;
+      }
+      case AsyncSchedule::Op::kDone:
+        finish(s);
+        break;
+      case AsyncSchedule::Op::kWait:
+        break;
+    }
+    ++s.working_time;
+    return query;
+  }
+
+  /// Resolves an answer against u's state at delivery and returns u's
+  /// color after it. Reads and writes only u's own record, gadget slots
+  /// and color.
+  template <typename View>
+  ColorId apply_query(NodeId u, const Query& q, const View& view) {
+    AsyncNodeRecord& s = nodes_[u];
+    const AsyncSchedule::Step at = schedule_.step_at(s.working_time);
+    const ColorId own = view.color(u);
+    // Answers to an earlier phase's queries are stale: drop them. (The
+    // endgame has no phase structure.)
+    if (q.kind != Kind::kEndgame && q.phase != at.phase) return own;
+    switch (q.kind) {
+      case Kind::kTwoChoices:
+        // Usable only until this phase's commit step.
+        if (at.before_commit && q.color_a == q.color_b) {
+          s.intermediate = q.color_a;
+        }
+        return own;
+      case Kind::kBitProp: {
+        const auto tag = static_cast<std::uint16_t>(at.phase + 1);
+        if (s.bit_tag == tag || !q.peer_bit) return own;
+        s.bit_tag = tag;
+        return q.color_a;
+      }
+      case Kind::kSync:
+        gadget_.record(u, q.peer_ticks -
+                              static_cast<std::int64_t>(s.real_ticks));
+        return own;
+      case Kind::kEndgame:
+        return q.color_a == q.color_b ? q.color_a : own;
+    }
+    return own;
+  }
+
+  OpinionTable& mutable_table() noexcept { return table_; }
 
   using AsyncOebState::done;
   using AsyncOebState::nodes_finished;

@@ -26,13 +26,14 @@
 ///     then decide() them in tick order;
 ///   - queued (run_sharded_queued): the same packed state; a tick
 ///     issues a query whose answer, delayed by any latency model, is
-///     applied once due. Under the blocking discipline each node has at
-///     most one answer in flight, kept in the node's own slot and
+///     applied once due (a program-step protocol's tick also advances
+///     the node's own state). Under the blocking discipline each node
+///     has at most one answer in flight, kept in the node's own slot and
 ///     applied lazily (at the node's next tick, an own-shard read of the
 ///     node, or the end-of-epoch sweep); fire-and-forget answers ride
 ///     a per-shard calendar queue. Lazy application is exact because
-///     apply_query() reads only the querier's own color, which nothing
-///     else writes while its answer is in flight.
+///     apply_query() reads and writes only the querier's own state,
+///     which nothing else writes while its answer is in flight.
 /// At one shard neither body has a foreign read, so the stale body runs
 /// the exact Poisson-clock process, apart from draining perturbations
 /// at epoch boundaries (tests/test_oracle.cpp holds every engine to that
@@ -57,6 +58,7 @@
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <span>
 #include <thread>
 #include <type_traits>
@@ -152,25 +154,53 @@ concept ShardableProtocol =
       { p.mutable_table() } -> std::same_as<OpinionTable&>;
     };
 
-/// A shardable protocol whose tick additionally splits at the
-/// query/response boundary, so the sharded engine can delay the answer
-/// under a latency model (run_sharded_queued): query() reads the
-/// sampled neighbors' colors at query time, through the view only, and
-/// apply_query(u, q, view) resolves the update rule against the node's
-/// current color at delivery time. apply_query() must read no color
-/// but view.color(u): the blocking body applies an answer lazily, after
-/// its due time, and only u's own color is sure not to have moved in
-/// between. A Query is plain data (trivially copyable), which the
-/// blocking body keeps in a per-node slot.
+/// A protocol the queued body can drive (run_sharded_queued): its tick
+/// splits at the query/response boundary, so the answer can be delayed
+/// under a latency model. A tick either calls query(), which reads the
+/// sampled neighbors' colors at query time, through the view only, or,
+/// for a ProgramStepProtocol, runs the node's program step. The answer
+/// resolves through apply_query(u, q, view), which returns u's color
+/// after it and reads and writes only u's own state: its color (through
+/// view.color(u)) and its own protocol record. The blocking body
+/// applies an answer lazily, after its due time, and only u's own state
+/// is sure not to have moved in between. A Query is plain data
+/// (trivially copyable), which the blocking body keeps in a per-node
+/// slot. The engine needs write access to the table for the epoch
+/// merges.
 template <typename P>
 concept DelayedShardableProtocol =
-    ShardableProtocol<P> && std::is_trivially_copyable_v<typename P::Query> &&
-    requires(const P cp, NodeId u, const ShardView& view, Xoshiro256& rng,
-             const typename P::Query& q) {
-      typename P::Query;
+    std::is_trivially_copyable_v<typename P::Query> &&
+    requires(P p, const P cp, NodeId u, const ShardView& view,
+             Xoshiro256& rng, const typename P::Query& q) {
+      { cp.num_nodes() } -> std::convertible_to<std::uint64_t>;
+      { cp.done() } -> std::convertible_to<bool>;
+      { cp.table() } -> std::convertible_to<const OpinionTable&>;
+      { p.mutable_table() } -> std::same_as<OpinionTable&>;
+      { p.apply_query(u, q, view) } -> std::convertible_to<ColorId>;
+    } &&
+    (requires(P p, NodeId u, const ShardView& view, Xoshiro256& rng,
+              void (*recolor)(ColorId)) {
+      {
+        p.step(u, view, rng, recolor)
+      } -> std::same_as<std::optional<typename P::Query>>;
+    } || requires(const P cp, NodeId u, const ShardView& view,
+                  Xoshiro256& rng) {
       { cp.query(u, view, rng) } -> std::same_as<typename P::Query>;
-      { cp.apply_query(u, q, view) } -> std::convertible_to<ColorId>;
-    };
+    });
+
+/// A delayed-shardable protocol whose tick is a program step
+/// (core/delayed.hpp's AsyncOneExtraBitDelayed): step(u, view, rng,
+/// recolor) advances u's own state, may recolor u through `recolor`,
+/// and returns the query it issues, if any. The step may also read
+/// peers' protocol state outside the view, which only one shard keeps
+/// live, so such a protocol runs at one shard; and it runs on every
+/// tick, answers in flight or not, so under the fire-and-forget
+/// discipline only.
+template <typename P>
+concept ProgramStepProtocol =
+    DelayedShardableProtocol<P> &&
+    requires(P p, NodeId u, const ShardView& view, Xoshiro256& rng,
+             void (*recolor)(ColorId)) { p.step(u, view, rng, recolor); };
 
 namespace detail {
 
@@ -490,8 +520,9 @@ class AnswerQueue {
 /// That is exact. Between an answer's due time and its application no
 /// one else writes the node (one answer in flight, perturbations drain
 /// between epochs), the crash bitmap is fixed within the epoch, and
-/// apply_query() reads only the node's own color, so the answer
-/// resolves to what it would have at its due time; no RNG draw moves.
+/// apply_query() reads and writes only the node's own state, so the
+/// answer resolves to what it would have at its due time; no RNG draw
+/// moves.
 ///
 /// A slot is a state byte plus a record of the due time and the query
 /// at the table's width (11 bytes per node for Two-Choices at u8). The
@@ -765,10 +796,20 @@ class QueuedBody : public PackedBody<T, QueuedShard<Answers>> {
       const auto u = static_cast<NodeId>(shard.lo + uniform_below(rng, n_s));
       if ((perturb == nullptr || perturb->allows_tick(u)) &&
           answers.may_query(u, next_tick, deliver)) {
-        auto query =
-            proto_.query(u, answers.view(view, next_tick, deliver), rng);
-        const double delay = latency.sample(rng);
-        answers.issue(u, next_tick, next_tick + delay, std::move(query));
+        if constexpr (ProgramStepProtocol<P>) {
+          const auto recolor = [&](ColorId c) {
+            Base::apply(colors, delta, shard, u, c);
+          };
+          if (auto query = proto_.step(u, view, rng, recolor)) {
+            const double delay = latency.sample(rng);
+            answers.issue(u, next_tick, next_tick + delay, std::move(*query));
+          }
+        } else {
+          auto query =
+              proto_.query(u, answers.view(view, next_tick, deliver), rng);
+          const double delay = latency.sample(rng);
+          answers.issue(u, next_tick, next_tick + delay, std::move(query));
+        }
       }
       ++ticks;
       next_tick += exponential_unit(rng) * inv_rate;
@@ -930,7 +971,8 @@ AsyncRunResult run_sharded(P& proto, std::uint64_t seed, unsigned num_shards,
 ///
 /// Perturbations and `numa` act as in run_sharded; a crashed node stops
 /// querying and its answers are dropped (a blocking node is re-armed
-/// all the same).
+/// all the same). A ProgramStepProtocol runs at one shard under
+/// fire-and-forget only (PC_EXPECTS).
 template <DelayedShardableProtocol P, typename Obs = NullObserver>
 AsyncRunResult run_sharded_queued(P& proto, const LatencyModel& latency,
                                   QueryDiscipline discipline,
@@ -951,8 +993,13 @@ AsyncRunResult run_sharded_queued(P& proto, const LatencyModel& latency,
                                     epoch_length, perturb, numa);
         };
         using Query = typename P::Query;
-        if (discipline == QueryDiscipline::kBlocking) {
-          return run(std::type_identity<detail::AnswerSlots<T, Query>>{});
+        if constexpr (ProgramStepProtocol<P>) {
+          PC_EXPECTS(shards == 1);
+          PC_EXPECTS(discipline == QueryDiscipline::kFireAndForget);
+        } else {
+          if (discipline == QueryDiscipline::kBlocking) {
+            return run(std::type_identity<detail::AnswerSlots<T, Query>>{});
+          }
         }
         return run(std::type_identity<detail::AnswerQueue<Query>>{});
       });

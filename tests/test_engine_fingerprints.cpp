@@ -51,6 +51,7 @@
 #include "sim/latency.hpp"
 #include "sim/perturb.hpp"
 #include "sim/sequential_engine.hpp"
+#include "sim/sharded_engine.hpp"
 #include "sim/sync_driver.hpp"
 
 namespace plurality {
@@ -160,6 +161,28 @@ std::uint64_t messaging_case(const LatencyModel& latency,
   Fingerprint fp;
   const auto result = run_continuous_messaging(
       delayed, latency, rng, kHorizon, HashingObserver{&fp}, kSampleEvery);
+  constexpr bool kVoter =
+      std::is_same_v<Proto<CompleteGraph>, VoterAsync<CompleteGraph>>;
+  return finish(fp, result, proto, /*require_consensus=*/!kVoter);
+}
+
+/// A query/apply protocol on the sharded engine's queued body at one
+/// shard: each tick issues one query (a blocked node's ticks none),
+/// answered after a latency drawn from `latency`. Voter does not reach
+/// consensus within the horizon.
+template <template <GraphTopology> class Proto>
+std::uint64_t queued_case(const LatencyModel& latency,
+                          QueryDiscipline discipline =
+                              QueryDiscipline::kBlocking) {
+  const CompleteGraph g(kNodes);
+  Xoshiro256 rng(2025);
+  Proto<CompleteGraph> proto(
+      g, assign_two_colors(kNodes, (kNodes * 3) / 4, rng));
+  Fingerprint fp;
+  const auto result =
+      run_sharded_queued(proto, latency, discipline, rng(), /*num_shards=*/1,
+                         kHorizon, HashingObserver{&fp}, kSampleEvery);
+  fp.add(rng());
   constexpr bool kVoter =
       std::is_same_v<Proto<CompleteGraph>, VoterAsync<CompleteGraph>>;
   return finish(fp, result, proto, /*require_consensus=*/!kVoter);
@@ -280,6 +303,21 @@ std::uint64_t async_oeb_delayed_case() {
   return finish_oeb(fp, result, proto);
 }
 
+/// AsyncOneExtraBitDelayed on K_2048 on the queued body at one shard,
+/// fire-and-forget, under Exp(0.5) latency.
+std::uint64_t async_oeb_delayed_queued_case() {
+  const CompleteGraph g(kOebNodes);
+  Xoshiro256 rng(2028);
+  auto proto = AsyncOneExtraBitDelayed<CompleteGraph>::make(
+      g, assign_plurality_bias(kOebNodes, 4, kOebNodes / 8, rng));
+  Fingerprint fp;
+  const auto result = run_sharded_queued(
+      proto, ExponentialLatency(0.5), QueryDiscipline::kFireAndForget, rng(),
+      /*num_shards=*/1, 1e5, HashingObserver{&fp}, kSampleEvery);
+  fp.add(rng());
+  return finish_oeb(fp, result, proto);
+}
+
 // Recorded with GCC 12 on x86-64 Linux (glibc libm); see the file header.
 // The rows from continuous_voter/none on were recorded before voter,
 // Two-Choices and 3-Majority were folded into one sampling template
@@ -312,6 +350,12 @@ constexpr Golden kGolden[] = {
     {"continuous_three_majority/none", 0xd03d3677f767c080ULL},
     {"sequential_three_majority/none", 0xac08d74b96e1eb22ULL},
     {"messaging/voter_exp", 0x0dc323740fe6a70bULL},
+    {"queued_one_shard/exp", 0x0438a33b80309c03ULL},
+    {"queued_one_shard/const", 0x638485fb03eda9a6ULL},
+    {"queued_one_shard/three_majority_exp", 0x0e6806bc4daee232ULL},
+    {"queued_one_shard/const_ff", 0x4896bae19d110482ULL},
+    {"queued_one_shard/voter_exp", 0xa0243ac804f701e5ULL},
+    {"async_oeb_delayed/queued_one_shard_exp", 0x4544f4d95023026aULL},
     {"sync/two_choices", 0xf9a355362f980cadULL},
     {"sync/voter", 0x9e6c267bcd458bc6ULL},
     {"sync/three_majority", 0x725e2268e5330443ULL},
@@ -371,6 +415,19 @@ TEST(EngineFingerprints, EverySingleStreamQueueUserMatches) {
                                         PerturbKind::kNone));
   check("messaging/voter_exp",
         messaging_case<VoterAsync>(ExponentialLatency(0.5)));
+  check("queued_one_shard/exp",
+        queued_case<TwoChoicesAsync>(ExponentialLatency(0.5)));
+  check("queued_one_shard/const",
+        queued_case<TwoChoicesAsync>(ConstantLatency(0.5)));
+  check("queued_one_shard/three_majority_exp",
+        queued_case<ThreeMajorityAsync>(ExponentialLatency(0.5)));
+  check("queued_one_shard/const_ff",
+        queued_case<TwoChoicesAsync>(ConstantLatency(0.5),
+                                     QueryDiscipline::kFireAndForget));
+  check("queued_one_shard/voter_exp",
+        queued_case<VoterAsync>(ExponentialLatency(0.5)));
+  check("async_oeb_delayed/queued_one_shard_exp",
+        async_oeb_delayed_queued_case());
   check("sync/two_choices", sync_case<TwoChoicesSync>());
   check("sync/voter", sync_case<VoterSync>());
   check("sync/three_majority", sync_case<ThreeMajoritySync>());

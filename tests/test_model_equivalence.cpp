@@ -7,8 +7,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <functional>
+#include <memory>
 #include <vector>
 
+#include "core/async_one_extra_bit.hpp"
 #include "core/delayed.hpp"
 #include "core/two_choices.hpp"
 #include "graph/complete.hpp"
@@ -24,8 +28,10 @@ namespace plurality {
 namespace {
 
 using stat_gates::kKsGate;
+using stat_gates::kMeanZGate;
 using stat_gates::ks_statistic;
 using stat_gates::mean_tolerance;
+using stat_gates::mean_z;
 
 TEST(EngineEquivalence, ShardedQueuedMatchesMessagingDriver) {
   // The PR 5 acceptance gate for the latency axis: the sharded
@@ -78,6 +84,104 @@ TEST(EngineEquivalence, ShardedQueuedMatchesMessagingDriver) {
     const Summary sq = summarize(queued_times);
     EXPECT_NEAR(sm.mean, sq.mean, mean_tolerance(sm, sq));
     EXPECT_LT(ks_statistic(messaging_times, queued_times), kKsGate);
+  }
+}
+
+// The messaging driver's deletion gate: the one-shard queued body
+// against the driver, 40 runs per side, on the compositions E10 and L1
+// run. Each line prints the two means, the KS distance and the z-score.
+constexpr std::uint64_t kGateReps = 40;
+
+void gate(const char* name,
+          const std::function<double(Xoshiro256&)>& messaging,
+          const std::function<double(Xoshiro256&)>& queued) {
+  const auto draw = [](std::uint64_t seed, const auto& run) {
+    const SeedSequence seeds(seed);
+    std::vector<double> times;
+    for (std::uint64_t rep = 0; rep < kGateReps; ++rep) {
+      Xoshiro256 rng = seeds.make_rng(rep);
+      times.push_back(run(rng));
+    }
+    return times;
+  };
+  const std::vector<double> m = draw(150, messaging);
+  const std::vector<double> q = draw(160, queued);
+  const Summary sm = summarize(m);
+  const Summary sq = summarize(q);
+  const double ks = ks_statistic(m, q);
+  const double z = mean_z(sm, sq);
+  std::printf("| %s | %.2f | %.2f | %.3f | %.2f |\n", name, sm.mean, sq.mean,
+              ks, z);
+  EXPECT_LT(ks, kKsGate) << name;
+  EXPECT_LT(z, kMeanZGate) << name;
+}
+
+TEST(DeletionGate, AsyncOneExtraBitDelayedAtE10Delays) {
+  const std::uint64_t n = 1024;
+  const CompleteGraph g(n);
+  const auto make = [&](Xoshiro256& rng) {
+    return AsyncOneExtraBitDelayed<CompleteGraph>::make(
+        g, assign_plurality_bias(n, 4, n / 4, rng));
+  };
+  for (const double mean : {0.05, 0.25, 1.0, 4.0}) {
+    const ExponentialLatency latency(mean);
+    char name[64];
+    std::snprintf(name, sizeof name, "async_oeb_delayed exp %.2f", mean);
+    gate(
+        name,
+        [&](Xoshiro256& rng) {
+          auto proto = make(rng);
+          return run_continuous_messaging(proto, latency, rng, 1e5).time;
+        },
+        [&](Xoshiro256& rng) {
+          auto proto = make(rng);
+          return run_sharded_queued(proto, latency,
+                                    QueryDiscipline::kFireAndForget, rng(), 1,
+                                    1e5)
+              .time;
+        });
+  }
+  // E10's instant baseline: the instant protocol on superposition
+  // against the delayed one at zero latency on the queued body.
+  gate(
+      "async_oeb instant vs delayed zero",
+      [&](Xoshiro256& rng) {
+        auto proto = AsyncOneExtraBit<CompleteGraph>::make(
+            g, assign_plurality_bias(n, 4, n / 4, rng));
+        return run_continuous(proto, rng, 1e5).time;
+      },
+      [&](Xoshiro256& rng) {
+        auto proto = make(rng);
+        return run_sharded_queued(proto, ZeroLatency{},
+                                  QueryDiscipline::kFireAndForget, rng(), 1,
+                                  1e5)
+            .time;
+      });
+}
+
+TEST(DeletionGate, TwoChoicesBlockingUnderL1Models) {
+  const std::uint64_t n = 1024;
+  const CompleteGraph g(n);
+  for (const LatencyKind kind :
+       {LatencyKind::kZero, LatencyKind::kConstant, LatencyKind::kExponential,
+        LatencyKind::kPareto, LatencyKind::kAging}) {
+    const auto model =
+        make_latency_model(kind, 1.0, default_latency_shape(kind));
+    std::string name = "two_choices blocking ";
+    name += latency_kind_name(kind);
+    gate(
+        name.c_str(),
+        [&](Xoshiro256& rng) {
+          TwoChoicesAsync proto(g, assign_two_colors(n, (n * 3) / 4, rng));
+          DelayedResponses delayed(proto);
+          return run_continuous_messaging(delayed, *model, rng, 1e5).time;
+        },
+        [&](Xoshiro256& rng) {
+          TwoChoicesAsync proto(g, assign_two_colors(n, (n * 3) / 4, rng));
+          return run_sharded_queued(proto, *model, QueryDiscipline::kBlocking,
+                                    rng(), 1, 1e5)
+              .time;
+        });
   }
 }
 
