@@ -13,29 +13,25 @@
 // latency shape matters) under zero|const|exp|pareto|aging at the same
 // mean delay. The topology comes from the graph factory (default:
 // complete graph, the historical workload; pass --graph= to compose
-// latency with any family and --placement= with any start). Two
-// engines can drive the cells' one protocol object: the default is the
-// single-stream superposition messaging driver (through
-// DelayedResponses, core/delayed.hpp); --engine=sharded runs the same
-// blocking discipline on the sharded engine's queued body
-// (run_sharded_queued), which is the parallel path. Passing
-// --latency=<model> restricts the sweep to that model; --latency-mean=
-// sets the matched mean (default 1.0) and --latency-shape= overrides
-// the per-family default shape. A final section cross-validates the
-// sharded engine's fire-and-forget delivery queues against the
-// messaging driver under constant latency.
+// latency with any family and --placement= with any start). Every cell
+// runs on the sharded engine's queued body (run_sharded_queued) over
+// --shards=T shards, under bench::run's latency rule: an explicit
+// --engine= other than sharded is rejected. Passing --latency=<model>
+// restricts the sweep to that model; --latency-mean= sets the matched
+// mean (default 1.0) and --latency-shape= overrides the per-family
+// default shape. A final row runs Two-Choices under the
+// fire-and-forget discipline (every tick queries) and constant
+// latency at the matched mean.
 
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "core/delayed.hpp"
 #include "core/three_majority.hpp"
 #include "core/two_choices.hpp"
 #include "graph/csr.hpp"
 #include "opinion/assignment.hpp"
-#include "sim/continuous_engine.hpp"
 #include "sim/latency.hpp"
 
 using namespace plurality;
@@ -43,9 +39,7 @@ using namespace plurality;
 namespace {
 
 /// One (protocol, model) cell: consensus times of the blocking
-/// discipline, on the engine the plan selects — the messaging driver
-/// by default, the sharded engine's queued body under
-/// --engine=sharded. Both drive the protocol's query/apply split.
+/// discipline on the queued body.
 template <template <GraphTopology> class Proto>
 std::vector<std::vector<double>> run_cell(ExperimentContext& ctx,
                                           const bench::RunPlan& plan,
@@ -55,21 +49,14 @@ std::vector<std::vector<double>> run_cell(ExperimentContext& ctx,
                                           std::uint64_t sweep_point) {
   const std::uint64_t n = csr.num_nodes();
   const auto seeds = ctx.seeds_for(sweep_point);
-  const bool sharded = plan.engine == EngineKind::kSharded;
   return run_repetitions_multi(
       ctx.reps, 2, seeds,
       [&](std::uint64_t, Xoshiro256& rng) {
         Proto<CsrTopology> proto(
             csr, bench::place_on(ctx, any,
                                  counts_two_colors(n, (n * 3) / 4), rng));
-        AsyncRunResult result;
-        if (sharded) {
-          result = bench::run_queued(plan, proto, model,
-                                     QueryDiscipline::kBlocking, rng, 1e5);
-        } else {
-          DelayedResponses delayed(proto);
-          result = bench::run(plan, delayed, model, rng, 1e5);
-        }
+        const AsyncRunResult result = bench::run_queued(
+            plan, proto, model, QueryDiscipline::kBlocking, rng, 1e5);
         return std::vector<double>{result.time,
                                    result.consensus ? 1.0 : 0.0};
       });
@@ -81,8 +68,7 @@ int run_exp(ExperimentContext& ctx) {
                 "(non-decreasing hazard) keep plurality consensus fast "
                 "while heavy tails slow the endgame: "
                 "aging <~ exp < pareto");
-  const bench::RunPlan plan =
-      bench::make_plan(ctx, EngineKind::kSuperposition);
+  const bench::RunPlan plan = bench::make_plan(ctx, EngineKind::kSharded);
 
   const std::uint64_t n = ctx.args.get_u64("n", 1ull << 12);
   Xoshiro256 build_rng(ctx.master_seed);
@@ -199,13 +185,11 @@ int run_exp(ExperimentContext& ctx) {
                     : "[ordering not met at this scale]");
   }
 
-  // Cross-validation of the two exact latency samplers under the
-  // fire-and-forget discipline (every tick queries): the sharded
-  // engine's delivery queues against the messaging driver, both under
-  // ConstantLatency at the matched mean.
+  // Fire-and-forget (every tick queries) under constant latency at the
+  // matched mean.
   {
     const ConstantLatency latency(mean);
-    const auto queued_times = run_repetitions(
+    const auto times = run_repetitions(
         ctx.reps, ctx.seeds_for(1000),
         [&](std::uint64_t, Xoshiro256& rng) {
           TwoChoicesAsync<CsrTopology> proto(
@@ -216,45 +200,18 @@ int run_exp(ExperimentContext& ctx) {
                                    QueryDiscipline::kFireAndForget, rng, 1e5)
               .time;
         });
-    const auto msg_times = run_repetitions(
-        ctx.reps, ctx.seeds_for(1001),
-        [&](std::uint64_t, Xoshiro256& rng) {
-          TwoChoicesAsync<CsrTopology> proto(
-              csr, bench::place_on(ctx, any,
-                                   counts_two_colors(n_eff, (n_eff * 3) / 4),
-                                   rng));
-          DelayedResponses delayed(proto, QueryDiscipline::kFireAndForget);
-          // Raw messaging driver, attributed by hand: this section
-          // cross-validates the sharded queues *against* the messaging
-          // driver by design, so a --engine=sharded request (which did
-          // drive the main sweep) must not trip the dispatch's
-          // messaging-engine rejection here.
-          ctx.note_effective_engine(
-              engine_kind_name(EngineKind::kSuperposition));
-          ctx.note_effective_latency(latency.name());
-          return run_continuous_messaging(delayed, latency, rng, 1e5).time;
-        });
     ctx.record("const_ff_sharded",
                {{"protocol", "two_choices"},
                 {"latency", "const"},
                 {"n", n_eff},
                 {"mean_delay", mean},
                 {"shards", ctx.shards}},
-               queued_times);
-    ctx.record("const_ff_messaging",
-               {{"protocol", "two_choices"},
-                {"latency", "const"},
-                {"n", n_eff},
-                {"mean_delay", mean}},
-               msg_times);
-    const Summary queued = summarize(queued_times);
-    const Summary msg = summarize(msg_times);
+               times);
     if (!ctx.csv) {
-      std::printf("const-latency fire-and-forget cross-check: sharded "
-                  "delivery queues %.1f +- %.1f (%u shard(s)) vs messaging "
-                  "driver %.1f +- %.1f\n",
-                  queued.mean, queued.ci95_halfwidth, ctx.shards, msg.mean,
-                  msg.ci95_halfwidth);
+      const Summary ff = summarize(times);
+      std::printf("const-latency fire-and-forget two_choices: %.1f +- %.1f "
+                  "(%u shard(s))\n",
+                  ff.mean, ff.ci95_halfwidth, ctx.shards);
     }
   }
   return 0;
@@ -269,20 +226,17 @@ const ExperimentRegistrar kRegistrar{
     "edge-latency models zero|const|exp|pareto|aging at matched mean "
     "delay. The topology comes from the graph factory (default "
     "complete; --graph= composes latency with any family, --placement= "
-    "with any start). The default engine is the single-stream "
-    "superposition messaging driver (the plain protocols' query/apply "
-    "split, answered late); --engine=sharded runs the same "
-    "blocking discipline on the sharded engine's queued body "
-    "(--shards=T workers). Records `time_vs_model` (consensus "
-    "time and success rate per protocol x model) plus "
-    "`const_ff_sharded` / `const_ff_messaging` (the sharded engine's "
-    "delivery queues vs the messaging driver under constant latency and "
-    "the fire-and-forget discipline). Overrides: --n=, --latency= "
-    "(restrict to one model), --latency-mean= (matched mean, default "
-    "1.0), --latency-shape= (per-family default: pareto 2.5, aging "
-    "4.0), --engine=, --shards=, --graph= and the --graph-* knobs, "
-    "--placement=. The headline check is the positive-aging ordering "
-    "aging <= exp <= pareto in the two_choices means.",
+    "with any start). Every cell runs on the sharded engine's queued "
+    "body (--shards=T shards; an explicit --engine= other than sharded "
+    "is rejected). Records `time_vs_model` (consensus time and success "
+    "rate per protocol x model) plus `const_ff_sharded` (Two-Choices "
+    "under constant latency and the fire-and-forget discipline). "
+    "Overrides: --n=, --latency= (restrict to one model), "
+    "--latency-mean= (matched mean, default 1.0), --latency-shape= "
+    "(per-family default: pareto 2.5, aging 4.0), --engine=, --shards=, "
+    "--graph= and the --graph-* knobs, --placement=. The headline check "
+    "is the positive-aging ordering aging <= exp <= pareto in the "
+    "two_choices means.",
     /*default_reps=*/5, run_exp};
 
 }  // namespace

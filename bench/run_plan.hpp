@@ -16,18 +16,18 @@
 ///   - non-zero latency + a delayed-shardable protocol (query/apply
 ///     split): the sharded engine's queued body
 ///     (run_sharded_queued), under the blocking one-query-in-flight
-///     discipline, always with the resolved --shards= worker count.
-///     They are the only driver for this composition, so an explicit
-///     --engine= other than sharded is rejected; under the
-///     experiment's default engine the run is attributed
-///     engine_effective=sharded, and shards_effective names the count
-///     that keyed the trajectories;
+///     discipline, always with the resolved --shards= worker count;
 ///   - non-zero latency + a protocol without the query/apply split:
-///     rejected;
-///   - messaging protocols (core/delayed.hpp) take the explicit-model
-///     overload and ride the superposition messaging driver, the only
-///     single-stream engine with a delivery queue; an explicit
-///     --engine= other than superposition is rejected.
+///     rejected.
+/// run_queued is the one entry to the queued body, for bench::run and
+/// for experiments that pick their own latency models or discipline
+/// (E10, L1). It is the only driver for response latency, so an
+/// explicit --engine= other than sharded is rejected; under the
+/// experiment's default engine the run is attributed
+/// engine_effective=sharded, and shards_effective names the count that
+/// keyed the trajectories. A program-step protocol
+/// (AsyncOneExtraBitDelayed) runs at one shard only, so any other
+/// --shards= is rejected naming --shards=1.
 
 #include <cstdint>
 #include <string>
@@ -103,16 +103,17 @@ inline RunPlan make_plan(const ExperimentContext& ctx,
 /// gadget slots), else its table's packed colors + support counters;
 /// plus the sharded engine's snapshot (one more packed array; its live
 /// buffer is the table's own slab) when that engine will drive the
-/// protocol. Called by every dispatch below so every engine-driven
-/// record can report bytes_per_node.
+/// protocol, and `engine_bytes` more per node the engine holds (the
+/// blocking queued body's answer slots). Called by every dispatch below
+/// so every engine-driven record can report bytes_per_node.
 template <typename P>
 void note_state_footprint(const RunPlan& plan, const P& proto,
-                          bool sharded_engine) {
-  double bytes = 0.0;
+                          bool sharded_engine, double engine_bytes = 0.0) {
+  double bytes = engine_bytes;
   if constexpr (requires { proto.state_bytes_per_node(); }) {
-    bytes = proto.state_bytes_per_node();
+    bytes += proto.state_bytes_per_node();
   } else {
-    bytes = proto.table().state_bytes_per_node();
+    bytes += proto.table().state_bytes_per_node();
   }
   if (sharded_engine) {
     bytes += static_cast<double>(color_width_bytes(proto.table().width()));
@@ -164,30 +165,6 @@ inline AnyGraph topology(const RunPlan& plan, std::uint64_t n,
   return build_topology(*plan.ctx, plan.graph, n, build_rng);
 }
 
-/// Runs a delayed-shardable protocol under an explicit latency model on
-/// the sharded engine's queued body — the only driver for
-/// this composition (bench::run routes here; latency_models also calls
-/// it directly), always with the plan's resolved `--shards=` count: the
-/// record says {engine_effective: sharded, shards_effective: plan.shards}, and that
-/// pair must describe the trajectories it holds (replaying a record
-/// with a different shard count gives a different — statistically
-/// equivalent — run). The engine seeds its per-shard streams from a
-/// word of `rng`.
-template <DelayedShardableProtocol P, typename Obs = NullObserver>
-AsyncRunResult run_queued(const RunPlan& plan, P& proto,
-                          const LatencyModel& model,
-                          QueryDiscipline discipline, Xoshiro256& rng,
-                          double max_time, Obs&& obs = Obs{},
-                          double sample_every = 1.0,
-                          Perturber* perturb = nullptr) {
-  plan.ctx->note_effective_engine(engine_kind_name(EngineKind::kSharded));
-  plan.ctx->note_effective_latency(model.name());
-  note_state_footprint(plan, proto, /*sharded_engine=*/true);
-  return run_sharded_queued(proto, model, discipline, rng(), plan.shards,
-                            max_time, std::forward<Obs>(obs), sample_every,
-                            /*epoch_length=*/0.25, perturb, plan.numa);
-}
-
 /// Throws the ContractViolation for a flag combination bench::run
 /// cannot honor: `flags` names the values in conflict, `why` says
 /// which protocol or driver cannot run them.
@@ -206,7 +183,62 @@ inline std::string flag(const char* key, const char* value) {
   return text;
 }
 
-/// THE run dispatch for plain (non-messaging) async protocols: engine ×
+/// Rejects a plan the queued body cannot run P under, with the latency
+/// family named `latency`: an explicit --engine= other than sharded,
+/// or, for a program-step protocol, more than one shard (see the file
+/// header). Cheap, so an experiment may call it up front, before any
+/// cell runs.
+template <DelayedShardableProtocol P>
+void check_queued(const RunPlan& plan, const char* latency) {
+  if (!plan.ctx->engine.empty() && plan.engine != EngineKind::kSharded) {
+    std::string flags = flag("engine", engine_kind_name(plan.engine));
+    flags += " with ";
+    flags += flag("latency", latency);
+    reject(std::move(flags),
+           "response latency runs only on the sharded engine's "
+           "delivery queues (pass --engine=sharded or drop --engine=)");
+  }
+  if constexpr (ProgramStepProtocol<P>) {
+    if (plan.shards != 1) {
+      reject(flag("shards", std::to_string(plan.shards).c_str()),
+             "this protocol's steps read peers' records, which only one "
+             "shard keeps live (pass --shards=1)");
+    }
+  }
+}
+
+/// Runs a delayed-shardable protocol under an explicit latency model on
+/// the sharded engine's queued body, the only driver for this
+/// composition, always with the plan's resolved `--shards=` count: the
+/// record says {engine_effective: sharded, shards_effective:
+/// plan.shards}, and that pair must describe the trajectories it holds
+/// (replaying a record with a different shard count gives a different,
+/// statistically equivalent, run). The engine seeds its per-shard
+/// streams from a word of `rng`.
+template <DelayedShardableProtocol P, typename Obs = NullObserver>
+AsyncRunResult run_queued(const RunPlan& plan, P& proto,
+                          const LatencyModel& model,
+                          QueryDiscipline discipline, Xoshiro256& rng,
+                          double max_time, Obs&& obs = Obs{},
+                          double sample_every = 1.0,
+                          Perturber* perturb = nullptr) {
+  check_queued<P>(plan, model.name());
+  plan.ctx->note_effective_engine(engine_kind_name(EngineKind::kSharded));
+  plan.ctx->note_effective_latency(model.name());
+  double slots = 0.0;
+  if constexpr (!ProgramStepProtocol<P>) {
+    if (discipline == QueryDiscipline::kBlocking) {
+      slots = static_cast<double>(detail::answer_slot_bytes<typename P::Query>(
+          proto.table().width()));
+    }
+  }
+  note_state_footprint(plan, proto, /*sharded_engine=*/true, slots);
+  return run_sharded_queued(proto, model, discipline, rng(), plan.shards,
+                            max_time, std::forward<Obs>(obs), sample_every,
+                            /*epoch_length=*/0.25, perturb, plan.numa);
+}
+
+/// THE run dispatch for async protocols: engine ×
 /// latency routing as described in the file header. The shard seed is
 /// one word of `rng`, drawn only when the sharded engine runs.
 template <typename P, typename Obs = NullObserver>
@@ -215,22 +247,13 @@ AsyncRunResult run(const RunPlan& plan, P& proto, Xoshiro256& rng,
                    double sample_every = 1.0, Perturber* perturb = nullptr) {
   const char* engine = engine_kind_name(plan.engine);
   if (plan.latency.kind != LatencyKind::kZero) {
-    const char* latency = latency_kind_name(plan.latency.kind);
     if constexpr (DelayedShardableProtocol<P>) {
-      if (!plan.ctx->engine.empty() && plan.engine != EngineKind::kSharded) {
-        std::string flags = flag("engine", engine);
-        flags += " with ";
-        flags += flag("latency", latency);
-        reject(std::move(flags),
-               "response latency runs only on the sharded engine's "
-               "delivery queues (pass --engine=sharded or drop --engine=)");
-      }
       const auto model = plan.latency.make();
       return run_queued(plan, proto, *model, QueryDiscipline::kBlocking,
                         rng, max_time, std::forward<Obs>(obs),
                         sample_every, perturb);
     } else {
-      reject(flag("latency", latency),
+      reject(flag("latency", latency_kind_name(plan.latency.kind)),
              "this protocol has no query/apply split, so it cannot wait "
              "for responses (drop --latency=)");
     }
@@ -266,31 +289,6 @@ AsyncRunResult run(const RunPlan& plan, P& proto, Xoshiro256& rng,
       break;
   }
   throw ContractViolation("unreachable engine kind");
-}
-
-/// The run dispatch for *messaging* protocols (core/delayed.hpp) under
-/// an explicit latency model. Messaging protocols ride the
-/// superposition-based delivery driver (the only single-stream engine
-/// with a message queue), so an explicit --engine= naming any other
-/// engine is rejected. The latency draws come from `rng` via the driver
-/// (see continuous_engine.hpp); `model` must outlive the run.
-template <MessagingProtocol P, typename Obs = NullObserver>
-AsyncRunResult run(const RunPlan& plan, P& proto, const LatencyModel& model,
-                   Xoshiro256& rng, double max_time, Obs&& obs = Obs{},
-                   double sample_every = 1.0) {
-  if (!plan.ctx->engine.empty() &&
-      plan.engine != EngineKind::kSuperposition) {
-    reject(flag("engine", engine_kind_name(plan.engine)),
-           "delayed-response protocols run only on the superposition "
-           "messaging driver (pass --engine=superposition or drop "
-           "--engine=)");
-  }
-  plan.ctx->note_effective_engine(
-      engine_kind_name(EngineKind::kSuperposition));
-  plan.ctx->note_effective_latency(model.name());
-  note_state_footprint(plan, proto, /*sharded_engine=*/false);
-  return run_continuous_messaging(proto, model, rng, max_time,
-                                  std::forward<Obs>(obs), sample_every);
 }
 
 }  // namespace plurality::bench

@@ -6,8 +6,9 @@
 //
 // The initial configuration is drawn from a Dirichlet prior (noisy
 // measurements spread mass over neighboring buckets), then the paper's
-// delayed asynchronous OneExtraBit protocol runs under the continuous
-// Poisson-clock engine.
+// delayed asynchronous OneExtraBit protocol runs under Poisson clocks on
+// the sharded engine's queued body, at one shard: its steps read peers'
+// records, which only one shard keeps live.
 //
 //   build/examples/example_sensor_swarm
 
@@ -17,8 +18,8 @@
 #include "graph/complete.hpp"
 #include "opinion/assignment.hpp"
 #include "rng/xoshiro256.hpp"
-#include "sim/continuous_engine.hpp"
 #include "sim/latency.hpp"
+#include "sim/sharded_engine.hpp"
 
 int main() {
   using namespace plurality;
@@ -46,8 +47,9 @@ int main() {
   // Exponential network delays (§4); swap in ParetoLatency or
   // PositiveAgingLatency to explore the edge-latency families.
   const ExponentialLatency network(kMeanDelay);
-  const AsyncRunResult result = run_continuous_messaging(
-      protocol, network, rng, /*max_time=*/20000.0);
+  const AsyncRunResult result = run_sharded_queued(
+      protocol, network, QueryDiscipline::kFireAndForget, /*seed=*/rng(),
+      /*num_shards=*/1, /*max_time=*/20000.0);
 
   if (result.consensus) {
     std::printf(

@@ -62,7 +62,8 @@ static_assert(AsyncSchedule::kMaxPhases <= 0xFFFF,
 namespace detail {
 
 /// The shared state and diagnostics of the async OneExtraBit protocols.
-/// The protocols add the graph and their on_tick / on_message.
+/// The protocols add the graph and their tick (AsyncOneExtraBit's
+/// on_tick, AsyncOneExtraBitDelayed's step and apply_query).
 class AsyncOebState {
  public:
   /// Phase indices must stay below the 15-bit kNoJump sentinel.

@@ -22,10 +22,10 @@
 ///     (ShardableProtocol): sample() draws the K neighbors and
 ///     reads no color, decide() reads them off a view and applies the
 ///     rule;
-///   - SamplingAsync::query()/apply_query(), the sharded delivery
-///     queues and the messaging driver's DelayedResponses
-///     (DelayedShardableProtocol): the K colors are read at query time,
-///     and the rule is applied against the node's color at delivery;
+///   - SamplingAsync::query()/apply_query(), the sharded engine's
+///     queued body (DelayedShardableProtocol): the K colors are read at
+///     query time, and the rule is applied against the node's color at
+///     delivery;
 ///   - SamplingSync::execute_round, synchronous rounds in which every
 ///     node reads the pre-round colors.
 ///

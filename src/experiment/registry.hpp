@@ -258,8 +258,8 @@ class ExperimentContext {
   }
 
   /// Called by the bench harness with the name of a latency model that
-  /// actually drove a run (bench_common::run_messaging and the sharded
-  /// fold call sites); collected into the JSON record as
+  /// actually drove a run (bench::run_queued, behind every latency
+  /// run); collected into the JSON record as
   /// params.latency_effective. Mirrors note_effective_engine: most
   /// experiments never consume `latency`, and stamping a model onto a
   /// record whose samples ignored it would misattribute them.

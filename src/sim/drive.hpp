@@ -40,10 +40,8 @@ AsyncRunResult finish_run(AsyncRunResult result, const P& proto, Obs&& obs,
 ///
 /// A Source has `double next_time(double now)`, which may draw but
 /// returns the same time until the event runs, and `fire(now, tick)`,
-/// which runs that event. A node tick goes through
-/// `tick(u, on_tick_args...)`: crashed nodes' ticks are swallowed, and
-/// every tick is counted. Other events (message deliveries) are not
-/// ticks.
+/// which runs that event, a node tick, through `tick(u, rng)`: crashed
+/// nodes' ticks are swallowed, and every tick is counted.
 template <typename P, typename Source, typename Obs>
 AsyncRunResult drive(P& proto, Source&& source, double max_time, Obs&& obs,
                      double sample_every, Perturber* perturb) {

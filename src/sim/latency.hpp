@@ -28,11 +28,10 @@
 ///                           hazard, the Bankhamer et al. family
 ///
 /// RNG-stream ownership: a model never owns a generator. The component
-/// that schedules deliveries (the messaging driver in
-/// continuous_engine.hpp, or a shard of the queued sharded body) draws
-/// every latency from *its own* stream at the moment the query is
-/// issued, so protocols stay latency-agnostic and a fixed (seed, model)
-/// pair is deterministic.
+/// that schedules deliveries (a shard of the sharded engine's queued
+/// body) draws every latency from *its own* stream at the moment the
+/// query is issued, so protocols stay latency-agnostic and a fixed
+/// (seed, model) pair is deterministic.
 
 #include <cmath>
 #include <cstdint>
@@ -107,8 +106,7 @@ class LatencyModel {
  public:
   virtual ~LatencyModel() = default;
 
-  /// One latency draw. The caller (the messaging driver or a queued
-  /// shard) owns `rng`.
+  /// One latency draw. The caller (a queued shard) owns `rng`.
   virtual double sample(Xoshiro256& rng) const = 0;
 
   /// The analytic mean delay the model was parameterized with.

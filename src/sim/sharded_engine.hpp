@@ -646,6 +646,11 @@ class AnswerSlots {
 
   std::size_t in_flight() const noexcept { return in_flight_; }
 
+  /// Bytes per node the slots hold: the state byte and the record.
+  static constexpr std::size_t bytes_per_node() noexcept {
+    return sizeof(std::uint8_t) + kRecord;
+  }
+
  private:
   // A slot's record: its due time, then its stored query, unpadded, so
   // an issue writes one cache line (two when a record straddles one).
@@ -725,6 +730,21 @@ class AnswerSlots {
   std::unique_ptr<std::uint8_t[]> state_;
   std::unique_ptr<std::byte[]> records_;
 };
+
+/// Bytes per node the blocking discipline's answer slots hold for
+/// `Query` at the table's `width`.
+template <typename Query>
+std::size_t answer_slot_bytes(ColorWidth width) {
+  switch (width) {
+    case ColorWidth::kU8:
+      return AnswerSlots<std::uint8_t, Query>::bytes_per_node();
+    case ColorWidth::kU16:
+      return AnswerSlots<std::uint16_t, Query>::bytes_per_node();
+    case ColorWidth::kU32:
+      return AnswerSlots<std::uint32_t, Query>::bytes_per_node();
+  }
+  throw ContractViolation("unreachable color width");
+}
 
 template <typename Answers>
 struct QueuedShard : ShardCore {

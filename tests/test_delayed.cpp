@@ -1,7 +1,7 @@
 // Tests for delayed responses (§4 generalized to latency models):
-// Two-Choices / 3-Majority through DelayedResponses and the delayed
-// asynchronous OneExtraBit protocol, all driven by the messaging
-// engine's LatencyModel (the protocols never sample delays).
+// Two-Choices / 3-Majority and the delayed asynchronous OneExtraBit
+// protocol on the sharded engine's queued body at one shard, whose
+// LatencyModel draws every delay (the protocols never sample one).
 
 #include <gtest/gtest.h>
 
@@ -14,15 +14,24 @@
 #include "rng/seed.hpp"
 #include "sim/continuous_engine.hpp"
 #include "sim/latency.hpp"
+#include "sim/sharded_engine.hpp"
 
 namespace plurality {
 namespace {
 
-static_assert(MessagingProtocol<AsyncOneExtraBitDelayed<CompleteGraph>>);
-static_assert(
-    MessagingProtocol<DelayedResponses<TwoChoicesAsync<CompleteGraph>>>);
-static_assert(
-    MessagingProtocol<DelayedResponses<ThreeMajorityAsync<CompleteGraph>>>);
+static_assert(ProgramStepProtocol<AsyncOneExtraBitDelayed<CompleteGraph>>);
+static_assert(DelayedShardableProtocol<TwoChoicesAsync<CompleteGraph>>);
+static_assert(!ProgramStepProtocol<TwoChoicesAsync<CompleteGraph>>);
+static_assert(DelayedShardableProtocol<ThreeMajorityAsync<CompleteGraph>>);
+
+/// The delayed OneExtraBit on the queued body: one shard,
+/// fire-and-forget.
+template <typename P>
+AsyncRunResult run_oeb(P& proto, const LatencyModel& latency,
+                       Xoshiro256& rng, double max_time) {
+  return run_sharded_queued(proto, latency, QueryDiscipline::kFireAndForget,
+                            rng(), /*num_shards=*/1, max_time);
+}
 
 TEST(DelayedTwoChoices, ConsensusUnderModerateDelays) {
   const std::uint64_t n = 512;
@@ -32,8 +41,8 @@ TEST(DelayedTwoChoices, ConsensusUnderModerateDelays) {
   for (std::uint64_t rep = 0; rep < 5; ++rep) {
     Xoshiro256 rng = seeds.make_rng(rep);
     TwoChoicesAsync proto(g, assign_two_colors(n, (n * 3) / 4, rng));
-    DelayedResponses delayed(proto);
-    const auto result = run_continuous_messaging(delayed, latency, rng, 1e5);
+    const auto result = run_sharded_queued(
+        proto, latency, QueryDiscipline::kBlocking, rng(), 1, 1e5);
     ASSERT_TRUE(result.consensus);
     EXPECT_EQ(result.winner, 0u);
   }
@@ -47,8 +56,8 @@ TEST(DelayedThreeMajority, ConsensusUnderModerateDelays) {
   for (std::uint64_t rep = 0; rep < 5; ++rep) {
     Xoshiro256 rng = seeds.make_rng(rep);
     ThreeMajorityAsync proto(g, assign_two_colors(n, (n * 3) / 4, rng));
-    DelayedResponses delayed(proto);
-    const auto result = run_continuous_messaging(delayed, latency, rng, 1e5);
+    const auto result = run_sharded_queued(
+        proto, latency, QueryDiscipline::kBlocking, rng(), 1, 1e5);
     ASSERT_TRUE(result.consensus);
     EXPECT_EQ(result.winner, 0u);
   }
@@ -67,7 +76,7 @@ TEST(DelayedOEB, Theorem13RegimeStillConverges) {
     Xoshiro256 rng = seeds.make_rng(rep);
     auto proto = AsyncOneExtraBitDelayed<CompleteGraph>::make(
         g, assign_plurality_bias(n, 4, n / 4, rng));
-    const auto result = run_continuous_messaging(proto, latency, rng, 1e5);
+    const auto result = run_oeb(proto, latency, rng, 1e5);
     ASSERT_TRUE(result.consensus || proto.nodes_finished() == n);
     wins += (result.consensus && result.winner == 0);
   }
@@ -84,9 +93,25 @@ TEST(DelayedOEB, StaleAnswersAreDroppedNotCrashing) {
   const ExponentialLatency latency(50.0);
   auto proto = AsyncOneExtraBitDelayed<CompleteGraph>::make(
       g, assign_plurality_bias(n, 4, n / 4, rng));
-  const auto result = run_continuous_messaging(proto, latency, rng, 2e4);
+  const auto result = run_oeb(proto, latency, rng, 2e4);
   EXPECT_TRUE(result.consensus || proto.nodes_finished() == n ||
               result.time >= 2e4 - 1.0);
+}
+
+TEST(DelayedOEB, RejectsMoreThanOneShardAndBlocking) {
+  // Its steps read peers' records, live only at one shard, and it runs
+  // its program on every tick.
+  const CompleteGraph g(64);
+  Xoshiro256 rng(6);
+  auto proto = AsyncOneExtraBitDelayed<CompleteGraph>::make(
+      g, assign_plurality_bias(64, 2, 16, rng));
+  const ExponentialLatency latency(0.5);
+  EXPECT_THROW(run_sharded_queued(proto, latency,
+                                  QueryDiscipline::kFireAndForget, 1, 2, 10.0),
+               ContractViolation);
+  EXPECT_THROW(run_sharded_queued(proto, latency, QueryDiscipline::kBlocking,
+                                  1, 1, 10.0),
+               ContractViolation);
 }
 
 TEST(DelayedOEB, FastDelaysApproachInstantBehavior) {
@@ -99,8 +124,7 @@ TEST(DelayedOEB, FastDelaysApproachInstantBehavior) {
   const ExponentialLatency latency(0.01);
   auto delayed = AsyncOneExtraBitDelayed<CompleteGraph>::make(
       g, assign_plurality_bias(n, 4, n / 4, rng_d));
-  const auto delayed_result =
-      run_continuous_messaging(delayed, latency, rng_d, 1e5);
+  const auto delayed_result = run_oeb(delayed, latency, rng_d, 1e5);
 
   Xoshiro256 rng_i(5);
   auto instant = AsyncOneExtraBit<CompleteGraph>::make(

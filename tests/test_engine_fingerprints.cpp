@@ -2,13 +2,13 @@
 // (with no perturbation, opinion injection and crashes), the
 // sequential step engine (including a horizon cut between
 // two steps), the n-timer heap engine (with and without opinion
-// injection), the messaging driver under exponential and constant
-// latency (3-Majority and voter under exponential latency, and
-// Two-Choices fire-and-forget under constant latency, too), and the
-// heterogeneous-clock engine at two rate profiles and under opinion
-// injection. Voter and 3-Majority also run on superposition and the
-// sequential engine, and the sync rows run Two-Choices, voter,
-// 3-Majority and OneExtraBit through run_sync.
+// injection), the sharded engine's queued body at one shard under
+// exponential and constant latency (3-Majority and voter under
+// exponential latency, and Two-Choices fire-and-forget under constant
+// latency, too), and the heterogeneous-clock engine at two rate
+// profiles and under opinion injection. Voter and 3-Majority also run
+// on superposition and the sequential engine, and the sync rows run
+// Two-Choices, voter, 3-Majority and OneExtraBit through run_sync.
 // Each case hashes a run's final colors, tick count, end time, winner
 // and observer series, and is checked against a table recorded from a
 // known-good build.
@@ -17,12 +17,13 @@
 // time program on the superposition engine (sync gadget on and off),
 // on the heap engine, cut off by the horizon mid-program, run out
 // to the end of a short program, and under crashes; the delayed
-// variant runs on the messaging driver. They add the protocol's diagnostics (jumps and
-// their mean distance, working-time spread, bits set, nodes finished)
-// to the hash, so a change to the per-node state that keeps the colors
-// but moves a program counter still fails. A change to the order or number of RNG draws, or to
-// the order in which queued events pop (ties included), changes a hash
-// and fails the named case.
+// variant runs on the queued body at one shard. They add the protocol's
+// diagnostics (jumps and their mean distance, working-time spread, bits
+// set, nodes finished) to the hash, so a change to the per-node state
+// that keeps the colors but moves a program counter still fails. A
+// change to the order or number of RNG draws, or to the order in which
+// queued events pop (ties included), changes a hash and fails the named
+// case.
 //
 // The table is pinned to the toolchain like the sharded table: the
 // exponential and log-normal draws go through libm. After a deliberate
@@ -144,26 +145,6 @@ std::uint64_t stream_case(StreamEngine engine, PerturbKind kind,
   }
   fp.add(rng());  // the engine's draws end where the next run's begin
   return finish(fp, result, proto, /*require_consensus=*/false);
-}
-
-/// A query/apply protocol through the messaging driver: each tick
-/// posts one query, answered after a latency drawn from `latency`.
-/// Voter does not reach consensus within the horizon.
-template <template <GraphTopology> class Proto>
-std::uint64_t messaging_case(const LatencyModel& latency,
-                             QueryDiscipline discipline =
-                                 QueryDiscipline::kBlocking) {
-  const CompleteGraph g(kNodes);
-  Xoshiro256 rng(2025);
-  Proto<CompleteGraph> proto(
-      g, assign_two_colors(kNodes, (kNodes * 3) / 4, rng));
-  DelayedResponses delayed(proto, discipline);
-  Fingerprint fp;
-  const auto result = run_continuous_messaging(
-      delayed, latency, rng, kHorizon, HashingObserver{&fp}, kSampleEvery);
-  constexpr bool kVoter =
-      std::is_same_v<Proto<CompleteGraph>, VoterAsync<CompleteGraph>>;
-  return finish(fp, result, proto, /*require_consensus=*/!kVoter);
 }
 
 /// A query/apply protocol on the sharded engine's queued body at one
@@ -289,20 +270,6 @@ std::uint64_t async_oeb_case(OebEngine engine, bool gadget) {
   return finish_oeb(fp, result, proto);
 }
 
-/// AsyncOneExtraBitDelayed on K_2048 through the messaging driver under
-/// Exp(0.5) latency.
-std::uint64_t async_oeb_delayed_case() {
-  const CompleteGraph g(kOebNodes);
-  Xoshiro256 rng(2028);
-  auto proto = AsyncOneExtraBitDelayed<CompleteGraph>::make(
-      g, assign_plurality_bias(kOebNodes, 4, kOebNodes / 8, rng));
-  Fingerprint fp;
-  const auto result = run_continuous_messaging(
-      proto, ExponentialLatency(0.5), rng, 1e5, HashingObserver{&fp},
-      kSampleEvery);
-  return finish_oeb(fp, result, proto);
-}
-
 /// AsyncOneExtraBitDelayed on K_2048 on the queued body at one shard,
 /// fire-and-forget, under Exp(0.5) latency.
 std::uint64_t async_oeb_delayed_queued_case() {
@@ -331,10 +298,6 @@ constexpr Golden kGolden[] = {
     {"sequential/horizon", 0x30d58504e1c784e9ULL},
     {"heap/none", 0x99cb9f4eb7766449ULL},
     {"heap/inject", 0x881fb2aad8641185ULL},
-    {"messaging/exp", 0x1ff9b6ce657a70e4ULL},
-    {"messaging/const", 0x1580a3566a0c9013ULL},
-    {"messaging/three_majority_exp", 0xe31ce1c339973e1eULL},
-    {"messaging/const_ff", 0xf0b25913d9f3739fULL},
     {"heterogeneous/two_speed", 0xa54c8e5fc3a36dbcULL},
     {"heterogeneous/log_normal", 0x6851f20f6f5dfb32ULL},
     {"heterogeneous/inject", 0xdc1a0b6f6a837ae5ULL},
@@ -344,12 +307,10 @@ constexpr Golden kGolden[] = {
     {"async_oeb/horizon", 0x6bd0119ab8883308ULL},
     {"async_oeb/exhausted", 0xb004a28c90c03610ULL},
     {"async_oeb/continuous_crash", 0x5cc57924a2de2599ULL},
-    {"async_oeb_delayed/messaging_exp", 0x94daa32255955987ULL},
     {"continuous_voter/none", 0xbbccf29879aab8e3ULL},
     {"sequential_voter/none", 0x39e638d5847b358dULL},
     {"continuous_three_majority/none", 0xd03d3677f767c080ULL},
     {"sequential_three_majority/none", 0xac08d74b96e1eb22ULL},
-    {"messaging/voter_exp", 0x0dc323740fe6a70bULL},
     {"queued_one_shard/exp", 0x0438a33b80309c03ULL},
     {"queued_one_shard/const", 0x638485fb03eda9a6ULL},
     {"queued_one_shard/three_majority_exp", 0x0e6806bc4daee232ULL},
@@ -382,15 +343,6 @@ TEST(EngineFingerprints, EverySingleStreamQueueUserMatches) {
         stream_case(StreamEngine::kSequential, PerturbKind::kNone, 2.7));
   check("heap/none", heap_case(false));
   check("heap/inject", heap_case(true));
-  check("messaging/exp",
-        messaging_case<TwoChoicesAsync>(ExponentialLatency(0.5)));
-  check("messaging/const",
-        messaging_case<TwoChoicesAsync>(ConstantLatency(0.5)));
-  check("messaging/three_majority_exp",
-        messaging_case<ThreeMajorityAsync>(ExponentialLatency(0.5)));
-  check("messaging/const_ff",
-        messaging_case<TwoChoicesAsync>(
-            ConstantLatency(0.5), QueryDiscipline::kFireAndForget));
   check("heterogeneous/two_speed", heterogeneous_case(false));
   check("heterogeneous/log_normal", heterogeneous_case(true));
   check("heterogeneous/inject", heterogeneous_case(false, true));
@@ -402,7 +354,6 @@ TEST(EngineFingerprints, EverySingleStreamQueueUserMatches) {
   check("async_oeb/exhausted", async_oeb_case(OebEngine::kExhausted, true));
   check("async_oeb/continuous_crash",
         async_oeb_case(OebEngine::kCrash, true));
-  check("async_oeb_delayed/messaging_exp", async_oeb_delayed_case());
   check("continuous_voter/none",
         stream_case<VoterAsync>(StreamEngine::kContinuous, PerturbKind::kNone));
   check("sequential_voter/none",
@@ -413,8 +364,6 @@ TEST(EngineFingerprints, EverySingleStreamQueueUserMatches) {
   check("sequential_three_majority/none",
         stream_case<ThreeMajorityAsync>(StreamEngine::kSequential,
                                         PerturbKind::kNone));
-  check("messaging/voter_exp",
-        messaging_case<VoterAsync>(ExponentialLatency(0.5)));
   check("queued_one_shard/exp",
         queued_case<TwoChoicesAsync>(ExponentialLatency(0.5)));
   check("queued_one_shard/const",

@@ -1,7 +1,7 @@
 // Tests for the engine drivers: synchronous rounds, sequential
 // asynchronous steps, continuous Poisson clocks (both the superposition
-// and the reference heap simulation), and the messaging driver with
-// delayed deliveries.
+// and the reference heap simulation), and delayed responses on the
+// sharded engine's queued body at one shard.
 
 #include <gtest/gtest.h>
 
@@ -9,7 +9,6 @@
 #include <utility>
 #include <vector>
 
-#include "core/delayed.hpp"
 #include "core/two_choices.hpp"
 #include "core/voter.hpp"
 #include "graph/complete.hpp"
@@ -19,6 +18,7 @@
 #include "sim/observers.hpp"
 #include "sim/perturb.hpp"
 #include "sim/sequential_engine.hpp"
+#include "sim/sharded_engine.hpp"
 #include "sim/sync_driver.hpp"
 #include "support/assert.hpp"
 
@@ -57,8 +57,6 @@ class TickCounter {
 static_assert(AsyncProtocol<TickCounter>);
 static_assert(AsyncProtocol<TwoChoicesAsync<CompleteGraph>>);
 static_assert(SyncProtocol<TwoChoicesSync<CompleteGraph>>);
-static_assert(
-    MessagingProtocol<DelayedResponses<TwoChoicesAsync<CompleteGraph>>>);
 
 TEST(SequentialEngine, ExecutesExactlyMaxTimeTimesN) {
   TickCounter proto(64);
@@ -317,121 +315,28 @@ TEST(SequentialEngine, DrainsEveryDueEventBeforeTheStep) {
   }
 }
 
-/// Latency model that replays a fixed script of delays, one per draw.
-class ScriptedLatency final : public LatencyModel {
- public:
-  explicit ScriptedLatency(std::vector<double> delays)
-      : delays_(std::move(delays)) {}
-  double sample(Xoshiro256&) const override { return delays_.at(next_++); }
-  double mean() const noexcept override { return 0.0; }
-  LatencyKind kind() const noexcept override {
-    return LatencyKind::kConstant;
-  }
-
- private:
-  std::vector<double> delays_;
-  mutable std::size_t next_ = 0;
-};
-
-/// The delays 5, 1, 1, 3, for the four messages of MessageOrderRecorder.
-ScriptedLatency fan_delays() { return ScriptedLatency({5.0, 1.0, 1.0, 3.0}); }
-
-/// Messaging protocol that posts a fan of four messages on the very
-/// first tick and records the order deliveries come back in; under
-/// fan_delays() it pins down the engine's (delivery time, post order)
-/// sequencing exactly.
-class MessageOrderRecorder {
- public:
-  using Message = int;
-
-  explicit MessageOrderRecorder(std::uint64_t n)
-      : table_(make_colors(n), 2) {}
-
-  void on_tick(NodeId, Xoshiro256&, double now, Outbox<int>& out) {
-    if (posted_) return;
-    posted_ = true;
-    post_time_ = now;
-    for (int m = 0; m < 4; ++m) out.post(1, m);
-  }
-
-  void on_message(NodeId, const int& m, Xoshiro256&, double now,
-                  Outbox<int>&) {
-    received_.push_back(m);
-    delivery_times_.push_back(now);
-  }
-
-  std::uint64_t num_nodes() const noexcept { return table_.num_nodes(); }
-  bool done() const noexcept { return received_.size() == 4; }
-  const OpinionTable& table() const noexcept { return table_; }
-
-  double post_time() const noexcept { return post_time_; }
-  const std::vector<int>& received() const noexcept { return received_; }
-  const std::vector<double>& delivery_times() const noexcept {
-    return delivery_times_;
-  }
-
- private:
-  static std::vector<ColorId> make_colors(std::uint64_t n) {
-    std::vector<ColorId> c(n, 0);
-    c[0] = 1;
-    return c;
-  }
-  OpinionTable table_;
-  std::vector<int> received_;
-  std::vector<double> delivery_times_;
-  double post_time_ = 0.0;
-  bool posted_ = false;
-};
-
-static_assert(MessagingProtocol<MessageOrderRecorder>);
-
-TEST(MessagingEngine, DeliveriesArriveInTimeThenPostOrder) {
-  MessageOrderRecorder proto(8);
-  Xoshiro256 rng(21);
-  const auto result = run_continuous_messaging(proto, fan_delays(), rng, 1e4);
-  ASSERT_EQ(proto.received().size(), 4u);
-  // Delays 5, 1, 1, 3 drawn for ids 0..3: arrival must be 1, 2 (an exact
-  // tie, in post order), 3, 0.
-  EXPECT_EQ(proto.received(), (std::vector<int>{1, 2, 3, 0}));
-  const double t0 = proto.post_time();
-  EXPECT_DOUBLE_EQ(proto.delivery_times()[0], t0 + 1.0);
-  EXPECT_DOUBLE_EQ(proto.delivery_times()[1], t0 + 1.0);
-  EXPECT_DOUBLE_EQ(proto.delivery_times()[2], t0 + 3.0);
-  EXPECT_DOUBLE_EQ(proto.delivery_times()[3], t0 + 5.0);
-  // done() fired on the last delivery, so its time is the reported one.
-  EXPECT_DOUBLE_EQ(result.time, t0 + 5.0);
-}
-
-TEST(MessagingEngine, HorizonCutoffReportsMaxTime) {
-  MessageOrderRecorder proto(8);
-  Xoshiro256 rng(22);
-  // Horizon shorter than the longest delay: the run is cut off.
-  const auto result = run_continuous_messaging(proto, fan_delays(), rng, 2.0);
-  EXPECT_DOUBLE_EQ(result.time, 2.0);
-  EXPECT_LT(proto.received().size(), 4u);
-}
-
-TEST(MessagingEngine, DelayedTwoChoicesReachesConsensus) {
+TEST(QueuedEngine, DelayedTwoChoicesReachesConsensus) {
   const CompleteGraph g(128);
   Xoshiro256 rng(10);
   const ExponentialLatency latency(0.25);
   TwoChoicesAsync proto(g, assign_two_colors(128, 112, rng));
-  DelayedResponses delayed(proto);
-  const auto result = run_continuous_messaging(delayed, latency, rng, 1e5);
+  const auto result = run_sharded_queued(
+      proto, latency, QueryDiscipline::kBlocking, rng(), 1, 1e5);
   EXPECT_TRUE(result.consensus);
   EXPECT_EQ(result.winner, 0u);
 }
 
-TEST(MessagingEngine, HugeDelaysStallProgress) {
+TEST(QueuedEngine, HugeDelaysStallProgress) {
   const CompleteGraph g(64);
   Xoshiro256 rng(11);
   // Mean delay 1000 time units >> horizon: almost no answer arrives, so
-  // almost no node ever flips.
+  // almost no node ever flips, and the cut run reports the horizon.
   const ExponentialLatency latency(1000.0);
   TwoChoicesAsync proto(g, assign_two_colors(64, 40, rng));
-  DelayedResponses delayed(proto);
-  const auto result = run_continuous_messaging(delayed, latency, rng, 5.0);
+  const auto result = run_sharded_queued(
+      proto, latency, QueryDiscipline::kBlocking, rng(), 1, 5.0);
   EXPECT_FALSE(result.consensus);
+  EXPECT_DOUBLE_EQ(result.time, 5.0);
   EXPECT_GE(proto.table().support(1), 15u);  // minority barely dented
 }
 

@@ -1,7 +1,8 @@
 // Tests for the edge-latency model subsystem (sim/latency.hpp): sampler
 // moments against the analytic values, hazard-rate monotonicity for the
 // positive-aging family, parse/factory contracts, and fixed-seed
-// determinism and blocking semantics through the messaging driver.
+// determinism and blocking semantics on the sharded engine's queued
+// body at one shard.
 
 #include <gtest/gtest.h>
 
@@ -10,12 +11,11 @@
 #include <limits>
 #include <vector>
 
-#include "core/delayed.hpp"
 #include "core/two_choices.hpp"
 #include "graph/complete.hpp"
 #include "opinion/assignment.hpp"
-#include "sim/continuous_engine.hpp"
 #include "sim/latency.hpp"
+#include "sim/sharded_engine.hpp"
 #include "stat_gates.hpp"
 #include "support/assert.hpp"
 
@@ -168,8 +168,8 @@ TEST(LatencyDriver, FixedSeedIsDeterministicPerModel) {
   const auto run_once = [&](const LatencyModel& model, std::uint64_t seed) {
     Xoshiro256 rng(seed);
     TwoChoicesAsync proto(g, assign_two_colors(n, (n * 3) / 4, rng));
-    DelayedResponses delayed(proto);
-    return run_continuous_messaging(delayed, model, rng, 1e5);
+    return run_sharded_queued(proto, model, QueryDiscipline::kBlocking, rng(),
+                              /*num_shards=*/1, 1e5);
   };
 
   const ExponentialLatency expo(0.5);
@@ -180,24 +180,25 @@ TEST(LatencyDriver, FixedSeedIsDeterministicPerModel) {
   EXPECT_EQ(a.consensus, b.consensus);
 
   // A different model consumes the stream differently: same seed, a
-  // different realized trajectory (statistically certain at n=256).
+  // different realized trajectory (statistically certain at n=256; the
+  // end time lies on the epoch grid, so compare the tick count too).
   const PositiveAgingLatency aging(0.5, 4.0);
   const auto c = run_once(aging, 9);
-  EXPECT_NE(a.time, c.time);
+  EXPECT_TRUE(a.time != c.time || a.ticks != c.ticks);
 }
 
 TEST(LatencyDriver, ZeroLatencyDrawsNoRngAndDeliversInstantly) {
   // With ZeroLatency every answer lands before the next tick, so the
   // delayed protocol finishes in essentially the instant-protocol time
-  // horizon (the distributional KS check lives in
-  // test_model_equivalence.cpp).
+  // horizon (the distributional check is the oracle's
+  // TwoChoices*_ShardedQueued* cells, test_oracle.cpp).
   const std::uint64_t n = 256;
   const CompleteGraph g(n);
   const ZeroLatency zero;
   Xoshiro256 rng(11);
   TwoChoicesAsync proto(g, assign_two_colors(n, (n * 3) / 4, rng));
-  DelayedResponses delayed(proto);
-  const auto result = run_continuous_messaging(delayed, zero, rng, 1e5);
+  const auto result = run_sharded_queued(proto, zero, QueryDiscipline::kBlocking,
+                                         rng(), /*num_shards=*/1, 1e5);
   EXPECT_TRUE(result.consensus);
   EXPECT_EQ(result.winner, 0u);
 }
@@ -212,8 +213,9 @@ TEST(LatencyDriver, BlockingSuppressesTicksWhileQueryInFlight) {
   const ConstantLatency latency(1e6);
   Xoshiro256 rng(33);
   TwoChoicesAsync proto(g, assign_two_colors(n, 40, rng));
-  DelayedResponses delayed(proto, QueryDiscipline::kBlocking);
-  const auto result = run_continuous_messaging(delayed, latency, rng, 50.0);
+  const auto result =
+      run_sharded_queued(proto, latency, QueryDiscipline::kBlocking, rng(),
+                         /*num_shards=*/1, 50.0);
   EXPECT_FALSE(result.consensus);
   EXPECT_EQ(proto.table().support(0), 40u);
   EXPECT_EQ(proto.table().support(1), 24u);

@@ -12,13 +12,23 @@
 // average, with Var(ticks - n T) = n E[T].
 //
 // The engines: superposition, the n-timer heap, heterogeneous clocks at
-// unit rates, the messaging driver at zero latency (no perturber, so
-// not under injection), the sharded stale body at 1 and 4 shards, and
-// the sharded queued body (blocking, zero latency, 4 shards). At one
-// shard the stale body has no foreign reads, so it runs the exact
-// process apart from draining perturbations at epoch boundaries; the
-// injection workload measures that difference. At 4 shards the stale
-// and queued bodies read foreign nodes up to one epoch (0.25) stale.
+// unit rates, the sharded stale body at 1 and 4 shards, and the sharded
+// queued body at 4 shards under both disciplines (blocking and
+// fire-and-forget, zero latency: every answer lands before the node's
+// next tick, so that is the instant process). At one shard the stale
+// body has no foreign reads, so it runs the exact process apart from
+// draining perturbations at epoch boundaries; the injection workload
+// measures that difference. At 4 shards the stale and queued bodies
+// read foreign nodes up to one epoch (0.25) stale.
+//
+// Two latency workloads hold the queued body under non-zero latency.
+// Blocking under Exp(1) latency has its own exact reference: by
+// memorylessness a waiting node's answer arrives at rate 1/mean, so the
+// process is a plain async protocol on the sequential engine
+// (MemorylessBlocking below, which shares no code with the queued
+// body); the queued body runs it at 1 and 4 shards. Fire-and-forget
+// under constant latency has no such reference, so its 4-shard runs are
+// held to its 1-shard runs, which have no foreign reads.
 //
 // Each (workload, engine) pair is a named case, e.g.
 // Oracle/EngineOracle.MatchesExactProcess/VoterClique_ShardedStale4.
@@ -29,17 +39,18 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
-#include "core/delayed.hpp"
 #include "core/two_choices.hpp"
 #include "core/voter.hpp"
 #include "graph/complete.hpp"
 #include "graph/csr.hpp"
 #include "graph/factory.hpp"
 #include "opinion/assignment.hpp"
+#include "rng/distributions.hpp"
 #include "rng/seed.hpp"
 #include "sim/continuous_engine.hpp"
 #include "sim/heterogeneous.hpp"
@@ -53,21 +64,25 @@
 namespace plurality {
 namespace {
 
-// Each engine draws kReps runs; the shared reference draws three times
-// as many, so its own noise barely moves the gates.
+// Each engine draws kReps runs (a workload may ask for more); the shared
+// reference draws three times as many, so its own noise barely moves
+// the gates.
 constexpr std::uint64_t kReps = 40;
-constexpr std::uint64_t kReferenceReps = 3 * kReps;
 constexpr double kMaxTime = 1e6;
 
+// An engine's value keys its seed stream: new engines go at the end.
 enum class Engine {
   kSequential,  // the reference
   kSuperposition,
   kHeap,
   kHeterogeneous,
-  kMessaging,
+  kShardedQueuedFireAndForget4,
   kShardedStale1,
   kShardedStale4,
-  kShardedQueued,
+  kShardedQueued4,
+  kMemorylessBlocking,  // the reference under exponential latency
+  kShardedQueued1,
+  kShardedQueuedFireAndForget1,
 };
 
 const char* engine_name(Engine engine) {
@@ -76,13 +91,58 @@ const char* engine_name(Engine engine) {
     case Engine::kSuperposition: return "Superposition";
     case Engine::kHeap: return "Heap";
     case Engine::kHeterogeneous: return "Heterogeneous";
-    case Engine::kMessaging: return "Messaging";
+    case Engine::kShardedQueuedFireAndForget4:
+      return "ShardedQueuedFireAndForget4";
     case Engine::kShardedStale1: return "ShardedStale1";
     case Engine::kShardedStale4: return "ShardedStale4";
-    case Engine::kShardedQueued: return "ShardedQueued";
+    case Engine::kShardedQueued4: return "ShardedQueued4";
+    case Engine::kMemorylessBlocking: return "MemorylessBlocking";
+    case Engine::kShardedQueued1: return "ShardedQueued1";
+    case Engine::kShardedQueuedFireAndForget1:
+      return "ShardedQueuedFireAndForget1";
   }
   return "Unknown";
 }
+
+/// The blocking delayed-response process under Exp(mean) latency as a
+/// plain async protocol for the sequential engine. A waiting node's
+/// answer arrives at rate 1/mean, so every node fires at rate
+/// r = 1 + 1/mean: an event is a clock tick with probability 1/r, which
+/// queries unless the node waits, and otherwise delivers the node's
+/// waiting answer, if any. Engine times divide by r.
+template <typename P>
+class MemorylessBlocking {
+ public:
+  MemorylessBlocking(P& proto, double mean)
+      : proto_(proto),
+        tick_share_(mean / (mean + 1.0)),
+        waiting_(proto.num_nodes()) {}
+
+  static double rate(double mean) { return 1.0 + 1.0 / mean; }
+
+  void on_tick(NodeId u, Xoshiro256& rng) {
+    std::optional<typename P::Query>& waiting = waiting_[u];
+    if (uniform_unit(rng) < tick_share_) {
+      ++ticks_;
+      if (!waiting) waiting = proto_.query(u, proto_.table(), rng);
+    } else if (waiting) {
+      proto_.mutable_table().set_color(
+          u, proto_.apply_query(u, *waiting, proto_.table()));
+      waiting.reset();
+    }
+  }
+
+  std::uint64_t num_nodes() const noexcept { return proto_.num_nodes(); }
+  bool done() const noexcept { return proto_.done(); }
+  const OpinionTable& table() const noexcept { return proto_.table(); }
+  std::uint64_t ticks() const noexcept { return ticks_; }
+
+ private:
+  P& proto_;
+  double tick_share_;
+  std::vector<std::optional<typename P::Query>> waiting_;
+  std::uint64_t ticks_ = 0;
+};
 
 /// The runs one engine drew on one workload.
 struct Sample {
@@ -91,10 +151,11 @@ struct Sample {
   double node_time = 0.0;     // summed n * time
 };
 
-/// One run of `make(rng)`'s protocol on `engine`, with a fresh injection
-/// stream when `inject` holds a spec, added to `out`.
+/// One run of `make(rng)`'s protocol on `engine`, under `latency` on
+/// the queued bodies, with a fresh injection stream when `inject` holds
+/// a spec, added to `out`.
 template <typename Make>
-void run_once(Engine engine, const Make& make,
+void run_once(Engine engine, const Make& make, const LatencyModel& latency,
               const std::optional<PerturbSpec>& inject, Xoshiro256& rng,
               Sample& out) {
   auto proto = make(rng);
@@ -103,6 +164,11 @@ void run_once(Engine engine, const Make& make,
   if (inject) perturber.emplace(*inject, n, 2, rng());
   Perturber* perturb = perturber ? &*perturber : nullptr;
   const NullObserver obs;
+  const auto queued = [&](QueryDiscipline discipline, unsigned shards) {
+    return run_sharded_queued(proto, latency, discipline, rng(), shards,
+                              kMaxTime, obs, 1.0, /*epoch_length=*/0.25,
+                              perturb);
+  };
   AsyncRunResult result;
   switch (engine) {
     case Engine::kSequential:
@@ -120,24 +186,31 @@ void run_once(Engine engine, const Make& make,
                                             1.0, perturb);
       break;
     }
-    case Engine::kMessaging: {
-      DelayedResponses delayed(proto);
-      result = run_continuous_messaging(delayed, ZeroLatency{}, rng,
-                                        kMaxTime);
-      break;
-    }
     case Engine::kShardedStale1:
     case Engine::kShardedStale4:
       result = run_sharded(proto, rng(),
                            engine == Engine::kShardedStale1 ? 1 : 4, kMaxTime,
                            obs, 1.0, /*epoch_length=*/0.25, perturb);
       break;
-    case Engine::kShardedQueued:
-      result = run_sharded_queued(proto, ZeroLatency{},
-                                  QueryDiscipline::kBlocking, rng(),
-                                  /*num_shards=*/4, kMaxTime, obs, 1.0,
-                                  /*epoch_length=*/0.25, perturb);
+    case Engine::kShardedQueued1:
+    case Engine::kShardedQueued4:
+      result = queued(QueryDiscipline::kBlocking,
+                      engine == Engine::kShardedQueued1 ? 1 : 4);
       break;
+    case Engine::kShardedQueuedFireAndForget1:
+    case Engine::kShardedQueuedFireAndForget4:
+      result = queued(QueryDiscipline::kFireAndForget,
+                      engine == Engine::kShardedQueuedFireAndForget1 ? 1 : 4);
+      break;
+    case Engine::kMemorylessBlocking: {
+      // Unperturbed: the latency workloads take no perturber.
+      const double r = MemorylessBlocking<decltype(proto)>::rate(latency.mean());
+      MemorylessBlocking reference(proto, latency.mean());
+      result = run_sequential(reference, rng, kMaxTime * r);
+      result.time /= r;
+      result.ticks = reference.ticks();
+      break;
+    }
   }
   EXPECT_TRUE(result.consensus) << engine_name(engine);
   out.times.push_back(result.time);
@@ -146,27 +219,35 @@ void run_once(Engine engine, const Make& make,
 }
 
 /// A canonical workload: `sample(engine, seed, reps)` draws `reps` runs
-/// on `engine` from seed stream `seed`.
+/// on `engine` from seed stream `seed`; each of `engines` draws `reps`
+/// runs and is held to `reference`.
 struct Workload {
   const char* name;
-  bool perturbed;  // the messaging driver takes no perturber
+  Engine reference;
+  std::vector<Engine> engines;
   std::function<Sample(Engine, std::uint64_t, std::uint64_t)> sample;
+  std::uint64_t reps = kReps;
 };
 
 template <typename Make>
-Workload make_workload(const char* name, Make make,
-                       std::optional<PerturbSpec> inject = std::nullopt) {
-  return {name, inject.has_value(),
-          [make, inject](Engine engine, std::uint64_t seed,
-                         std::uint64_t reps) {
+Workload make_workload(const char* name, Make make, Engine reference,
+                       std::vector<Engine> engines,
+                       std::shared_ptr<const LatencyModel> latency =
+                           std::make_shared<ZeroLatency>(),
+                       std::optional<PerturbSpec> inject = std::nullopt,
+                       std::uint64_t reps = kReps) {
+  return {name, reference, std::move(engines),
+          [make, latency, inject](Engine engine, std::uint64_t seed,
+                                  std::uint64_t reps) {
             const SeedSequence seeds(seed);
             Sample sample;
             for (std::uint64_t rep = 0; rep < reps; ++rep) {
               Xoshiro256 rng = seeds.make_rng(rep);
-              run_once(engine, make, inject, rng, sample);
+              run_once(engine, make, *latency, inject, rng, sample);
             }
             return sample;
-          }};
+          },
+          reps};
 }
 
 const std::vector<Workload>& workloads() {
@@ -199,11 +280,31 @@ const std::vector<Workload>& workloads() {
     inject.rate = 16.0;
     inject.budget = 48;
     inject.start = 0.5;
+    const std::vector<Engine> every = {
+        Engine::kSuperposition,  Engine::kHeap,
+        Engine::kHeterogeneous,  Engine::kShardedStale1,
+        Engine::kShardedStale4,  Engine::kShardedQueued4,
+        Engine::kShardedQueuedFireAndForget4};
     return std::vector<Workload>{
-        make_workload("TwoChoicesClique", two_choices(clique)),
-        make_workload("VoterClique", voter),
-        make_workload("TwoChoicesRegular", two_choices(regular)),
-        make_workload("TwoChoicesInject", two_choices(clique), inject),
+        make_workload("TwoChoicesClique", two_choices(clique),
+                      Engine::kSequential, every),
+        make_workload("VoterClique", voter, Engine::kSequential, every),
+        make_workload("TwoChoicesRegular", two_choices(regular),
+                      Engine::kSequential, every),
+        make_workload("TwoChoicesInject", two_choices(clique),
+                      Engine::kSequential, every,
+                      std::make_shared<ZeroLatency>(), inject),
+        // Three times the runs: a 25% longer latency moves the mean by
+        // only 0.7 standard deviations here.
+        make_workload("TwoChoicesExpLatency", two_choices(clique),
+                      Engine::kMemorylessBlocking,
+                      {Engine::kShardedQueued1, Engine::kShardedQueued4},
+                      std::make_shared<ExponentialLatency>(1.0),
+                      std::nullopt, 3 * kReps),
+        make_workload("TwoChoicesConstLatency", two_choices(clique),
+                      Engine::kShardedQueuedFireAndForget1,
+                      {Engine::kShardedQueuedFireAndForget4},
+                      std::make_shared<ConstantLatency>(0.5)),
     };
   }();
   return all;
@@ -214,9 +315,10 @@ const std::vector<double>& reference(std::size_t w) {
   static std::map<std::size_t, std::vector<double>> cache;
   auto it = cache.find(w);
   if (it == cache.end()) {
-    it = cache.emplace(w, workloads()[w]
-                              .sample(Engine::kSequential, 1000 * w,
-                                      kReferenceReps)
+    const Workload& workload = workloads()[w];
+    it = cache.emplace(w, workload
+                              .sample(workload.reference, 1000 * w,
+                                      3 * workload.reps)
                               .times)
              .first;
   }
@@ -233,15 +335,16 @@ class EngineOracle : public ::testing::TestWithParam<OracleCase> {};
 TEST_P(EngineOracle, MatchesExactProcess) {
   const auto [w, engine] = GetParam();
   const std::vector<double>& exact = reference(w);
-  const Sample sample = workloads()[w].sample(
-      engine, 1000 * w + static_cast<std::uint64_t>(engine), kReps);
+  const Workload& workload = workloads()[w];
+  const Sample sample = workload.sample(
+      engine, 1000 * w + static_cast<std::uint64_t>(engine), workload.reps);
   const Summary e = summarize(exact);
   const Summary s = summarize(sample.times);
   EXPECT_LT(stat_gates::ks_statistic(sample.times, exact),
             stat_gates::kKsGate)
-      << "mean " << s.mean << " against the exact process's " << e.mean;
+      << "mean " << s.mean << " against the reference's " << e.mean;
   EXPECT_LT(stat_gates::mean_z(s, e), stat_gates::kMeanZGate)
-      << "mean " << s.mean << " against the exact process's " << e.mean;
+      << "mean " << s.mean << " against the reference's " << e.mean;
   EXPECT_LT(std::abs(sample.ticks - sample.node_time) /
                 std::sqrt(sample.node_time),
             stat_gates::kMeanZGate)
@@ -252,11 +355,7 @@ TEST_P(EngineOracle, MatchesExactProcess) {
 std::vector<OracleCase> all_cases() {
   std::vector<OracleCase> cases;
   for (std::size_t w = 0; w < workloads().size(); ++w) {
-    for (const Engine engine :
-         {Engine::kSuperposition, Engine::kHeap, Engine::kHeterogeneous,
-          Engine::kMessaging, Engine::kShardedStale1, Engine::kShardedStale4,
-          Engine::kShardedQueued}) {
-      if (engine == Engine::kMessaging && workloads()[w].perturbed) continue;
+    for (const Engine engine : workloads()[w].engines) {
       cases.push_back({w, engine});
     }
   }

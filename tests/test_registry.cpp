@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "core/async_one_extra_bit.hpp"
-#include "core/delayed.hpp"
 #include "core/two_choices.hpp"
 #include "core/voter.hpp"
 #include "experiment/args.hpp"
@@ -450,29 +449,28 @@ TEST(Registry, DispatchRunsEveryEngine) {
   }
 }
 
-// A toy that runs a messaging (delayed-response) protocol through the
-// explicit-model bench::run overload.
-int messaging_toy_experiment(ExperimentContext& ctx) {
-  const bench::RunPlan plan =
-      bench::make_plan(ctx, EngineKind::kSuperposition);
+// A toy that runs blocking Two-Choices under constant latency on the
+// queued body through bench::run_queued.
+int queued_toy_experiment(ExperimentContext& ctx) {
+  const bench::RunPlan plan = bench::make_plan(ctx, EngineKind::kSharded);
   constexpr std::uint64_t kNodes = 256;
   const CompleteGraph g(kNodes);
   Xoshiro256 rng(ctx.master_seed);
   TwoChoicesAsync proto(g, assign_two_colors(kNodes, 192, rng));
-  DelayedResponses delayed(proto);
   const ConstantLatency latency(0.5);
-  const AsyncRunResult result = bench::run(plan, delayed, latency, rng, 2.0);
+  const AsyncRunResult result = bench::run_queued(
+      plan, proto, latency, QueryDiscipline::kBlocking, rng, 2.0);
   const std::vector<double> ticks{static_cast<double>(result.ticks)};
-  ctx.record("messaging_toy_ticks", {{"n", kNodes}}, ticks);
+  ctx.record("queued_toy_ticks", {{"n", kNodes}}, ticks);
   return 0;
 }
 
-const ExperimentRegistrar kMessagingToyRegistrar{
-    "test_toy_messaging", "messaging-protocol toy for the registry tests",
-    "Catalog paragraph of the messaging toy: runs one short "
-    "delayed-response Two-Choices run through bench::run, so tests can "
-    "assert on which --engine= values it accepts.",
-    /*default_reps=*/1, messaging_toy_experiment};
+const ExperimentRegistrar kQueuedToyRegistrar{
+    "test_toy_queued", "queued-body toy for the registry tests",
+    "Catalog paragraph of the queued toy: runs one short blocking "
+    "Two-Choices run under constant latency through bench::run_queued, "
+    "so tests can assert on its attribution.",
+    /*default_reps=*/1, queued_toy_experiment};
 
 /// The message of the ContractViolation the named experiment throws
 /// under `args`; fails the test when it runs instead.
@@ -530,36 +528,45 @@ TEST(Registry, LatencyUnderTheDefaultEngineRunsOnTheShardedQueues) {
   EXPECT_EQ(params->find("latency_effective")->as_string(), "exp");
 }
 
-TEST(Registry, RejectsNonSuperpositionEngineForMessagingProtocol) {
-  const std::string what =
-      rejection("test_toy_messaging", make_args({"--engine=heap"}));
-  EXPECT_TRUE(mentions(what, "--engine=heap")) << what;
-  EXPECT_TRUE(mentions(what, "messaging driver")) << what;
-
+TEST(Registry, QueuedRunNotesItsStateFootprint) {
+  // A blocking queued run attributes the table's packed colors and
+  // supports, the snapshot, and the answer slots: a state byte plus an
+  // 8-byte due time and the two sampled colors at the table's width.
   const auto& registry = ExperimentRegistry::instance();
   const JsonValue record = registry.run_to_record(
-      *registry.find("test_toy_messaging"),
-      make_args({"--engine=superposition"}));
-  EXPECT_EQ(record.find("params")->find("engine_effective")->as_string(),
-            "superposition");
-}
-
-TEST(Registry, MessagingRunNotesItsStateFootprint) {
-  // The messaging dispatch attributes the delayed adapter's state: the
-  // table's packed colors and supports plus one in-flight flag per node.
-  const auto& registry = ExperimentRegistry::instance();
-  const JsonValue record = registry.run_to_record(
-      *registry.find("test_toy_messaging"), make_args({}));
-  const JsonValue* bytes = record.find("params")->find("bytes_per_node");
+      *registry.find("test_toy_queued"), make_args({"--shards=2"}));
+  const JsonValue* params = record.find("params");
+  EXPECT_EQ(params->find("engine_effective")->as_string(), "sharded");
+  EXPECT_EQ(params->find("latency_effective")->as_string(), "const");
+  const JsonValue* bytes = params->find("bytes_per_node");
   ASSERT_NE(bytes, nullptr);
-  EXPECT_GT(bytes->as_double(), 0.0);
 
   constexpr std::uint64_t kNodes = 256;
   const CompleteGraph g(kNodes);
   Xoshiro256 rng(1);
   TwoChoicesAsync proto(g, assign_two_colors(kNodes, 192, rng));
+  ASSERT_EQ(proto.table().width(), ColorWidth::kU8);
   EXPECT_DOUBLE_EQ(bytes->as_double(),
-                   proto.table().state_bytes_per_node() + 1.0);
+                   proto.table().state_bytes_per_node() + 1.0 + 11.0);
+}
+
+TEST(Registry, ResponseDelaysRunsOnOneShardOfTheQueuedBody) {
+  const auto& registry = ExperimentRegistry::instance();
+  const JsonValue record = registry.run_to_record(
+      *registry.find("response_delays"),
+      make_args({"--reps=1", "--n=128", "--csv"}));
+  const JsonValue* params = record.find("params");
+  EXPECT_EQ(record.find("exit_code")->as_u64(), 0u);
+  EXPECT_EQ(params->find("engine_effective")->as_string(), "sharded");
+  EXPECT_EQ(params->find("shards_effective")->as_u64(), 1u);
+}
+
+TEST(Registry, ResponseDelaysRejectsShardsNamingOneShard) {
+  // Its steps read peers' records, which only one shard keeps live.
+  const std::string what = rejection(
+      "response_delays", make_args({"--shards=4", "--reps=1", "--n=128"}));
+  EXPECT_TRUE(mentions(what, "--shards=4")) << what;
+  EXPECT_TRUE(mentions(what, "--shards=1")) << what;
 }
 
 TEST(Registry, RejectsThreadsNamingJobs) {
