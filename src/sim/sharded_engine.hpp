@@ -154,6 +154,24 @@ concept ShardableProtocol =
       { p.mutable_table() } -> std::same_as<OpinionTable&>;
     };
 
+namespace detail {
+
+template <typename P>
+concept HasProgramStep = requires(P p, NodeId u, const ShardView& view,
+                                  Xoshiro256& rng, void (*recolor)(ColorId)) {
+  {
+    p.step(u, view, rng, recolor)
+  } -> std::same_as<std::optional<typename P::Query>>;
+};
+
+template <typename P>
+concept HasQuery =
+    requires(const P cp, NodeId u, const ShardView& view, Xoshiro256& rng) {
+      { cp.query(u, view, rng) } -> std::same_as<typename P::Query>;
+    };
+
+}  // namespace detail
+
 /// A protocol the queued body can drive (run_sharded_queued): its tick
 /// splits at the query/response boundary, so the answer can be delayed
 /// under a latency model. A tick either calls query(), which reads the
@@ -171,22 +189,14 @@ template <typename P>
 concept DelayedShardableProtocol =
     std::is_trivially_copyable_v<typename P::Query> &&
     requires(P p, const P cp, NodeId u, const ShardView& view,
-             Xoshiro256& rng, const typename P::Query& q) {
+             const typename P::Query& q) {
       { cp.num_nodes() } -> std::convertible_to<std::uint64_t>;
       { cp.done() } -> std::convertible_to<bool>;
       { cp.table() } -> std::convertible_to<const OpinionTable&>;
       { p.mutable_table() } -> std::same_as<OpinionTable&>;
       { p.apply_query(u, q, view) } -> std::convertible_to<ColorId>;
     } &&
-    (requires(P p, NodeId u, const ShardView& view, Xoshiro256& rng,
-              void (*recolor)(ColorId)) {
-      {
-        p.step(u, view, rng, recolor)
-      } -> std::same_as<std::optional<typename P::Query>>;
-    } || requires(const P cp, NodeId u, const ShardView& view,
-                  Xoshiro256& rng) {
-      { cp.query(u, view, rng) } -> std::same_as<typename P::Query>;
-    });
+    (detail::HasProgramStep<P> || detail::HasQuery<P>);
 
 /// A delayed-shardable protocol whose tick is a program step
 /// (core/delayed.hpp's AsyncOneExtraBitDelayed): step(u, view, rng,
@@ -198,9 +208,7 @@ concept DelayedShardableProtocol =
 /// discipline only.
 template <typename P>
 concept ProgramStepProtocol =
-    DelayedShardableProtocol<P> &&
-    requires(P p, NodeId u, const ShardView& view, Xoshiro256& rng,
-             void (*recolor)(ColorId)) { p.step(u, view, rng, recolor); };
+    DelayedShardableProtocol<P> && detail::HasProgramStep<P>;
 
 namespace detail {
 
