@@ -50,10 +50,10 @@ class AsyncOneExtraBitDelayed : private detail::AsyncOebState {
   /// bytes (the widths of the node record's fields).
   struct Query {
     Kind kind;
-    std::uint8_t peer_bit;    ///< peer's bit (bit-propagation only)
-    std::uint16_t phase;      ///< phase tag at query time (staleness check)
-    ColorId color_a;          ///< first sampled color (or copied color)
-    ColorId color_b;          ///< second sampled color (two-choices only)
+    std::uint8_t peer_bit;     ///< peer's bit (bit-propagation only)
+    std::uint16_t phase;       ///< phase tag at query time (staleness check)
+    ColorId color_a;           ///< first sampled color (or copied color)
+    ColorId color_b;           ///< second sampled color (two-choices only)
     std::uint32_t peer_ticks;  ///< peer's real time (sync samples only)
   };
   static_assert(sizeof(Query) == 16);

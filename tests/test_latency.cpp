@@ -197,8 +197,8 @@ TEST(LatencyDriver, ZeroLatencyDrawsNoRngAndDeliversInstantly) {
   const ZeroLatency zero;
   Xoshiro256 rng(11);
   TwoChoicesAsync proto(g, assign_two_colors(n, (n * 3) / 4, rng));
-  const auto result = run_sharded_queued(proto, zero, QueryDiscipline::kBlocking,
-                                         rng(), /*num_shards=*/1, 1e5);
+  const auto result = run_sharded_queued(
+      proto, zero, QueryDiscipline::kBlocking, rng(), /*num_shards=*/1, 1e5);
   EXPECT_TRUE(result.consensus);
   EXPECT_EQ(result.winner, 0u);
 }

@@ -204,8 +204,8 @@ void run_once(Engine engine, const Make& make, const LatencyModel& latency,
       break;
     case Engine::kMemorylessBlocking: {
       // Unperturbed: the latency workloads take no perturber.
-      const double r = MemorylessBlocking<decltype(proto)>::rate(latency.mean());
       MemorylessBlocking reference(proto, latency.mean());
+      const double r = reference.rate(latency.mean());
       result = run_sequential(reference, rng, kMaxTime * r);
       result.time /= r;
       result.ticks = reference.ticks();
