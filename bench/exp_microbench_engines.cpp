@@ -277,8 +277,7 @@ int run_exp(ExperimentContext& ctx) {
   // resolved bytes/node of the hot state is recorded per sweep point
   // (and flows into the BENCH record's params.bytes_per_node). Scale
   // up with --m1e_max_n= (10^8 reproduces the memory-fit acceptance
-  // run); the engine honors --numa= from the shared context, so M1e
-  // notes the sharded engine for the record's numa_effective.
+  // run).
   const std::uint64_t me_min_n = ctx.args.get_u64("m1e_min_n", 100000);
   const std::uint64_t me_max_n = ctx.args.get_u64("m1e_max_n", 3200000);
   const std::uint64_t me_ticks = ctx.args.get_u64("m1e_iters", 1ull << 21);
@@ -307,8 +306,7 @@ int run_exp(ExperimentContext& ctx) {
       const auto start = std::chrono::steady_clock::now();
       const auto result =
           run_sharded(proto, rng(), me_shards, me_horizon, NullObserver{},
-                      /*sample_every=*/me_horizon, /*epoch_length=*/0.25,
-                      /*perturb=*/nullptr, ctx.numa);
+                      /*sample_every=*/me_horizon, /*epoch_length=*/0.25);
       const auto stop = std::chrono::steady_clock::now();
       g_sink = result.ticks;
       return std::chrono::duration<double, std::nano>(stop - start).count() /

@@ -59,7 +59,6 @@ struct RunPlan {
   LatencySpec latency;      ///< resolved --latency*
   PerturbSpec perturb;      ///< resolved --perturb* (or experiment default)
   unsigned shards = 1;      ///< resolved --shards=
-  NumaMode numa = NumaMode::kOff;  ///< resolved --numa=
 };
 
 /// The graph spec an experiment will actually build: the experiment's
@@ -93,7 +92,6 @@ inline RunPlan make_plan(const ExperimentContext& ctx,
   plan.perturb = ctx.perturb;
   if (!ctx.args.has_flag("perturb")) plan.perturb.kind = default_perturb;
   plan.shards = ctx.shards;
-  plan.numa = ctx.numa;
   return plan;
 }
 
@@ -235,7 +233,7 @@ AsyncRunResult run_queued(const RunPlan& plan, P& proto,
   note_state_footprint(plan, proto, /*sharded_engine=*/true, slots);
   return run_sharded_queued(proto, model, discipline, rng(), plan.shards,
                             max_time, std::forward<Obs>(obs), sample_every,
-                            /*epoch_length=*/0.25, perturb, plan.numa);
+                            /*epoch_length=*/0.25, perturb);
 }
 
 /// THE run dispatch for async protocols: engine ×
@@ -284,7 +282,7 @@ AsyncRunResult run(const RunPlan& plan, P& proto, Xoshiro256& rng,
       if constexpr (ShardableProtocol<P>) {
         return run_sharded(proto, rng(), plan.shards, max_time,
                            std::forward<Obs>(obs), sample_every,
-                           /*epoch_length=*/0.25, perturb, plan.numa);
+                           /*epoch_length=*/0.25, perturb);
       }
       break;
   }

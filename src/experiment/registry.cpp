@@ -26,7 +26,7 @@ namespace {
 bool is_plumbing_key(const std::string& key) {
   return key == "exp" || key == "all" || key == "list" || key == "json" ||
          key == "out-dir" || key == "no-json" || key == "csv" ||
-         key == "jobs" || key == "trace" || key == "numa";
+         key == "jobs" || key == "trace";
 }
 
 /// The process's peak resident set in bytes (Linux ru_maxrss is KiB,
@@ -232,15 +232,6 @@ JsonValue ExperimentRegistry::run_to_record(const Experiment& experiment,
   // clock recorded at --jobs=64 must be distinguishable from one
   // recorded serially.
   params["jobs_effective"] = ctx.jobs;
-  // The --numa= mode that ran, in *every* record, for the same reason:
-  // placement is trajectory-neutral plumbing, but a wall clock measured
-  // under first-touch/bind placement must be distinguishable from one
-  // measured without it. Only the sharded engine places memory or pins
-  // workers, so a record whose runs never reached it says off.
-  params["numa_effective"] = numa_mode_name(
-      engines.count(engine_kind_name(EngineKind::kSharded)) > 0
-          ? ctx.numa
-          : NumaMode::kOff);
   // The per-node memory footprint of the largest run (resolved color
   // width + support counters + engine copies + CSR share), when any run
   // noted its state: deterministic for a fixed invocation, and the

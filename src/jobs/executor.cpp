@@ -124,13 +124,6 @@ void Executor::help(std::unique_lock<std::mutex>& lock, Fork& fork) {
   }
 }
 
-std::vector<std::thread::native_handle_type> Executor::worker_handles() {
-  std::vector<std::thread::native_handle_type> handles;
-  handles.reserve(workers_.size());
-  for (auto& worker : workers_) handles.push_back(worker.native_handle());
-  return handles;
-}
-
 void Executor::worker_loop() {
   // Park-span trace: a park is recorded only once work is in hand. A
   // wake that finds nothing (the fork went to another thread, or

@@ -70,10 +70,6 @@ class Executor {
   void parallel_for(std::size_t count,
                     const std::function<void(std::size_t)>& fn);
 
-  /// The native handles of the worker threads, in worker order (for
-  /// affinity pinning; the threads live as long as the executor).
-  std::vector<std::thread::native_handle_type> worker_handles();
-
   /// The process-wide executor (created on first use with
   /// hardware_concurrency - 1 workers).
   static Executor& process();

@@ -75,17 +75,13 @@ struct SlabDeleter {
 
 using Slab = std::unique_ptr<std::byte[], SlabDeleter>;
 
-/// Allocates `bytes` of 64-byte-aligned, *uninitialized* storage. Large
-/// allocations come from the OS untouched, which is what makes the
-/// sharded engine's NUMA first-touch initialization meaningful: the
-/// owning worker's first write places each page. Slabs big enough to
-/// span several huge pages additionally request transparent-huge-page
+/// Allocates `bytes` of 64-byte-aligned, *uninitialized* storage. Slabs
+/// big enough to span several huge pages request transparent-huge-page
 /// backing (Linux madvise; kernels in `madvise` THP mode never promote
 /// heap pages unasked): at 10^8+ nodes the tick loop is one random
 /// access per tick over the slab, and 4 KiB pages overrun the dTLB
-/// long before the LLC is exhausted. Best-effort — placement, NUMA
-/// first-touch, and determinism are unaffected when the madvise is
-/// refused.
+/// long before the LLC is exhausted. Best-effort — placement and
+/// determinism are unaffected when the madvise is refused.
 inline Slab allocate_slab(std::size_t bytes) {
   if (bytes == 0) return Slab{};
   auto* p = static_cast<std::byte*>(::operator new[](bytes, kSlabAlign));
@@ -120,8 +116,7 @@ class PackedColors {
   }
 
   /// An *uninitialized* packed array: the caller owns the first write
-  /// to every entry (the NUMA first-touch contract; see
-  /// sim/sharded_engine.hpp).
+  /// to every entry.
   static PackedColors uninitialized(std::uint64_t n, ColorWidth width) {
     PackedColors out;
     out.n_ = n;
@@ -189,47 +184,27 @@ class PackedColors {
   /// Packs `colors` (entry count must match) into this array.
   void fill_from(std::span<const ColorId> colors) {
     PC_EXPECTS(colors.size() == n_);
-    fill_range_from(colors, 0, n_);
-  }
-
-  /// Packs entries [lo, hi) of `colors` — the per-shard form the NUMA
-  /// first-touch init epoch uses so each range's pages are first
-  /// written by their owning worker.
-  void fill_range_from(std::span<const ColorId> colors, std::uint64_t lo,
-                       std::uint64_t hi) {
-    PC_EXPECTS(lo <= hi && hi <= n_ && colors.size() >= hi);
     switch (width_) {
       case ColorWidth::kU8: {
         auto* out = data<std::uint8_t>();
-        for (std::uint64_t u = lo; u < hi; ++u) {
+        for (std::uint64_t u = 0; u < n_; ++u) {
           out[u] = static_cast<std::uint8_t>(colors[u]);
         }
         return;
       }
       case ColorWidth::kU16: {
         auto* out = data<std::uint16_t>();
-        for (std::uint64_t u = lo; u < hi; ++u) {
+        for (std::uint64_t u = 0; u < n_; ++u) {
           out[u] = static_cast<std::uint16_t>(colors[u]);
         }
         return;
       }
       case ColorWidth::kU32: {
         auto* out = data<std::uint32_t>();
-        for (std::uint64_t u = lo; u < hi; ++u) out[u] = colors[u];
+        for (std::uint64_t u = 0; u < n_; ++u) out[u] = colors[u];
         return;
       }
     }
-  }
-
-  /// Copies entries [lo, hi) from `src` (same n, same width); the
-  /// first-touch form of clone().
-  void copy_range_from(const PackedColors& src, std::uint64_t lo,
-                       std::uint64_t hi) {
-    PC_EXPECTS(src.n_ == n_ && src.width_ == width_);
-    PC_EXPECTS(lo <= hi && hi <= n_);
-    const std::size_t w = color_width_bytes(width_);
-    std::memcpy(data_.get() + lo * w, src.data_.get() + lo * w,
-                (hi - lo) * w);
   }
 
   /// Widens the whole array back to ColorId entries (tests, sync
@@ -267,10 +242,8 @@ class PackedColors {
 /// incrementing adjacent shards' counters never share a cache line.
 class ShardDeltaSlab {
  public:
-  /// With `deferred_init` the rows come back *unzeroed* and each owner
-  /// must clear(s) its own row before use — the NUMA first-touch form.
-  ShardDeltaSlab(std::uint64_t shards, ColorId num_colors,
-                 bool deferred_init = false)
+  /// Every row starts zeroed.
+  ShardDeltaSlab(std::uint64_t shards, ColorId num_colors)
       : shards_(shards),
         num_colors_(num_colors),
         stride_((static_cast<std::uint64_t>(num_colors) + kPerLine - 1) /
@@ -278,9 +251,7 @@ class ShardDeltaSlab {
     PC_EXPECTS(shards >= 1);
     PC_EXPECTS(num_colors >= 1);
     slab_ = detail::allocate_slab(shards_ * stride_ * sizeof(std::int64_t));
-    if (!deferred_init) {
-      for (std::uint64_t s = 0; s < shards_; ++s) clear(s);
-    }
+    for (std::uint64_t s = 0; s < shards_; ++s) clear(s);
   }
 
   /// Shard s's counter row (num_colors entries, cache-line aligned).
@@ -296,8 +267,7 @@ class ShardDeltaSlab {
             num_colors_};
   }
 
-  /// Zeroes shard s's row (after each epoch merge; also the first-touch
-  /// initialization hook — call it from the owning worker).
+  /// Zeroes shard s's row (after each epoch merge).
   void clear(std::uint64_t s) noexcept {
     auto row = shard(s);
     std::memset(row.data(), 0, row.size() * sizeof(std::int64_t));

@@ -103,16 +103,6 @@ class OpinionTable {
   /// may read supports or call set_color() in between.
   PackedColors& mutable_packed_colors() noexcept { return packed_; }
 
-  /// Replaces the slab with `colors`, which must hold the same colors
-  /// at the same width: the NUMA first-touch form, in which the sharded
-  /// engine packs each shard's range into a fresh slab from the thread
-  /// that claims the shard, so its pages land on that thread's node.
-  void adopt_colors(PackedColors colors) {
-    PC_EXPECTS(colors.size() == packed_.size());
-    PC_EXPECTS(colors.width() == packed_.width());
-    packed_ = std::move(colors);
-  }
-
   /// Widens every node's color into `out` (resized to n): the
   /// previous-round buffer of the synchronous protocols and the test
   /// helpers' view. O(n) — never call per tick.

@@ -11,10 +11,10 @@
 /// shard.
 ///
 /// Both drivers run one epoch skeleton (detail::run_epochs). It owns
-/// the shard ranges and streams, the first-touch init epoch, error
-/// capture, the perturbation drain, the `done() && exhausted()` stop
-/// rule, the observer cadence and the horizon finalization, and calls a
-/// per-shard body supplied as a template policy:
+/// the shard ranges and streams, error capture, the perturbation drain,
+/// the `done() && exhausted()` stop rule, the observer cadence and the
+/// horizon finalization, and calls a per-shard body supplied as a
+/// template policy:
 ///   - stale (run_sharded): a shard writes only its own nodes, straight
 ///     into the OpinionTable's packed slab (the live buffer), reads them
 ///     live and foreign nodes from the epoch-start snapshot (at most one
@@ -73,7 +73,6 @@
 #include "sim/drive.hpp"
 #include "sim/event_queue.hpp"
 #include "sim/latency.hpp"
-#include "sim/numa.hpp"
 #include "sim/observers.hpp"
 #include "sim/perturb.hpp"
 #include "sim/result.hpp"
@@ -251,44 +250,19 @@ std::vector<Shard> make_shards(std::uint64_t n, std::uint64_t shards,
 /// The packed engine state the stale and queued bodies share: the
 /// table's own packed slab as the live buffer, a snapshot array at the
 /// table's width `T`, per-shard support deltas, and the two-step epoch
-/// merge. Under NumaMode::kOff the snapshot is cloned on the calling
-/// thread and the shards write the table's slab from the first epoch;
-/// the first-touch modes leave a fresh live slab, the snapshot and the
-/// delta rows uninitialized for the init epoch, in which whichever
-/// thread claims a shard packs its range, and the table then adopts the
-/// fresh slab (finish_init).
+/// merge. The snapshot is cloned on the calling thread and the shards
+/// write the table's slab from the first epoch.
 template <typename T, typename Shard>
 class PackedBody {
  public:
   std::vector<Shard> shards;
 
   PackedBody(OpinionTable& table, std::uint64_t seed,
-             std::uint64_t num_shards, NumaMode numa)
+             std::uint64_t num_shards)
       : shards(make_shards<Shard>(table.num_nodes(), num_shards, seed)),
         table_(table),
-        first_touch_(numa != NumaMode::kOff),
-        first_touched_(first_touch_ ? fresh_slab() : PackedColors{}),
-        snapshot_(first_touch_ ? fresh_slab()
-                               : table.packed_colors().clone()),
-        deltas_(num_shards, table.num_colors(),
-                /*deferred_init=*/first_touch_) {}
-
-  bool first_touch() const noexcept { return first_touch_; }
-
-  /// First touch: the thread that claims shard s in the init epoch
-  /// performs the first write to its ranges of the fresh live slab, the
-  /// snapshot and the delta row, so their pages land on that thread's
-  /// NUMA node.
-  void init_shard(std::uint64_t s) {
-    const Shard& shard = shards[s];
-    first_touched_.copy_range_from(table_.packed_colors(), shard.lo,
-                                   shard.hi);
-    snapshot_.copy_range_from(first_touched_, shard.lo, shard.hi);
-    deltas_.clear(s);
-  }
-
-  /// After the init epoch: the table adopts the first-touched slab.
-  void finish_init() { table_.adopt_colors(std::move(first_touched_)); }
+        snapshot_(table.packed_colors().clone()),
+        deltas_(num_shards, table.num_colors()) {}
 
   /// The epoch merge, after the shards joined. The shards' nodes are
   /// already in the table's slab: a serial O(shards * k) pass adds each
@@ -342,11 +316,6 @@ class PackedBody {
   }
 
  private:
-  PackedColors fresh_slab() const {
-    const PackedColors& source = table_.packed_colors();
-    return PackedColors::uninitialized(source.size(), source.width());
-  }
-
   /// Shard s's half of the merge: only its own nodes and its own row.
   void refresh_shard(std::uint64_t s) {
     Shard& shard = shards[s];
@@ -358,8 +327,6 @@ class PackedBody {
   }
 
   OpinionTable& table_;
-  bool first_touch_;
-  PackedColors first_touched_;  // the fresh live slab until finish_init
   PackedColors snapshot_;
   ShardDeltaSlab deltas_;
 };
@@ -387,8 +354,8 @@ class StaleBody : public PackedBody<T, ShardCore> {
   using Base::shards;
 
   StaleBody(P& proto, std::uint64_t seed, std::uint64_t num_shards,
-            Perturber* perturb, NumaMode numa)
-      : Base(proto.mutable_table(), seed, num_shards, numa),
+            Perturber* perturb)
+      : Base(proto.mutable_table(), seed, num_shards),
         proto_(proto),
         perturb_(perturb) {}
 
@@ -480,8 +447,6 @@ class AnswerQueue {
   AnswerQueue(NodeId lo, NodeId hi, double /*epoch_length*/)
       : deliveries_(static_cast<double>(hi - lo)) {}
 
-  void clear() {}
-
   /// Delivers every answer due at or before `t` and before `t_end`.
   template <typename Deliver>
   void deliver_through(double t, double t_end, Deliver& deliver) {
@@ -554,10 +519,9 @@ class AnswerSlots {
         cells_per_time_(1.0 / epoch_length),
         state_(std::make_unique_for_overwrite<std::uint8_t[]>(size_)),
         records_(std::make_unique_for_overwrite<std::byte[]>(size_ *
-                                                              kRecord)) {}
-
-  /// Every slot idle; the first write to the state bytes.
-  void clear() { std::fill_n(state_.get(), size_, kIdle); }
+                                                              kRecord)) {
+    std::fill_n(state_.get(), size_, kIdle);  // every slot idle
+  }
 
   template <typename Deliver>
   void deliver_through(double /*t*/, double /*t_end*/, Deliver& /*deliver*/) {}
@@ -773,22 +737,14 @@ class QueuedBody : public PackedBody<T, QueuedShard<Answers>> {
   using Base::shards;
 
   QueuedBody(P& proto, const LatencyModel& latency, std::uint64_t seed,
-             std::uint64_t num_shards, double epoch_length, Perturber* perturb,
-             NumaMode numa)
-      : Base(proto.mutable_table(), seed, num_shards, numa),
+             std::uint64_t num_shards, double epoch_length, Perturber* perturb)
+      : Base(proto.mutable_table(), seed, num_shards),
         proto_(proto),
         latency_(latency),
         perturb_(perturb) {
     for (Shard& shard : shards) {
       shard.answers = Answers(shard.lo, shard.hi, epoch_length);
     }
-    if (this->first_touch()) return;  // slots are first-touched in init
-    for (Shard& shard : shards) shard.answers.clear();
-  }
-
-  void init_shard(std::uint64_t s) {
-    Base::init_shard(s);
-    shards[s].answers.clear();
   }
 
   std::uint64_t run_shard(std::uint64_t s, double t0, double dt) {
@@ -874,16 +830,9 @@ class QueuedBody : public PackedBody<T, QueuedShard<Answers>> {
 template <typename Body, typename P, typename Obs>
 AsyncRunResult run_epochs(P& proto, Body& body, double max_time, Obs&& obs,
                           double sample_every, double epoch_length,
-                          Perturber* perturb, NumaMode numa) {
+                          Perturber* perturb) {
   jobs::Executor& executor = jobs::Executor::process();
   const std::size_t shards = body.shards.size();
-  if (numa == NumaMode::kBind) numa::pin_workers(executor.worker_handles());
-  if (body.first_touch()) {
-    // The init epoch: each shard's ranges are packed by the thread that
-    // claims it.
-    executor.parallel_for(shards, [&](std::size_t s) { body.init_shard(s); });
-    body.finish_init();
-  }
   double epoch_t0 = 0.0;  // written before each parallel_for
   double epoch_dt = 0.0;
   const std::function<void(std::size_t)> tick_shard = [&](std::size_t s) {
@@ -962,24 +911,18 @@ AsyncRunResult dispatch(const P& proto, unsigned num_shards, double max_time,
 /// (whose slab is the live buffer) and the snapshot together; crash
 /// suppression is a read-only bitmap lookup in the tick loop. The run
 /// continues past transient consensus until the driver is exhausted.
-///
-/// `numa` (--numa=firsttouch|bind) first-touches the packed arrays in a
-/// parallel init epoch, and bind pins the executor's workers
-/// (sim/numa.hpp); every mode gives the same trajectory.
 template <ShardableProtocol P, typename Obs = NullObserver>
 AsyncRunResult run_sharded(P& proto, std::uint64_t seed, unsigned num_shards,
                            double max_time, Obs&& obs = Obs{},
                            double sample_every = 1.0,
                            double epoch_length = 0.25,
-                           Perturber* perturb = nullptr,
-                           NumaMode numa = NumaMode::kOff) {
+                           Perturber* perturb = nullptr) {
   return detail::dispatch(
       proto, num_shards, max_time, sample_every, epoch_length,
       [&](auto tag, std::uint64_t shards) {
-        detail::StaleBody<decltype(tag), P> body(proto, seed, shards, perturb,
-                                                 numa);
+        detail::StaleBody<decltype(tag), P> body(proto, seed, shards, perturb);
         return detail::run_epochs(proto, body, max_time, obs, sample_every,
-                                  epoch_length, perturb, numa);
+                                  epoch_length, perturb);
       });
 }
 
@@ -997,7 +940,7 @@ AsyncRunResult run_sharded(P& proto, std::uint64_t seed, unsigned num_shards,
 /// is the stale foreign read. A horizon cutoff drops queries in flight
 /// and reports `max_time`.
 ///
-/// Perturbations and `numa` act as in run_sharded; a crashed node stops
+/// Perturbations act as in run_sharded; a crashed node stops
 /// querying and its answers are dropped (a blocking node is re-armed
 /// all the same). A ProgramStepProtocol runs at one shard under
 /// fire-and-forget only (PC_EXPECTS).
@@ -1008,17 +951,16 @@ AsyncRunResult run_sharded_queued(P& proto, const LatencyModel& latency,
                                   double max_time, Obs&& obs = Obs{},
                                   double sample_every = 1.0,
                                   double epoch_length = 0.25,
-                                  Perturber* perturb = nullptr,
-                                  NumaMode numa = NumaMode::kOff) {
+                                  Perturber* perturb = nullptr) {
   return detail::dispatch(
       proto, num_shards, max_time, sample_every, epoch_length,
       [&](auto tag, std::uint64_t shards) {
         using T = decltype(tag);
         const auto run = [&]<typename Answers>(std::type_identity<Answers>) {
           detail::QueuedBody<T, P, Answers> body(proto, latency, seed, shards,
-                                                 epoch_length, perturb, numa);
+                                                 epoch_length, perturb);
           return detail::run_epochs(proto, body, max_time, obs, sample_every,
-                                    epoch_length, perturb, numa);
+                                    epoch_length, perturb);
         };
         using Query = typename P::Query;
         if constexpr (ProgramStepProtocol<P>) {

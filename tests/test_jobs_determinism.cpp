@@ -62,8 +62,8 @@ RunOutput run_record(const char* name, std::vector<const char*> tail,
   params["jobs_effective"] = 0;
   // Peak RSS is a host/allocator property, not a trajectory property —
   // it legitimately differs across worker counts and even across
-  // identical reruns. numa_effective and bytes_per_node stay: both are
-  // deterministic functions of the flags and the sweep.
+  // identical reruns. bytes_per_node stays: it is a deterministic
+  // function of the flags and the sweep.
   params["peak_rss_bytes"] = 0;
   // The trace summary documents the schedule (barrier waits, parks),
   // so like wall clock it differs across worker counts BY DESIGN; same

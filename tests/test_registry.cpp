@@ -22,7 +22,6 @@
 #include "opinion/assignment.hpp"
 #include "run_plan.hpp"
 #include "sim/latency.hpp"
-#include "sim/numa.hpp"
 #include "support/assert.hpp"
 
 namespace plurality {
@@ -315,16 +314,11 @@ TEST(Registry, RejectsInvalidScenarioFlags) {
 }
 
 TEST(TuningContext, ParsesFlagsAndRejectsSampling) {
-  {
-    const ExperimentContext ctx(make_args({"--numa=firsttouch"}), 1);
-    EXPECT_EQ(ctx.numa, NumaMode::kFirstTouch);
-  }
-  EXPECT_EQ(ExperimentContext(make_args({}), 1).numa, NumaMode::kOff);
-  EXPECT_THROW(ExperimentContext(make_args({"--numa=interleave"}), 1),
-               ContractViolation);
-  // Every engine has one node-draw path, so any --sampling= value is
-  // rejected naming the flag rather than echoed into the record.
-  for (const char* flag : {"--sampling=batch", "--sampling=scalar"}) {
+  // Every engine has one node-draw path and the sharded engine one
+  // allocation path, so any --sampling= or --numa= value is rejected
+  // naming the flag rather than echoed into the record.
+  for (const char* flag : {"--sampling=batch", "--sampling=scalar",
+                           "--numa=off", "--numa=firsttouch"}) {
     try {
       const ExperimentContext ctx(make_args({flag}), 1);
       FAIL() << flag << " must throw";
@@ -416,24 +410,6 @@ const ExperimentRegistrar kVoterToyRegistrar{
     "the modes the record attributes to it.",
     /*default_reps=*/1, voter_toy_experiment};
 
-TEST(Registry, NumaEffectiveNamesOnlyAModeAnEngineExecuted) {
-  // Only the sharded engine places memory or pins workers, so the
-  // requested --numa= mode reaches the record only when it ran.
-  const auto& registry = ExperimentRegistry::instance();
-  const Experiment* toy = registry.find("test_toy_voter");
-  ASSERT_NE(toy, nullptr);
-  const auto numa_effective = [&](const Args& args) {
-    const JsonValue record = registry.run_to_record(*toy, args);
-    return record.find("params")->find("numa_effective")->as_string();
-  };
-  EXPECT_EQ(numa_effective(make_args({"--numa=firsttouch"})), "off");
-  EXPECT_EQ(numa_effective(make_args({"--engine=sharded", "--shards=2",
-                                      "--numa=firsttouch"})),
-            "firsttouch");
-  EXPECT_EQ(numa_effective(make_args({"--engine=sharded", "--shards=2"})),
-            "off");
-}
-
 TEST(Registry, DispatchRunsEveryEngine) {
   const auto& registry = ExperimentRegistry::instance();
   const Experiment* toy = registry.find("test_toy_voter");
@@ -444,8 +420,10 @@ TEST(Registry, DispatchRunsEveryEngine) {
     const JsonValue record = registry.run_to_record(
         *toy, make_args({flag.c_str(), "--shards=2"}));
     EXPECT_EQ(record.find("exit_code")->as_u64(), 0u) << engine;
-    EXPECT_EQ(record.find("params")->find("engine_effective")->as_string(),
-              engine);
+    const JsonValue& params = *record.find("params");
+    EXPECT_EQ(params.find("engine_effective")->as_string(), engine);
+    // No record names a memory-placement mode, sharded ones included.
+    EXPECT_EQ(params.dump(-1).find("numa"), std::string::npos) << engine;
   }
 }
 

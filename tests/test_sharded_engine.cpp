@@ -1,7 +1,7 @@
 // Tests for the sharded tick engine: shard-count-independent
-// correctness, fixed-seed determinism, trajectory-neutral --numa=
-// modes, the OpinionTable support merge it relies on and the table's
-// agreement with a recount at every observation, and the queued driver
+// correctness, fixed-seed determinism, the OpinionTable support merge
+// it relies on and the table's agreement with a recount at every
+// observation, and the queued driver
 // (run_sharded_queued): determinism, the blocking one-query-in-flight
 // discipline, delivery across epoch boundaries, and the blocking answer
 // slots' due-time edges.
@@ -28,7 +28,6 @@
 #include "jobs/executor.hpp"
 #include "opinion/assignment.hpp"
 #include "sim/latency.hpp"
-#include "sim/numa.hpp"
 #include "sim/perturb.hpp"
 #include "sim/sharded_engine.hpp"
 #include "support/assert.hpp"
@@ -130,19 +129,6 @@ TEST(OpinionTableMerge, RejectsDeltasThatDriveASupportNegative) {
   EXPECT_THROW(table.apply_support_deltas(delta), ContractViolation);
 }
 
-TEST(OpinionTableMerge, AdoptsOnlyASlabOfTheSameShape) {
-  OpinionTable table({0, 1, 1}, 2);
-  const std::vector<ColorId> colors = {0, 1, 1};
-  EXPECT_THROW(table.adopt_colors(PackedColors(colors, ColorWidth::kU16)),
-               ContractViolation);
-  EXPECT_THROW(table.adopt_colors(PackedColors(std::vector<ColorId>{0, 1},
-                                               table.width())),
-               ContractViolation);
-  table.adopt_colors(PackedColors(colors, table.width()));
-  EXPECT_EQ(table.color(1), 1u);
-  EXPECT_EQ(table.support(1), 2u);
-}
-
 TEST(ShardedEngine, ReachesConsensusAndKeepsTableConsistent) {
   const std::uint64_t n = 512;
   const CompleteGraph g(n);
@@ -181,38 +167,33 @@ struct RecountingObserver {
 TEST(ShardedEngine, SupportsMatchARecountAtEveryObservationUnderInjection) {
   // Executor workers claim shards and their snapshot refreshes, and an
   // injection stream recolors nodes between epochs, on the stale and
-  // queued bodies and under every NUMA mode (the first-touch modes hand
-  // the table a freshly packed slab).
+  // queued bodies.
   jobs::set_process_concurrency(4);
   const std::uint64_t n = 1 << 14;
   const CompleteGraph g(n);
-  for (const NumaMode numa :
-       {NumaMode::kOff, NumaMode::kFirstTouch, NumaMode::kBind}) {
-    for (const bool queued : {false, true}) {
-      Xoshiro256 rng(19);
-      ThreeMajorityAsync proto(g, assign_equal(n, 5, rng));
-      PerturbSpec spec;
-      spec.kind = PerturbKind::kInject;
-      spec.rate = 8.0;
-      spec.budget = 40;
-      spec.start = 0.5;
-      Perturber perturb(spec, n, 5, /*seed=*/31);
-      std::uint64_t calls = 0;
-      const RecountingObserver obs{&calls};
-      if (queued) {
-        const ExponentialLatency latency(0.5);
-        run_sharded_queued(proto, latency, QueryDiscipline::kBlocking,
-                           /*seed=*/7, /*num_shards=*/4, /*max_time=*/12.0,
-                           obs, /*sample_every=*/0.25,
-                           /*epoch_length=*/0.25, &perturb, numa);
-      } else {
-        run_sharded(proto, /*seed=*/7, /*num_shards=*/4, /*max_time=*/12.0,
-                    obs, /*sample_every=*/0.25, /*epoch_length=*/0.25,
-                    &perturb, numa);
-      }
-      EXPECT_GT(perturb.events().size(), 0u);
-      EXPECT_GE(calls, 10u);
+  for (const bool queued : {false, true}) {
+    Xoshiro256 rng(19);
+    ThreeMajorityAsync proto(g, assign_equal(n, 5, rng));
+    PerturbSpec spec;
+    spec.kind = PerturbKind::kInject;
+    spec.rate = 8.0;
+    spec.budget = 40;
+    spec.start = 0.5;
+    Perturber perturb(spec, n, 5, /*seed=*/31);
+    std::uint64_t calls = 0;
+    const RecountingObserver obs{&calls};
+    if (queued) {
+      const ExponentialLatency latency(0.5);
+      run_sharded_queued(proto, latency, QueryDiscipline::kBlocking,
+                         /*seed=*/7, /*num_shards=*/4, /*max_time=*/12.0, obs,
+                         /*sample_every=*/0.25, /*epoch_length=*/0.25,
+                         &perturb);
+    } else {
+      run_sharded(proto, /*seed=*/7, /*num_shards=*/4, /*max_time=*/12.0, obs,
+                  /*sample_every=*/0.25, /*epoch_length=*/0.25, &perturb);
     }
+    EXPECT_GT(perturb.events().size(), 0u);
+    EXPECT_GE(calls, 10u);
   }
   jobs::set_process_concurrency(
       std::max(1u, std::thread::hardware_concurrency()));
@@ -232,45 +213,6 @@ TEST(ShardedEngine, DeterministicForFixedSeedAndShardCount) {
   EXPECT_DOUBLE_EQ(a.time, b.time);
   EXPECT_EQ(a.consensus, b.consensus);
   EXPECT_EQ(a.winner, b.winner);
-}
-
-TEST(NumaModes, TrajectoryNeutralAcrossAllModes) {
-  // --numa= is placement plumbing: every mode must reproduce the
-  // default trajectory bit-for-bit, like --jobs=.
-  const std::uint64_t n = 256;
-  const CompleteGraph g(n);
-  const auto run_once = [&](NumaMode numa) {
-    Xoshiro256 rng(7);
-    ThreeMajorityAsync proto(g, assign_two_colors(n, (n * 3) / 4, rng));
-    return run_sharded(proto, /*seed=*/42, /*num_shards=*/4, 1e6,
-                       NullObserver{}, 1.0, 0.25, nullptr, numa);
-  };
-  const auto off = run_once(NumaMode::kOff);
-  for (const NumaMode mode : {NumaMode::kFirstTouch, NumaMode::kBind}) {
-    const auto other = run_once(mode);
-    EXPECT_EQ(off.ticks, other.ticks);
-    EXPECT_DOUBLE_EQ(off.time, other.time);
-    EXPECT_EQ(off.winner, other.winner);
-    EXPECT_EQ(off.consensus, other.consensus);
-  }
-}
-
-TEST(NumaModes, QueuedEngineTrajectoryNeutralToo) {
-  const std::uint64_t n = 128;
-  const CompleteGraph g(n);
-  const ConstantLatency latency(0.125);
-  const auto run_once = [&](NumaMode numa) {
-    Xoshiro256 rng(5);
-    VoterAsync proto(g, assign_two_colors(n, (n * 3) / 4, rng));
-    return run_sharded_queued(proto, latency, QueryDiscipline::kBlocking,
-                              /*seed=*/31, /*num_shards=*/3, 1e6,
-                              NullObserver{}, 1.0, 0.25, nullptr, numa);
-  };
-  const auto off = run_once(NumaMode::kOff);
-  const auto touch = run_once(NumaMode::kFirstTouch);
-  EXPECT_EQ(off.ticks, touch.ticks);
-  EXPECT_DOUBLE_EQ(off.time, touch.time);
-  EXPECT_EQ(off.winner, touch.winner);
 }
 
 TEST(ShardedEngine, ShardCountClampsToNodes) {
@@ -386,7 +328,6 @@ struct SlotsProbe {
   std::vector<std::pair<NodeId, Query>> delivered;
   std::function<void(NodeId, const Query&)> deliver =
       [this](NodeId u, const Query& q) { delivered.emplace_back(u, q); };
-  SlotsProbe() { slots.clear(); }
 };
 
 /// Reads node v as color v.
@@ -461,7 +402,6 @@ TEST(AnswerSlots, SaturatedCellsStillCompareTimes) {
   // check falls back on the due time itself.
   detail::AnswerSlots<std::uint8_t, std::array<ColorId, 2>> slots(0, 4,
                                                                   1e-300);
-  slots.clear();
   std::vector<NodeId> delivered;
   const auto deliver = [&](NodeId u, const std::array<ColorId, 2>&) {
     delivered.push_back(u);

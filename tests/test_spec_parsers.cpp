@@ -1,6 +1,6 @@
 // Property and round-trip tests for the CLI spec parsers — the
 // `--engine=`, `--graph=`, `--latency=`, `--perturb=`,
-// `--perturb-target=`, `--trace=`, and `--numa=` axes. Three properties, each
+// `--perturb-target=`, and `--trace=` axes. Three properties, each
 // checked exhaustively over the accepted vocabulary and then fuzzed
 // with 10k seeded random strings per parser (the CI sanitizer jobs run
 // this same binary under ASan/UBSan):
@@ -23,7 +23,6 @@
 #include "rng/distributions.hpp"
 #include "rng/xoshiro256.hpp"
 #include "sim/latency.hpp"
-#include "sim/numa.hpp"
 #include "sim/perturb.hpp"
 #include "support/assert.hpp"
 #include "trace/trace.hpp"
@@ -158,16 +157,6 @@ TEST(SpecParsers, TraceRoundTripsAndRejectsNamingTheFlag) {
       EXPECT_EQ(again.path, spec.path);
     }
   });
-}
-
-TEST(SpecParsers, NumaRoundTripsAndRejectsNamingTheFlag) {
-  for (const NumaMode mode :
-       {NumaMode::kOff, NumaMode::kFirstTouch, NumaMode::kBind}) {
-    EXPECT_EQ(parse_numa_mode(numa_mode_name(mode)), mode);
-  }
-  EXPECT_THROW(parse_numa_mode("interleave"), ContractViolation);
-  fuzz_parser("--numa=", 808,
-              [](const std::string& s) { parse_numa_mode(s); });
 }
 
 }  // namespace
