@@ -54,8 +54,11 @@ run --exp=one_extra_bit        --reps=2 --k=8 --max_k=16 --n=16384
 run --exp=quadratic_growth     --reps=2 --n=4096
 # Scale keeps the R1 rate x {sequential, sharded} sweep above
 # bench_diff's --min-seconds floor so the perturbation path is
-# actually gated in CI.
-run --exp=recovery_injection   --reps=4 --n=8192
+# actually gated in CI. --shards is pinned: the sharded cells'
+# trajectories key on the resolved shard count, and an unpinned
+# --shards=0 resolves to the host's core count, which would make the
+# series (and so the --series-z gate) host-dependent.
+run --exp=recovery_injection   --reps=4 --n=8192 --shards=1
 run --exp=response_delays      --reps=2 --n=1024
 run --exp=sync_gadget_ablation --reps=2 --max_n=8192
 run --exp=tick_concentration   --reps=2 --max_n=4096 --t=8
