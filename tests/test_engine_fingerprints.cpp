@@ -9,6 +9,8 @@
 // profiles and under opinion injection. Voter and 3-Majority also run
 // on superposition and the sequential engine, and the sync rows run
 // Two-Choices, voter, 3-Majority and OneExtraBit through run_sync.
+// Two-Choices also runs on the CSR view of a ring and of a torus, on
+// the sequential engine and through run_sync.
 // Each case hashes a run's final colors, tick count, end time, winner
 // and observer series, and is checked against a table recorded from a
 // known-good build.
@@ -46,6 +48,8 @@
 #include "core/voter.hpp"
 #include "fingerprint.hpp"
 #include "graph/complete.hpp"
+#include "graph/csr.hpp"
+#include "graph/factory.hpp"
 #include "opinion/assignment.hpp"
 #include "sim/continuous_engine.hpp"
 #include "sim/heterogeneous.hpp"
@@ -123,12 +127,12 @@ enum class StreamEngine { kContinuous, kSequential };
 /// `engine` under `kind`. A crashed minority node keeps its color
 /// forever, so a crash run, like a run cut at `horizon` or a voter run,
 /// may end without consensus.
-template <template <GraphTopology> class Proto = TwoChoicesAsync>
+template <template <GraphTopology> class Proto = TwoChoicesAsync,
+          GraphTopology G = CompleteGraph>
 std::uint64_t stream_case(StreamEngine engine, PerturbKind kind,
-                          double horizon = kHorizon) {
-  const CompleteGraph g(kNodes);
+                          double horizon = kHorizon, const G& g = G(kNodes)) {
   Xoshiro256 rng(2029);
-  Proto<CompleteGraph> proto(
+  Proto<G> proto(
       g, assign_two_colors(kNodes, (kNodes * 3) / 4, rng));
   Perturber perturber(perturb_spec(kind), kNodes, 2, /*seed=*/78);
   Perturber* perturb = kind == PerturbKind::kNone ? nullptr : &perturber;
@@ -186,16 +190,15 @@ std::uint64_t heterogeneous_case(bool log_normal, bool inject = false) {
   return finish(fp, result, proto);
 }
 
-/// A synchronous protocol on K_1024, k = 4, plurality ahead by n/8,
-/// through run_sync for at most 300 rounds. The hash adds the round
-/// count, the outcome and the caller's next draw; voter does not reach
-/// consensus within the budget.
-template <template <GraphTopology> class Proto>
-std::uint64_t sync_case() {
-  const CompleteGraph g(kNodes);
+/// A synchronous protocol on `g` (K_1024 by default), k = 4, plurality
+/// ahead by n/8, through run_sync for at most 300 rounds. The hash adds
+/// the round count, the outcome and the caller's next draw; voter does
+/// not reach consensus within the budget.
+template <template <GraphTopology> class Proto,
+          GraphTopology G = CompleteGraph>
+std::uint64_t sync_case(const G& g = G(kNodes)) {
   Xoshiro256 rng(2031);
-  Proto<CompleteGraph> proto(g,
-                             assign_plurality_bias(kNodes, 4, kNodes / 8, rng));
+  Proto<G> proto(g, assign_plurality_bias(kNodes, 4, kNodes / 8, rng));
   Fingerprint fp;
   const SyncRunResult result =
       run_sync(proto, rng, /*max_rounds=*/300, HashingObserver{&fp});
@@ -321,6 +324,10 @@ constexpr Golden kGolden[] = {
     {"sync/voter", 0x9e6c267bcd458bc6ULL},
     {"sync/three_majority", 0x725e2268e5330443ULL},
     {"sync/one_extra_bit", 0x1fe615f507ea9e0fULL},
+    {"sequential_csr/ring", 0xa4d01b71bc45b3c2ULL},
+    {"sequential_csr/torus", 0x3777325a1866f52dULL},
+    {"sync_csr/ring", 0x817dd4250c047d0fULL},
+    {"sync_csr/torus", 0x2a6fb869ba910a77ULL},
 };
 
 TEST(EngineFingerprints, EverySingleStreamQueueUserMatches) {
@@ -381,6 +388,18 @@ TEST(EngineFingerprints, EverySingleStreamQueueUserMatches) {
   check("sync/voter", sync_case<VoterSync>());
   check("sync/three_majority", sync_case<ThreeMajoritySync>());
   check("sync/one_extra_bit", sync_case<OneExtraBitSync>());
+  // The ring and the 32 x 32 torus through the CSR view, the only path
+  // on which the engines sample a non-clique family.
+  const CsrTopology ring = make_csr_view(AnyGraph{RingGraph(kNodes)});
+  const CsrTopology torus = make_csr_view(AnyGraph{TorusGraph(32, 32)});
+  check("sequential_csr/ring",
+        stream_case(StreamEngine::kSequential, PerturbKind::kNone, kHorizon,
+                    ring));
+  check("sequential_csr/torus",
+        stream_case(StreamEngine::kSequential, PerturbKind::kNone, kHorizon,
+                    torus));
+  check("sync_csr/ring", sync_case<TwoChoicesSync>(ring));
+  check("sync_csr/torus", sync_case<TwoChoicesSync>(torus));
   EXPECT_EQ(checked, std::size(kGolden));
 }
 
