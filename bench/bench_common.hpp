@@ -57,17 +57,6 @@ inline AnyGraph make_topology(const ExperimentContext& ctx, std::uint64_t n,
                         build_rng);
 }
 
-/// Builds the topology and runs `fn(g)` on the concrete graph type —
-/// the one-std::visit-per-sweep-point pattern every factory-driven
-/// experiment shares.
-template <typename Fn>
-auto with_topology(const ExperimentContext& ctx, std::uint64_t n,
-                   Xoshiro256& build_rng, Fn&& fn,
-                   GraphKind experiment_default = GraphKind::kComplete) {
-  return std::visit(std::forward<Fn>(fn),
-                    make_topology(ctx, n, build_rng, experiment_default));
-}
-
 /// Places an exact count profile onto the nodes of `g` according to an
 /// explicit placement spec (the sweep form used by W1). The placement
 /// that actually ran is attributed into the record via
@@ -83,7 +72,8 @@ Assignment place_with(const ExperimentContext& ctx,
       break;
     case PlacementKind::kCommunityAligned:
       if constexpr (HasCommunities<G>) {
-        ctx.note_effective_placement(
+        ctx.note_effective(
+            "placement",
             placement_kind_name(PlacementKind::kCommunityAligned));
         return place_community_aligned(std::move(counts), g.communities(),
                                        placement.fraction, rng);
@@ -93,7 +83,8 @@ Assignment place_with(const ExperimentContext& ctx,
       break;
     case PlacementKind::kAdversarialBoundary: {
       const TopologyView<G> view(g);
-      ctx.note_effective_placement(
+      ctx.note_effective(
+          "placement",
           placement_kind_name(PlacementKind::kAdversarialBoundary));
       if constexpr (HasCommunities<G>) {
         return place_adversarial_boundary(std::move(counts), view,
@@ -104,12 +95,13 @@ Assignment place_with(const ExperimentContext& ctx,
     }
     case PlacementKind::kClusteredBfs: {
       const TopologyView<G> view(g);
-      ctx.note_effective_placement(
-          placement_kind_name(PlacementKind::kClusteredBfs));
+      ctx.note_effective("placement",
+                         placement_kind_name(PlacementKind::kClusteredBfs));
       return place_clustered_bfs(std::move(counts), view, rng);
     }
   }
-  ctx.note_effective_placement(placement_kind_name(PlacementKind::kUniform));
+  ctx.note_effective("placement",
+                     placement_kind_name(PlacementKind::kUniform));
   return place_uniform(std::move(counts), rng);
 }
 

@@ -8,6 +8,7 @@
 
 #include "bench_common.hpp"
 #include "core/two_choices.hpp"
+#include "graph/csr.hpp"
 #include "graph/factory.hpp"
 #include "opinion/assignment.hpp"
 #include "sim/sync_driver.hpp"
@@ -24,8 +25,8 @@ int run_exp(ExperimentContext& ctx) {
   const std::uint64_t n_req = ctx.args.get_u64("n", 1ull << 14);
   Xoshiro256 build_rng(ctx.master_seed);
   const AnyGraph graph = bench::make_topology(ctx, n_req, build_rng);
-  const std::uint64_t n =
-      std::visit([](const auto& cg) { return cg.num_nodes(); }, graph);
+  const CsrTopology csr = make_csr_view(graph);
+  const std::uint64_t n = num_nodes(graph);
   const double sqrt_n = std::sqrt(static_cast<double>(n));
   const double betas[] = {0.0, 0.25, 0.5, 1.0, 2.0, 4.0, 8.0};
 
@@ -47,19 +48,14 @@ int run_exp(ExperimentContext& ctx) {
       const auto bias = static_cast<std::uint64_t>(beta * sqrt_n);
       sweep.add_point(
           ctx.reps, 2, ctx.seeds_for(sweep_point++),
-          [&ctx, &graph, n, k, bias](std::uint64_t, Xoshiro256& rng) {
-            return std::visit(
-                [&](const auto& cg) {
-                  TwoChoicesSync proto(
-                      cg, bench::place_on(ctx, cg,
-                                          counts_plurality_bias(n, k, bias),
-                                          rng));
-                  const auto result = run_sync(proto, rng, 1000000);
-                  return std::vector<double>{
-                      (result.consensus && result.winner == 0) ? 1.0 : 0.0,
-                      static_cast<double>(result.rounds)};
-                },
-                graph);
+          [&ctx, &graph, &csr, n, k, bias](std::uint64_t, Xoshiro256& rng) {
+            TwoChoicesSync proto(
+                csr, bench::place_on(ctx, graph,
+                                     counts_plurality_bias(n, k, bias), rng));
+            const auto result = run_sync(proto, rng, 1000000);
+            return std::vector<double>{
+                (result.consensus && result.winner == 0) ? 1.0 : 0.0,
+                static_cast<double>(result.rounds)};
           },
           [&ctx, &table, n, k, beta, bias](const auto& slots) {
             ctx.record("c1_win_rate",

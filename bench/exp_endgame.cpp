@@ -11,6 +11,7 @@
 
 #include "bench_common.hpp"
 #include "core/two_choices.hpp"
+#include "graph/csr.hpp"
 #include "graph/factory.hpp"
 #include "opinion/assignment.hpp"
 #include "sim/sequential_engine.hpp"
@@ -39,37 +40,35 @@ int run_exp(ExperimentContext& ctx) {
   // Both tables ride ONE SweepRunner (see runner.hpp): every (point, rep)
   // pair is a leaf on the process executor. Topologies are built up
   // front in the historical order — all E8a graphs, then the E8b graph
-  // — so the build_rng draw sequence is unchanged; the deque keeps
-  // their addresses stable for the leaf lambdas.
+  // — so the build_rng draw sequence is unchanged. Each graph gets its
+  // CSR view, which may borrow the graph's rows; the deques keep both
+  // at stable addresses for the leaf lambdas.
   std::deque<AnyGraph> graphs;
+  std::deque<CsrTopology> views;
   SweepRunner sweep;
-  const auto body_for = [&ctx, &plan](const AnyGraph& g, std::uint64_t n_eff,
+  const auto body_for = [&ctx, &plan](const AnyGraph& g,
+                                      const CsrTopology& csr,
                                       std::uint64_t c1) {
-    return [&ctx, &plan, &g, n_eff, c1](std::uint64_t, Xoshiro256& rng) {
-      return std::visit(
-          [&](const auto& cg) {
-            TwoChoicesAsync proto(
-                cg,
-                bench::place_on(ctx, cg, counts_two_colors(n_eff, c1), rng));
-            const auto result = bench::run(plan, proto, rng, 1e6);
-            return std::vector<double>{
-                result.time,
-                (result.consensus && result.winner == 0) ? 1.0 : 0.0};
-          },
-          g);
+    return [&ctx, &plan, &g, &csr, c1](std::uint64_t, Xoshiro256& rng) {
+      TwoChoicesAsync proto(
+          csr, bench::place_on(
+                   ctx, g, counts_two_colors(csr.num_nodes(), c1), rng));
+      const auto result = bench::run(plan, proto, rng, 1e6);
+      return std::vector<double>{
+          result.time, (result.consensus && result.winner == 0) ? 1.0 : 0.0};
     };
   };
 
   std::uint64_t sweep_point = 0;
   for (std::uint64_t n = 2048; n <= max_n; n *= 2, ++sweep_point) {
-    graphs.push_back(bench::make_topology(ctx, n, build_rng));
-    const AnyGraph& g = graphs.back();
-    const std::uint64_t n_eff =
-        std::visit([](const auto& cg) { return cg.num_nodes(); }, g);
+    const AnyGraph& g =
+        graphs.emplace_back(bench::make_topology(ctx, n, build_rng));
+    const CsrTopology& csr = views.emplace_back(make_csr_view(g));
+    const std::uint64_t n_eff = num_nodes(g);
     const auto c1 = static_cast<std::uint64_t>(
         (1.0 - eps_fixed) * static_cast<double>(n_eff));
     sweep.add_point(
-        ctx.reps, 2, ctx.seeds_for(sweep_point), body_for(g, n_eff, c1),
+        ctx.reps, 2, ctx.seeds_for(sweep_point), body_for(g, csr, c1),
         [&ctx, &by_n, &xs, &ys, n_eff, eps_fixed](const auto& slots) {
           ctx.record("endgame_time_vs_n", {{"n", n_eff}, {"eps", eps_fixed}},
                      slots[0]);
@@ -88,17 +87,18 @@ int run_exp(ExperimentContext& ctx) {
   }
 
   const std::uint64_t n = ctx.args.get_u64("n", 1ull << 14);
-  graphs.push_back(bench::make_topology(ctx, n, build_rng));
-  const AnyGraph& g_eps = graphs.back();
-  const std::uint64_t n_eff =
-      std::visit([](const auto& cg) { return cg.num_nodes(); }, g_eps);
+  const AnyGraph& g_eps =
+      graphs.emplace_back(bench::make_topology(ctx, n, build_rng));
+  const CsrTopology& csr_eps = views.emplace_back(make_csr_view(g_eps));
+  const std::uint64_t n_eff = num_nodes(g_eps);
   Table by_eps("E8b: endgame time vs eps  (n=" + std::to_string(n_eff) + ")",
                {"eps", "c1/n", "mean_time", "ci95", "win_rate"});
   for (const double eps : {0.02, 0.05, 0.1, 0.2, 0.3}) {
     const auto c1 = static_cast<std::uint64_t>(
         (1.0 - eps) * static_cast<double>(n_eff));
     sweep.add_point(
-        ctx.reps, 2, ctx.seeds_for(sweep_point++), body_for(g_eps, n_eff, c1),
+        ctx.reps, 2, ctx.seeds_for(sweep_point++),
+        body_for(g_eps, csr_eps, c1),
         [&ctx, &by_eps, n_eff, eps](const auto& slots) {
           ctx.record("endgame_time_vs_eps", {{"n", n_eff}, {"eps", eps}},
                      slots[0]);

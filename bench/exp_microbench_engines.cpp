@@ -293,7 +293,7 @@ int run_exp(ExperimentContext& ctx) {
     const double me_horizon =
         static_cast<double>(me_ticks) / static_cast<double>(me_n);
     const CompleteGraph me_graph(me_n);
-    ctx.note_effective_engine(engine_kind_name(EngineKind::kSharded));
+    ctx.note_effective("engine", engine_kind_name(EngineKind::kSharded));
     double bytes_node = 0.0;
     const auto samples = per_rep([&](Xoshiro256& rng) {
       VoterAsync proto(me_graph, assign_equal(me_n, 64, rng));

@@ -7,6 +7,7 @@
 
 #include "bench_common.hpp"
 #include "core/one_extra_bit.hpp"
+#include "graph/csr.hpp"
 #include "graph/factory.hpp"
 #include "opinion/assignment.hpp"
 
@@ -21,8 +22,8 @@ int run_exp(ExperimentContext& ctx) {
   const std::uint64_t n_req = ctx.args.get_u64("n", 1ull << 16);
   Xoshiro256 build_rng(ctx.master_seed);
   const AnyGraph graph = bench::make_topology(ctx, n_req, build_rng);
-  const std::uint64_t n =
-      std::visit([](const auto& cg) { return cg.num_nodes(); }, graph);
+  const CsrTopology csr = make_csr_view(graph);
+  const std::uint64_t n = num_nodes(graph);
   const double ratios[] = {1.1, 1.25, 1.5, 2.0, 3.0};
 
   Table table("E5: one-phase ratio amplification  (n=" + std::to_string(n) +
@@ -41,28 +42,21 @@ int run_exp(ExperimentContext& ctx) {
         r / (1.0 + r) * static_cast<double>(n));
     sweep.add_point(
         ctx.reps, 1, ctx.seeds_for(sweep_point++),
-        [&ctx, &graph, n, c1](std::uint64_t, Xoshiro256& rng) {
-          return std::visit(
-              [&](const auto& cg) {
-                OneExtraBitSync proto(
-                    cg,
-                    bench::place_on(ctx, cg, counts_two_colors(n, c1), rng));
-                const double real_ratio =
-                    static_cast<double>(proto.table().support(0)) /
-                    static_cast<double>(proto.table().support(1));
-                proto.execute_phase(rng);
-                const auto s1 = proto.table().support(0);
-                const auto s2 = proto.table().support(1);
-                // s2 == 0 cannot occur at these n (c2' ~ n/(1+r^2)), but
-                // guard by reporting the prediction so the mean is not
-                // poisoned.
-                const double measured =
-                    s2 == 0 ? real_ratio * real_ratio
-                            : static_cast<double>(s1) /
-                                  static_cast<double>(s2);
-                return std::vector<double>{measured};
-              },
-              graph);
+        [&ctx, &graph, &csr, n, c1](std::uint64_t, Xoshiro256& rng) {
+          OneExtraBitSync proto(
+              csr, bench::place_on(ctx, graph, counts_two_colors(n, c1), rng));
+          const double real_ratio =
+              static_cast<double>(proto.table().support(0)) /
+              static_cast<double>(proto.table().support(1));
+          proto.execute_phase(rng);
+          const auto s1 = proto.table().support(0);
+          const auto s2 = proto.table().support(1);
+          // s2 == 0 cannot occur at these n (c2' ~ n/(1+r^2)), but guard
+          // by reporting the prediction so the mean is not poisoned.
+          const double measured =
+              s2 == 0 ? real_ratio * real_ratio
+                      : static_cast<double>(s1) / static_cast<double>(s2);
+          return std::vector<double>{measured};
         },
         [&ctx, &table, n, r](const auto& slots) {
           ctx.record("amplified_ratio", {{"n", n}, {"initial_ratio", r}},

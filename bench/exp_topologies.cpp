@@ -116,7 +116,7 @@ int run_exp(ExperimentContext& ctx) {
 
   std::uint64_t sweep_point = 0;
   for (const Sweep& sweep : sweeps) {
-    ctx.note_effective_graph(graph_kind_name(sweep.spec.kind));
+    ctx.note_effective("graph", graph_kind_name(sweep.spec.kind));
     const AnyGraph g = make_graph(sweep.spec, n, build_rng);
     measure(ctx, plan, table, sweep.label, g, horizon, sweep_point++);
   }

@@ -8,6 +8,7 @@
 
 #include "bench_common.hpp"
 #include "core/two_choices.hpp"
+#include "graph/csr.hpp"
 #include "graph/factory.hpp"
 #include "opinion/assignment.hpp"
 #include "sim/sync_driver.hpp"
@@ -25,8 +26,8 @@ int run_exp(ExperimentContext& ctx) {
   const std::uint64_t max_k = ctx.args.get_u64("max_k", 64);
   Xoshiro256 build_rng(ctx.master_seed);
   const AnyGraph graph = bench::make_topology(ctx, n_req, build_rng);
-  const std::uint64_t n =
-      std::visit([](const auto& cg) { return cg.num_nodes(); }, graph);
+  const CsrTopology csr = make_csr_view(graph);
+  const std::uint64_t n = num_nodes(graph);
 
   // Both k-sweeps ride one SweepRunner (see runner.hpp): every (k, rep)
   // pair is a leaf on the process executor; rows and fits happen after
@@ -34,23 +35,18 @@ int run_exp(ExperimentContext& ctx) {
   // profile at declaration time — placement only permutes nodes, never
   // the counts — so the leaf bodies stay free of shared writes.
   SweepRunner sweep;
-  const auto body_for = [&ctx, &graph, n](std::uint64_t k,
-                                          std::uint64_t bias) {
-    return [&ctx, &graph, n, k, bias](std::uint64_t, Xoshiro256& rng) {
-      return std::visit(
-          [&](const auto& cg) {
-            TwoChoicesSync proto(
-                cg,
-                bench::place_on(
-                    ctx, cg,
-                    counts_plurality_bias(n, static_cast<ColorId>(k), bias),
-                    rng));
-            const auto result = run_sync(proto, rng, 1000000);
-            return std::vector<double>{
-                static_cast<double>(result.rounds),
-                (result.consensus && result.winner == 0) ? 1.0 : 0.0};
-          },
-          graph);
+  const auto body_for = [&ctx, &graph, &csr, n](std::uint64_t k,
+                                                std::uint64_t bias) {
+    return [&ctx, &graph, &csr, n, k, bias](std::uint64_t, Xoshiro256& rng) {
+      TwoChoicesSync proto(
+          csr, bench::place_on(
+                   ctx, graph,
+                   counts_plurality_bias(n, static_cast<ColorId>(k), bias),
+                   rng));
+      const auto result = run_sync(proto, rng, 1000000);
+      return std::vector<double>{
+          static_cast<double>(result.rounds),
+          (result.consensus && result.winner == 0) ? 1.0 : 0.0};
     };
   };
 

@@ -8,6 +8,7 @@
 
 #include "bench_common.hpp"
 #include "core/two_choices.hpp"
+#include "graph/csr.hpp"
 #include "graph/factory.hpp"
 #include "opinion/assignment.hpp"
 #include "sim/sync_driver.hpp"
@@ -34,34 +35,31 @@ int run_exp(ExperimentContext& ctx) {
   // the process executor, so short small-n points fill workers that
   // the big-n points leave idle. Topologies are built up front on the
   // main thread in sweep order — the build_rng draw sequence (and so
-  // every graph) is identical to the historical per-point loop — and
-  // live in a deque so the leaf lambdas can hold stable references.
+  // every graph) is identical to the historical per-point loop. Each
+  // graph gets its CSR view, which may borrow the graph's rows; the
+  // deques keep both at stable addresses for the leaf lambdas.
   std::deque<AnyGraph> graphs;
+  std::deque<CsrTopology> views;
   SweepRunner sweep;
   std::uint64_t sweep_point = 0;
   for (std::uint64_t n_req = 1024; n_req <= max_n;
        n_req *= 2, ++sweep_point) {
-    graphs.push_back(bench::make_topology(ctx, n_req, build_rng));
-    const AnyGraph& g = graphs.back();
-    const std::uint64_t n =
-        std::visit([](const auto& cg) { return cg.num_nodes(); }, g);
+    const AnyGraph& g =
+        graphs.emplace_back(bench::make_topology(ctx, n_req, build_rng));
+    const CsrTopology& csr = views.emplace_back(make_csr_view(g));
+    const std::uint64_t n = num_nodes(g);
     const auto bias = static_cast<std::uint64_t>(std::sqrt(
         static_cast<double>(n) * std::log(static_cast<double>(n))));
     sweep.add_point(
         ctx.reps, 2, ctx.seeds_for(sweep_point),
-        [&ctx, &g, n, bias](std::uint64_t, Xoshiro256& rng) {
-          return std::visit(
-              [&](const auto& cg) {
-                TwoChoicesSync proto(
-                    cg, bench::place_on(
-                            ctx, cg, counts_two_colors(n, n / 2 + bias / 2),
-                            rng));
-                const auto result = run_sync(proto, rng, 100000);
-                return std::vector<double>{
-                    static_cast<double>(result.rounds),
-                    (result.consensus && result.winner == 0) ? 1.0 : 0.0};
-              },
-              g);
+        [&ctx, &g, &csr, n, bias](std::uint64_t, Xoshiro256& rng) {
+          TwoChoicesSync proto(
+              csr, bench::place_on(
+                       ctx, g, counts_two_colors(n, n / 2 + bias / 2), rng));
+          const auto result = run_sync(proto, rng, 100000);
+          return std::vector<double>{
+              static_cast<double>(result.rounds),
+              (result.consensus && result.winner == 0) ? 1.0 : 0.0};
         },
         [&ctx, &table, &xs, &ys, n, bias](const auto& slots) {
           ctx.record("rounds_vs_n", {{"n", n}, {"bias", bias}}, slots[0]);

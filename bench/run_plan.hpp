@@ -133,7 +133,8 @@ inline Perturber make_perturber(const RunPlan& plan, std::uint64_t n,
                                 const CsrTopology* topology = nullptr,
                                 ChurnableCsr* churn = nullptr) {
   if (plan.perturb.kind != PerturbKind::kNone) {
-    plan.ctx->note_effective_perturb(perturb_kind_name(plan.perturb.kind));
+    plan.ctx->note_effective("perturb",
+                             perturb_kind_name(plan.perturb.kind));
   }
   return Perturber(plan.perturb, n, num_colors, rng(), topology, churn);
 }
@@ -146,7 +147,7 @@ inline Perturber make_perturber(const RunPlan& plan, std::uint64_t n,
 inline AnyGraph build_topology(const ExperimentContext& ctx,
                                const GraphSpec& spec, std::uint64_t n,
                                Xoshiro256& build_rng) {
-  ctx.note_effective_graph(graph_kind_name(spec.kind));
+  ctx.note_effective("graph", graph_kind_name(spec.kind));
   AnyGraph graph = make_graph(spec, n, build_rng);
   const std::uint64_t realized = num_nodes(graph);
   if (realized > 0) {
@@ -221,8 +222,9 @@ AsyncRunResult run_queued(const RunPlan& plan, P& proto,
                           double sample_every = 1.0,
                           Perturber* perturb = nullptr) {
   check_queued<P>(plan, model.name());
-  plan.ctx->note_effective_engine(engine_kind_name(EngineKind::kSharded));
-  plan.ctx->note_effective_latency(model.name());
+  plan.ctx->note_effective("engine",
+                           engine_kind_name(EngineKind::kSharded));
+  plan.ctx->note_effective("latency", model.name());
   double slots = 0.0;
   if constexpr (!ProgramStepProtocol<P>) {
     if (discipline == QueryDiscipline::kBlocking) {
@@ -263,7 +265,7 @@ AsyncRunResult run(const RunPlan& plan, P& proto, Xoshiro256& rng,
              "shard (use --engine=sequential|heap|superposition)");
     }
   }
-  plan.ctx->note_effective_engine(engine);
+  plan.ctx->note_effective("engine", engine);
   note_state_footprint(plan, proto, plan.engine == EngineKind::kSharded);
   switch (plan.engine) {
     case EngineKind::kSequential:

@@ -218,8 +218,8 @@ JsonValue ExperimentRegistry::run_to_record(const Experiment& experiment,
   }
   // The engines that actually ran, so the record stays truthful even
   // when it differs from the requested --engine= (see
-  // note_effective_engine).
-  const auto engines = ctx.effective_engines();
+  // note_effective).
+  const auto engines = ctx.effective("engine");
   if (!engines.empty()) params["engine_effective"] = join_comma(engines);
   // The resolved worker count, in *every* record: --shards=0 picks the
   // host's core count, sharded trajectories are keyed on it, and a
@@ -247,7 +247,7 @@ JsonValue ExperimentRegistry::run_to_record(const Experiment& experiment,
   // The latency models that actually drove runs (mirroring
   // engine_effective): most experiments ignore --latency, and a record
   // claiming a model its samples never used would misattribute them.
-  if (const auto latencies = ctx.effective_latencies();
+  if (const auto latencies = ctx.effective("latency");
       !latencies.empty()) {
     params["latency_effective"] = join_comma(latencies);
   }
@@ -255,21 +255,21 @@ JsonValue ExperimentRegistry::run_to_record(const Experiment& experiment,
   // engine_effective): a community-aligned request can fall back to
   // uniform on a topology without communities, and records must not
   // claim an adversarial start their samples never had.
-  if (const auto placements = ctx.effective_placements();
+  if (const auto placements = ctx.effective("placement");
       !placements.empty()) {
     params["placement_effective"] = join_comma(placements);
   }
   // The topology families actually built (same policy): clique-pinned
   // experiments echo a --graph= request like any unconsumed override,
   // and the absence of graph_effective is what says it was ignored.
-  if (const auto graphs = ctx.effective_graphs(); !graphs.empty()) {
+  if (const auto graphs = ctx.effective("graph"); !graphs.empty()) {
     params["graph_effective"] = join_comma(graphs);
   }
   // The perturbation kinds that actually drained events, in *every*
   // record: "none" is a positive assertion that the samples ran
   // unperturbed, so robustness baselines and perturbed runs are
   // distinguishable without knowing which flags the invocation passed.
-  const auto perturbs = ctx.effective_perturbs();
+  const auto perturbs = ctx.effective("perturb");
   params["perturb_effective"] =
       perturbs.empty() ? std::string("none") : join_comma(perturbs);
   record["params"] = std::move(params);

@@ -232,97 +232,28 @@ class ExperimentContext {
   /// Hands the accumulated series array to the registry runner.
   JsonValue take_series() { return std::exchange(series_, JsonValue::array()); }
 
-  /// Called by the bench harness with the engine that actually drove a
-  /// protocol; collected into the JSON record as
-  /// params.engine_effective. It can differ from --engine=: some
-  /// experiments sweep or cross-check engines of their own, and under
-  /// the experiment's default engine a non-zero --latency= runs on the
-  /// sharded queued body. Thread-safe (repetition bodies run on
-  /// workers).
-  void note_effective_engine(const std::string& name) const {
-    const std::lock_guard<std::mutex> lock(engines_mutex_);
-    engines_used_.insert(name);
+  /// Called by the bench harness with what actually ran on one
+  /// attribution axis — "engine", "latency", "placement", "graph" or
+  /// "perturb" — and collected into the JSON record as
+  /// params.<axis>_effective (see run_to_record). What ran can differ
+  /// from what was asked: some experiments sweep or cross-check engines
+  /// of their own, a non-zero --latency= runs on the sharded queued
+  /// body, a community-aligned placement on a topology without
+  /// communities falls back to uniform, and clique-pinned experiments
+  /// echo a --graph= request they never built. Thread-safe (repetition
+  /// bodies run on workers).
+  void note_effective(const std::string& axis,
+                      const std::string& name) const {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    effective_[axis].insert(name);
   }
 
-  /// All engines noted during the run, sorted; empty when the
-  /// experiment never drove an async engine.
-  std::set<std::string> effective_engines() const {
-    const std::lock_guard<std::mutex> lock(engines_mutex_);
-    return engines_used_;
-  }
-
-  /// Called by the bench harness with the name of a latency model that
-  /// actually drove a run (bench::run_queued, behind every latency
-  /// run); collected into the JSON record as
-  /// params.latency_effective. Mirrors note_effective_engine: most
-  /// experiments never consume `latency`, and stamping a model onto a
-  /// record whose samples ignored it would misattribute them.
-  /// Thread-safe (repetition bodies run on workers).
-  void note_effective_latency(const std::string& name) const {
-    const std::lock_guard<std::mutex> lock(engines_mutex_);
-    latencies_used_.insert(name);
-  }
-
-  /// All latency models noted during the run, sorted; empty when the
-  /// experiment never drove a latency-model run.
-  std::set<std::string> effective_latencies() const {
-    const std::lock_guard<std::mutex> lock(engines_mutex_);
-    return latencies_used_;
-  }
-
-  /// Called by the bench harness with the placement that actually
-  /// produced a workload (bench_common::place_on): a community-aligned
-  /// request on a topology without communities falls back to uniform,
-  /// and the record must say so. Collected into the JSON record as
-  /// params.placement_effective, mirroring engine_effective /
-  /// latency_effective. Thread-safe (repetition bodies run on workers).
-  void note_effective_placement(const std::string& name) const {
-    const std::lock_guard<std::mutex> lock(engines_mutex_);
-    placements_used_.insert(name);
-  }
-
-  /// Called by the bench harness with a topology family it actually
-  /// built (bench_common::make_topology and the factory-driven
-  /// sweeps). Collected as params.graph_effective: several experiments
-  /// are pinned to the clique (the phased OneExtraBit family), so a
-  /// --graph= request is echoed like any unconsumed override but must
-  /// not read as "these samples ran on that graph" unless a build is
-  /// attributed here. Thread-safe (repetition bodies run on workers).
-  void note_effective_graph(const std::string& name) const {
-    const std::lock_guard<std::mutex> lock(engines_mutex_);
-    graphs_used_.insert(name);
-  }
-
-  /// All topology families noted during the run, sorted; empty when
-  /// the experiment never built a graph through the factory helpers.
-  std::set<std::string> effective_graphs() const {
-    const std::lock_guard<std::mutex> lock(engines_mutex_);
-    return graphs_used_;
-  }
-
-  /// All placements noted during the run, sorted; empty when the
-  /// experiment never placed a workload through the placement layer.
-  std::set<std::string> effective_placements() const {
-    const std::lock_guard<std::mutex> lock(engines_mutex_);
-    return placements_used_;
-  }
-
-  /// Called by the bench harness with a perturbation kind that actually
-  /// drained events into a run (bench::make_perturber). Collected as
-  /// params.perturb_effective, which — unlike the other attribution
-  /// axes — appears in *every* record ("none" when nothing was noted):
-  /// a robustness baseline must assert positively that its samples ran
-  /// unperturbed. Thread-safe (repetition bodies run on workers).
-  void note_effective_perturb(const std::string& name) const {
-    const std::lock_guard<std::mutex> lock(engines_mutex_);
-    perturbs_used_.insert(name);
-  }
-
-  /// All perturbation kinds noted during the run, sorted; empty when no
-  /// perturber was attached to any run.
-  std::set<std::string> effective_perturbs() const {
-    const std::lock_guard<std::mutex> lock(engines_mutex_);
-    return perturbs_used_;
+  /// Everything noted on `axis` during the run, sorted; empty when the
+  /// run noted nothing there.
+  std::set<std::string> effective(const std::string& axis) const {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    const auto it = effective_.find(axis);
+    return it == effective_.end() ? std::set<std::string>{} : it->second;
   }
 
   /// Records one resolved scalar parameter into the run's top-level
@@ -331,13 +262,13 @@ class ExperimentContext {
   /// miss). Explicitly passed flags win on key collision; see
   /// run_to_record. Thread-safe (repetition bodies run on workers).
   void note_param(const std::string& key, JsonValue value) const {
-    const std::lock_guard<std::mutex> lock(engines_mutex_);
+    const std::lock_guard<std::mutex> lock(mutex_);
     noted_params_.insert_or_assign(key, std::move(value));
   }
 
   /// All parameters noted during the run, keyed by name.
   std::map<std::string, JsonValue> noted_params() const {
-    const std::lock_guard<std::mutex> lock(engines_mutex_);
+    const std::lock_guard<std::mutex> lock(mutex_);
     return noted_params_;
   }
 
@@ -349,33 +280,29 @@ class ExperimentContext {
   /// memory-footprint half of the M1e LLC-crossing claim. Thread-safe
   /// (repetition bodies run on workers).
   void note_state_bytes_per_node(double bytes) const {
-    const std::lock_guard<std::mutex> lock(engines_mutex_);
+    const std::lock_guard<std::mutex> lock(mutex_);
     state_bytes_per_node_ = std::max(state_bytes_per_node_, bytes);
   }
 
   /// Same for the topology share (CSR offsets + edges per node; the
   /// implicit clique costs zero). Noted where graphs are built
-  /// (bench_common::with_topology and the factory-driven sweeps).
+  /// (bench::build_topology).
   void note_topology_bytes_per_node(double bytes) const {
-    const std::lock_guard<std::mutex> lock(engines_mutex_);
+    const std::lock_guard<std::mutex> lock(mutex_);
     topology_bytes_per_node_ = std::max(topology_bytes_per_node_, bytes);
   }
 
   /// The combined per-node footprint of the largest run (0 when no run
   /// noted its state — e.g. unit-style experiments with no engine).
   double bytes_per_node() const {
-    const std::lock_guard<std::mutex> lock(engines_mutex_);
+    const std::lock_guard<std::mutex> lock(mutex_);
     return state_bytes_per_node_ + topology_bytes_per_node_;
   }
 
  private:
   JsonValue series_ = JsonValue::array();
-  mutable std::mutex engines_mutex_;
-  mutable std::set<std::string> engines_used_;
-  mutable std::set<std::string> latencies_used_;
-  mutable std::set<std::string> placements_used_;
-  mutable std::set<std::string> graphs_used_;
-  mutable std::set<std::string> perturbs_used_;
+  mutable std::mutex mutex_;
+  mutable std::map<std::string, std::set<std::string>> effective_;
   mutable std::map<std::string, JsonValue> noted_params_;
   mutable double state_bytes_per_node_ = 0.0;
   mutable double topology_bytes_per_node_ = 0.0;

@@ -3,7 +3,8 @@
 /// \file adjacency.hpp
 /// Compressed sparse adjacency storage shared by the random-graph
 /// topologies (Erdős–Rényi, random regular, SBM). Rows are contiguous,
-/// so neighbor sampling is one uniform draw plus one indexed load.
+/// so the CSR view (graph/csr.hpp) borrows them and samples a neighbor
+/// with one uniform draw plus one indexed load.
 /// Every family builds it the same way: from one flat list of edge
 /// endpoint pairs, scattered straight into CSR with no per-node
 /// staging.
@@ -13,7 +14,6 @@
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "rng/distributions.hpp"
 #include "support/assert.hpp"
 
 namespace plurality {
@@ -38,13 +38,6 @@ class AdjacencyList {
   std::span<const NodeId> neighbors(NodeId u) const {
     PC_EXPECTS(u + 1 < offsets_.size());
     return {edges_.data() + offsets_[u], offsets_[u + 1] - offsets_[u]};
-  }
-
-  /// Uniform random neighbor. Requires degree(u) > 0.
-  NodeId sample_neighbor(NodeId u, Xoshiro256& rng) const {
-    const auto row = neighbors(u);
-    PC_EXPECTS(!row.empty());
-    return row[uniform_below(rng, row.size())];
   }
 
   std::uint64_t num_edges() const noexcept { return edges_.size() / 2; }

@@ -22,8 +22,10 @@ class CompleteGraph {
 
   std::uint64_t degree(NodeId) const noexcept { return n_ - 1; }
 
-  /// Uniform neighbor of u, i.e. a uniform node != u.
-  NodeId sample_neighbor(NodeId u, Xoshiro256& rng) const {
+  /// Uniform neighbor of u, i.e. a uniform node != u. Always inlined,
+  /// like the protocols' on_tick that calls it.
+  [[gnu::always_inline]] NodeId sample_neighbor(NodeId u,
+                                                Xoshiro256& rng) const {
     PC_EXPECTS(u < n_);
     const std::uint64_t draw = uniform_below(rng, n_ - 1);
     return static_cast<NodeId>(draw < u ? draw : draw + 1);

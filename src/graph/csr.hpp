@@ -2,13 +2,10 @@
 
 /// \file csr.hpp
 /// One flat, cache-friendly topology view over every factory-built
-/// graph. Protocols are templates over the GraphTopology concept, so
-/// each experiment historically instantiated one protocol per concrete
-/// family behind a `std::visit` — six instantiations per protocol per
-/// experiment, and engine code (notably the sharded workers) touching a
-/// different per-family structure depending on the sweep point.
-/// CsrTopology collapses that: build it once per sweep point from any
-/// AnyGraph and instantiate protocols a single time over the view.
+/// graph, and the one neighbor sampler of every non-clique family: the
+/// families themselves only build and enumerate their rows. Build the
+/// view once per sweep point from any AnyGraph and instantiate each
+/// protocol a single time over it, whatever the family.
 ///
 /// Representation:
 ///   - the complete graph keeps its *implicit* no-storage form (a
@@ -92,8 +89,10 @@ class CsrTopology {
   }
 
   /// Uniform random neighbor of u. Requires degree(u) > 0 (the factory
-  /// rejects builds with isolated nodes).
-  NodeId sample_neighbor(NodeId u, Xoshiro256& rng) const {
+  /// rejects builds with isolated nodes). Always inlined, like the
+  /// protocols' on_tick that calls it.
+  [[gnu::always_inline]] NodeId sample_neighbor(NodeId u,
+                                                Xoshiro256& rng) const {
     if (complete_) {
       // Bit-identical to CompleteGraph::sample_neighbor: a uniform draw
       // over the other n-1 nodes, skipping over u.

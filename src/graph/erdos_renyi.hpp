@@ -27,11 +27,6 @@ class ErdosRenyiGraph {
   /// neighbor should check this is zero, or choose p >= c ln n / n).
   std::uint64_t num_isolated() const noexcept { return isolated_; }
 
-  /// Uniform random neighbor. Requires degree(u) > 0.
-  NodeId sample_neighbor(NodeId u, Xoshiro256& rng) const {
-    return adjacency_.sample_neighbor(u, rng);
-  }
-
   std::span<const NodeId> neighbors(NodeId u) const {
     return adjacency_.neighbors(u);
   }

@@ -6,10 +6,10 @@
 /// shared `--graph=` / `--graph-p=` / `--graph-degree=` /
 /// `--graph-blocks=` / `--graph-pin=` / `--graph-pout=` flags;
 /// `make_graph(spec, n, rng)` builds the topology as an AnyGraph
-/// variant so experiments stay generic over the GraphTopology concept
-/// (protocols are templates — one `std::visit` at the sweep-point level
-/// instantiates them per concrete topology, and the tick path keeps
-/// zero virtual dispatch).
+/// variant. The families build and enumerate rows; protocols sample
+/// through the one CsrTopology view make_csr_view (graph/csr.hpp)
+/// builds over any of them, so each protocol is instantiated once and
+/// the tick path keeps zero virtual dispatch.
 ///
 /// Validation policy (matching Args' numeric validation): unknown
 /// `--graph=` names and out-of-range parameters throw ContractViolation
@@ -78,9 +78,8 @@ struct GraphSpec {
   std::string label() const;
 };
 
-/// Every topology the factory can build. Protocols are generic over the
-/// GraphTopology concept, so one std::visit per sweep point dispatches
-/// to the concrete type with no per-tick indirection.
+/// Every topology the factory can build. Placement and make_csr_view
+/// visit it off the hot path; protocols run over the CSR view.
 using AnyGraph = std::variant<CompleteGraph, RingGraph, TorusGraph,
                               ErdosRenyiGraph, RandomRegularGraph,
                               StochasticBlockModelGraph>;

@@ -22,7 +22,9 @@ using NodeId = std::uint32_t;
 using ColorId = std::uint32_t;
 
 /// A topology usable by the protocols: knows its size and can sample a
-/// uniform random neighbor of a node.
+/// uniform random neighbor of a node. Two types model it: CompleteGraph
+/// and CsrTopology (graph/csr.hpp), the flat view through which the
+/// protocols sample every other family.
 template <typename G>
 concept GraphTopology = requires(const G g, NodeId u, Xoshiro256& rng) {
   { g.num_nodes() } -> std::convertible_to<std::uint64_t>;

@@ -34,10 +34,6 @@ class RandomRegularGraph {
   /// (d^2-1)/4 (e.g. 12-22 at d = 8).
   std::uint64_t defects() const noexcept { return defects_; }
 
-  NodeId sample_neighbor(NodeId u, Xoshiro256& rng) const {
-    return adjacency_.sample_neighbor(u, rng);
-  }
-
   std::span<const NodeId> neighbors(NodeId u) const {
     return adjacency_.neighbors(u);
   }

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "rng/distributions.hpp"
 #include "support/assert.hpp"
 
 namespace plurality {
@@ -23,17 +22,8 @@ class RingGraph {
 
   std::uint64_t degree(NodeId) const noexcept { return 2; }
 
-  NodeId sample_neighbor(NodeId u, Xoshiro256& rng) const {
-    PC_EXPECTS(u < n_);
-    const bool forward = (rng.next() & 1) != 0;
-    if (forward) {
-      const std::uint64_t v = u + 1;
-      return static_cast<NodeId>(v == n_ ? 0 : v);
-    }
-    return static_cast<NodeId>(u == 0 ? n_ - 1 : u - 1);
-  }
-
-  /// Appends the two ring neighbors of u (for the placement layer).
+  /// Appends the two ring neighbors of u (make_csr_view materializes
+  /// these rows; the placement layer enumerates them).
   void append_neighbors(NodeId u, std::vector<NodeId>& out) const {
     PC_EXPECTS(u < n_);
     out.push_back(static_cast<NodeId>(u == 0 ? n_ - 1 : u - 1));

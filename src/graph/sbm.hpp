@@ -37,11 +37,6 @@ class StochasticBlockModelGraph {
   std::uint64_t num_edges() const noexcept { return adjacency_.num_edges(); }
   std::uint64_t degree(NodeId u) const { return adjacency_.degree(u); }
 
-  /// Uniform random neighbor. Requires degree(u) > 0.
-  NodeId sample_neighbor(NodeId u, Xoshiro256& rng) const {
-    return adjacency_.sample_neighbor(u, rng);
-  }
-
   std::span<const NodeId> neighbors(NodeId u) const {
     return adjacency_.neighbors(u);
   }

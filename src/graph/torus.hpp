@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "graph/graph.hpp"
-#include "rng/distributions.hpp"
 #include "support/assert.hpp"
 
 namespace plurality {
@@ -31,23 +30,9 @@ class TorusGraph {
   std::uint32_t width() const noexcept { return width_; }
   std::uint32_t height() const noexcept { return height_; }
 
-  NodeId sample_neighbor(NodeId u, Xoshiro256& rng) const {
-    PC_EXPECTS(u < num_nodes());
-    const std::uint32_t x = u % width_;
-    const std::uint32_t y = u / width_;
-    switch (rng.next() & 3) {
-      case 0:  // east
-        return node_at(x + 1 == width_ ? 0 : x + 1, y);
-      case 1:  // west
-        return node_at(x == 0 ? width_ - 1 : x - 1, y);
-      case 2:  // south
-        return node_at(x, y + 1 == height_ ? 0 : y + 1);
-      default:  // north
-        return node_at(x, y == 0 ? height_ - 1 : y - 1);
-    }
-  }
-
-  /// Appends the four grid neighbors of u (for the placement layer).
+  /// Appends the four grid neighbors of u, east, west, south, north
+  /// (make_csr_view materializes these rows; the placement layer
+  /// enumerates them).
   void append_neighbors(NodeId u, std::vector<NodeId>& out) const {
     PC_EXPECTS(u < num_nodes());
     const std::uint32_t x = u % width_;

@@ -24,14 +24,17 @@ concept BitGenerator64 =
     G::min() == 0 && G::max() == std::numeric_limits<std::uint64_t>::max();
 
 /// Uniform integer in [0, bound) by Lemire's multiply-shift method with
-/// rejection — unbiased and branch-light. Requires bound > 0.
+/// rejection — unbiased and branch-light. Requires bound > 0. Every
+/// neighbor draw goes through it, so it is always inlined: whether the
+/// tick loop calls it must not hang on GCC's per-unit inline budget.
 ///
 /// The 128-bit multiply is a localized GCC/Clang extension (Core
 /// Guidelines P.2: encapsulate necessary extensions behind an interface).
 #pragma GCC diagnostic push
 #pragma GCC diagnostic ignored "-Wpedantic"
 template <BitGenerator64 G>
-inline std::uint64_t uniform_below(G& gen, std::uint64_t bound) {
+[[gnu::always_inline]] inline std::uint64_t uniform_below(
+    G& gen, std::uint64_t bound) {
   PC_EXPECTS(bound > 0);
   using u128 = unsigned __int128;
   std::uint64_t x = gen();

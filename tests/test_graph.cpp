@@ -10,6 +10,7 @@
 
 #include "graph/adjacency.hpp"
 #include "graph/complete.hpp"
+#include "graph/csr.hpp"
 #include "graph/erdos_renyi.hpp"
 #include "graph/factory.hpp"
 #include "graph/graph.hpp"
@@ -22,12 +23,15 @@
 namespace plurality {
 namespace {
 
+// The clique samples in closed form; every other family only builds
+// and enumerates its rows, and protocols sample it through the CSR view.
 static_assert(GraphTopology<CompleteGraph>);
-static_assert(GraphTopology<RingGraph>);
-static_assert(GraphTopology<TorusGraph>);
-static_assert(GraphTopology<ErdosRenyiGraph>);
-static_assert(GraphTopology<RandomRegularGraph>);
-static_assert(GraphTopology<StochasticBlockModelGraph>);
+static_assert(GraphTopology<CsrTopology>);
+static_assert(!GraphTopology<RingGraph>);
+static_assert(!GraphTopology<TorusGraph>);
+static_assert(!GraphTopology<ErdosRenyiGraph>);
+static_assert(!GraphTopology<RandomRegularGraph>);
+static_assert(!GraphTopology<StochasticBlockModelGraph>);
 
 TEST(CompleteGraph, NeverSamplesSelf) {
   const CompleteGraph g(10);
@@ -70,7 +74,7 @@ TEST(CompleteGraph, TwoNodesAlwaysSampleTheOther) {
 }
 
 TEST(RingGraph, OnlyAdjacentNodes) {
-  const RingGraph g(7);
+  const CsrTopology g = make_csr_view(RingGraph(7));
   Xoshiro256 rng(4);
   for (int i = 0; i < 1000; ++i) {
     const NodeId v = g.sample_neighbor(3, rng);
@@ -79,7 +83,7 @@ TEST(RingGraph, OnlyAdjacentNodes) {
 }
 
 TEST(RingGraph, WrapsAround) {
-  const RingGraph g(5);
+  const CsrTopology g = make_csr_view(RingGraph(5));
   Xoshiro256 rng(5);
   std::set<NodeId> seen0;
   std::set<NodeId> seen4;
@@ -93,9 +97,10 @@ TEST(RingGraph, WrapsAround) {
 }
 
 TEST(TorusGraph, FourDistinctNeighbors) {
-  const TorusGraph g(4, 5);
-  EXPECT_EQ(g.num_nodes(), 20u);
-  EXPECT_EQ(g.degree(0), 4u);
+  const TorusGraph torus(4, 5);
+  EXPECT_EQ(torus.num_nodes(), 20u);
+  EXPECT_EQ(torus.degree(0), 4u);
+  const CsrTopology g = make_csr_view(torus);
   Xoshiro256 rng(6);
   std::set<NodeId> seen;
   for (int i = 0; i < 2000; ++i) seen.insert(g.sample_neighbor(5, rng));
@@ -104,7 +109,7 @@ TEST(TorusGraph, FourDistinctNeighbors) {
 }
 
 TEST(TorusGraph, CornerWrapsBothAxes) {
-  const TorusGraph g(3, 3);
+  const CsrTopology g = make_csr_view(TorusGraph(3, 3));
   Xoshiro256 rng(7);
   std::set<NodeId> seen;
   for (int i = 0; i < 2000; ++i) seen.insert(g.sample_neighbor(0, rng));
@@ -127,10 +132,13 @@ TEST(AdjacencyList, CsrLayout) {
 }
 
 TEST(AdjacencyList, SampleFromEmptyRowViolatesContract) {
+  // The view make_csr_view builds over an adjacency-backed family.
   const std::vector<NodeId> pairs{0, 1};
   const AdjacencyList adj(3, pairs);
+  const CsrTopology view =
+      CsrTopology::borrowed(adj.row_offsets(), adj.flat_edges());
   Xoshiro256 rng(8);
-  EXPECT_THROW(adj.sample_neighbor(2, rng), ContractViolation);
+  EXPECT_THROW(view.sample_neighbor(2, rng), ContractViolation);
 }
 
 TEST(ErdosRenyi, FullProbabilityGivesClique) {
@@ -155,7 +163,8 @@ TEST(ErdosRenyi, MeanDegreeMatchesNP) {
 
 TEST(ErdosRenyi, SamplesAreActualNeighbors) {
   Xoshiro256 rng(11);
-  const ErdosRenyiGraph g(50, 0.3, rng);
+  const AnyGraph any = ErdosRenyiGraph(50, 0.3, rng);
+  const CsrTopology g = make_csr_view(any);
   for (NodeId u = 0; u < 50; ++u) {
     if (g.degree(u) == 0) continue;
     for (int i = 0; i < 20; ++i) {
@@ -215,7 +224,8 @@ TEST(RandomRegular, OddDegreeTimesOddNodesRejected) {
 
 TEST(RandomRegular, NeighborsAreValid) {
   Xoshiro256 rng(15);
-  const RandomRegularGraph g(64, 6, rng);
+  const AnyGraph any = RandomRegularGraph(64, 6, rng);
+  const CsrTopology g = make_csr_view(any);
   for (NodeId u = 0; u < 64; ++u) {
     for (int i = 0; i < 10; ++i) {
       EXPECT_LT(g.sample_neighbor(u, rng), 64u);
@@ -271,7 +281,9 @@ TEST(StochasticBlockModel, EdgeRatesMatchPinAndPout) {
 
 TEST(StochasticBlockModel, SamplesAreActualNeighborsAcrossBlocks) {
   Xoshiro256 rng(18);
-  const StochasticBlockModelGraph g(120, 3, 0.5, 0.1, rng);
+  const AnyGraph any = StochasticBlockModelGraph(120, 3, 0.5, 0.1, rng);
+  const auto& sbm = std::get<StochasticBlockModelGraph>(any);
+  const CsrTopology g = make_csr_view(any);
   std::set<NodeId> cross_sampled;
   for (NodeId u = 0; u < 120; ++u) {
     if (g.degree(u) == 0) continue;
@@ -279,7 +291,7 @@ TEST(StochasticBlockModel, SamplesAreActualNeighborsAcrossBlocks) {
       const NodeId v = g.sample_neighbor(u, rng);
       EXPECT_NE(v, u);
       EXPECT_LT(v, 120u);
-      if (g.block_of(v) != g.block_of(u)) cross_sampled.insert(v);
+      if (sbm.block_of(v) != sbm.block_of(u)) cross_sampled.insert(v);
     }
   }
   EXPECT_FALSE(cross_sampled.empty());

@@ -3,8 +3,9 @@
 // offsets and every neighbor entry, in row order), its defect /
 // isolated-node counts, and the build generator's next output — so a
 // builder change that reorders a row, moves a defect, or draws one
-// more or one fewer random number fails the named case. Ring and torus
-// rows are read through make_csr_view, the path every engine samples.
+// more or one fewer random number fails the named case. Every family's
+// rows are read through make_csr_view, the one path on which the
+// protocols sample a non-clique family.
 //
 // The table is pinned to the toolchain: Erdős–Rényi and SBM gap
 // lengths go through libm (std::log), whose last-bit results may

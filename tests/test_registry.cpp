@@ -200,7 +200,7 @@ TEST(Registry, RunToRecordEmitsSchemaValidJson) {
 // latency_effective attribution.
 int latency_toy_experiment(ExperimentContext& ctx) {
   const auto model = ctx.latency.make();
-  ctx.note_effective_latency(model->name());
+  ctx.note_effective("latency", model->name());
   std::vector<double> samples(ctx.reps, 1.0);
   ctx.record("latency_toy_series", {{"n", 1}}, samples);
   return 0;

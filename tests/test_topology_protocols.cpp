@@ -1,5 +1,5 @@
-// Cross-topology integration tests: the protocols are generic over
-// GraphTopology, and on dense expanders (Erdős–Rényi above the
+// Cross-topology integration tests: the protocols run over the CSR view
+// of every factory family, and on dense expanders (Erdős–Rényi above the
 // connectivity threshold, random d-regular) neighbor sampling
 // approximates uniform sampling well enough that the clique results
 // carry over. Low-expansion graphs (ring) are exercised as the
@@ -14,10 +14,8 @@
 #include "core/two_choices.hpp"
 #include "core/voter.hpp"
 #include "graph/complete.hpp"
-#include "graph/erdos_renyi.hpp"
-#include "graph/random_regular.hpp"
-#include "graph/ring.hpp"
-#include "graph/torus.hpp"
+#include "graph/csr.hpp"
+#include "graph/factory.hpp"
 #include "opinion/assignment.hpp"
 #include "rng/seed.hpp"
 #include "sim/sequential_engine.hpp"
@@ -31,8 +29,9 @@ TEST(Topology, TwoChoicesConvergesOnDenseErdosRenyi) {
   Xoshiro256 rng(1);
   const double p = 5.0 * std::log(static_cast<double>(n)) /
                    static_cast<double>(n);
-  const ErdosRenyiGraph g(n, p, rng);
-  ASSERT_EQ(g.num_isolated(), 0u);
+  const AnyGraph any = ErdosRenyiGraph(n, p, rng);
+  ASSERT_EQ(std::get<ErdosRenyiGraph>(any).num_isolated(), 0u);
+  const CsrTopology g = make_csr_view(any);
   TwoChoicesAsync proto(g, assign_two_colors(n, (n * 3) / 4, rng));
   const auto result = run_sequential(proto, rng, 1e4);
   ASSERT_TRUE(result.consensus);
@@ -42,7 +41,8 @@ TEST(Topology, TwoChoicesConvergesOnDenseErdosRenyi) {
 TEST(Topology, TwoChoicesConvergesOnRandomRegular) {
   const std::uint64_t n = 2048;
   Xoshiro256 rng(2);
-  const RandomRegularGraph g(n, 16, rng);
+  const AnyGraph any = RandomRegularGraph(n, 16, rng);
+  const CsrTopology g = make_csr_view(any);
   TwoChoicesAsync proto(g, assign_two_colors(n, (n * 3) / 4, rng));
   const auto result = run_sequential(proto, rng, 1e4);
   ASSERT_TRUE(result.consensus);
@@ -56,9 +56,10 @@ TEST(Topology, AsyncOneExtraBitWorksOnDenseExpander) {
   const std::uint64_t n = 2048;
   Xoshiro256 rng(3);
   const double p = 0.05;  // mean degree ~ 100
-  const ErdosRenyiGraph g(n, p, rng);
-  ASSERT_EQ(g.num_isolated(), 0u);
-  auto proto = AsyncOneExtraBit<ErdosRenyiGraph>::make(
+  const AnyGraph any = ErdosRenyiGraph(n, p, rng);
+  ASSERT_EQ(std::get<ErdosRenyiGraph>(any).num_isolated(), 0u);
+  const CsrTopology g = make_csr_view(any);
+  auto proto = AsyncOneExtraBit<CsrTopology>::make(
       g, assign_plurality_bias(n, 4, n / 4, rng));
   const auto result = run_sequential(proto, rng, 1e5);
   ASSERT_TRUE(result.consensus);
@@ -68,11 +69,10 @@ TEST(Topology, AsyncOneExtraBitWorksOnDenseExpander) {
 TEST(Topology, ExpanderTimeTracksCliqueTime) {
   const std::uint64_t n = 2048;
   const SeedSequence seeds(4);
-  auto mean_time = [&](auto make_graph) {
+  auto mean_time = [&](const CsrTopology& g) {
     double total = 0.0;
     for (std::uint64_t rep = 0; rep < 5; ++rep) {
       Xoshiro256 rng = seeds.make_rng(rep);
-      const auto& g = make_graph();
       TwoChoicesAsync proto(g, assign_two_colors(n, (n * 3) / 4, rng));
       const auto result = run_sequential(proto, rng, 1e4);
       EXPECT_TRUE(result.consensus);
@@ -80,13 +80,10 @@ TEST(Topology, ExpanderTimeTracksCliqueTime) {
     }
     return total / 5.0;
   };
-  const CompleteGraph clique(n);
   Xoshiro256 build_rng(5);
-  const RandomRegularGraph regular(n, 12, build_rng);
-  const double clique_time =
-      mean_time([&]() -> const CompleteGraph& { return clique; });
-  const double regular_time =
-      mean_time([&]() -> const RandomRegularGraph& { return regular; });
+  const AnyGraph regular = RandomRegularGraph(n, 12, build_rng);
+  const double clique_time = mean_time(make_csr_view(CompleteGraph(n)));
+  const double regular_time = mean_time(make_csr_view(regular));
   EXPECT_LT(regular_time, 4.0 * clique_time);
   EXPECT_LT(clique_time, 4.0 * regular_time);
 }
@@ -94,8 +91,8 @@ TEST(Topology, ExpanderTimeTracksCliqueTime) {
 TEST(Topology, RingIsDramaticallySlowerThanClique) {
   const std::uint64_t n = 512;
   Xoshiro256 rng(6);
-  const RingGraph ring(n);
-  const CompleteGraph clique(n);
+  const CsrTopology ring = make_csr_view(RingGraph(n));
+  const CsrTopology clique = make_csr_view(CompleteGraph(n));
 
   TwoChoicesAsync on_clique(clique, assign_two_colors(n, (n * 3) / 4, rng));
   const auto clique_result = run_sequential(on_clique, rng, 1e4);
@@ -109,7 +106,7 @@ TEST(Topology, RingIsDramaticallySlowerThanClique) {
 }
 
 TEST(Topology, TorusVoterKeepsSupportInvariant) {
-  const TorusGraph g(16, 16);
+  const CsrTopology g = make_csr_view(TorusGraph(16, 16));
   Xoshiro256 rng(7);
   VoterAsync proto(g, assign_equal(256, 4, rng));
   run_sequential(proto, rng, 50.0);
@@ -121,17 +118,18 @@ TEST(Topology, TorusVoterKeepsSupportInvariant) {
 TEST(Topology, SyncProtocolsRunOnEveryTopology) {
   Xoshiro256 rng(8);
   const std::uint64_t n = 256;
-  auto check = [&](const auto& g) {
+  auto check = [&](const CsrTopology& g) {
     TwoChoicesSync tc(g, assign_two_colors(n, (n * 7) / 8, rng));
     const auto result = run_sync(tc, rng, 4000);
     EXPECT_TRUE(result.consensus);
     ThreeMajoritySync tm(g, assign_two_colors(n, (n * 7) / 8, rng));
     EXPECT_NO_THROW(run_sync(tm, rng, 50));
   };
-  check(CompleteGraph(n));
-  check(TorusGraph(16, 16));
+  check(make_csr_view(CompleteGraph(n)));
+  check(make_csr_view(TorusGraph(16, 16)));
   Xoshiro256 build_rng(9);
-  check(RandomRegularGraph(n, 8, build_rng));
+  const AnyGraph regular = RandomRegularGraph(n, 8, build_rng);
+  check(make_csr_view(regular));
 }
 
 }  // namespace
