@@ -21,13 +21,14 @@
 #include <span>
 #include <string>
 #include <utility>
-#include <variant>
 #include <vector>
 
 #include "experiment/args.hpp"
 #include "experiment/registry.hpp"
 #include "experiment/runner.hpp"
 #include "experiment/table.hpp"
+#include "graph/complete.hpp"
+#include "graph/csr.hpp"
 #include "graph/factory.hpp"
 #include "opinion/placement.hpp"
 #include "rng/seed.hpp"
@@ -57,73 +58,62 @@ inline AnyGraph make_topology(const ExperimentContext& ctx, std::uint64_t n,
                         build_rng);
 }
 
-/// Places an exact count profile onto the nodes of `g` according to an
-/// explicit placement spec (the sweep form used by W1). The placement
-/// that actually ran is attributed into the record via
-/// placement_effective: a community-aligned request on a topology
-/// without communities falls back to uniform with a once-per-process
-/// warning rather than mislabeling the samples.
-template <typename G>
-Assignment place_with(const ExperimentContext& ctx,
-                      const PlacementSpec& placement, const G& g,
-                      std::vector<std::uint64_t> counts, Xoshiro256& rng) {
+/// Places an exact count profile onto the nodes of `view` according to
+/// an explicit placement spec (the sweep form used by W1). The
+/// placement that actually ran is attributed into the record via
+/// placement_effective: a community-aligned request on a view without
+/// a partition falls back to uniform with a once-per-process warning
+/// rather than mislabeling the samples.
+inline Assignment place_with(const ExperimentContext& ctx,
+                             const PlacementSpec& placement,
+                             const CsrTopology& view,
+                             std::vector<std::uint64_t> counts,
+                             Xoshiro256& rng) {
   switch (placement.kind) {
     case PlacementKind::kUniform:
       break;
     case PlacementKind::kCommunityAligned:
-      if constexpr (HasCommunities<G>) {
+      if (!view.block_starts().empty()) {
         ctx.note_effective(
             "placement",
             placement_kind_name(PlacementKind::kCommunityAligned));
-        return place_community_aligned(std::move(counts), g.communities(),
+        return place_community_aligned(std::move(counts), view,
                                        placement.fraction, rng);
-      } else {
-        warn_community_placement_fallback_once();
       }
+      warn_community_placement_fallback_once();
       break;
-    case PlacementKind::kAdversarialBoundary: {
-      const TopologyView<G> view(g);
+    case PlacementKind::kAdversarialBoundary:
       ctx.note_effective(
           "placement",
           placement_kind_name(PlacementKind::kAdversarialBoundary));
-      if constexpr (HasCommunities<G>) {
-        return place_adversarial_boundary(std::move(counts), view,
-                                          g.communities(), rng);
-      } else {
-        return place_adversarial_boundary(std::move(counts), view, {}, rng);
-      }
-    }
-    case PlacementKind::kClusteredBfs: {
-      const TopologyView<G> view(g);
+      return place_adversarial_boundary(std::move(counts), view, rng);
+    case PlacementKind::kClusteredBfs:
       ctx.note_effective("placement",
                          placement_kind_name(PlacementKind::kClusteredBfs));
       return place_clustered_bfs(std::move(counts), view, rng);
-    }
   }
   ctx.note_effective("placement",
                      placement_kind_name(PlacementKind::kUniform));
   return place_uniform(std::move(counts), rng);
 }
 
-/// Places an exact count profile onto the nodes of `g` according to
+/// Places an exact count profile onto the nodes of `view` according to
 /// --placement= (default uniform, the historical behavior — identical
 /// RNG draws).
-template <typename G>
-Assignment place_on(const ExperimentContext& ctx, const G& g,
-                    std::vector<std::uint64_t> counts, Xoshiro256& rng) {
-  return place_with(ctx, ctx.placement, g, std::move(counts), rng);
-}
-
-/// AnyGraph overload: dispatches to the concrete topology once, at the
-/// placement (not tick) level.
-inline Assignment place_on(const ExperimentContext& ctx, const AnyGraph& g,
+inline Assignment place_on(const ExperimentContext& ctx,
+                           const CsrTopology& view,
                            std::vector<std::uint64_t> counts,
                            Xoshiro256& rng) {
-  return std::visit(
-      [&](const auto& graph) {
-        return place_on(ctx, graph, std::move(counts), rng);
-      },
-      g);
+  return place_with(ctx, ctx.placement, view, std::move(counts), rng);
+}
+
+/// The clique's form: places on its implicit view.
+inline Assignment place_on(const ExperimentContext& ctx,
+                           const CompleteGraph& g,
+                           std::vector<std::uint64_t> counts,
+                           Xoshiro256& rng) {
+  return place_on(ctx, CsrTopology::implicit_complete(g.num_nodes()),
+                  std::move(counts), rng);
 }
 
 /// Prints the experiment banner: id, paper claim, reproduce command.

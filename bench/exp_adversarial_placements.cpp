@@ -20,7 +20,6 @@
 
 #include <cmath>
 #include <string>
-#include <type_traits>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -43,27 +42,21 @@ struct Cell {
 
 template <template <GraphTopology> class Proto>
 Cell run_cell(ExperimentContext& ctx, const bench::RunPlan& plan,
-              const AnyGraph& any, const CsrTopology& csr,
-              const char* protocol, const PlacementSpec& placement,
+              const CsrTopology& csr, const char* protocol,
+              const PlacementSpec& placement,
               std::uint64_t c1, double c1_frac, double horizon,
               std::uint64_t sweep_point, const std::string& topology) {
-  // The protocol runs on the flat CSR view (one instantiation, shared
-  // by all engines incl. the sharded workers); the placement runs on
-  // the concrete graph, which knows its communities and cut structure.
+  // The protocol samples and the placement enumerates the same flat
+  // CSR view (one instantiation, shared by all engines incl. the
+  // sharded workers); the SBM's communities travel with its rows.
   const std::uint64_t n = csr.num_nodes();
   const auto seeds = ctx.seeds_for(sweep_point);
-  const auto place = [&](Xoshiro256& rng) {
-    return std::visit(
-        [&](const auto& g) {
-          return bench::place_with(ctx, placement, g,
-                                   counts_two_colors(n, c1), rng);
-        },
-        any);
-  };
   const auto slots = run_repetitions_multi(
       ctx.reps, 3, seeds,
       [&](std::uint64_t, Xoshiro256& rng) {
-        Proto<CsrTopology> proto(csr, place(rng));
+        Proto<CsrTopology> proto(
+            csr, bench::place_with(ctx, placement, csr,
+                                   counts_two_colors(n, c1), rng));
         const auto result = bench::run(plan, proto, rng, horizon);
         return std::vector<double>{
             result.time,
@@ -138,11 +131,11 @@ int run_exp(ExperimentContext& ctx) {
     };
     const Row rows[] = {
         {"two_choices",
-         run_cell<TwoChoicesAsync>(ctx, plan, any, csr, "two_choices",
+         run_cell<TwoChoicesAsync>(ctx, plan, csr, "two_choices",
                                    placement, c1, c1_frac, horizon,
                                    sweep_point * 2, topology)},
         {"three_majority",
-         run_cell<ThreeMajorityAsync>(ctx, plan, any, csr, "three_majority",
+         run_cell<ThreeMajorityAsync>(ctx, plan, csr, "three_majority",
                                       placement, c1, c1_frac, horizon,
                                       sweep_point * 2 + 1, topology)},
     };

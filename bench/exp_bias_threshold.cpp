@@ -48,9 +48,9 @@ int run_exp(ExperimentContext& ctx) {
       const auto bias = static_cast<std::uint64_t>(beta * sqrt_n);
       sweep.add_point(
           ctx.reps, 2, ctx.seeds_for(sweep_point++),
-          [&ctx, &graph, &csr, n, k, bias](std::uint64_t, Xoshiro256& rng) {
+          [&ctx, &csr, n, k, bias](std::uint64_t, Xoshiro256& rng) {
             TwoChoicesSync proto(
-                csr, bench::place_on(ctx, graph,
+                csr, bench::place_on(ctx, csr,
                                      counts_plurality_bias(n, k, bias), rng));
             const auto result = run_sync(proto, rng, 1000000);
             return std::vector<double>{

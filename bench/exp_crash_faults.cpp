@@ -94,7 +94,7 @@ int run_exp(ExperimentContext& ctx) {
           ctx.reps, 2, seeds,
           [&](std::uint64_t, Xoshiro256& rng) {
             auto workload = bench::place_on(
-                ctx, any, counts_plurality_bias(n_eff, k, bias), rng);
+                ctx, csr, counts_plurality_bias(n_eff, k, bias), rng);
             Perturber perturb =
                 bench::make_perturber(cell_plan, n_eff, k, rng);
             const auto run = [&](auto& proto) {

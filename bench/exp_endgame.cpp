@@ -41,18 +41,18 @@ int run_exp(ExperimentContext& ctx) {
   // pair is a leaf on the process executor. Topologies are built up
   // front in the historical order — all E8a graphs, then the E8b graph
   // — so the build_rng draw sequence is unchanged. Each graph gets its
-  // CSR view, which may borrow the graph's rows; the deques keep both
-  // at stable addresses for the leaf lambdas.
+  // CSR view, which borrows the graph's rows; protocol and placement
+  // both read the view, and the deques keep graph and view at stable
+  // addresses for the leaf lambdas.
   std::deque<AnyGraph> graphs;
   std::deque<CsrTopology> views;
   SweepRunner sweep;
-  const auto body_for = [&ctx, &plan](const AnyGraph& g,
-                                      const CsrTopology& csr,
+  const auto body_for = [&ctx, &plan](const CsrTopology& csr,
                                       std::uint64_t c1) {
-    return [&ctx, &plan, &g, &csr, c1](std::uint64_t, Xoshiro256& rng) {
+    return [&ctx, &plan, &csr, c1](std::uint64_t, Xoshiro256& rng) {
       TwoChoicesAsync proto(
           csr, bench::place_on(
-                   ctx, g, counts_two_colors(csr.num_nodes(), c1), rng));
+                   ctx, csr, counts_two_colors(csr.num_nodes(), c1), rng));
       const auto result = bench::run(plan, proto, rng, 1e6);
       return std::vector<double>{
           result.time, (result.consensus && result.winner == 0) ? 1.0 : 0.0};
@@ -68,7 +68,7 @@ int run_exp(ExperimentContext& ctx) {
     const auto c1 = static_cast<std::uint64_t>(
         (1.0 - eps_fixed) * static_cast<double>(n_eff));
     sweep.add_point(
-        ctx.reps, 2, ctx.seeds_for(sweep_point), body_for(g, csr, c1),
+        ctx.reps, 2, ctx.seeds_for(sweep_point), body_for(csr, c1),
         [&ctx, &by_n, &xs, &ys, n_eff, eps_fixed](const auto& slots) {
           ctx.record("endgame_time_vs_n", {{"n", n_eff}, {"eps", eps_fixed}},
                      slots[0]);
@@ -98,7 +98,7 @@ int run_exp(ExperimentContext& ctx) {
         (1.0 - eps) * static_cast<double>(n_eff));
     sweep.add_point(
         ctx.reps, 2, ctx.seeds_for(sweep_point++),
-        body_for(g_eps, csr_eps, c1),
+        body_for(csr_eps, c1),
         [&ctx, &by_eps, n_eff, eps](const auto& slots) {
           ctx.record("endgame_time_vs_eps", {{"n", n_eff}, {"eps", eps}},
                      slots[0]);

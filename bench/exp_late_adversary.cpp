@@ -43,10 +43,10 @@ struct Cell {
 
 template <template <GraphTopology> class Proto>
 Cell run_cell(ExperimentContext& ctx, const bench::RunPlan& cell_plan,
-              const AnyGraph& any, const CsrTopology& csr,
-              const char* protocol, const char* arm, std::uint64_t budget,
-              const PlacementSpec& placement, std::uint64_t c1_start,
-              double horizon, std::uint64_t sweep_point) {
+              const CsrTopology& csr, const char* protocol, const char* arm,
+              std::uint64_t budget, const PlacementSpec& placement,
+              std::uint64_t c1_start, double horizon,
+              std::uint64_t sweep_point) {
   const std::uint64_t n = csr.num_nodes();
   const ColorId k = 2;
   const bool adaptive = cell_plan.perturb.kind == PerturbKind::kAdversary;
@@ -54,13 +54,8 @@ Cell run_cell(ExperimentContext& ctx, const bench::RunPlan& cell_plan,
   const auto slots = run_repetitions_multi(
       ctx.reps, 2, seeds,
       [&](std::uint64_t, Xoshiro256& rng) {
-        auto workload = std::visit(
-            [&](const auto& g) {
-              return bench::place_with(ctx, placement, g,
-                                       counts_two_colors(n, c1_start),
-                                       rng);
-            },
-            any);
+        auto workload = bench::place_with(
+            ctx, placement, csr, counts_two_colors(n, c1_start), rng);
         Proto<CsrTopology> proto(csr, std::move(workload));
         if (adaptive) {
           Perturber perturb =
@@ -171,20 +166,20 @@ int run_exp(ExperimentContext& ctx) {
     };
     const Arm arms[] = {
         {"static_boundary",
-         run_cell<TwoChoicesAsync>(ctx, static_plan, any, csr,
+         run_cell<TwoChoicesAsync>(ctx, static_plan, csr,
                                    "two_choices", "static_boundary",
                                    budget, boundary, c1 - budget, horizon,
                                    sweep_point * 4),
-         run_cell<ThreeMajorityAsync>(ctx, static_plan, any, csr,
+         run_cell<ThreeMajorityAsync>(ctx, static_plan, csr,
                                       "three_majority", "static_boundary",
                                       budget, boundary, c1 - budget,
                                       horizon, sweep_point * 4 + 1)},
         {"late_adversary",
-         run_cell<TwoChoicesAsync>(ctx, adaptive_plan, any, csr,
+         run_cell<TwoChoicesAsync>(ctx, adaptive_plan, csr,
                                    "two_choices", "late_adversary",
                                    budget, uniform, c1, horizon,
                                    sweep_point * 4 + 2),
-         run_cell<ThreeMajorityAsync>(ctx, adaptive_plan, any, csr,
+         run_cell<ThreeMajorityAsync>(ctx, adaptive_plan, csr,
                                       "three_majority", "late_adversary",
                                       budget, uniform, c1, horizon,
                                       sweep_point * 4 + 3)},

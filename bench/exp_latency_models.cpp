@@ -43,7 +43,6 @@ namespace {
 template <template <GraphTopology> class Proto>
 std::vector<std::vector<double>> run_cell(ExperimentContext& ctx,
                                           const bench::RunPlan& plan,
-                                          const AnyGraph& any,
                                           const CsrTopology& csr,
                                           const LatencyModel& model,
                                           std::uint64_t sweep_point) {
@@ -53,7 +52,7 @@ std::vector<std::vector<double>> run_cell(ExperimentContext& ctx,
       ctx.reps, 2, seeds,
       [&](std::uint64_t, Xoshiro256& rng) {
         Proto<CsrTopology> proto(
-            csr, bench::place_on(ctx, any,
+            csr, bench::place_on(ctx, csr,
                                  counts_two_colors(n, (n * 3) / 4), rng));
         const AsyncRunResult result = bench::run_queued(
             plan, proto, model, QueryDiscipline::kBlocking, rng, 1e5);
@@ -129,10 +128,10 @@ int run_exp(ExperimentContext& ctx) {
     Row rows[] = {
         {"two_choices",
          run_cell<TwoChoicesAsync>(
-             ctx, plan, any, csr, *model, sweep_point * 2)},
+             ctx, plan, csr, *model, sweep_point * 2)},
         {"three_majority",
          run_cell<ThreeMajorityAsync>(
-             ctx, plan, any, csr, *model, sweep_point * 2 + 1)},
+             ctx, plan, csr, *model, sweep_point * 2 + 1)},
     };
     ++sweep_point;
     for (const Row& row : rows) {
@@ -193,7 +192,7 @@ int run_exp(ExperimentContext& ctx) {
         ctx.reps, ctx.seeds_for(1000),
         [&](std::uint64_t, Xoshiro256& rng) {
           TwoChoicesAsync<CsrTopology> proto(
-              csr, bench::place_on(ctx, any,
+              csr, bench::place_on(ctx, csr,
                                    counts_two_colors(n_eff, (n_eff * 3) / 4),
                                    rng));
           return bench::run_queued(plan, proto, latency,

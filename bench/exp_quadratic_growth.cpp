@@ -42,9 +42,9 @@ int run_exp(ExperimentContext& ctx) {
         r / (1.0 + r) * static_cast<double>(n));
     sweep.add_point(
         ctx.reps, 1, ctx.seeds_for(sweep_point++),
-        [&ctx, &graph, &csr, n, c1](std::uint64_t, Xoshiro256& rng) {
+        [&ctx, &csr, n, c1](std::uint64_t, Xoshiro256& rng) {
           OneExtraBitSync proto(
-              csr, bench::place_on(ctx, graph, counts_two_colors(n, c1), rng));
+              csr, bench::place_on(ctx, csr, counts_two_colors(n, c1), rng));
           const double real_ratio =
               static_cast<double>(proto.table().support(0)) /
               static_cast<double>(proto.table().support(1));

@@ -41,7 +41,7 @@ struct Cell {
 
 template <template <GraphTopology> class Proto>
 Cell run_cell(ExperimentContext& ctx, const bench::RunPlan& cell_plan,
-              const AnyGraph& any, const CsrTopology& csr,
+              const CsrTopology& csr,
               const char* protocol, const char* engine_name, double rate,
               std::uint64_t c1, double horizon, double sample_every,
               std::uint64_t sweep_point) {
@@ -55,7 +55,7 @@ Cell run_cell(ExperimentContext& ctx, const bench::RunPlan& cell_plan,
       ctx.reps, 3 + std::size(kProbeTimes), seeds,
       [&](std::uint64_t, Xoshiro256& rng) {
         auto workload =
-            bench::place_on(ctx, any, counts_two_colors(n, c1), rng);
+            bench::place_on(ctx, csr, counts_two_colors(n, c1), rng);
         // Churn rewires edges in place, so each repetition mutates its
         // own copy of the adjacency (reps run concurrently and the
         // next rep must start from the pristine graph).
@@ -192,12 +192,12 @@ int run_exp(ExperimentContext& ctx) {
       };
       const Row rows[] = {
           {"two_choices",
-           run_cell<TwoChoicesAsync>(ctx, cell_plan, any, csr,
+           run_cell<TwoChoicesAsync>(ctx, cell_plan, csr,
                                      "two_choices", engine_name, rate, c1,
                                      horizon, sample_every,
                                      sweep_point * 2)},
           {"three_majority",
-           run_cell<ThreeMajorityAsync>(ctx, cell_plan, any, csr,
+           run_cell<ThreeMajorityAsync>(ctx, cell_plan, csr,
                                         "three_majority", engine_name,
                                         rate, c1, horizon, sample_every,
                                         sweep_point * 2 + 1)},

@@ -35,12 +35,12 @@ int run_exp(ExperimentContext& ctx) {
   // profile at declaration time — placement only permutes nodes, never
   // the counts — so the leaf bodies stay free of shared writes.
   SweepRunner sweep;
-  const auto body_for = [&ctx, &graph, &csr, n](std::uint64_t k,
+  const auto body_for = [&ctx, &csr, n](std::uint64_t k,
                                                 std::uint64_t bias) {
-    return [&ctx, &graph, &csr, n, k, bias](std::uint64_t, Xoshiro256& rng) {
+    return [&ctx, &csr, n, k, bias](std::uint64_t, Xoshiro256& rng) {
       TwoChoicesSync proto(
           csr, bench::place_on(
-                   ctx, graph,
+                   ctx, csr,
                    counts_plurality_bias(n, static_cast<ColorId>(k), bias),
                    rng));
       const auto result = run_sync(proto, rng, 1000000);

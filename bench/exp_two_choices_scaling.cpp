@@ -36,8 +36,9 @@ int run_exp(ExperimentContext& ctx) {
   // the big-n points leave idle. Topologies are built up front on the
   // main thread in sweep order — the build_rng draw sequence (and so
   // every graph) is identical to the historical per-point loop. Each
-  // graph gets its CSR view, which may borrow the graph's rows; the
-  // deques keep both at stable addresses for the leaf lambdas.
+  // graph gets its CSR view, which borrows the graph's rows; protocol
+  // and placement both read the view, and the deques keep graph and
+  // view at stable addresses for the leaf lambdas.
   std::deque<AnyGraph> graphs;
   std::deque<CsrTopology> views;
   SweepRunner sweep;
@@ -52,10 +53,10 @@ int run_exp(ExperimentContext& ctx) {
         static_cast<double>(n) * std::log(static_cast<double>(n))));
     sweep.add_point(
         ctx.reps, 2, ctx.seeds_for(sweep_point),
-        [&ctx, &g, &csr, n, bias](std::uint64_t, Xoshiro256& rng) {
+        [&ctx, &csr, n, bias](std::uint64_t, Xoshiro256& rng) {
           TwoChoicesSync proto(
               csr, bench::place_on(
-                       ctx, g, counts_two_colors(n, n / 2 + bias / 2), rng));
+                       ctx, csr, counts_two_colors(n, n / 2 + bias / 2), rng));
           const auto result = run_sync(proto, rng, 100000);
           return std::vector<double>{
               static_cast<double>(result.rounds),

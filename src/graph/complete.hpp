@@ -3,9 +3,11 @@
 /// \file complete.hpp
 /// The complete graph K_n — the paper's topology. Neighbor sampling is
 /// O(1) with no stored edges: draw from [0, n-1) and skip over self.
+/// Placements read it through CsrTopology::implicit_complete
+/// (graph/csr.hpp), which draws bit-identically and enumerates a
+/// node's neighbors in ascending order.
 
 #include <cstdint>
-#include <vector>
 
 #include "graph/graph.hpp"
 #include "rng/distributions.hpp"
@@ -29,15 +31,6 @@ class CompleteGraph {
     PC_EXPECTS(u < n_);
     const std::uint64_t draw = uniform_below(rng, n_ - 1);
     return static_cast<NodeId>(draw < u ? draw : draw + 1);
-  }
-
-  /// Appends all n-1 neighbors of u (everyone else). O(n) — for the
-  /// placement generators, which enumerate off the hot path.
-  void append_neighbors(NodeId u, std::vector<NodeId>& out) const {
-    PC_EXPECTS(u < n_);
-    for (std::uint64_t v = 0; v < n_; ++v) {
-      if (v != u) out.push_back(static_cast<NodeId>(v));
-    }
   }
 
  private:

@@ -1,74 +1,48 @@
 #include "graph/csr.hpp"
 
+#include <algorithm>
+#include <numeric>
 #include <utility>
-#include <variant>
 
 namespace plurality {
 
-namespace {
-
-/// Materializes the rows of a closed-form family (ring, torus) into
-/// owned CSR arrays via its append_neighbors enumeration.
-template <typename G>
-CsrTopology materialize(const G& graph) {
-  const std::uint64_t n = graph.num_nodes();
-  std::vector<std::uint64_t> offsets;
-  offsets.reserve(n + 1);
-  std::vector<NodeId> edges;
-  edges.reserve(n * graph.degree(0));
-  offsets.push_back(0);
-  for (std::uint64_t u = 0; u < n; ++u) {
-    graph.append_neighbors(static_cast<NodeId>(u), edges);
-    offsets.push_back(edges.size());
+CsrTopology CsrTopology::from_pairs(std::uint64_t n,
+                                    std::span<const NodeId> pairs,
+                                    std::vector<NodeId> block_starts) {
+  PC_EXPECTS(pairs.size() % 2 == 0);
+  std::vector<std::uint64_t> offsets(n + 1, 0);
+  std::vector<NodeId> edges(pairs.size());
+  // Degree counts at offsets[u + 1]; the prefix sum turns them into
+  // row starts at offsets[u].
+  for (const NodeId u : pairs) {
+    PC_EXPECTS(u < n);
+    ++offsets[u + 1];
   }
-  return CsrTopology::owned(std::move(offsets), std::move(edges));
+  std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
+  // Scatter in pair order, using offsets[u] as row u's fill cursor;
+  // afterwards each cursor sits at the next row's start, so shifting
+  // the array right by one restores the row starts.
+  for (std::size_t i = 0; i < pairs.size(); i += 2) {
+    const NodeId a = pairs[i];
+    const NodeId b = pairs[i + 1];
+    edges[offsets[a]++] = b;
+    edges[offsets[b]++] = a;
+  }
+  std::copy_backward(offsets.begin(), offsets.end() - 1, offsets.end());
+  offsets[0] = 0;
+  return owned(std::move(offsets), std::move(edges), std::move(block_starts));
 }
 
-CsrTopology borrow(const AdjacencyList& adjacency) {
-  return CsrTopology::borrowed(adjacency.row_offsets(),
-                               adjacency.flat_edges());
-}
-
-}  // namespace
-
-CsrTopology make_csr_view(const AnyGraph& graph) {
-  return std::visit(
-      [](const auto& g) -> CsrTopology {
-        using G = std::decay_t<decltype(g)>;
-        if constexpr (std::is_same_v<G, CompleteGraph>) {
-          return CsrTopology::implicit_complete(g.num_nodes());
-        } else if constexpr (std::is_same_v<G, RingGraph> ||
-                             std::is_same_v<G, TorusGraph>) {
-          return materialize(g);
-        } else {
-          return borrow(g.adjacency());
-        }
-      },
-      graph);
-}
-
-std::size_t graph_storage_bytes(const AnyGraph& graph) {
-  return std::visit(
-      [](const auto& g) -> std::size_t {
-        using G = std::decay_t<decltype(g)>;
-        if constexpr (std::is_same_v<G, CompleteGraph>) {
-          return 0;
-        } else if constexpr (std::is_same_v<G, RingGraph> ||
-                             std::is_same_v<G, TorusGraph>) {
-          // Closed-form rows: what make_csr_view would materialize
-          // (degree d per node plus the offset column), whether or not
-          // a view was actually built — the resident cost of running
-          // these families through the flat view.
-          const std::uint64_t n = g.num_nodes();
-          return (n + 1) * sizeof(std::uint64_t) +
-                 n * g.degree(0) * sizeof(NodeId);
-        } else {
-          const AdjacencyList& adjacency = g.adjacency();
-          return adjacency.row_offsets().size() * sizeof(std::uint64_t) +
-                 adjacency.flat_edges().size() * sizeof(NodeId);
-        }
-      },
-      graph);
+void CsrTopology::append_neighbors(NodeId u, std::vector<NodeId>& out) const {
+  if (complete_) {
+    PC_EXPECTS(u < n_);
+    for (std::uint64_t v = 0; v < n_; ++v) {
+      if (v != u) out.push_back(static_cast<NodeId>(v));
+    }
+    return;
+  }
+  const auto row = neighbors(u);
+  out.insert(out.end(), row.begin(), row.end());
 }
 
 }  // namespace plurality

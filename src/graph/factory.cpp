@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "graph/builders.hpp"
 #include "support/assert.hpp"
 
 namespace plurality {
@@ -12,6 +13,15 @@ namespace {
                            const char* expected) {
   throw ContractViolation(flag + " expects " + expected + ", got '" + value +
                           "'");
+}
+
+/// Nodes with an empty row.
+std::uint64_t count_isolated(const CsrTopology& rows) {
+  std::uint64_t isolated = 0;
+  for (NodeId u = 0; u < rows.num_nodes(); ++u) {
+    if (rows.degree(u) == 0) ++isolated;
+  }
+  return isolated;
 }
 
 std::string trimmed(double value) {
@@ -76,7 +86,7 @@ AnyGraph make_graph(const GraphSpec& spec, std::uint64_t n, Xoshiro256& rng) {
     case GraphKind::kComplete:
       return CompleteGraph(n);
     case GraphKind::kRing:
-      return RingGraph(n);
+      return build_ring(n);
     case GraphKind::kTorus: {
       const auto side = static_cast<std::uint32_t>(
           std::sqrt(static_cast<double>(n)));
@@ -84,7 +94,7 @@ AnyGraph make_graph(const GraphSpec& spec, std::uint64_t n, Xoshiro256& rng) {
         bad_flag("--graph", "torus",
                  "n >= 9 (the torus needs a side of at least 3)");
       }
-      return TorusGraph(side, side);
+      return build_torus(side, side);
     }
     case GraphKind::kErdosRenyi: {
       const double p =
@@ -92,11 +102,11 @@ AnyGraph make_graph(const GraphSpec& spec, std::uint64_t n, Xoshiro256& rng) {
               ? spec.er_p
               : 3.0 * std::log(static_cast<double>(n)) /
                     static_cast<double>(n);
-      ErdosRenyiGraph g(n, p, rng);
+      CsrTopology g = build_erdos_renyi(n, p, rng);
       // Protocols sample a neighbor of *every* node; an isolated node
       // would trip an opaque assert deep inside a worker repetition,
       // so reject the build here with the flag named instead.
-      if (const std::uint64_t isolated = g.num_isolated(); isolated > 0) {
+      if (const std::uint64_t isolated = count_isolated(g); isolated > 0) {
         throw ContractViolation(
             "--graph-p=" + trimmed(p) + " left " +
             std::to_string(isolated) + " of " + std::to_string(n) +
@@ -114,18 +124,18 @@ AnyGraph make_graph(const GraphSpec& spec, std::uint64_t n, Xoshiro256& rng) {
         bad_flag("--graph-degree", std::to_string(spec.degree),
                  "n * degree to be even (handshake parity)");
       }
-      return RandomRegularGraph(n, spec.degree, rng);
+      return build_random_regular(n, spec.degree, rng);
     }
     case GraphKind::kSbm: {
       if (spec.blocks > n) {
         bad_flag("--graph-blocks", std::to_string(spec.blocks),
                  "at most n blocks");
       }
-      StochasticBlockModelGraph g(n, spec.blocks, spec.p_in, spec.p_out,
-                                  rng);
+      CsrTopology g =
+          build_sbm(n, spec.blocks, spec.p_in, spec.p_out, rng);
       // Same policy as Erdős–Rényi: isolated nodes must fail loudly at
       // build time, naming the rates that caused them.
-      if (const std::uint64_t isolated = g.num_isolated(); isolated > 0) {
+      if (const std::uint64_t isolated = count_isolated(g); isolated > 0) {
         throw ContractViolation(
             "--graph-pin=" + trimmed(spec.p_in) + " with --graph-pout=" +
             trimmed(spec.p_out) + " left " + std::to_string(isolated) +
@@ -141,6 +151,18 @@ AnyGraph make_graph(const GraphSpec& spec, std::uint64_t n, Xoshiro256& rng) {
 
 std::uint64_t num_nodes(const AnyGraph& graph) {
   return std::visit([](const auto& g) { return g.num_nodes(); }, graph);
+}
+
+CsrTopology make_csr_view(const AnyGraph& graph) {
+  if (const auto* clique = std::get_if<CompleteGraph>(&graph)) {
+    return CsrTopology::implicit_complete(clique->num_nodes());
+  }
+  return std::get<CsrTopology>(graph).borrow();
+}
+
+std::size_t graph_storage_bytes(const AnyGraph& graph) {
+  const auto* rows = std::get_if<CsrTopology>(&graph);
+  return rows != nullptr ? rows->storage_bytes() : 0;
 }
 
 }  // namespace plurality

@@ -5,27 +5,24 @@
 /// selectable axis. A GraphSpec is the parsed, validated form of the
 /// shared `--graph=` / `--graph-p=` / `--graph-degree=` /
 /// `--graph-blocks=` / `--graph-pin=` / `--graph-pout=` flags;
-/// `make_graph(spec, n, rng)` builds the topology as an AnyGraph
-/// variant. The families build and enumerate rows; protocols sample
-/// through the one CsrTopology view make_csr_view (graph/csr.hpp)
-/// builds over any of them, so each protocol is instantiated once and
-/// the tick path keeps zero virtual dispatch.
+/// `make_graph(spec, n, rng)` builds the topology as an AnyGraph: the
+/// closed-form CompleteGraph, or the CsrTopology rows a family builder
+/// (graph/builders.hpp) wrote. Protocols and placements both read the
+/// one view make_csr_view takes of either, so each protocol is
+/// instantiated once and the tick path keeps zero virtual dispatch.
 ///
 /// Validation policy (matching Args' numeric validation): unknown
 /// `--graph=` names and out-of-range parameters throw ContractViolation
 /// messages that name the flag, never silently fall back.
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <variant>
 
 #include "graph/complete.hpp"
-#include "graph/erdos_renyi.hpp"
+#include "graph/csr.hpp"
 #include "graph/graph.hpp"
-#include "graph/random_regular.hpp"
-#include "graph/ring.hpp"
-#include "graph/sbm.hpp"
-#include "graph/torus.hpp"
 #include "rng/xoshiro256.hpp"
 
 namespace plurality {
@@ -78,11 +75,9 @@ struct GraphSpec {
   std::string label() const;
 };
 
-/// Every topology the factory can build. Placement and make_csr_view
-/// visit it off the hot path; protocols run over the CSR view.
-using AnyGraph = std::variant<CompleteGraph, RingGraph, TorusGraph,
-                              ErdosRenyiGraph, RandomRegularGraph,
-                              StochasticBlockModelGraph>;
+/// Every topology the factory can build: the clique in closed form, or
+/// the rows (and the SBM's partition) of any other family.
+using AnyGraph = std::variant<CompleteGraph, CsrTopology>;
 
 /// Builds the topology selected by `spec` on (about) n nodes; the torus
 /// rounds n down to floor(sqrt n)^2, everything else uses n exactly —
@@ -95,5 +90,16 @@ AnyGraph make_graph(const GraphSpec& spec, std::uint64_t n, Xoshiro256& rng);
 
 /// The realized node count of any factory-built topology.
 std::uint64_t num_nodes(const AnyGraph& graph);
+
+/// The view protocols sample and placements enumerate, in O(1): the
+/// implicit clique, or a borrow of the held rows and partition (the
+/// AnyGraph must outlive the view, hence no temporaries).
+CsrTopology make_csr_view(const AnyGraph& graph);
+CsrTopology make_csr_view(AnyGraph&& graph) = delete;
+
+/// The bytes of topology structure a factory-built graph holds: 0 for
+/// the implicit complete graph, CSR offsets + edges otherwise (see
+/// CsrTopology::storage_bytes).
+std::size_t graph_storage_bytes(const AnyGraph& graph);
 
 }  // namespace plurality

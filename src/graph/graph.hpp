@@ -4,7 +4,8 @@
 /// The Graph concept every protocol is generic over, plus the shared
 /// node-id vocabulary. The paper's protocols only ever *sample a uniform
 /// random neighbor*, so that single operation (plus sizes/degrees) is the
-/// whole interface — topologies never enumerate edges on the hot path.
+/// whole interface — edges are enumerated only by the placements, off
+/// the hot path, through CsrTopology.
 
 #include <concepts>
 #include <cstdint>
@@ -23,8 +24,8 @@ using ColorId = std::uint32_t;
 
 /// A topology usable by the protocols: knows its size and can sample a
 /// uniform random neighbor of a node. Two types model it: CompleteGraph
-/// and CsrTopology (graph/csr.hpp), the flat view through which the
-/// protocols sample every other family.
+/// and CsrTopology (graph/csr.hpp), the rows every other family's
+/// builder (graph/builders.hpp) writes.
 template <typename G>
 concept GraphTopology = requires(const G g, NodeId u, Xoshiro256& rng) {
   { g.num_nodes() } -> std::convertible_to<std::uint64_t>;

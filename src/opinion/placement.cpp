@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <span>
 
 #include "rng/distributions.hpp"
 
@@ -72,33 +73,36 @@ Assignment place_uniform(std::vector<std::uint64_t> counts, Xoshiro256& rng) {
   return assign_exact(std::move(counts), rng);
 }
 
-Assignment place_community_aligned(
-    std::vector<std::uint64_t> counts,
-    const std::vector<std::vector<NodeId>>& communities, double fraction,
-    Xoshiro256& rng) {
+Assignment place_community_aligned(std::vector<std::uint64_t> counts,
+                                   const CsrTopology& view, double fraction,
+                                   Xoshiro256& rng) {
   PC_EXPECTS(!counts.empty());
-  PC_EXPECTS(!communities.empty());
   PC_EXPECTS(fraction > 0.0 && fraction <= 1.0);
+  const std::span<const NodeId> starts = view.block_starts();
+  PC_EXPECTS(!starts.empty());
   const std::uint64_t n = total_of(counts);
-  std::uint64_t covered = 0;
-  for (const auto& block : communities) covered += block.size();
-  PC_EXPECTS(covered == n);
+  PC_EXPECTS(n == view.num_nodes());
+  const std::size_t blocks = starts.size() - 1;
+  const auto size_of = [&](std::size_t b) -> std::uint64_t {
+    return starts[b + 1] - starts[b];
+  };
 
   // Target block: the largest community (first on ties).
   std::size_t target = 0;
-  for (std::size_t b = 1; b < communities.size(); ++b) {
-    if (communities[b].size() > communities[target].size()) target = b;
+  for (std::size_t b = 1; b < blocks; ++b) {
+    if (size_of(b) > size_of(target)) target = b;
   }
 
   const std::uint64_t c1 = counts[0];
   const auto want = static_cast<std::uint64_t>(
       std::ceil(fraction * static_cast<double>(c1)));
-  const std::uint64_t q = std::min({c1, want, communities[target].size()});
+  const std::uint64_t q = std::min({c1, want, size_of(target)});
 
   // q random slots of the target block hold color 0; every remaining
   // slot (target leftover + other blocks) draws from the shuffled rest
   // of the pool, so the residual placement is uniform.
-  std::vector<NodeId> target_nodes = communities[target];
+  std::vector<NodeId> target_nodes(size_of(target));
+  std::iota(target_nodes.begin(), target_nodes.end(), starts[target]);
   shuffle(target_nodes, rng);
   std::vector<ColorId> pool = color_pool(counts, q);
   shuffle(pool, rng);
@@ -108,31 +112,29 @@ Assignment place_community_aligned(
   for (std::size_t i = 0; i < target_nodes.size(); ++i) {
     colors[target_nodes[i]] = i < q ? 0 : pool[next++];
   }
-  for (std::size_t b = 0; b < communities.size(); ++b) {
+  for (std::size_t b = 0; b < blocks; ++b) {
     if (b == target) continue;
-    for (const NodeId u : communities[b]) colors[u] = pool[next++];
+    for (NodeId u = starts[b]; u < starts[b + 1]; ++u) colors[u] = pool[next++];
   }
   PC_ASSERT(next == pool.size());
   return finalize(std::move(colors), std::move(counts));
 }
 
-Assignment place_adversarial_boundary(
-    std::vector<std::uint64_t> counts, const NeighborView& view,
-    const std::vector<std::vector<NodeId>>& communities, Xoshiro256& rng) {
+Assignment place_adversarial_boundary(std::vector<std::uint64_t> counts,
+                                      const CsrTopology& view,
+                                      Xoshiro256& rng) {
   PC_EXPECTS(!counts.empty());
   const std::uint64_t n = view.num_nodes();
   PC_EXPECTS(total_of(counts) == n);
 
   // Block labels if a (non-trivial) partition is known; the heuristic
   // works without one, falling back to pure low-degree ranking.
+  const std::span<const NodeId> starts = view.block_starts();
   std::vector<std::uint32_t> block(n, 0);
-  const bool has_blocks = communities.size() >= 2;
+  const bool has_blocks = starts.size() >= 3;
   if (has_blocks) {
-    for (std::uint32_t b = 0; b < communities.size(); ++b) {
-      for (const NodeId u : communities[b]) {
-        PC_EXPECTS(u < n);
-        block[u] = b;
-      }
+    for (std::uint32_t b = 0; b + 1 < starts.size(); ++b) {
+      std::fill(block.begin() + starts[b], block.begin() + starts[b + 1], b);
     }
   }
 
@@ -173,7 +175,7 @@ Assignment place_adversarial_boundary(
 }
 
 Assignment place_clustered_bfs(std::vector<std::uint64_t> counts,
-                               const NeighborView& view, Xoshiro256& rng) {
+                               const CsrTopology& view, Xoshiro256& rng) {
   PC_EXPECTS(!counts.empty());
   const std::uint64_t n = view.num_nodes();
   PC_EXPECTS(total_of(counts) == n);

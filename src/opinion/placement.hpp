@@ -20,75 +20,23 @@
 ///     fixed placement), placements own no RNG;
 ///   - color 0 keeps its meaning as the plurality color C1.
 ///
-/// Topology access goes through NeighborView, a deliberately boring
-/// enumeration interface: placements run once per repetition, off the
-/// hot path, so virtual dispatch is free compared to graph building.
+/// Every placement reads the topology through the same CsrTopology
+/// view the protocols sample (graph/csr.hpp): its rows, or the
+/// implicit clique's ascending enumeration, and the SBM's block
+/// partition, which travels with its rows. Placements run once per
+/// repetition, off the hot path.
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
+#include "graph/csr.hpp"
 #include "graph/graph.hpp"
 #include "opinion/assignment.hpp"
 #include "rng/xoshiro256.hpp"
 #include "support/assert.hpp"
 
 namespace plurality {
-
-/// Read-only neighbor enumeration over a topology, for the placement
-/// heuristics (BFS balls, boundary scores). Not a protocol-facing
-/// interface: protocols keep sampling through GraphTopology.
-class NeighborView {
- public:
-  virtual ~NeighborView() = default;
-  virtual std::uint64_t num_nodes() const = 0;
-  virtual std::uint64_t degree(NodeId u) const = 0;
-  /// Appends u's neighbors to `out` (does not clear it).
-  virtual void append_neighbors(NodeId u, std::vector<NodeId>& out) const = 0;
-};
-
-/// Topologies exposing a CSR row per node (adjacency-backed graphs).
-template <typename G>
-concept NeighborSpan = requires(const G g, NodeId u) {
-  { g.neighbors(u) };
-};
-
-/// Topologies enumerating neighbors in closed form (complete, ring,
-/// torus).
-template <typename G>
-concept NeighborAppend = requires(const G g, NodeId u,
-                                  std::vector<NodeId>& out) {
-  g.append_neighbors(u, out);
-};
-
-/// Topologies carrying a ground-truth community partition (SBM).
-template <typename G>
-concept HasCommunities = requires(const G g) {
-  { g.communities() };
-};
-
-/// Adapts any concrete topology to NeighborView.
-template <typename G>
-  requires NeighborSpan<G> || NeighborAppend<G>
-class TopologyView final : public NeighborView {
- public:
-  explicit TopologyView(const G& graph) : graph_(&graph) {}
-
-  std::uint64_t num_nodes() const override { return graph_->num_nodes(); }
-  std::uint64_t degree(NodeId u) const override { return graph_->degree(u); }
-
-  void append_neighbors(NodeId u, std::vector<NodeId>& out) const override {
-    if constexpr (NeighborSpan<G>) {
-      const auto row = graph_->neighbors(u);
-      out.insert(out.end(), row.begin(), row.end());
-    } else {
-      graph_->append_neighbors(u, out);
-    }
-  }
-
- private:
-  const G* graph_;
-};
 
 /// The registered placement families, as selected by `--placement=`.
 enum class PlacementKind : std::uint8_t {
@@ -133,25 +81,25 @@ struct PlacementSpec {
 Assignment place_uniform(std::vector<std::uint64_t> counts, Xoshiro256& rng);
 
 /// Concentrates the plurality color inside one community: at least
-/// ceil(fraction * c1) color-0 nodes land in the largest block (capped
-/// by the block size and by c1 itself); every other slot is filled
-/// uniformly from the remaining color pool. Requires a non-empty
-/// partition covering exactly sum(counts) nodes and fraction in (0, 1].
-Assignment place_community_aligned(
-    std::vector<std::uint64_t> counts,
-    const std::vector<std::vector<NodeId>>& communities, double fraction,
-    Xoshiro256& rng);
+/// ceil(fraction * c1) color-0 nodes land in the largest block of the
+/// view's partition (capped by the block size and by c1 itself); every
+/// other slot is filled uniformly from the remaining color pool.
+/// Requires a non-empty partition, sum(counts) == view.num_nodes() and
+/// fraction in (0, 1].
+Assignment place_community_aligned(std::vector<std::uint64_t> counts,
+                                   const CsrTopology& view, double fraction,
+                                   Xoshiro256& rng);
 
 /// Seeds the minority colors on the highest-conductance cut positions:
 /// nodes are ranked by (descending cross-community neighbor fraction,
 /// ascending degree, random tie-break) and colors 1..k-1 claim the top
 /// of the ranking in color order; the plurality fills the interior
-/// remainder. With an empty `communities` the cross fraction is zero
-/// everywhere and the ranking degenerates to (low degree, random).
-/// Requires sum(counts) == view.num_nodes().
-Assignment place_adversarial_boundary(
-    std::vector<std::uint64_t> counts, const NeighborView& view,
-    const std::vector<std::vector<NodeId>>& communities, Xoshiro256& rng);
+/// remainder. Without a partition of at least two blocks the cross
+/// fraction is zero everywhere and the ranking degenerates to (low
+/// degree, random). Requires sum(counts) == view.num_nodes().
+Assignment place_adversarial_boundary(std::vector<std::uint64_t> counts,
+                                      const CsrTopology& view,
+                                      Xoshiro256& rng);
 
 /// Grows one BFS ball per color (colors in descending count order, so
 /// the plurality gets a genuine ball before the minorities tile the
@@ -160,6 +108,6 @@ Assignment place_adversarial_boundary(
 /// seed, re-seeding when a frontier exhausts (disconnected remainder).
 /// Requires sum(counts) == view.num_nodes().
 Assignment place_clustered_bfs(std::vector<std::uint64_t> counts,
-                               const NeighborView& view, Xoshiro256& rng);
+                               const CsrTopology& view, Xoshiro256& rng);
 
 }  // namespace plurality

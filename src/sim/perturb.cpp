@@ -122,7 +122,7 @@ ChurnableCsr::ChurnableCsr(const CsrTopology& source)
   // Pair each directed slot with its reverse: sort slot indices by the
   // undirected edge key, then by owner so a key held k times lists its
   // k min-endpoint slots before its k max-endpoint slots. Configuration
-  // -model sources (graph/random_regular.hpp) may carry multi-edges and
+  // -model sources (graph/builders.hpp) may carry multi-edges and
   // self-loops, so a key group can be longer than two.
   std::vector<std::uint64_t> order(slots);
   std::iota(order.begin(), order.end(), 0);

@@ -170,7 +170,7 @@ class ChurnableCsr {
 
   /// Structural invariants: mirror involution, symmetry, and no *new*
   /// self-loops or duplicate edges beyond the source graph's. Sources
-  /// from the configuration model (graph/random_regular.hpp) may carry
+  /// from the configuration model (graph/builders.hpp) may carry
   /// defects; swaps only ever remove them. O(E log E); for tests.
   bool check_consistent() const;
 

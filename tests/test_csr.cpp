@@ -1,7 +1,8 @@
-// Tests for the flat CSR topology view (graph/csr.hpp): structural
-// agreement with every concrete family it is built from, bit-identical
-// sampling against CompleteGraph on the clique, and the GraphTopology
-// contract the engines rely on.
+// Tests for the CSR topology (graph/csr.hpp): the rows every family
+// builder writes, the O(1) view make_csr_view takes of them (a borrow,
+// partition included), bit-identical sampling against CompleteGraph on
+// the implicit clique, the enumeration the placements read, and the
+// GraphTopology contract the engines rely on.
 
 #include <gtest/gtest.h>
 
@@ -9,11 +10,10 @@
 #include <cstdint>
 #include <vector>
 
+#include "graph/builders.hpp"
 #include "graph/complete.hpp"
 #include "graph/csr.hpp"
 #include "graph/factory.hpp"
-#include "graph/ring.hpp"
-#include "graph/torus.hpp"
 #include "rng/xoshiro256.hpp"
 #include "support/assert.hpp"
 
@@ -21,6 +21,14 @@ namespace plurality {
 namespace {
 
 static_assert(GraphTopology<CsrTopology>);
+
+void expect_row(const CsrTopology& csr, NodeId u,
+                const std::vector<NodeId>& expected) {
+  const auto row = csr.neighbors(u);
+  ASSERT_EQ(row.size(), expected.size()) << "row " << u;
+  EXPECT_TRUE(std::equal(row.begin(), row.end(), expected.begin()))
+      << "row " << u;
+}
 
 TEST(CsrView, CompleteStaysImplicitAndSamplesBitIdentically) {
   const std::uint64_t n = 257;
@@ -30,6 +38,8 @@ TEST(CsrView, CompleteStaysImplicitAndSamplesBitIdentically) {
   EXPECT_TRUE(csr.is_implicit_complete());
   EXPECT_EQ(csr.num_nodes(), n);
   EXPECT_EQ(csr.degree(0), n - 1);
+  EXPECT_EQ(csr.storage_bytes(), 0u);
+  EXPECT_EQ(graph_storage_bytes(any), 0u);
   // Identical draw sequence: the view must be a drop-in replacement
   // for CompleteGraph on the clique experiments' RNG streams.
   Xoshiro256 a(123);
@@ -41,7 +51,8 @@ TEST(CsrView, CompleteStaysImplicitAndSamplesBitIdentically) {
 }
 
 TEST(CsrView, ImplicitCompleteNeverSamplesSelf) {
-  const CsrTopology csr = make_csr_view(AnyGraph{CompleteGraph(5)});
+  const AnyGraph any = CompleteGraph(5);
+  const CsrTopology csr = make_csr_view(any);
   Xoshiro256 rng(7);
   for (int i = 0; i < 500; ++i) {
     const NodeId u = static_cast<NodeId>(i % 5);
@@ -51,36 +62,56 @@ TEST(CsrView, ImplicitCompleteNeverSamplesSelf) {
   }
 }
 
-TEST(CsrView, RingMaterializesBothNeighbors) {
+TEST(CsrView, ImplicitCompleteEnumeratesAscendingSkippingSelf) {
+  const CsrTopology csr = CsrTopology::implicit_complete(5);
+  std::vector<NodeId> out{9};
+  csr.append_neighbors(2, out);
+  EXPECT_EQ(out, (std::vector<NodeId>{9, 0, 1, 3, 4}));
+}
+
+TEST(CsrView, RingRowsAreBothNeighbors) {
   const std::uint64_t n = 9;
-  const RingGraph g(n);
-  const AnyGraph any = RingGraph(n);
-  const CsrTopology csr = make_csr_view(any);
+  const CsrTopology csr = build_ring(n);
   EXPECT_FALSE(csr.is_implicit_complete());
   EXPECT_EQ(csr.num_nodes(), n);
+  EXPECT_TRUE(csr.block_starts().empty());
   for (NodeId u = 0; u < n; ++u) {
     EXPECT_EQ(csr.degree(u), 2u);
-    std::vector<NodeId> expected;
-    g.append_neighbors(u, expected);
-    const auto row = csr.neighbors(u);
-    ASSERT_EQ(row.size(), expected.size());
-    EXPECT_TRUE(std::equal(row.begin(), row.end(), expected.begin()));
+    expect_row(csr, u,
+               {static_cast<NodeId>((u + n - 1) % n),
+                static_cast<NodeId>((u + 1) % n)});
   }
 }
 
-TEST(CsrView, TorusMaterializesAllFourNeighbors) {
-  const TorusGraph g(4, 4);
-  const AnyGraph any = TorusGraph(4, 4);
-  const CsrTopology csr = make_csr_view(any);
+TEST(CsrView, TorusRowsAreEastWestSouthNorth) {
+  const CsrTopology csr = build_torus(4, 4);
   EXPECT_EQ(csr.num_nodes(), 16u);
+  EXPECT_EQ(csr.storage_bytes(),
+            17 * sizeof(std::uint64_t) + 64 * sizeof(NodeId));
   for (NodeId u = 0; u < 16; ++u) {
     EXPECT_EQ(csr.degree(u), 4u);
-    std::vector<NodeId> expected;
-    g.append_neighbors(u, expected);
-    const auto row = csr.neighbors(u);
-    ASSERT_EQ(row.size(), expected.size());
-    EXPECT_TRUE(std::equal(row.begin(), row.end(), expected.begin()));
+    const NodeId x = u % 4;
+    const NodeId y = u / 4;
+    expect_row(csr, u,
+               {y * 4 + (x + 1) % 4, y * 4 + (x + 3) % 4,
+                ((y + 1) % 4) * 4 + x, ((y + 3) % 4) * 4 + x});
   }
+}
+
+TEST(CsrView, ViewBorrowsTheHeldRowsAndPartition) {
+  GraphSpec spec;
+  spec.kind = GraphKind::kSbm;
+  Xoshiro256 build_rng(3);
+  const AnyGraph any = make_graph(spec, 256, build_rng);
+  const auto& rows = std::get<CsrTopology>(any);
+  const CsrTopology csr = make_csr_view(any);
+  EXPECT_EQ(csr.num_nodes(), 256u);
+  EXPECT_EQ(csr.storage_bytes(), rows.storage_bytes());
+  EXPECT_EQ(graph_storage_bytes(any), rows.storage_bytes());
+  // No copy: the view reads the graph's own buffers.
+  EXPECT_EQ(csr.neighbors(0).data(), rows.neighbors(0).data());
+  EXPECT_EQ(csr.block_starts().data(), rows.block_starts().data());
+  EXPECT_EQ(csr.block_starts().size(), spec.blocks + 1);
 }
 
 TEST(CsrView, SampledNeighborsStayInsideTheStoredRow) {
@@ -99,13 +130,13 @@ TEST(CsrView, SampledNeighborsStayInsideTheStoredRow) {
 }
 
 TEST(CsrView, ImplicitCompleteRejectsRowEnumeration) {
-  const CsrTopology csr = make_csr_view(AnyGraph{CompleteGraph(8)});
+  const AnyGraph any = CompleteGraph(8);
+  const CsrTopology csr = make_csr_view(any);
   EXPECT_THROW(csr.neighbors(0), ContractViolation);
 }
 
 TEST(CsrView, MoveTransfersOwnedStorageSafely) {
-  const AnyGraph any = RingGraph(64);
-  CsrTopology csr = make_csr_view(any);
+  CsrTopology csr = build_ring(64);
   const CsrTopology moved = std::move(csr);
   EXPECT_EQ(moved.num_nodes(), 64u);
   EXPECT_EQ(moved.degree(0), 2u);

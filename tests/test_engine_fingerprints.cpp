@@ -47,9 +47,9 @@
 #include "core/two_choices.hpp"
 #include "core/voter.hpp"
 #include "fingerprint.hpp"
+#include "graph/builders.hpp"
 #include "graph/complete.hpp"
 #include "graph/csr.hpp"
-#include "graph/factory.hpp"
 #include "opinion/assignment.hpp"
 #include "sim/continuous_engine.hpp"
 #include "sim/heterogeneous.hpp"
@@ -390,8 +390,8 @@ TEST(EngineFingerprints, EverySingleStreamQueueUserMatches) {
   check("sync/one_extra_bit", sync_case<OneExtraBitSync>());
   // The ring and the 32 x 32 torus through the CSR view, the only path
   // on which the engines sample a non-clique family.
-  const CsrTopology ring = make_csr_view(AnyGraph{RingGraph(kNodes)});
-  const CsrTopology torus = make_csr_view(AnyGraph{TorusGraph(32, 32)});
+  const CsrTopology ring = build_ring(kNodes);
+  const CsrTopology torus = build_torus(32, 32);
   check("sequential_csr/ring",
         stream_case(StreamEngine::kSequential, PerturbKind::kNone, kHorizon,
                     ring));

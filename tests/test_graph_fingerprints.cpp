@@ -1,11 +1,12 @@
 // Build fingerprints of the graph layer: one 64-bit hash per (family x
 // parameters x seed) case over the built graph's CSR rows (the row
 // offsets and every neighbor entry, in row order), its defect /
-// isolated-node counts, and the build generator's next output — so a
-// builder change that reorders a row, moves a defect, or draws one
-// more or one fewer random number fails the named case. Every family's
-// rows are read through make_csr_view, the one path on which the
-// protocols sample a non-clique family.
+// isolated-node / edge counts, recounted from those rows, and the
+// build generator's next output — so a builder change that reorders a
+// row, moves a defect, or draws one more or one fewer random number
+// fails the named case. Every family's rows are read through
+// make_csr_view, the one view on which the protocols sample and the
+// placements enumerate a non-clique family.
 //
 // The table is pinned to the toolchain: Erdős–Rényi and SBM gap
 // lengths go through libm (std::log), whose last-bit results may
@@ -19,13 +20,10 @@
 #include <string>
 
 #include "fingerprint.hpp"
+#include "graph/builders.hpp"
 #include "graph/csr.hpp"
-#include "graph/erdos_renyi.hpp"
 #include "graph/factory.hpp"
-#include "graph/random_regular.hpp"
-#include "graph/ring.hpp"
-#include "graph/sbm.hpp"
-#include "graph/torus.hpp"
+#include "row_counts.hpp"
 
 namespace plurality {
 namespace {
@@ -56,24 +54,23 @@ std::uint64_t hash_build(const AnyGraph& graph,
 
 std::uint64_t regular(std::uint32_t d, std::uint64_t seed) {
   Xoshiro256 rng(seed);
-  const AnyGraph g = RandomRegularGraph(2048, d, rng);
-  return hash_build(g, {std::get<RandomRegularGraph>(g).defects()}, rng);
+  const AnyGraph g = build_random_regular(2048, d, rng);
+  return hash_build(g, {count_defects(std::get<CsrTopology>(g))}, rng);
 }
 
 std::uint64_t erdos_renyi(std::uint64_t n, double p, std::uint64_t seed) {
   Xoshiro256 rng(seed);
-  const AnyGraph g = ErdosRenyiGraph(n, p, rng);
-  const auto& er = std::get<ErdosRenyiGraph>(g);
-  return hash_build(g, {er.num_isolated(), er.num_edges()}, rng);
+  const AnyGraph g = build_erdos_renyi(n, p, rng);
+  const auto& er = std::get<CsrTopology>(g);
+  return hash_build(g, {count_isolated(er), count_edges(er)}, rng);
 }
 
 std::uint64_t sbm(std::uint64_t seed) {
   Xoshiro256 rng(seed);
-  const AnyGraph g = StochasticBlockModelGraph(2000, 4, 0.05, 0.002, rng);
-  const auto& s = std::get<StochasticBlockModelGraph>(g);
-  return hash_build(g,
-                    {s.num_isolated(), s.num_within_edges(),
-                     s.num_between_edges()},
+  const AnyGraph g = build_sbm(2000, 4, 0.05, 0.002, rng);
+  const auto& s = std::get<CsrTopology>(g);
+  const BlockEdges edges = count_block_edges(s);
+  return hash_build(g, {count_isolated(s), edges.within, edges.between},
                     rng);
 }
 
@@ -117,8 +114,8 @@ TEST(GraphFingerprints, EveryFamilyAndSeedMatches) {
     check("er/sparse" + s, erdos_renyi(2000, 0.002, seed));
     check("er/p1" + s, erdos_renyi(1000, 1.0, seed));
     check("sbm" + s, sbm(seed));
-    check("ring" + s, closed_form(RingGraph(2000), seed));
-    check("torus" + s, closed_form(TorusGraph(45, 45), seed));
+    check("ring" + s, closed_form(build_ring(2000), seed));
+    check("torus" + s, closed_form(build_torus(45, 45), seed));
   }
   EXPECT_EQ(checked, std::size(kGolden));
 }

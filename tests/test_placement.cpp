@@ -10,13 +10,11 @@
 #include <cstdint>
 #include <vector>
 
-#include "graph/complete.hpp"
-#include "graph/factory.hpp"
-#include "graph/ring.hpp"
-#include "graph/sbm.hpp"
-#include "graph/torus.hpp"
+#include "graph/builders.hpp"
+#include "graph/csr.hpp"
 #include "opinion/assignment.hpp"
 #include "opinion/placement.hpp"
+#include "row_counts.hpp"
 #include "support/assert.hpp"
 
 namespace plurality {
@@ -37,12 +35,25 @@ void expect_exact(const Assignment& a,
   EXPECT_EQ(realized_counts(a), wanted);
 }
 
-StochasticBlockModelGraph make_sbm(std::uint64_t n = 400,
-                                   std::uint32_t blocks = 4,
-                                   double p_in = 0.3, double p_out = 0.05,
-                                   std::uint64_t seed = 7) {
+CsrTopology make_sbm(std::uint64_t n = 400, std::uint32_t blocks = 4,
+                     double p_in = 0.3, double p_out = 0.05,
+                     std::uint64_t seed = 7) {
   Xoshiro256 rng(seed);
-  return StochasticBlockModelGraph(n, blocks, p_in, p_out, rng);
+  return build_sbm(n, blocks, p_in, p_out, rng);
+}
+
+/// The most color-0 nodes inside any one block of g's partition.
+std::uint64_t best_block_c1(const CsrTopology& g, const Assignment& a) {
+  const auto starts = g.block_starts();
+  std::uint64_t best = 0;
+  for (std::size_t b = 0; b + 1 < starts.size(); ++b) {
+    std::uint64_t in_block = 0;
+    for (NodeId u = starts[b]; u < starts[b + 1]; ++u) {
+      in_block += a.colors[u] == 0 ? 1 : 0;
+    }
+    best = std::max(best, in_block);
+  }
+  return best;
 }
 
 TEST(Placement, UniformMatchesAssignExactDraws) {
@@ -56,85 +67,65 @@ TEST(Placement, UniformMatchesAssignExactDraws) {
 }
 
 TEST(Placement, EveryPlacementPreservesExactCountsOnSbm) {
-  const auto g = make_sbm();
-  const TopologyView<StochasticBlockModelGraph> view(g);
+  const CsrTopology g = make_sbm();
   const std::vector<std::uint64_t> counts{220, 100, 50, 30};
 
   Xoshiro256 rng(3);
   expect_exact(place_uniform(counts, rng), counts);
-  expect_exact(place_community_aligned(counts, g.communities(), 1.0, rng),
-               counts);
-  expect_exact(place_adversarial_boundary(counts, view, g.communities(), rng),
-               counts);
-  expect_exact(place_clustered_bfs(counts, view, rng), counts);
+  expect_exact(place_community_aligned(counts, g, 1.0, rng), counts);
+  expect_exact(place_adversarial_boundary(counts, g, rng), counts);
+  expect_exact(place_clustered_bfs(counts, g, rng), counts);
 }
 
 TEST(Placement, EveryPlacementPreservesExactCountsOnClosedFormGraphs) {
-  const CompleteGraph complete(64);
-  const RingGraph ring(64);
-  const TorusGraph torus(8, 8);
   const std::vector<std::uint64_t> counts{40, 16, 8};
 
-  const auto check = [&](const NeighborView& view) {
+  const auto check = [&](const CsrTopology& view) {
     Xoshiro256 rng(5);
-    expect_exact(place_adversarial_boundary(counts, view, {}, rng), counts);
+    expect_exact(place_adversarial_boundary(counts, view, rng), counts);
     expect_exact(place_clustered_bfs(counts, view, rng), counts);
   };
-  check(TopologyView<CompleteGraph>(complete));
-  check(TopologyView<RingGraph>(ring));
-  check(TopologyView<TorusGraph>(torus));
+  check(CsrTopology::implicit_complete(64));
+  check(build_ring(64));
+  check(build_torus(8, 8));
 }
 
 TEST(Placement, CommunityAlignedConcentratesTheRequestedFraction) {
-  const auto g = make_sbm(400, 4);
+  const CsrTopology g = make_sbm(400, 4);
   // Block capacity is 100; c1 = 120 with fraction 0.75 asks for >= 90
   // color-0 nodes inside the target block.
   const std::vector<std::uint64_t> counts{120, 280};
   for (const double fraction : {0.25, 0.5, 0.75}) {
     Xoshiro256 rng(23);
-    const Assignment a =
-        place_community_aligned(counts, g.communities(), fraction, rng);
+    const Assignment a = place_community_aligned(counts, g, fraction, rng);
     const auto want = static_cast<std::uint64_t>(
         std::ceil(fraction * static_cast<double>(counts[0])));
-    std::uint64_t best = 0;
-    for (const auto& block : g.communities()) {
-      std::uint64_t in_block = 0;
-      for (const NodeId u : block) in_block += a.colors[u] == 0 ? 1 : 0;
-      best = std::max(best, in_block);
-    }
-    EXPECT_GE(best, want) << "fraction=" << fraction;
+    EXPECT_GE(best_block_c1(g, a), want) << "fraction=" << fraction;
   }
 }
 
 TEST(Placement, CommunityAlignedCapsAtBlockCapacity) {
-  const auto g = make_sbm(400, 4);
+  const CsrTopology g = make_sbm(400, 4);
   // c1 = 220 exceeds the 100-node target block: the placement must fill
   // the block rather than violate the capacity or the counts.
   const std::vector<std::uint64_t> counts{220, 180};
   Xoshiro256 rng(29);
-  const Assignment a =
-      place_community_aligned(counts, g.communities(), 1.0, rng);
+  const Assignment a = place_community_aligned(counts, g, 1.0, rng);
   expect_exact(a, counts);
-  std::uint64_t best = 0;
-  for (const auto& block : g.communities()) {
-    std::uint64_t in_block = 0;
-    for (const NodeId u : block) in_block += a.colors[u] == 0 ? 1 : 0;
-    best = std::max(best, in_block);
-  }
-  EXPECT_EQ(best, 100u);
+  EXPECT_EQ(best_block_c1(g, a), 100u);
 }
 
 TEST(Placement, AdversarialBoundaryPrefersLowDegreeWithoutCommunities) {
-  // A star-of-rings shape is overkill; a simple contrast suffices: on a
-  // graph where node degrees differ (torus is regular, so build an SBM
-  // with p_out=0 to get degree spread), minorities must land on the
-  // lowest-degree nodes. Use a two-block SBM with no cross edges: the
-  // heuristic sees no boundary, so it ranks purely by (degree, random).
-  const auto g = make_sbm(200, 2, 0.5, 0.0, /*seed=*/13);
-  const TopologyView<StochasticBlockModelGraph> view(g);
+  // On a graph without a partition whose node degrees differ (the torus
+  // is regular, so take Erdős–Rényi), the heuristic sees no boundary
+  // and ranks purely by (degree, random): minorities must land on the
+  // lowest-degree nodes.
+  Xoshiro256 build_rng(13);
+  const CsrTopology g = build_erdos_renyi(200, 0.25, build_rng);
+  ASSERT_TRUE(g.block_starts().empty());
   const std::vector<std::uint64_t> counts{190, 10};
   Xoshiro256 rng(31);
-  const Assignment a = place_adversarial_boundary(counts, view, {}, rng);
+  const Assignment a = place_adversarial_boundary(counts, g, rng);
   // The 10 minority nodes must all have degree <= the median degree.
   std::vector<std::uint64_t> degrees;
   for (NodeId u = 0; u < 200; ++u) degrees.push_back(g.degree(u));
@@ -152,20 +143,16 @@ TEST(Placement, AdversarialBoundarySeedsMinoritiesOnTheCut) {
   // Two cliques joined by few cross edges: the nodes with the highest
   // cross fraction are exactly the cut endpoints, so a small minority
   // must land on nodes that do have a cross edge.
-  const auto g = make_sbm(200, 2, 1.0, 0.02, /*seed=*/17);
-  const TopologyView<StochasticBlockModelGraph> view(g);
+  const CsrTopology g = make_sbm(200, 2, 1.0, 0.02, /*seed=*/17);
+  const std::vector<std::uint32_t> block = block_labels(g);
   const std::vector<std::uint64_t> counts{190, 10};
   Xoshiro256 rng(37);
-  const Assignment a =
-      place_adversarial_boundary(counts, view, g.communities(), rng);
-  std::vector<NodeId> scratch;
+  const Assignment a = place_adversarial_boundary(counts, g, rng);
   for (NodeId u = 0; u < 200; ++u) {
     if (a.colors[u] != 1) continue;
-    scratch.clear();
-    view.append_neighbors(u, scratch);
     std::uint64_t cross = 0;
-    for (const NodeId v : scratch) {
-      cross += g.block_of(v) != g.block_of(u) ? 1 : 0;
+    for (const NodeId v : g.neighbors(u)) {
+      cross += block[v] != block[u] ? 1 : 0;
     }
     EXPECT_GT(cross, 0u) << "minority node " << u << " is not on the cut";
   }
@@ -174,11 +161,10 @@ TEST(Placement, AdversarialBoundarySeedsMinoritiesOnTheCut) {
 TEST(Placement, ClusteredBfsGrowsConnectedBallsOnTheRing) {
   // On a ring, a BFS ball is a contiguous arc: every color class must
   // form one arc (it never needs to re-seed on a connected remainder).
-  const RingGraph ring(60);
-  const TopologyView<RingGraph> view(ring);
+  const CsrTopology ring = build_ring(60);
   const std::vector<std::uint64_t> counts{30, 20, 10};
   Xoshiro256 rng(41);
-  const Assignment a = place_clustered_bfs(counts, view, rng);
+  const Assignment a = place_clustered_bfs(counts, ring, rng);
   expect_exact(a, counts);
   // Each BFS ball is an arc, except that a later color may be split in
   // two by an earlier ball when its seed lands mid-remainder: with 3
@@ -193,19 +179,15 @@ TEST(Placement, ClusteredBfsGrowsConnectedBallsOnTheRing) {
 }
 
 TEST(Placement, FixedSeedIsDeterministic) {
-  const auto g = make_sbm();
-  const TopologyView<StochasticBlockModelGraph> view(g);
+  const CsrTopology g = make_sbm();
   const std::vector<std::uint64_t> counts{220, 100, 50, 30};
   const auto run_all = [&](std::uint64_t seed) {
     Xoshiro256 rng(seed);
     std::vector<std::vector<ColorId>> out;
     out.push_back(place_uniform(counts, rng).colors);
-    out.push_back(
-        place_community_aligned(counts, g.communities(), 0.8, rng).colors);
-    out.push_back(
-        place_adversarial_boundary(counts, view, g.communities(), rng)
-            .colors);
-    out.push_back(place_clustered_bfs(counts, view, rng).colors);
+    out.push_back(place_community_aligned(counts, g, 0.8, rng).colors);
+    out.push_back(place_adversarial_boundary(counts, g, rng).colors);
+    out.push_back(place_clustered_bfs(counts, g, rng).colors);
     return out;
   };
   EXPECT_EQ(run_all(123), run_all(123));
@@ -250,16 +232,17 @@ TEST(Placement, SpecValidatesFraction) {
 }
 
 TEST(Placement, MismatchedTotalsViolateContracts) {
-  const auto g = make_sbm(100, 2);
-  const TopologyView<StochasticBlockModelGraph> view(g);
+  const CsrTopology g = make_sbm(100, 2);
   Xoshiro256 rng(2);
   const std::vector<std::uint64_t> short_counts{40, 20};  // sums to 60
-  EXPECT_THROW(
-      place_community_aligned(short_counts, g.communities(), 1.0, rng),
-      ContractViolation);
-  EXPECT_THROW(place_adversarial_boundary(short_counts, view, {}, rng),
+  EXPECT_THROW(place_community_aligned(short_counts, g, 1.0, rng),
                ContractViolation);
-  EXPECT_THROW(place_clustered_bfs(short_counts, view, rng),
+  EXPECT_THROW(place_adversarial_boundary(short_counts, g, rng),
+               ContractViolation);
+  EXPECT_THROW(place_clustered_bfs(short_counts, g, rng), ContractViolation);
+  // Community alignment needs a partition.
+  const std::vector<std::uint64_t> ring_counts{40, 20};
+  EXPECT_THROW(place_community_aligned(ring_counts, build_ring(60), 1.0, rng),
                ContractViolation);
 }
 

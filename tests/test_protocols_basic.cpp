@@ -9,9 +9,9 @@
 #include "core/three_majority.hpp"
 #include "core/two_choices.hpp"
 #include "core/voter.hpp"
+#include "graph/builders.hpp"
 #include "graph/complete.hpp"
 #include "graph/csr.hpp"
-#include "graph/factory.hpp"
 #include "opinion/assignment.hpp"
 #include "rng/seed.hpp"
 #include "sim/sequential_engine.hpp"
@@ -182,7 +182,7 @@ TEST(ThreeMajorityTest, StrongBiasWinsBothModels) {
 TEST(RingTopology, ProtocolsRunWithoutConsensusOnShortHorizons) {
   // On the ring, consensus takes Omega(n^2); a short run must leave
   // several colors alive — this exercises non-clique sampling paths.
-  const CsrTopology g = make_csr_view(RingGraph(256));
+  const CsrTopology g = build_ring(256);
   Xoshiro256 rng(6);
   VoterAsync proto(g, assign_equal(256, 8, rng));
   const auto result = run_sequential(proto, rng, 20.0);

@@ -13,9 +13,8 @@
 #include "core/three_majority.hpp"
 #include "core/two_choices.hpp"
 #include "core/voter.hpp"
-#include "graph/complete.hpp"
+#include "graph/builders.hpp"
 #include "graph/csr.hpp"
-#include "graph/factory.hpp"
 #include "opinion/assignment.hpp"
 #include "rng/seed.hpp"
 #include "sim/sequential_engine.hpp"
@@ -29,9 +28,8 @@ TEST(Topology, TwoChoicesConvergesOnDenseErdosRenyi) {
   Xoshiro256 rng(1);
   const double p = 5.0 * std::log(static_cast<double>(n)) /
                    static_cast<double>(n);
-  const AnyGraph any = ErdosRenyiGraph(n, p, rng);
-  ASSERT_EQ(std::get<ErdosRenyiGraph>(any).num_isolated(), 0u);
-  const CsrTopology g = make_csr_view(any);
+  const CsrTopology g = build_erdos_renyi(n, p, rng);
+  for (NodeId u = 0; u < n; ++u) ASSERT_GT(g.degree(u), 0u);
   TwoChoicesAsync proto(g, assign_two_colors(n, (n * 3) / 4, rng));
   const auto result = run_sequential(proto, rng, 1e4);
   ASSERT_TRUE(result.consensus);
@@ -41,8 +39,7 @@ TEST(Topology, TwoChoicesConvergesOnDenseErdosRenyi) {
 TEST(Topology, TwoChoicesConvergesOnRandomRegular) {
   const std::uint64_t n = 2048;
   Xoshiro256 rng(2);
-  const AnyGraph any = RandomRegularGraph(n, 16, rng);
-  const CsrTopology g = make_csr_view(any);
+  const CsrTopology g = build_random_regular(n, 16, rng);
   TwoChoicesAsync proto(g, assign_two_colors(n, (n * 3) / 4, rng));
   const auto result = run_sequential(proto, rng, 1e4);
   ASSERT_TRUE(result.consensus);
@@ -56,9 +53,8 @@ TEST(Topology, AsyncOneExtraBitWorksOnDenseExpander) {
   const std::uint64_t n = 2048;
   Xoshiro256 rng(3);
   const double p = 0.05;  // mean degree ~ 100
-  const AnyGraph any = ErdosRenyiGraph(n, p, rng);
-  ASSERT_EQ(std::get<ErdosRenyiGraph>(any).num_isolated(), 0u);
-  const CsrTopology g = make_csr_view(any);
+  const CsrTopology g = build_erdos_renyi(n, p, rng);
+  for (NodeId u = 0; u < n; ++u) ASSERT_GT(g.degree(u), 0u);
   auto proto = AsyncOneExtraBit<CsrTopology>::make(
       g, assign_plurality_bias(n, 4, n / 4, rng));
   const auto result = run_sequential(proto, rng, 1e5);
@@ -81,9 +77,9 @@ TEST(Topology, ExpanderTimeTracksCliqueTime) {
     return total / 5.0;
   };
   Xoshiro256 build_rng(5);
-  const AnyGraph regular = RandomRegularGraph(n, 12, build_rng);
-  const double clique_time = mean_time(make_csr_view(CompleteGraph(n)));
-  const double regular_time = mean_time(make_csr_view(regular));
+  const CsrTopology regular = build_random_regular(n, 12, build_rng);
+  const double clique_time = mean_time(CsrTopology::implicit_complete(n));
+  const double regular_time = mean_time(regular);
   EXPECT_LT(regular_time, 4.0 * clique_time);
   EXPECT_LT(clique_time, 4.0 * regular_time);
 }
@@ -91,8 +87,8 @@ TEST(Topology, ExpanderTimeTracksCliqueTime) {
 TEST(Topology, RingIsDramaticallySlowerThanClique) {
   const std::uint64_t n = 512;
   Xoshiro256 rng(6);
-  const CsrTopology ring = make_csr_view(RingGraph(n));
-  const CsrTopology clique = make_csr_view(CompleteGraph(n));
+  const CsrTopology ring = build_ring(n);
+  const CsrTopology clique = CsrTopology::implicit_complete(n);
 
   TwoChoicesAsync on_clique(clique, assign_two_colors(n, (n * 3) / 4, rng));
   const auto clique_result = run_sequential(on_clique, rng, 1e4);
@@ -106,7 +102,7 @@ TEST(Topology, RingIsDramaticallySlowerThanClique) {
 }
 
 TEST(Topology, TorusVoterKeepsSupportInvariant) {
-  const CsrTopology g = make_csr_view(TorusGraph(16, 16));
+  const CsrTopology g = build_torus(16, 16);
   Xoshiro256 rng(7);
   VoterAsync proto(g, assign_equal(256, 4, rng));
   run_sequential(proto, rng, 50.0);
@@ -125,11 +121,10 @@ TEST(Topology, SyncProtocolsRunOnEveryTopology) {
     ThreeMajoritySync tm(g, assign_two_colors(n, (n * 7) / 8, rng));
     EXPECT_NO_THROW(run_sync(tm, rng, 50));
   };
-  check(make_csr_view(CompleteGraph(n)));
-  check(make_csr_view(TorusGraph(16, 16)));
+  check(CsrTopology::implicit_complete(n));
+  check(build_torus(16, 16));
   Xoshiro256 build_rng(9);
-  const AnyGraph regular = RandomRegularGraph(n, 8, build_rng);
-  check(make_csr_view(regular));
+  check(build_random_regular(n, 8, build_rng));
 }
 
 }  // namespace
