@@ -367,9 +367,11 @@ class StaleBody : public PackedBody<T, ShardCore> {
     const std::uint64_t ticks =
         poisson(shard.rng, static_cast<double>(n_s) * dt);
     // Locals, so the tick loop's byte-wide stores cannot force reloads
-    // and the generator stays in registers: the copy is taken after the
-    // out-of-line poisson() call, so its address never escapes, and it
-    // is written back once.
+    // and the generator stays in registers. What keeps it there is that
+    // the copy's address never escapes: poisson() draws from the
+    // shard's own generator (inlined or not), the copy is taken after
+    // it and handed only to always-inline draws (uniform_below and the
+    // protocol's sample()), and it is written back once.
     Xoshiro256 rng = shard.rng;
     const auto [colors, view, delta] = this->refs(s);
     std::array<NodeId, kBlock> nodes{};
