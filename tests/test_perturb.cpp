@@ -40,7 +40,7 @@ PerturbSpec make_spec(PerturbKind kind, double rate, std::uint64_t budget,
   return spec;
 }
 
-// make_csr_view borrows the AnyGraph's adjacency storage, so the graph
+// make_csr_view borrows the AnyGraph's rows, so the graph
 // must stay alive next to the view (vector moves keep their heap
 // buffers, so moving the pair is safe).
 struct OwnedCsr {
