@@ -3,7 +3,49 @@
 #include <cmath>
 #include <vector>
 
-namespace plurality::clock_rates {
+namespace plurality {
+
+namespace detail {
+
+AliasTable::AliasTable(std::span<const double> rates)
+    : cells_(rates.size()) {
+  PC_EXPECTS(!rates.empty());
+  for (const double r : rates) {
+    PC_EXPECTS(r > 0.0);
+    total_rate_ += r;
+  }
+  PC_EXPECTS(std::isfinite(total_rate_));
+  // Scale the rates to mean 1. A column below 1 (small) keeps its share
+  // and gives the rest of its slot to a column at or above 1 (large) as
+  // its alias; that column's share drops by what it gave, and it turns
+  // small once below 1.
+  const double scale = static_cast<double>(rates.size()) / total_rate_;
+  std::vector<double> share(rates.size());
+  std::vector<NodeId> small;
+  std::vector<NodeId> large;
+  for (std::size_t u = 0; u < rates.size(); ++u) {
+    share[u] = rates[u] * scale;
+    (share[u] < 1.0 ? small : large).push_back(static_cast<NodeId>(u));
+  }
+  while (!small.empty() && !large.empty()) {
+    const NodeId s = small.back();
+    small.pop_back();
+    const NodeId l = large.back();
+    cells_[s] = {share[s], l};
+    share[l] = (share[l] + share[s]) - 1.0;
+    if (share[l] < 1.0) {
+      large.pop_back();
+      small.push_back(l);
+    }
+  }
+  // What is left holds share 1 up to rounding: it keeps its column.
+  for (const NodeId u : large) cells_[u] = {1.0, u};
+  for (const NodeId u : small) cells_[u] = {1.0, u};
+}
+
+}  // namespace detail
+
+namespace clock_rates {
 
 std::vector<double> uniform(std::uint64_t n) {
   PC_EXPECTS(n >= 1);
@@ -45,4 +87,6 @@ std::vector<double> log_normal(std::uint64_t n, double sigma,
   return rates;
 }
 
-}  // namespace plurality::clock_rates
+}  // namespace clock_rates
+
+}  // namespace plurality

@@ -23,6 +23,10 @@
 ///   - mean_z: the z-score form of the same moment gate,
 ///     |ma - mb| / sqrt(se_a^2 + se_b^2); kMeanZGate = 4.0 is a
 ///     two-sided ~6e-5 false-positive rate under equality.
+///   - chi_square: Pearson's statistic of observed counts against the
+///     cell probabilities a sampler should draw; chi_square_critical
+///     places its gate at the upper tail of the chi-square law at the
+///     same normal deviate (z = 4, ~3e-5 false-positive rate).
 
 #include <algorithm>
 #include <cmath>
@@ -118,6 +122,34 @@ inline SampleMoments moments(const std::vector<double>& xs) {
   m.variance = sum_sq / n - m.mean * m.mean;
   m.min = min;
   return m;
+}
+
+/// Pearson's chi-square statistic of `counts` against cell
+/// probabilities proportional to `weights` (same length, every weight
+/// > 0).
+inline double chi_square(const std::vector<std::uint64_t>& counts,
+                         const std::vector<double>& weights) {
+  double draws = 0.0;
+  for (const std::uint64_t c : counts) draws += static_cast<double>(c);
+  double total = 0.0;
+  for (const double w : weights) total += w;
+  double chi2 = 0.0;
+  for (std::size_t i = 0; i < counts.size(); ++i) {
+    const double expected = draws * weights[i] / total;
+    const double d = static_cast<double>(counts[i]) - expected;
+    chi2 += d * d / expected;
+  }
+  return chi2;
+}
+
+/// Upper critical value of the chi-square law with `df` degrees of
+/// freedom at normal deviate `z`, by Wilson & Hilferty's cube-root
+/// approximation (PNAS 17(12), 1931), accurate to a few tenths of a
+/// percent at df in the hundreds.
+inline double chi_square_critical(std::size_t df, double z) {
+  const double a = 2.0 / (9.0 * static_cast<double>(df));
+  const double root = 1.0 - a + z * std::sqrt(a);
+  return static_cast<double>(df) * root * root * root;
 }
 
 }  // namespace plurality::stat_gates
