@@ -6,7 +6,7 @@
 //       ~linear for asynchronous Two-Choices, with the extrapolated
 //       crossover k* printed (constants put k* beyond laptop k; the
 //       shapes are the reproducible claim).
-// Runs on --engine=sequential (default), heap or superposition: the
+// Runs on --engine=sequential (default) or superposition: the
 // phased protocol's tick has no sample()/decide() split, so
 // --engine=sharded is rejected.
 
@@ -185,7 +185,7 @@ const ExperimentRegistrar kRegistrar{
     "`async_oeb_win_vs_n`, `async_oeb_time_vs_k`, and "
     "`async_tc_time_vs_k` (consensus time / plurality win rate per "
     "sweep point). Overrides: --n=, --max_n=, --k=, "
-    "--engine=sequential|heap|superposition (the phased protocol is not "
+    "--engine=sequential|superposition (the phased protocol is not "
     "shardable, so --engine=sharded is rejected).",
     /*default_reps=*/8, run_exp};
 

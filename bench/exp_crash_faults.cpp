@@ -6,9 +6,9 @@
 // crashed node pins a dead color, so the table reports *live
 // agreement*: the fraction of surviving nodes on the live-plurality
 // color at the horizon, for both async Two-Choices and the phased
-// protocol. Runs on any --graph= family and --engine=sequential|heap|
-// superposition; the phased protocol cannot shard, so --engine=sharded
-// is rejected.
+// protocol. Runs on any --graph= family and
+// --engine=sequential|superposition; the phased protocol cannot shard,
+// so --engine=sharded is rejected.
 
 #include <cstdio>
 #include <string>
@@ -40,8 +40,8 @@ int run_exp(ExperimentContext& ctx) {
   if (ctx.engine == engine_kind_name(EngineKind::kSharded)) {
     bench::reject(bench::flag("engine", ctx.engine.c_str()),
                   "the phased protocol has no sample()/decide() split, so "
-                  "crash_faults cannot shard (use --engine=sequential|heap|"
-                  "superposition)");
+                  "crash_faults cannot shard (use "
+                  "--engine=sequential|superposition)");
   }
   bench::banner(ctx, "B2 (crash faults)",
                 "survivors should still agree (live agreement ~ 1) for "
@@ -141,7 +141,7 @@ const ExperimentRegistrar kRegistrar{
     "nodes stop ticking; their colors stay readable), and the run "
     "measures whether the survivors still agree, for plain async "
     "Two-Choices and the phased OneExtraBit protocol, on any --graph= "
-    "family and --engine=sequential|heap|superposition (the phased "
+    "family and --engine=sequential|superposition (the phased "
     "protocol is not shardable, so --engine=sharded is rejected). "
     "Records `live_agreement` (fraction of live nodes on the "
     "live-plurality color) per crash fraction and protocol; the "

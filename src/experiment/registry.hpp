@@ -46,7 +46,6 @@ namespace plurality {
 /// distribution intact (see README, "Engine selection").
 enum class EngineKind {
   kSequential,     ///< uniform node per discrete step, time = steps/n
-  kHeap,           ///< continuous clocks via the n-timer event queue
   kSuperposition,  ///< continuous clocks via O(1) superposition sampling
   kSharded,        ///< superposition split into executor-run shards
 };
@@ -54,7 +53,6 @@ enum class EngineKind {
 inline const char* engine_kind_name(EngineKind kind) noexcept {
   switch (kind) {
     case EngineKind::kSequential: return "sequential";
-    case EngineKind::kHeap: return "heap";
     case EngineKind::kSuperposition: return "superposition";
     case EngineKind::kSharded: return "sharded";
   }
@@ -65,12 +63,15 @@ inline const char* engine_kind_name(EngineKind kind) noexcept {
 /// offending text) on anything unrecognized.
 inline EngineKind parse_engine_kind(const std::string& name) {
   if (name == "sequential") return EngineKind::kSequential;
-  if (name == "heap") return EngineKind::kHeap;
   if (name == "superposition") return EngineKind::kSuperposition;
   if (name == "sharded") return EngineKind::kSharded;
-  throw ContractViolation(
-      "--engine=" + name +
-      " is not one of sequential|heap|superposition|sharded");
+  if (name == "heap") {
+    throw ContractViolation(
+        "--engine=heap is not supported: the continuous clocks have one "
+        "tick source; --engine=superposition runs the same process");
+  }
+  throw ContractViolation("--engine=" + name +
+                          " is not one of sequential|superposition|sharded");
 }
 
 /// Per-run state handed to an experiment body: the parsed CLI plus the

@@ -2,8 +2,10 @@
 
 /// \file event_queue.hpp
 /// A stable discrete-event queue: events pop in (time, insertion order).
-/// The insertion-order tie-break makes continuous-engine runs fully
-/// deterministic for a fixed seed even when events collide in time.
+/// Its one user is the queued body's fire-and-forget answer store
+/// (AnswerQueue, sim/sharded_engine.hpp), whose runs the insertion-order
+/// tie-break keeps deterministic for a fixed seed even when answers
+/// fall due at the same time.
 ///
 /// Implemented as a calendar queue. Time is cut into slots of one fixed
 /// width, picked from the caller's event rate so that a slot holds a

@@ -1,8 +1,7 @@
 // Trajectory fingerprints of the single-stream engines: superposition
 // (with no perturbation, opinion injection and crashes), the
 // sequential step engine (including a horizon cut between
-// two steps), the n-timer heap engine (with and without opinion
-// injection), the sharded engine's queued body at one shard under
+// two steps), the sharded engine's queued body at one shard under
 // exponential and constant latency (3-Majority and voter under
 // exponential latency, and Two-Choices fire-and-forget under constant
 // latency, too), and the heterogeneous-clock engine at two rate
@@ -17,7 +16,7 @@
 //
 // The async_oeb rows pin the paper's protocol the same way: its working
 // time program on the superposition engine (sync gadget on and off),
-// on the heap engine, cut off by the horizon mid-program, run out
+// cut off by the horizon mid-program, run out
 // to the end of a short program, and under crashes; the delayed
 // variant runs on the queued body at one shard. They add the protocol's
 // diagnostics (jumps and their mean distance, working-time spread, bits
@@ -103,21 +102,6 @@ PerturbSpec perturb_spec(PerturbKind kind) {
     spec.start = 2.0;
   }
   return spec;
-}
-
-/// Two-choices on K_1024 at a 3:1 split on the n-timer heap engine.
-std::uint64_t heap_case(bool inject) {
-  const CompleteGraph g(kNodes);
-  Xoshiro256 rng(2024);
-  TwoChoicesAsync proto(g, assign_two_colors(kNodes, (kNodes * 3) / 4, rng));
-  Perturber perturber(
-      perturb_spec(inject ? PerturbKind::kInject : PerturbKind::kNone),
-      kNodes, 2, /*seed=*/77);
-  Fingerprint fp;
-  const auto result =
-      run_continuous_heap(proto, rng, kHorizon, HashingObserver{&fp},
-                          kSampleEvery, inject ? &perturber : nullptr);
-  return finish(fp, result, proto);
 }
 
 /// The superposition-sampled engines: continuous and sequential.
@@ -238,12 +222,12 @@ std::uint64_t finish_oeb(Fingerprint& fp, const AsyncRunResult& result,
 constexpr std::uint64_t kOebNodes = 2048;
 
 /// AsyncOneExtraBit on K_2048, k = 4, plurality ahead by n/8. `engine`
-/// picks the driver: superposition, heap, a horizon cut at time 75, a
+/// picks the driver: superposition, a horizon cut at time 75, a
 /// short program (no extra phases, endgame 1 * ln n) from an even
 /// split, which runs every node off the end of its program, or
 /// superposition under the file's crash spec up to time 300 (crashed
 /// nodes never finish, so the run goes to the horizon).
-enum class OebEngine { kContinuous, kHeap, kHorizon, kExhausted, kCrash };
+enum class OebEngine { kContinuous, kHorizon, kExhausted, kCrash };
 
 std::uint64_t async_oeb_case(OebEngine engine, bool gadget) {
   const CompleteGraph g(kOebNodes);
@@ -267,9 +251,7 @@ std::uint64_t async_oeb_case(OebEngine engine, bool gadget) {
   Fingerprint fp;
   const HashingObserver obs{&fp};
   const auto result =
-      engine == OebEngine::kHeap
-          ? run_continuous_heap(proto, rng, horizon, obs, kSampleEvery)
-          : run_continuous(proto, rng, horizon, obs, kSampleEvery, perturb);
+      run_continuous(proto, rng, horizon, obs, kSampleEvery, perturb);
   return finish_oeb(fp, result, proto);
 }
 
@@ -299,14 +281,11 @@ constexpr Golden kGolden[] = {
     {"sequential/none", 0x36ea3f4bca3ffa13ULL},
     {"sequential/inject", 0x99d5209448e010bfULL},
     {"sequential/horizon", 0x30d58504e1c784e9ULL},
-    {"heap/none", 0x99cb9f4eb7766449ULL},
-    {"heap/inject", 0x881fb2aad8641185ULL},
-    {"heterogeneous/two_speed", 0xa54c8e5fc3a36dbcULL},
-    {"heterogeneous/log_normal", 0x6851f20f6f5dfb32ULL},
-    {"heterogeneous/inject", 0xdc1a0b6f6a837ae5ULL},
+    {"heterogeneous/two_speed", 0xc71f2fd92783b210ULL},
+    {"heterogeneous/log_normal", 0x0581c2d4c3f9a17eULL},
+    {"heterogeneous/inject", 0x2c3db8c490bbf3e0ULL},
     {"async_oeb/continuous", 0x9ba46b8f0724a73dULL},
     {"async_oeb/continuous_no_gadget", 0xc300601de307ed1dULL},
-    {"async_oeb/heap", 0x4b43875532caabf8ULL},
     {"async_oeb/horizon", 0x6bd0119ab8883308ULL},
     {"async_oeb/exhausted", 0xb004a28c90c03610ULL},
     {"async_oeb/continuous_crash", 0x5cc57924a2de2599ULL},
@@ -348,15 +327,12 @@ TEST(EngineFingerprints, EverySingleStreamQueueUserMatches) {
   // 2.7 * 1024 = 2764.8: the step budget floors to 2764 steps.
   check("sequential/horizon",
         stream_case(StreamEngine::kSequential, PerturbKind::kNone, 2.7));
-  check("heap/none", heap_case(false));
-  check("heap/inject", heap_case(true));
   check("heterogeneous/two_speed", heterogeneous_case(false));
   check("heterogeneous/log_normal", heterogeneous_case(true));
   check("heterogeneous/inject", heterogeneous_case(false, true));
   check("async_oeb/continuous", async_oeb_case(OebEngine::kContinuous, true));
   check("async_oeb/continuous_no_gadget",
         async_oeb_case(OebEngine::kContinuous, false));
-  check("async_oeb/heap", async_oeb_case(OebEngine::kHeap, true));
   check("async_oeb/horizon", async_oeb_case(OebEngine::kHorizon, true));
   check("async_oeb/exhausted", async_oeb_case(OebEngine::kExhausted, true));
   check("async_oeb/continuous_crash",
@@ -401,29 +377,6 @@ TEST(EngineFingerprints, EverySingleStreamQueueUserMatches) {
   check("sync_csr/ring", sync_case<TwoChoicesSync>(ring));
   check("sync_csr/torus", sync_case<TwoChoicesSync>(torus));
   EXPECT_EQ(checked, std::size(kGolden));
-}
-
-// The heap engine is the heterogeneous engine at unit rates:
-// exponential(rng, 1.0) equals exponential_unit(rng) bit for bit, so
-// the two draw the same stream and run the same trajectory.
-TEST(EngineFingerprints, HeapIsHeterogeneousAtUnitRates) {
-  const CompleteGraph g(kNodes);
-  const auto run = [&](bool heterogeneous) {
-    Xoshiro256 rng(2030);
-    TwoChoicesAsync proto(g,
-                          assign_two_colors(kNodes, (kNodes * 3) / 4, rng));
-    Fingerprint fp;
-    const HashingObserver obs{&fp};
-    const auto result =
-        heterogeneous
-            ? run_continuous_heterogeneous(proto, rng,
-                                           clock_rates::uniform(kNodes),
-                                           kHorizon, obs, kSampleEvery)
-            : run_continuous_heap(proto, rng, kHorizon, obs, kSampleEvery);
-    fp.add(rng());
-    return finish(fp, result, proto);
-  };
-  EXPECT_EQ(run(true), run(false));
 }
 
 }  // namespace

@@ -415,7 +415,7 @@ TEST(Registry, DispatchRunsEveryEngine) {
   const Experiment* toy = registry.find("test_toy_voter");
   ASSERT_NE(toy, nullptr);
   for (const char* engine :
-       {"sequential", "heap", "superposition", "sharded"}) {
+       {"sequential", "superposition", "sharded"}) {
     const std::string flag = std::string("--engine=") + engine;
     const JsonValue record = registry.run_to_record(
         *toy, make_args({flag.c_str(), "--shards=2"}));
@@ -490,9 +490,19 @@ TEST(Registry, RejectsSingleStreamEngineWithLatency) {
   // Response latency runs only on the sharded delivery queues, so an
   // explicit single-stream engine cannot honor it.
   const std::string what = rejection(
-      "test_toy_voter", make_args({"--engine=heap", "--latency=exp"}));
-  EXPECT_TRUE(mentions(what, "--engine=heap")) << what;
+      "test_toy_voter",
+      make_args({"--engine=superposition", "--latency=exp"}));
+  EXPECT_TRUE(mentions(what, "--engine=superposition")) << what;
   EXPECT_TRUE(mentions(what, "--latency=exp")) << what;
+}
+
+TEST(Registry, RejectsTheRetiredHeapEngineNamingSuperposition) {
+  // The continuous clocks have one tick source: --engine=heap is an
+  // error that points at the engine running the same process.
+  const std::string what =
+      rejection("test_toy_voter", make_args({"--engine=heap"}));
+  EXPECT_TRUE(mentions(what, "--engine=heap")) << what;
+  EXPECT_TRUE(mentions(what, "--engine=superposition")) << what;
 }
 
 TEST(Registry, LatencyUnderTheDefaultEngineRunsOnTheShardedQueues) {

@@ -73,11 +73,20 @@ void fuzz_parser(const char* flag, std::uint64_t seed, Parse&& parse) {
 
 TEST(SpecParsers, EngineRoundTripsAndRejectsNamingTheFlag) {
   for (const EngineKind kind :
-       {EngineKind::kSequential, EngineKind::kHeap,
-        EngineKind::kSuperposition, EngineKind::kSharded}) {
+       {EngineKind::kSequential, EngineKind::kSuperposition,
+        EngineKind::kSharded}) {
     EXPECT_EQ(parse_engine_kind(engine_kind_name(kind)), kind);
   }
   EXPECT_THROW(parse_engine_kind("warp"), ContractViolation);
+  try {
+    parse_engine_kind("heap");
+    ADD_FAILURE() << "--engine=heap was accepted";
+  } catch (const ContractViolation& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("--engine=heap"), std::string::npos) << what;
+    EXPECT_NE(what.find("--engine=superposition"), std::string::npos)
+        << what;
+  }
   fuzz_parser("--engine=", 101,
               [](const std::string& s) { parse_engine_kind(s); });
 }
