@@ -48,16 +48,6 @@ inline void warn_community_placement_fallback_once() {
   }
 }
 
-/// Builds the topology for one sweep point from the resolved spec (see
-/// build_topology in run_plan.hpp).
-inline AnyGraph make_topology(const ExperimentContext& ctx, std::uint64_t n,
-                              Xoshiro256& build_rng,
-                              GraphKind experiment_default =
-                                  GraphKind::kComplete) {
-  return build_topology(ctx, resolved_graph_spec(ctx, experiment_default), n,
-                        build_rng);
-}
-
 /// Places an exact count profile onto the nodes of `view` according to
 /// an explicit placement spec (the sweep form used by W1). The
 /// placement that actually ran is attributed into the record via

@@ -24,7 +24,8 @@ int run_exp(ExperimentContext& ctx) {
 
   const std::uint64_t n_req = ctx.args.get_u64("n", 1ull << 14);
   Xoshiro256 build_rng(ctx.master_seed);
-  const AnyGraph graph = bench::make_topology(ctx, n_req, build_rng);
+  const AnyGraph graph =
+      bench::build_topology(ctx, ctx.graph, n_req, build_rng);
   const CsrTopology csr = make_csr_view(graph);
   const std::uint64_t n = num_nodes(graph);
   const double sqrt_n = std::sqrt(static_cast<double>(n));

@@ -62,7 +62,8 @@ int run_exp(ExperimentContext& ctx) {
   std::uint64_t sweep_point = 0;
   for (std::uint64_t n = 2048; n <= max_n; n *= 2, ++sweep_point) {
     const AnyGraph& g =
-        graphs.emplace_back(bench::make_topology(ctx, n, build_rng));
+        graphs.emplace_back(
+            bench::build_topology(ctx, ctx.graph, n, build_rng));
     const CsrTopology& csr = views.emplace_back(make_csr_view(g));
     const std::uint64_t n_eff = num_nodes(g);
     const auto c1 = static_cast<std::uint64_t>(
@@ -88,7 +89,8 @@ int run_exp(ExperimentContext& ctx) {
 
   const std::uint64_t n = ctx.args.get_u64("n", 1ull << 14);
   const AnyGraph& g_eps =
-      graphs.emplace_back(bench::make_topology(ctx, n, build_rng));
+      graphs.emplace_back(
+          bench::build_topology(ctx, ctx.graph, n, build_rng));
   const CsrTopology& csr_eps = views.emplace_back(make_csr_view(g_eps));
   const std::uint64_t n_eff = num_nodes(g_eps);
   Table by_eps("E8b: endgame time vs eps  (n=" + std::to_string(n_eff) + ")",

@@ -21,7 +21,8 @@ int run_exp(ExperimentContext& ctx) {
 
   const std::uint64_t n_req = ctx.args.get_u64("n", 1ull << 16);
   Xoshiro256 build_rng(ctx.master_seed);
-  const AnyGraph graph = bench::make_topology(ctx, n_req, build_rng);
+  const AnyGraph graph =
+      bench::build_topology(ctx, ctx.graph, n_req, build_rng);
   const CsrTopology csr = make_csr_view(graph);
   const std::uint64_t n = num_nodes(graph);
   const double ratios[] = {1.1, 1.25, 1.5, 2.0, 3.0};

@@ -46,7 +46,8 @@ int run_exp(ExperimentContext& ctx) {
   for (std::uint64_t n_req = 1024; n_req <= max_n;
        n_req *= 2, ++sweep_point) {
     const AnyGraph& g =
-        graphs.emplace_back(bench::make_topology(ctx, n_req, build_rng));
+        graphs.emplace_back(
+            bench::build_topology(ctx, ctx.graph, n_req, build_rng));
     const CsrTopology& csr = views.emplace_back(make_csr_view(g));
     const std::uint64_t n = num_nodes(g);
     const auto bias = static_cast<std::uint64_t>(std::sqrt(
