@@ -52,17 +52,6 @@ template <BitGenerator64 G>
 }
 #pragma GCC diagnostic pop
 
-/// Uniform integer in [lo, hi] inclusive. Requires lo <= hi.
-template <BitGenerator64 G>
-inline std::int64_t uniform_range(G& gen, std::int64_t lo, std::int64_t hi) {
-  PC_EXPECTS(lo <= hi);
-  const auto span =
-      static_cast<std::uint64_t>(hi) - static_cast<std::uint64_t>(lo) + 1;
-  // span == 0 means the full 64-bit range [INT64_MIN, INT64_MAX].
-  if (span == 0) return static_cast<std::int64_t>(gen());
-  return lo + static_cast<std::int64_t>(uniform_below(gen, span));
-}
-
 /// Uniform double in [0, 1) with 53 random bits.
 template <BitGenerator64 G>
 inline double uniform_unit(G& gen) {
@@ -73,13 +62,6 @@ inline double uniform_unit(G& gen) {
 template <BitGenerator64 G>
 inline double uniform_open(G& gen) {
   return static_cast<double>((gen() >> 11) + 1) * 0x1.0p-53;
-}
-
-/// Bernoulli(p). Requires p in [0, 1].
-template <BitGenerator64 G>
-inline bool bernoulli(G& gen, double p) {
-  PC_EXPECTS(p >= 0.0 && p <= 1.0);
-  return uniform_unit(gen) < p;
 }
 
 /// Exp(1) draw with no rate division: engines on the hot path hoist the

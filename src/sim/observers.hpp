@@ -3,12 +3,9 @@
 /// \file observers.hpp
 /// Observers are callables `void(double time, const Protocol&)` sampled
 /// by the engines at a fixed cadence in parallel time (synchronous runs
-/// use the round index as time). They power the convergence traces in
-/// the examples and the dispersion measurements in E7/E11.
-
-#include <vector>
-
-#include "opinion/snapshot.hpp"
+/// use the round index as time). A1 (`delta_ablation`) tracks its worst
+/// working-time dispersion through one, and the fingerprint tests hash
+/// every sample; a run that watches nothing passes NullObserver.
 
 namespace plurality {
 
@@ -16,27 +13,6 @@ namespace plurality {
 struct NullObserver {
   template <typename P>
   void operator()(double, const P&) const noexcept {}
-};
-
-/// One trace point of a run.
-struct TracePoint {
-  double time = 0.0;
-  OpinionSnapshot snapshot;
-};
-
-/// Records an OpinionSnapshot per sample; works with any protocol that
-/// exposes table().
-class TraceObserver {
- public:
-  template <typename P>
-  void operator()(double time, const P& proto) {
-    points_.push_back({time, snapshot_of(proto.table())});
-  }
-
-  const std::vector<TracePoint>& points() const noexcept { return points_; }
-
- private:
-  std::vector<TracePoint> points_;
 };
 
 }  // namespace plurality

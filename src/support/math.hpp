@@ -2,7 +2,7 @@
 
 /// \file math.hpp
 /// Small numeric helpers shared across the library: guarded logarithms
-/// used by the protocol schedules, integer ceil-division, and medians.
+/// used by the protocol schedules, a floored ceiling, and medians.
 
 #include <algorithm>
 #include <cmath>
@@ -10,7 +10,6 @@
 #include <limits>
 #include <span>
 #include <type_traits>
-#include <vector>
 
 #include "support/assert.hpp"
 
@@ -32,12 +31,6 @@ inline double ln_ln(double n) {
   const double inner = std::log(n);
   if (inner <= std::exp(1.0)) return 1.0;
   return std::max(1.0, std::log(inner));
-}
-
-/// ceil(a / b) for positive integers.
-inline std::uint64_t ceil_div(std::uint64_t a, std::uint64_t b) {
-  PC_EXPECTS(b > 0);
-  return (a + b - 1) / b;
 }
 
 /// ceil(x) as uint64, floored at `at_least` (default 1). Used to turn the
@@ -76,18 +69,6 @@ T median_inplace(std::span<T> values) {
   std::nth_element(values.begin(), values.begin() + static_cast<std::ptrdiff_t>(mid),
                    values.end());
   return values[mid];
-}
-
-/// Median without mutating the caller's data (copies).
-template <typename T>
-T median_copy(std::span<const T> values) {
-  std::vector<T> scratch(values.begin(), values.end());
-  return median_inplace(std::span<T>(scratch));
-}
-
-/// |a - b| <= tol.
-inline bool approx_equal(double a, double b, double tol) {
-  return std::abs(a - b) <= tol;
 }
 
 }  // namespace plurality

@@ -11,7 +11,6 @@
 #include "rng/distributions.hpp"
 
 #include "opinion/assignment.hpp"
-#include "opinion/snapshot.hpp"
 #include "opinion/table.hpp"
 #include "support/assert.hpp"
 
@@ -204,34 +203,6 @@ TEST(Assignment, BiasComputation) {
   EXPECT_EQ(a.bias(), 3);
   a.counts = {7, 10, 7};  // bias is order-free
   EXPECT_EQ(a.bias(), 3);
-}
-
-TEST(Snapshot, AggregatesSortedSupports) {
-  const OpinionTable t({0, 0, 0, 1, 1, 2}, 3);
-  const auto snap = snapshot_of(t);
-  EXPECT_EQ(snap.n, 6u);
-  EXPECT_EQ(snap.sorted_supports,
-            (std::vector<std::uint64_t>{3, 2, 1}));
-  EXPECT_EQ(snap.bias(), 1);
-  EXPECT_NEAR(snap.plurality_fraction(), 0.5, 1e-12);
-  EXPECT_NEAR(snap.top_ratio(), 1.5, 1e-12);
-  EXPECT_GT(snap.normalized_entropy(), 0.0);
-  EXPECT_LE(snap.normalized_entropy(), 1.0);
-}
-
-TEST(Snapshot, ConsensusHasZeroEntropyAndInfiniteRatio) {
-  const OpinionTable t({1, 1, 1}, 2);
-  const auto snap = snapshot_of(t);
-  EXPECT_EQ(snap.surviving, 1u);
-  EXPECT_DOUBLE_EQ(snap.normalized_entropy(), 0.0);
-  EXPECT_TRUE(std::isinf(snap.top_ratio()));
-  EXPECT_NEAR(snap.plurality_fraction(), 1.0, 1e-12);
-}
-
-TEST(Snapshot, UniformDistributionHasMaxEntropy) {
-  const OpinionTable t({0, 1, 2, 3}, 4);
-  const auto snap = snapshot_of(t);
-  EXPECT_NEAR(snap.normalized_entropy(), 1.0, 1e-12);
 }
 
 }  // namespace

@@ -69,14 +69,6 @@ TEST(Math, LnLnMonotoneForLargeN) {
   }
 }
 
-TEST(Math, CeilDiv) {
-  EXPECT_EQ(ceil_div(10, 5), 2u);
-  EXPECT_EQ(ceil_div(11, 5), 3u);
-  EXPECT_EQ(ceil_div(0, 5), 0u);
-  EXPECT_EQ(ceil_div(1, 1), 1u);
-  EXPECT_THROW(ceil_div(1, 0), ContractViolation);
-}
-
 TEST(Math, CeilAtLeast) {
   EXPECT_EQ(ceil_at_least(0.0), 1u);
   EXPECT_EQ(ceil_at_least(0.2), 1u);
@@ -104,13 +96,6 @@ TEST(Math, MedianSingleton) {
 TEST(Math, MedianEmptyThrows) {
   std::vector<int> v;
   EXPECT_THROW(median_inplace(std::span<int>(v)), ContractViolation);
-}
-
-TEST(Math, MedianCopyDoesNotMutate) {
-  const std::vector<int> v{3, 1, 2};
-  const std::vector<int> original = v;
-  EXPECT_EQ(median_copy(std::span<const int>(v)), 2);
-  EXPECT_EQ(v, original);
 }
 
 TEST(Math, MedianNegativeOffsets) {
@@ -141,11 +126,6 @@ TEST(Math, MedianMatchesSortedReferenceAcrossBothPaths) {
   }
   std::vector<std::uint64_t> wide{7, 3, 9, 3};
   EXPECT_EQ(median_inplace(std::span<std::uint64_t>(wide)), 3u);
-}
-
-TEST(Math, ApproxEqual) {
-  EXPECT_TRUE(approx_equal(1.0, 1.0 + 1e-9, 1e-6));
-  EXPECT_FALSE(approx_equal(1.0, 1.1, 1e-6));
 }
 
 }  // namespace
