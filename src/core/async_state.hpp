@@ -142,18 +142,6 @@ class AsyncOebState {
     return nodes_[u].working_time;
   }
 
-  std::uint64_t real_ticks_of(NodeId u) const {
-    PC_EXPECTS(u < nodes_.size());
-    return nodes_[u].real_ticks;
-  }
-
-  /// True iff u's bit is set for *some* phase (diagnostics only; the
-  /// protocol itself always compares against the current phase tag).
-  bool bit_of(NodeId u) const {
-    PC_EXPECTS(u < nodes_.size());
-    return nodes_[u].bit_tag != 0;
-  }
-
   std::uint64_t bits_set() const noexcept {
     return static_cast<std::uint64_t>(std::count_if(
         nodes_.begin(), nodes_.end(),

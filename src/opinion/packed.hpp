@@ -42,15 +42,6 @@ constexpr std::size_t color_width_bytes(ColorWidth width) noexcept {
   return static_cast<std::size_t>(width);
 }
 
-constexpr const char* color_width_name(ColorWidth width) noexcept {
-  switch (width) {
-    case ColorWidth::kU8: return "u8";
-    case ColorWidth::kU16: return "u16";
-    case ColorWidth::kU32: return "u32";
-  }
-  return "unknown";
-}
-
 /// The narrowest width that holds every color of a universe of
 /// `num_colors` (stored values are < num_colors): 255 colors still fit
 /// u8, 256 colors store values up to 255 and also fit u8; 257 colors
