@@ -17,7 +17,12 @@ OUT_DIR=${2:-bench_snapshot}
 
 mkdir -p "$OUT_DIR"
 
-run() { "$BIN" --out-dir="$OUT_DIR" --csv "$@" > /dev/null; }
+# Every top-level record runs serially (--jobs=1; the default --jobs=0
+# uses every host core): the wall clocks then do not shrink with the
+# host's core count, so each baseline stays above bench_diff's
+# --min-seconds floor on any host, and the parallel_catalog entry below
+# has a serial record to match.
+run() { "$BIN" --out-dir="$OUT_DIR" --csv --jobs=1 "$@" > /dev/null; }
 
 # Scale keeps this baseline above bench_diff's --min-seconds floor (the
 # censored community/clustered placements burn the full horizon) so the
@@ -25,7 +30,10 @@ run() { "$BIN" --out-dir="$OUT_DIR" --csv "$@" > /dev/null; }
 run --exp=adversarial_placements --reps=3 --n=1024 --horizon=2000
 run --exp=async_main           --reps=2 --k=4 --max_n=8192 --n=4096
 run --exp=bias_threshold       --reps=4 --n=4096
-run --exp=clock_skew           --reps=2 --n=1024
+# Scale keeps this baseline above bench_diff's --min-seconds floor now
+# that the heterogeneous engine draws ticks from an alias table rather
+# than an n-timer queue (about 4x faster per tick).
+run --exp=clock_skew           --reps=4 --n=1024
 run --exp=crash_faults         --reps=2 --n=1024
 run --exp=delta_ablation       --reps=2 --n=1024
 run --exp=endgame              --reps=3 --max_n=8192 --n=4096
@@ -49,7 +57,10 @@ run --exp=latency_models       --reps=4 --n=4096 --shards=1
 run --exp=microbench_engines   --reps=2 --iters=200000 --n=4096 --m1c_iters=2000000 \
     --m1e_min_n=65536 --m1e_max_n=1048576 --m1e_iters=2000000
 run --exp=microbench_rng       --reps=2 --iters=100000
-run --exp=model_equivalence    --reps=3 --n=1024
+# Scale keeps this baseline above bench_diff's --min-seconds floor: E9
+# compares the sequential engine with superposition, both cheap at
+# n=1024, so the repetitions carry the wall clock (Voter dominates).
+run --exp=model_equivalence    --reps=32 --n=1024
 run --exp=one_extra_bit        --reps=2 --k=8 --max_k=16 --n=16384
 run --exp=quadratic_growth     --reps=2 --n=4096
 # Scale keeps the R1 rate x {sequential, sharded} sweep above
@@ -73,7 +84,7 @@ run --exp=two_choices_scaling  --reps=2 --max_n=4096
 # record of the same experiment above. --shards is pinned for the same
 # host-independence reason as the latency_models entry.
 mkdir -p "$OUT_DIR/sharded_composition"
-"$BIN" --out-dir="$OUT_DIR/sharded_composition" --csv \
+"$BIN" --out-dir="$OUT_DIR/sharded_composition" --csv --jobs=1 \
   --exp=adversarial_placements --reps=3 --n=1024 --horizon=1000 \
   --engine=sharded --shards=2 --placement=adversarial_boundary \
   --latency=pareto --latency-mean=0.5 > /dev/null
